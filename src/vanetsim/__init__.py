@@ -39,6 +39,7 @@ from .errors import (
     SchemaError,
 )
 from .fountain import (
+    Blocks,
     DecoderState,
     EncodingVector,
     FileSpec,

@@ -432,3 +432,7 @@ def main(argv=None) -> int:
 
 def entrypoint():
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -19,7 +19,7 @@ from .errors import (
     InvalidParameterError,
     NoProgressError,
 )
-from .fountain import DecoderState, FileSpec, VectorScheme, encode, vector_sampler
+from .fountain import Blocks, DecoderState, FileSpec, VectorScheme, encode, vector_sampler
 from .traffic import ArrivalRecord, Scenario, sample_velocities
 
 # Lookback margin beyond the longest partner dwell time, in units of
@@ -62,6 +62,16 @@ class MonteCarloEstimate:
     trials: int
 
 
+def _observer_speed(observer_velocity: float) -> float:
+    """The observer speed as a float, checked to be finite and forward."""
+    vi = float(observer_velocity)
+    if not (math.isfinite(vi) and vi > 0):
+        raise InvalidParameterError(
+            f"observer speed must be finite and > 0, got {vi!r}"
+        )
+    return vi
+
+
 def packets_per_encounter(v: float, v_prime: float, packet_rate: float, r: float) -> float:
     """Packets transferred in one direction while two nodes stay in range."""
     if v == v_prime:
@@ -89,9 +99,7 @@ def encounter_of(
     populated event, or None when the trajectories do not cross inside the
     segment. Same-velocity pairs never meet.
     """
-    vi = observer_velocity
-    if vi <= 0:
-        raise InvalidParameterError("observer must travel forward")
+    vi = _observer_speed(observer_velocity)
     vp = arrival.v
     t = arrival.entry_time
     ti = d / vi
@@ -141,9 +149,7 @@ def simulate_trip(
     Background arrivals are generated on a window long enough to contain
     every entry time that could satisfy the crossing condition.
     """
-    vi = float(observer_velocity)
-    if vi <= 0:
-        raise InvalidParameterError("observer must travel forward")
+    vi = _observer_speed(observer_velocity)
     d, r = scenario.d, scenario.r
     packet_rate = scenario.packet_rate
     ti = d / vi
@@ -257,14 +263,13 @@ def simulate_download_time(
     ``segment_cap`` segments (for example with no traffic and a station
     batch of zero packets).
     """
-    vi = float(observer_velocity)
-    if vi <= 0:
-        raise InvalidParameterError("observer must travel forward")
+    vi = _observer_speed(observer_velocity)
     if segment_cap < 1:
         raise InvalidParameterError("segment cap must be >= 1")
     sampler = vector_sampler(scheme, file.k)
     arr_rng, vec_rng, file_rng = rng.spawn(3)
-    blocks = [file_rng.bytes(file.block_bytes) for _ in range(file.k)]
+    file_blocks = [file_rng.bytes(file.block_bytes) for _ in range(file.k)]
+    blocks = Blocks(file_blocks)
     decoder = DecoderState(file.k)
     ti = scenario.d / vi
     received = 0
@@ -276,7 +281,7 @@ def simulate_download_time(
                 decoder.receive(packet)
                 if decoder.rank == file.k:
                     decoded = decoder.try_decode()
-                    if decoded != blocks:
+                    if decoded != file_blocks:
                         raise InternalInconsistencyError(
                             "decoded blocks disagree with the encoded file"
                         )

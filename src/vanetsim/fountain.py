@@ -2,16 +2,20 @@
 
 Encoding vectors are bit strings of length ``k`` packed into Python ints
 (bit ``i`` is the coefficient of block ``i``), so vector arithmetic is
-whole-word XOR. Payloads are byte strings XORed the same way. The decoder
-keeps an online reduced row-echelon basis, which makes the decodability
-test constant time and decoding itself a table lookup.
+whole-word XOR. A file's blocks are checked once and held as a ``k x size``
+``uint8`` matrix (:class:`Blocks`); a packet payload is the byte-wise XOR of
+the rows its vector selects, computed as one NumPy reduction. The decoder
+keeps an online reduced row-echelon basis, with payloads packed into ints,
+which makes the decodability test constant time and decoding itself a
+table lookup.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -168,24 +172,50 @@ def sample_soliton_vector(k: int, params: SolitonParams, rng: np.random.Generato
     return vector_sampler(LtScheme(params), k)(rng)
 
 
+class Blocks(Sequence[bytes]):
+    """A file's blocks, checked once and held as a ``k x size`` matrix.
+
+    Row ``i`` of ``matrix`` (``uint8``, read-only) is block ``i``, and
+    ``blocks[i]`` returns it as bytes. Building this once per file spares
+    ``encode`` the size checks and conversions for every packet.
+    """
+
+    def __init__(self, blocks: Sequence[bytes]):
+        if len(blocks) < 1:
+            raise InvalidParameterError("need at least one block")
+        size = len(blocks[0])
+        if size < 1:
+            raise InvalidParameterError("blocks must be at least one byte")
+        if any(len(b) != size for b in blocks):
+            raise InvalidParameterError("blocks must all have the same size")
+        joined = np.frombuffer(b"".join(blocks), dtype=np.uint8)
+        self.matrix = joined.reshape(len(blocks), size)
+
+    def __len__(self) -> int:
+        return len(self.matrix)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [row.tobytes() for row in self.matrix[i]]
+        return self.matrix[i].tobytes()
+
+
 def encode(blocks: Sequence[bytes], vector: EncodingVector) -> Packet:
-    """XOR together the blocks selected by the vector's nonzero coefficients."""
-    if len(blocks) != vector.k:
-        raise InvalidParameterError(
-            f"expected {vector.k} blocks, got {len(blocks)}"
-        )
-    size = len(blocks[0])
-    if size < 1:
-        raise InvalidParameterError("blocks must be at least one byte")
-    if any(len(b) != size for b in blocks):
-        raise InvalidParameterError("blocks must all have the same size")
-    acc = 0
-    bits = vector.bits
-    while bits:
-        i = (bits & -bits).bit_length() - 1
-        acc ^= int.from_bytes(blocks[i], "big")
-        bits &= bits - 1
-    return Packet(vector, acc.to_bytes(size, "big"))
+    """XOR together the blocks selected by the vector's nonzero coefficients.
+
+    ``blocks`` is a :class:`Blocks` or a plain sequence of equal-size byte
+    strings, which is converted on every call; callers that encode one file
+    many times should build the :class:`Blocks` once.
+    """
+    k = vector.k
+    if len(blocks) != k:
+        raise InvalidParameterError(f"expected {k} blocks, got {len(blocks)}")
+    if not isinstance(blocks, Blocks):
+        blocks = Blocks(blocks)
+    coeffs = np.frombuffer(vector.bits.to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
+    selected = np.flatnonzero(np.unpackbits(coeffs, count=k, bitorder="little"))
+    rows = blocks.matrix.take(selected, axis=0)
+    return Packet(vector, np.bitwise_xor.reduce(rows, axis=0).tobytes())
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +300,18 @@ def test_download_time_rejects_bad_k(twoclass_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "download-time"])
+@pytest.mark.parametrize("speed", ["nan", "inf"])
+def test_non_finite_observer_speed_is_an_input_error(twoclass_path, command, speed, capsys):
+    args = [command, str(twoclass_path), "--observer-v", speed, "--trials", "5"]
+    if command == "download-time":
+        args += ["--K", "8"]
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "observer speed must be finite and > 0" in err
+
+
 # --- report formats ------------------------------------------------------------------------
 
 
@@ -332,3 +348,18 @@ def test_output_flag_writes_file(twoclass_path, tmp_path, capsys):
     assert out == ""
     report = json.loads(target.read_text())
     assert report["command"] == "analyze"
+
+
+@pytest.mark.parametrize("module", ["vanetsim", "vanetsim.cli"])
+def test_python_dash_m_runs_the_command(twoclass_path, module, capsys):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "analyze", str(twoclass_path)],
+        capture_output=True, text=True, env=env, cwd=root, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    _, in_process = run_json(["analyze", str(twoclass_path)], capsys)
+    assert report["command"] == "analyze"
+    assert report["results"] == in_process["results"]

@@ -6,6 +6,7 @@ import pytest
 
 from vanetsim import (
     ArrivalRecord,
+    DecoderState,
     DiscreteVelocityDist,
     FileSpec,
     Scenario,
@@ -22,7 +23,11 @@ from vanetsim import (
     simulate_trip,
     span_probability,
 )
-from vanetsim.errors import InvalidParameterError, NoProgressError
+from vanetsim.errors import (
+    InternalInconsistencyError,
+    InvalidParameterError,
+    NoProgressError,
+)
 from vanetsim.traffic import MixtureVelocityDist, ContinuousVelocityDist
 
 
@@ -136,6 +141,14 @@ def test_trip_rejects_reverse_observer():
     sc = make_scenario()
     with pytest.raises(InvalidParameterError):
         simulate_trip(sc, -20.0, np.random.default_rng(0))
+    # non-finite and zero speeds are rejected before any draw, by the trip
+    # and the download alike
+    for speed in (math.nan, math.inf, -math.inf, 0.0, -20.0):
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidParameterError, match="finite and > 0"):
+            simulate_trip(sc, speed, rng)
+        with pytest.raises(InvalidParameterError, match="finite and > 0"):
+            simulate_download_time(sc, speed, FileSpec(4, 8), UniformScheme(), rng)
 
 
 def test_trip_encounter_count_matches_expectation():
@@ -290,3 +303,45 @@ def test_download_time_tracks_projection_over_many_segments():
         t, _, _ = simulate_download_time(sc, observer, file, UniformScheme(), rng)
         times.append(t)
     assert np.mean(times) == pytest.approx(projection, rel=0.15)
+
+
+def test_download_detects_a_wrong_decode(monkeypatch):
+    # The decode is checked against the file on every trial: a decoder that
+    # returns one flipped byte must be caught.
+    honest = DecoderState.try_decode
+
+    def flip_one_byte(self):
+        decoded = honest(self)
+        first = decoded[0]
+        decoded[0] = bytes([first[0] ^ 0x01]) + first[1:]
+        return decoded
+
+    monkeypatch.setattr(DecoderState, "try_decode", flip_one_byte)
+    sc = make_scenario(lam=0.0)
+    with pytest.raises(InternalInconsistencyError):
+        simulate_download_time(sc, 20.0, FileSpec(8, 64), UniformScheme(), np.random.default_rng(0))
+
+
+# (t, packets, segments) for twoclass at bit_rate 5000 with FileSpec(256, 8192)
+# and uniform vectors, keyed by (seed, observer speed); recorded from the
+# implementation that XORed blocks as Python ints, one packet at a time.
+PINNED_DOWNLOADS = {
+    (0, 20.0): (832.9688751945787, 256, 2),
+    (0, 25.0): (266.751674660811, 256, 1),
+    (1, 20.0): (827.3051779270173, 259, 2),
+    (1, 25.0): (250.67719123325946, 259, 1),
+    (2, 20.0): (296.5391345319574, 261, 1),
+    (2, 25.0): (290.02898911167176, 261, 1),
+    (3, 20.0): (334.7067302656046, 257, 1),
+    (3, 25.0): (374.7821576675824, 257, 1),
+}
+
+
+def test_download_matches_pinned_results(twoclass):
+    sc = replace(twoclass, bit_rate=5_000.0)
+    file = FileSpec(256, 8192)
+    for (seed, observer), expected in PINNED_DOWNLOADS.items():
+        got = simulate_download_time(
+            sc, observer, file, UniformScheme(), np.random.default_rng(seed)
+        )
+        assert got == expected, (seed, observer)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vanetsim import (
+    Blocks,
     DecoderState,
     EncodingVector,
     LtScheme,
@@ -159,10 +160,53 @@ def test_encode_xors_selected_blocks():
 
 
 def test_encode_rejects_bad_blocks():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="expected 2 blocks, got 1"):
         encode([b"\xff"], EncodingVector(0b11, 2))
-    with pytest.raises(InvalidParameterError):
-        encode([b"\xff", b"\x0f\x00"], EncodingVector(0b11, 2))
+    with pytest.raises(InvalidParameterError, match="expected 2 blocks, got 1"):
+        encode(Blocks([b"\xff"]), EncodingVector(0b11, 2))
+    for bad, message in (
+        ([b"", b""], "blocks must be at least one byte"),
+        ([b"\xff", b"\x0f\x00"], "blocks must all have the same size"),
+    ):
+        with pytest.raises(InvalidParameterError, match=message):
+            encode(bad, EncodingVector(0b11, 2))
+        with pytest.raises(InvalidParameterError, match=message):
+            Blocks(bad)
+    with pytest.raises(InvalidParameterError, match="at least one block"):
+        Blocks([])
+
+
+def reference_xor(blocks: list[bytes], bits: int) -> bytes:
+    """Pure-Python oracle: byte-wise XOR of the blocks whose bit is set."""
+    acc = bytes(len(blocks[0]))
+    for i, block in enumerate(blocks):
+        if (bits >> i) & 1:
+            acc = bytes(a ^ b for a, b in zip(acc, block))
+    return acc
+
+
+@pytest.mark.parametrize("size", [1, 3, 8, 1024])
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 63, 64, 65, 256])
+def test_encode_matches_xor_oracle(k, size):
+    rng = np.random.default_rng(1000 * k + size)
+    blocks = [rng.bytes(size) for _ in range(k)]
+    prepared = Blocks(blocks)
+    vectors = [0, (1 << k) - 1] + [sample_uniform_vector(k, rng).bits for _ in range(3)]
+    for bits in vectors:
+        vector = EncodingVector(bits, k)
+        expected = reference_xor(blocks, bits)
+        assert encode(prepared, vector) == Packet(vector, expected)
+        assert encode(blocks, vector) == Packet(vector, expected)
+
+
+def test_blocks_is_a_sequence_of_the_original_bytes():
+    blocks = [b"\x01\x02", b"\x03\x04", b"\x05\x06"]
+    prepared = Blocks(blocks)
+    assert len(prepared) == 3
+    assert list(prepared) == blocks
+    assert prepared[0] == b"\x01\x02" and prepared[-1] == b"\x05\x06"
+    assert prepared[1:] == blocks[1:]
+    assert prepared.matrix.shape == (3, 2)
 
 
 # --- incremental decoding -------------------------------------------------------
