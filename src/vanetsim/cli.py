@@ -93,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="analytic vs simulated throughput, exit 1 on mismatch")
     add_common(p)
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--corrupt-analytic", type=float, default=1.0, help=argparse.SUPPRESS)
 
     p = sub.add_parser("optimize-pmf", help="throughput-maximizing class probabilities")
     add_common(p, scenario=False)
@@ -239,7 +238,7 @@ def _cmd_compare(args) -> tuple[str, int, dict, int]:
         for i, cls in enumerate(scenario.velocity.classes):
             if cls.v <= 0:
                 continue  # only forward observers traverse the segment
-            analytic = expected_throughput_class(scenario, i) * args.corrupt_analytic
+            analytic = expected_throughput_class(scenario, i)
             est = monte_carlo_throughput(scenario, cls.v, args.trials, rng)
             rows.append(
                 {
@@ -253,7 +252,7 @@ def _cmd_compare(args) -> tuple[str, int, dict, int]:
             )
     else:
         kind = "continuous"
-        analytic = expected_throughput_continuous(scenario) * args.corrupt_analytic
+        analytic = expected_throughput_continuous(scenario)
         a, b = _forward_support(scenario)
         width = b - a
         for obs in (a + 0.1 * width, 0.5 * (a + b), b - 0.1 * width):

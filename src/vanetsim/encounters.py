@@ -26,6 +26,10 @@ from .traffic import ArrivalRecord, Scenario, sample_velocities
 # r / min|v|; arrivals earlier than that can never cross the observer.
 ARRIVAL_MARGIN_FACTOR = 10.0
 
+# Cap on the expected arrivals in one lookback window: a very slow observer
+# needs a window long enough to hold more than memory allows.
+MAX_EXPECTED_ARRIVALS = 1e7
+
 
 @dataclass(frozen=True)
 class EncounterEvent:
@@ -141,6 +145,35 @@ def _encounter_mask(
     return np.where(vel > 0, fwd_hit, rev_hit)
 
 
+def _crossing_arrivals(
+    scenario: Scenario, ti: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Draw background arrivals and keep those that cross the observer.
+
+    Arrivals are Poisson on the lookback window up to the observer's travel
+    time ``ti``, drawn as count, entry times, then velocities. Returns the
+    crossers' entry times, velocities and class indices (None for continuous
+    velocity distributions).
+    """
+    n = 0
+    if scenario.lam > 0:
+        w0, _ = _trip_window(scenario)
+        expected = scenario.lam * (ti - w0)
+        if not expected <= MAX_EXPECTED_ARRIVALS:
+            raise InvalidParameterError(
+                f"observer too slow: its lookback window holds {expected:.6g} "
+                f"expected arrivals, more than {MAX_EXPECTED_ARRIVALS:.0e}"
+            )
+        n = rng.poisson(expected)
+    if not n:
+        no_class = np.empty(0, dtype=int) if scenario.is_discrete else None
+        return np.empty(0), np.empty(0), no_class
+    entry = rng.uniform(w0, ti, n)
+    vel, cls = sample_velocities(scenario.velocity, n, rng)
+    mask = _encounter_mask(entry, vel, scenario.d, ti)
+    return entry[mask], vel[mask], None if cls is None else cls[mask]
+
+
 def simulate_trip(
     scenario: Scenario, observer_velocity: float, rng: np.random.Generator
 ) -> TripResult:
@@ -153,25 +186,12 @@ def simulate_trip(
     d, r = scenario.d, scenario.r
     packet_rate = scenario.packet_rate
     ti = d / vi
-    w0, _ = _trip_window(scenario)
-    w1 = ti
-    n = rng.poisson(scenario.lam * (w1 - w0)) if scenario.lam > 0 else 0
-    if n:
-        entry = rng.uniform(w0, w1, n)
-        vel, cls = sample_velocities(scenario.velocity, n, rng)
-        mask = _encounter_mask(entry, vel, d, ti)
-        enc_vel = vel[mask]
-    else:
-        enc_vel = np.empty(0)
-        cls = None
+    _, enc_vel, enc_cls = _crossing_arrivals(scenario, ti, rng)
     packets = packet_rate * r / (2.0 * np.abs(vi - enc_vel))
     info = packet_rate * r / vi
     total = info + float(packets.sum())
     if scenario.is_discrete:
-        m = scenario.velocity.m
-        counts = (
-            np.bincount(cls[mask], minlength=m) if n else np.zeros(m, dtype=int)
-        )
+        counts = np.bincount(enc_cls, minlength=scenario.velocity.m)
         per_class = tuple(int(c) for c in counts)
     else:
         per_class = ()
@@ -220,24 +240,14 @@ def _segment_events(
     packet_rate = scenario.packet_rate
     ti = d / vi
     events = [(0.0, math.floor(packet_rate * r / vi))]
-    if scenario.lam > 0:
-        w0, _ = _trip_window(scenario)
-        n = rng.poisson(scenario.lam * (ti - w0))
-        if n:
-            entry = rng.uniform(w0, ti, n)
-            vel, _ = sample_velocities(scenario.velocity, n, rng)
-            mask = _encounter_mask(entry, vel, d, ti)
-            enc_vel = vel[mask]
-            enc_t = entry[mask]
-            meet = np.where(
-                enc_vel > 0,
-                enc_vel * enc_t / (enc_vel - vi),
-                (d - enc_vel * enc_t) / (vi - enc_vel),
-            )
-            counts = np.floor(packet_rate * r / (2.0 * np.abs(vi - enc_vel)))
-            events.extend(
-                (float(t), int(c)) for t, c in zip(meet, counts) if c > 0
-            )
+    enc_t, enc_vel, _ = _crossing_arrivals(scenario, ti, rng)
+    meet = np.where(
+        enc_vel > 0,
+        enc_vel * enc_t / (enc_vel - vi),
+        (d - enc_vel * enc_t) / (vi - enc_vel),
+    )
+    counts = np.floor(packet_rate * r / (2.0 * np.abs(vi - enc_vel)))
+    events.extend((float(t), int(c)) for t, c in zip(meet, counts) if c > 0)
     events.sort()
     return events
 

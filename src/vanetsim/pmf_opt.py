@@ -3,14 +3,14 @@
 Maximizes the pairwise exchange objective sum_{i != j} p_i p_j
 (1/|v_i| + 1/|v_j|) over the probability simplex. The reduced objective
 (last probability eliminated) is strictly concave, so the optimum is
-unique; it is found by an active-set sweep that solves the stationarity
-system on a trailing-zero pattern and shrinks the active set from the
-fastest class downward until the solution is feasible.
+unique. Setting the marginal values (A p)_i = u_i (1 - 2 p_i) + sum_j u_j p_j,
+u = 1/|v|, equal on the classes that carry probability gives it in closed
+form: a water-filling vector p_i = max(0, 1/2 - c |v_i|) in which the
+slowest classes are active and probability falls linearly with speed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +19,14 @@ from .errors import InvalidParameterError, NumericalError
 
 NEG_CLAMP_TOL = 1e-12
 KKT_TOL = 1e-9
-PIVOT_RTOL = 1e-14
 
 
 def _check_speeds(speeds) -> np.ndarray:
     arr = np.asarray(speeds, dtype=float)
     if arr.ndim != 1:
         raise InvalidParameterError("speeds must be a flat sequence")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidParameterError("speeds must be finite")
     if np.any(arr == 0):
         raise InvalidParameterError("speeds must be nonzero")
     return arr
@@ -64,24 +65,6 @@ def reduced_hessian(speeds) -> np.ndarray:
     return -2.0 * np.diag(inv[:-1]) - 2.0 * inv[-1] * np.ones((m - 1, m - 1))
 
 
-def _solve_with_pivoting(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting on a small dense system."""
-    n = a.shape[0]
-    aug = np.concatenate([a.astype(float), b.reshape(-1, 1).astype(float)], axis=1)
-    threshold = PIVOT_RTOL * np.abs(a).max()
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[piv, col]) < threshold:
-            raise NumericalError(f"near-singular system: pivot {aug[piv, col]!r}")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] /= aug[col, col]
-        for row in range(n):
-            if row != col and aug[row, col] != 0.0:
-                aug[row] -= aug[row, col] * aug[col]
-    return aug[:, n]
-
-
 @dataclass(frozen=True)
 class PmfSolution:
     """Optimal probabilities with their stationarity certificate.
@@ -104,34 +87,26 @@ class PmfSolution:
 def optimize_pmf(speeds) -> PmfSolution:
     """Find the unique simplex maximizer of the exchange objective.
 
-    Solves A_n x = 1 on the first n classes (speeds sorted ascending by
-    |v|), normalizes to the simplex, and shrinks n while any component is
-    negative; the two-class core always terminates at (0.5, 0.5). The
-    returned solution carries a verified stationarity certificate.
+    With s the speeds' |v| sorted ascending, the solution is the
+    water-filling vector p_i = 1/2 - c_n s_i on the n slowest classes and
+    0 on the rest, where c_n = (n/2 - 1) / (s_1 + ... + s_n) and n >= 2 is
+    the largest count with 1/2 - c_n s_n >= 0. Two classes always give
+    (0.5, 0.5) since c_2 = 0. The returned solution carries a verified
+    stationarity certificate.
     """
     arr = _check_speeds(speeds)
     m = arr.size
     if m < 2:
         raise InvalidParameterError("need at least two classes")
     order = np.argsort(np.abs(arr), kind="stable")
-    inv = 1.0 / np.abs(arr)[order]
-    full = None
-    n = m
-    while n >= 2:
-        a_n = inv[:n, None] + inv[None, :n]
-        np.fill_diagonal(a_n, 0.0)
-        x = _solve_with_pivoting(a_n, np.ones(n))
-        p_n = x / np.abs(x).sum()
-        if p_n.min() >= -NEG_CLAMP_TOL:
-            p_n = np.clip(p_n, 0.0, None)
-            p_n /= p_n.sum()
-            full = np.zeros(m)
-            full[:n] = p_n
-            break
-        n -= 1
-    if full is None:
-        raise NumericalError("active set shrank below two classes")
+    s = np.abs(arr)[order]
+    c = (np.arange(1, m + 1) / 2.0 - 1.0) / np.cumsum(s)
+    n = int(np.flatnonzero(0.5 - c * s >= 0.0)[-1]) + 1
+    full = np.zeros(m)
+    # non-negative: s is ascending and 1/2 - c_n s_n >= 0
+    full[:n] = 0.5 - c[n - 1] * s[:n]
 
+    inv = 1.0 / s
     a_full = inv[:, None] + inv[None, :]
     np.fill_diagonal(a_full, 0.0)
     marginals = a_full @ full

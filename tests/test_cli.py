@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vanetsim import cli
 from vanetsim.cli import main
 
 
@@ -157,19 +158,13 @@ def test_compare_reference_scenario_passes(twoclass_path, capsys):
     assert res["max_abs_z"] <= 4.0
 
 
-def test_compare_detects_corrupted_analytic(twoclass_path, capsys):
+def test_compare_detects_corrupted_analytic(twoclass_path, monkeypatch, capsys):
+    exact = cli.expected_throughput_class
+    monkeypatch.setattr(
+        cli, "expected_throughput_class", lambda *args: 1.25 * exact(*args)
+    )
     code, report = run_json(
-        [
-            "compare",
-            str(twoclass_path),
-            "--trials",
-            "4000",
-            "--seed",
-            "5",
-            "--corrupt-analytic",
-            "1.25",
-        ],
-        capsys,
+        ["compare", str(twoclass_path), "--trials", "4000", "--seed", "5"], capsys
     )
     assert code == 1
     assert report["results"]["passed"] is False
@@ -215,6 +210,14 @@ def test_optimize_pmf_rejects_single_speed(capsys):
 def test_optimize_pmf_rejects_zero_speed(capsys):
     code, out, err = run(["optimize-pmf", "--speeds", "20,0"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("speeds", ["1,nan", "1,inf", "1,-inf,3"])
+def test_optimize_pmf_rejects_non_finite_speeds(speeds, capsys):
+    code, out, err = run(["optimize-pmf", "--speeds", speeds], capsys)
+    assert code == 2
+    assert out == ""
+    assert "speeds must be finite" in err
 
 
 # --- download-time -----------------------------------------------------------------------
@@ -310,6 +313,18 @@ def test_non_finite_observer_speed_is_an_input_error(twoclass_path, command, spe
     assert code == 2
     assert out == ""
     assert "observer speed must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "download-time"])
+@pytest.mark.parametrize("speed", ["1e-12", "1e-300"])
+def test_too_slow_observer_is_an_input_error(twoclass_path, command, speed, capsys):
+    args = [command, str(twoclass_path), "--observer-v", speed, "--trials", "5"]
+    if command == "download-time":
+        args += ["--K", "8"]
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "observer too slow" in err
 
 
 # --- report formats ------------------------------------------------------------------------

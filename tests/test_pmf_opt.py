@@ -134,6 +134,34 @@ def test_optimizer_reference_values(speeds, expected):
     assert min(sol.p) >= 0.0
 
 
+def trailing_zero_sweep(speeds):
+    """Reference optimizer: solve A_n x = 1 on the n slowest classes and
+    shrink n until the normalized solution has no negative entry."""
+    inv = np.sort(1.0 / np.abs(np.asarray(speeds, dtype=float)))[::-1]
+    for n in range(len(inv), 1, -1):
+        a = inv[:n, None] + inv[None, :n]
+        np.fill_diagonal(a, 0.0)
+        x = np.linalg.solve(a, np.ones(n))
+        if (x / x.sum()).min() >= -1e-12:
+            return np.concatenate([x / x.sum(), np.zeros(len(inv) - n)])
+
+
+def test_optimizer_matches_trailing_zero_sweep():
+    rng = np.random.default_rng(7)
+    cases = [random_speeds(rng, int(m)) for m in rng.integers(2, 65, 300)]
+    cases.append(random_speeds(rng, 200))
+    for speeds in cases:
+        sol = optimize_pmf(speeds)
+        assert np.allclose(sol.p_sorted, trailing_zero_sweep(speeds), rtol=0, atol=1e-12)
+
+
+def test_boundary_class_gets_exactly_zero():
+    # 1/2 - c_5 * 130 = 0 exactly: the fastest class sits on the boundary
+    sol = optimize_pmf([50.0, 60.0, 70.0, 80.0, 130.0])
+    assert sol.p_sorted[4] == 0.0
+    assert sol.active_set_size == 4
+
+
 def test_two_classes_always_split_evenly():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -198,6 +226,9 @@ def test_optimizer_rejects_bad_inputs():
         optimize_pmf([20.0])
     with pytest.raises(InvalidParameterError):
         optimize_pmf([20.0, 0.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            optimize_pmf([20.0, bad, 30.0])
 
 
 def test_global_optimality_against_random_points():
