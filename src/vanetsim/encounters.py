@@ -30,6 +30,12 @@ ARRIVAL_MARGIN_FACTOR = 10.0
 # needs a window long enough to hold more than memory allows.
 MAX_EXPECTED_ARRIVALS = 1e7
 
+# Largest file, in blocks, that simulate_download_time accepts. Decode cost
+# grows about as K^2.4: one K=8192 download of 64-bit blocks took 39-47 s
+# (8192 packets, 127-137 MB peak RSS) on a 2-core x86-64 KVM guest, and
+# doubling K costs about five times as long.
+MAX_DOWNLOAD_BLOCKS = 8192
+
 
 @dataclass(frozen=True)
 class EncounterEvent:
@@ -74,6 +80,23 @@ def _observer_speed(observer_velocity: float) -> float:
             f"observer speed must be finite and > 0, got {vi!r}"
         )
     return vi
+
+
+def _observer_trip(scenario: Scenario, observer_velocity: float) -> tuple[float, float]:
+    """The checked observer speed and its travel time ``d / v``.
+
+    A speed can be finite and positive yet so small that the travel time or
+    the station batch ``packet_rate * r / v`` overflows to infinity; such an
+    observer is refused here rather than turning into a NaN throughput.
+    """
+    vi = _observer_speed(observer_velocity)
+    ti = scenario.d / vi
+    if not math.isfinite(max(ti, scenario.packet_rate * scenario.r / vi)):
+        raise InvalidParameterError(
+            f"observer too slow: travel time d/v = {scenario.d:g}/{vi!r} "
+            "or its station batch is not finite"
+        )
+    return vi, ti
 
 
 def packets_per_encounter(v: float, v_prime: float, packet_rate: float, r: float) -> float:
@@ -182,10 +205,8 @@ def simulate_trip(
     Background arrivals are generated on a window long enough to contain
     every entry time that could satisfy the crossing condition.
     """
-    vi = _observer_speed(observer_velocity)
-    d, r = scenario.d, scenario.r
-    packet_rate = scenario.packet_rate
-    ti = d / vi
+    vi, ti = _observer_trip(scenario, observer_velocity)
+    r, packet_rate = scenario.r, scenario.packet_rate
     _, enc_vel, enc_cls = _crossing_arrivals(scenario, ti, rng)
     packets = packet_rate * r / (2.0 * np.abs(vi - enc_vel))
     info = packet_rate * r / vi
@@ -271,9 +292,15 @@ def simulate_download_time(
 
     Raises :class:`NoProgressError` if the decode is still incomplete after
     ``segment_cap`` segments (for example with no traffic and a station
-    batch of zero packets).
+    batch of zero packets), and :class:`InvalidParameterError` before any
+    work for a file of more than :data:`MAX_DOWNLOAD_BLOCKS` blocks.
     """
-    vi = _observer_speed(observer_velocity)
+    vi, ti = _observer_trip(scenario, observer_velocity)
+    if file.k > MAX_DOWNLOAD_BLOCKS:
+        raise InvalidParameterError(
+            f"file of {file.k} blocks exceeds the download limit of "
+            f"{MAX_DOWNLOAD_BLOCKS} blocks"
+        )
     if segment_cap < 1:
         raise InvalidParameterError("segment cap must be >= 1")
     sampler = vector_sampler(scheme, file.k)
@@ -281,7 +308,6 @@ def simulate_download_time(
     file_blocks = [file_rng.bytes(file.block_bytes) for _ in range(file.k)]
     blocks = Blocks(file_blocks)
     decoder = DecoderState(file.k)
-    ti = scenario.d / vi
     received = 0
     for segment in range(segment_cap):
         for offset, count in _segment_events(scenario, vi, arr_rng):

@@ -5,9 +5,10 @@ Encoding vectors are bit strings of length ``k`` packed into Python ints
 whole-word XOR. A file's blocks are checked once and held as a ``k x size``
 ``uint8`` matrix (:class:`Blocks`); a packet payload is the byte-wise XOR of
 the rows its vector selects, computed as one NumPy reduction. The decoder
-keeps an online reduced row-echelon basis, with payloads packed into ints,
-which makes the decodability test constant time and decoding itself a
-table lookup.
+tracks rank on the vectors alone, in an echelon basis whose rows also name
+the innovative packets they combine, and keeps those packets' payloads as
+bytes. It solves for the blocks once, at full rank, with 8-row XOR tables
+(the "method of four Russians").
 """
 
 from __future__ import annotations
@@ -225,30 +226,117 @@ class NotYetDecodable:
     rank: int
 
 
+def _xor_table(rows: np.ndarray) -> np.ndarray:
+    """All XOR combinations of up to 8 byte rows, indexed by a bit mask.
+
+    Entry ``c`` of the ``2**len(rows)``-row result is the XOR of the rows
+    whose bit is set in ``c`` (bit ``i`` selects ``rows[i]``). One table
+    replaces up to eight row XORs by one lookup per target row: the "method
+    of four Russians" of Albrecht and Bard's M4RI library.
+    """
+    table = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        n = 1 << i
+        np.bitwise_xor(table[:n], row, out=table[n : 2 * n])
+    return table
+
+
+def _back_substitute(rows: list[int], k: int) -> np.ndarray:
+    """Tags of unit upper-triangular rows after back-substitution.
+
+    The first ``k`` bits (LSB-first) of ``rows[p]`` have their lowest set
+    bit at column ``p``; a tag starts at bit ``8 * ceil(k / 8)``. Returns
+    the ``k x ceil(k / 8)`` packed tags that remain once every row is
+    reduced to its unit vector, that is the tag matrix multiplied by the
+    inverse of the triangle. The rows of each 8-column group are first
+    reduced among themselves as ints. Then, last group first, one
+    :func:`_xor_table` lookup per earlier row, indexed by its bits in the
+    group's columns, adds the group's tags to it. Those bits need no
+    update on the way: the rows added before the group's turn belong to
+    groups further right, which have no bits in its columns.
+    """
+    rows = list(rows)
+    for lo in range(0, k, 8):
+        hi = min(lo + 8, k)
+        for i in range(hi - 2, lo - 1, -1):
+            for j in range(i + 1, hi):
+                if (rows[i] >> j) & 1:
+                    rows[i] ^= rows[j]
+    nbytes = (k + 7) // 8
+    packed = np.frombuffer(
+        b"".join(row.to_bytes(2 * nbytes, "little") for row in rows), dtype=np.uint8
+    ).reshape(k, 2 * nbytes)
+    vectors, tags = packed[:, :nbytes], packed[:, nbytes:].copy()
+    for g in reversed(range(1, nbytes)):
+        lo = 8 * g
+        tags[:lo] ^= _xor_table(tags[lo : lo + 8])[vectors[:lo, g]]
+    return tags
+
+
+def _gf2_product(selector: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """GF(2) product of a packed bit matrix with a ``uint8`` row matrix.
+
+    Bit ``j`` (LSB-first) of row ``p`` of ``selector`` selects ``rows[j]``;
+    row ``p`` of the result is the XOR of the selected rows.
+    """
+    out = np.zeros((len(selector), rows.shape[1]), dtype=np.uint8)
+    for g in range(selector.shape[1]):
+        out ^= _xor_table(rows[8 * g : 8 * g + 8])[selector[:, g]]
+    return out
+
+
 class DecoderState:
     """Incremental rank tracker and decoder.
 
-    Stores one row per pivot column in fully reduced form: every stored
-    vector has a 1 at its own pivot and 0 at every other row's pivot, and
-    payloads carry the same combination as their vectors. ``receive`` costs
-    one reduction pass; once the rank reaches k the rows are exactly the
-    unit vectors and decoding is immediate.
+    ``receive`` touches encoding vectors only. It keeps an echelon basis,
+    one row per pivot, where a row's pivot is its lowest set bit: a packet's
+    vector is XORed with the row at its lowest set bit until it is zero (not
+    innovative) or lands on a free pivot, where it is stored. Each row also
+    carries, from bit ``8 * ceil(k / 8)`` up, a tag whose bit ``i`` says
+    that the ``i``-th innovative packet is part of the row; innovative
+    payloads are kept as they arrived. At full rank ``try_decode`` solves
+    once: back-substitution turns the tags into a ``k x k`` selector (which
+    innovative packets XOR to each block), and a GF(2) product of that
+    selector with the payloads gives the blocks.
     """
 
     def __init__(self, k: int):
         if k < 1:
             raise InvalidParameterError("k must be >= 1")
         self.k = k
-        self._rows: dict[int, tuple[int, int]] = {}
+        self._tag_shift = 8 * ((k + 7) // 8)
+        self._rows: list[int | None] = [None] * k
+        self._payloads: list[bytes] = []
         self._payload_bytes: int | None = None
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._payloads)
 
     def rows(self) -> list[tuple[int, int, int]]:
-        """Snapshot of (pivot, vector bits, payload bits), for inspection."""
-        return [(piv, vec, pay) for piv, (vec, pay) in sorted(self._rows.items())]
+        """Fully reduced (pivot, vector bits, payload bits), for inspection.
+
+        Every vector has a 1 at its own pivot and 0 at every other pivot;
+        the payload (big-endian bits) is the same combination of packets.
+        """
+        reduced: dict[int, int] = {}
+        for piv in reversed(range(self.k)):
+            row = self._rows[piv]
+            if row is not None:
+                for other, done in reduced.items():
+                    if (row >> other) & 1:
+                        row ^= done
+                reduced[piv] = row
+        mask = (1 << self.k) - 1
+        payloads = [int.from_bytes(p, "big") for p in self._payloads]
+        out = []
+        for piv, row in sorted(reduced.items()):
+            tag, pay = row >> self._tag_shift, 0
+            for i, p in enumerate(payloads):
+                if (tag >> i) & 1:
+                    pay ^= p
+            out.append((piv, row & mask, pay))
+        return out
 
     def receive(self, packet: Packet) -> bool:
         """Fold one packet into the basis; True iff it raised the rank."""
@@ -260,27 +348,32 @@ class DecoderState:
             self._payload_bytes = len(packet.payload)
         elif len(packet.payload) != self._payload_bytes:
             raise InvalidParameterError("payload size changed mid-stream")
-        vec = packet.vector.bits
-        pay = int.from_bytes(packet.payload, "big")
-        for piv, (rvec, rpay) in self._rows.items():
-            if (vec >> piv) & 1:
-                vec ^= rvec
-                pay ^= rpay
-        if vec == 0:
+        rank = len(self._payloads)
+        if rank == self.k:
             return False
-        piv = (vec & -vec).bit_length() - 1
-        for other, (rvec, rpay) in self._rows.items():
-            if (rvec >> piv) & 1:
-                self._rows[other] = (rvec ^ vec, rpay ^ pay)
-        self._rows[piv] = (vec, pay)
-        return True
+        rows = self._rows
+        # the tag bit keeps the row nonzero, so a pivot past k means the
+        # vector reduced to zero
+        row = packet.vector.bits | (1 << (self._tag_shift + rank))
+        while True:
+            piv = (row & -row).bit_length() - 1
+            if piv >= self.k:
+                return False
+            basis = rows[piv]
+            if basis is None:
+                rows[piv] = row
+                self._payloads.append(packet.payload)
+                return True
+            row ^= basis
 
     def try_decode(self) -> list[bytes] | NotYetDecodable:
         """Recover the original blocks, or report the current rank."""
         if self.rank < self.k:
             return NotYetDecodable(self.rank)
-        size = self._payload_bytes or 1
-        return [self._rows[i][1].to_bytes(size, "big") for i in range(self.k)]
+        selector = _back_substitute(self._rows, self.k)
+        payloads = np.frombuffer(b"".join(self._payloads), dtype=np.uint8)
+        blocks = _gf2_product(selector, payloads.reshape(self.k, self._payload_bytes))
+        return [row.tobytes() for row in blocks]
 
 
 def packets_needed(k: int, epsilon: float, scheme: VectorScheme) -> int:

@@ -29,6 +29,9 @@ def _check_speeds(speeds) -> np.ndarray:
         raise InvalidParameterError("speeds must be finite")
     if np.any(arr == 0):
         raise InvalidParameterError("speeds must be nonzero")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(1.0 / arr)):
+            raise InvalidParameterError("speeds must have a finite reciprocal 1/|v|")
     return arr
 
 
@@ -115,8 +118,10 @@ def optimize_pmf(speeds) -> PmfSolution:
     residual = float(np.abs(marginals[active] - nu).max())
     if np.any(~active):
         residual = max(residual, float((marginals[~active] - nu).max()), 0.0)
-    if residual > KKT_TOL:
-        raise NumericalError(f"stationarity residual {residual!r} exceeds {KKT_TOL}")
+    if not residual <= KKT_TOL:  # a NaN residual fails too
+        raise NumericalError(
+            f"stationarity residual {residual!r} is not within {KKT_TOL}"
+        )
 
     p_caller = np.zeros(m)
     p_caller[order] = full

@@ -220,6 +220,15 @@ def test_optimize_pmf_rejects_non_finite_speeds(speeds, capsys):
     assert "speeds must be finite" in err
 
 
+@pytest.mark.parametrize("speeds", ["1e-310,1", "1,-4e-320"])
+def test_optimize_pmf_rejects_speeds_with_overflowing_reciprocal(speeds, capsys):
+    code, out, err = run(["optimize-pmf", "--speeds", speeds], capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite reciprocal" in err
+    assert "Warning" not in err
+
+
 # --- download-time -----------------------------------------------------------------------
 
 
@@ -325,6 +334,26 @@ def test_too_slow_observer_is_an_input_error(twoclass_path, command, speed, caps
     assert code == 2
     assert out == ""
     assert "observer too slow" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "download-time"])
+def test_tiny_observer_in_zero_rate_scenario_is_an_input_error(tmp_path, command, capsys):
+    path = write_scenario(tmp_path, zero_rate_doc())
+    args = [command, path, "--observer-v", "1e-310", "--trials", "3"]
+    if command == "download-time":
+        args += ["--K", "8"]
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "observer too slow" in err
+
+
+def test_download_time_rejects_infeasible_k(twoclass_path, capsys):
+    args = ["download-time", str(twoclass_path), "--K", "100000000", "--trials", "1"]
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "exceeds the download limit of 8192 blocks" in err
 
 
 # --- report formats ------------------------------------------------------------------------

@@ -9,7 +9,9 @@ from vanetsim import (
     DecoderState,
     DiscreteVelocityDist,
     FileSpec,
+    LtScheme,
     Scenario,
+    SolitonParams,
     UniformScheme,
     VelocityClass,
     encounter_of,
@@ -23,6 +25,7 @@ from vanetsim import (
     simulate_trip,
     span_probability,
 )
+from vanetsim.encounters import MAX_DOWNLOAD_BLOCKS
 from vanetsim.errors import (
     InternalInconsistencyError,
     InvalidParameterError,
@@ -148,6 +151,21 @@ def test_trip_rejects_reverse_observer():
         with pytest.raises(InvalidParameterError, match="finite and > 0"):
             simulate_trip(sc, speed, rng)
         with pytest.raises(InvalidParameterError, match="finite and > 0"):
+            simulate_download_time(sc, speed, FileSpec(4, 8), UniformScheme(), rng)
+
+
+def test_zero_rate_observer_with_overflowing_travel_time_is_rejected():
+    # With no traffic no arrival bound applies, so the travel time d/v (or
+    # the station batch packet_rate*r/v) itself must be checked
+    cases = [
+        (make_scenario(lam=0.0), 1e-310),  # d/v overflows
+        (make_scenario(lam=0.0, bit_rate=5e6, packet_bits=1.0), 1e-300),  # batch only
+    ]
+    for sc, speed in cases:
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidParameterError, match="observer too slow"):
+            simulate_trip(sc, speed, rng)
+        with pytest.raises(InvalidParameterError, match="observer too slow"):
             simulate_download_time(sc, speed, FileSpec(4, 8), UniformScheme(), rng)
 
 
@@ -303,6 +321,17 @@ def test_download_time_tracks_projection_over_many_segments():
         t, _, _ = simulate_download_time(sc, observer, file, UniformScheme(), rng)
         times.append(t)
     assert np.mean(times) == pytest.approx(projection, rel=0.15)
+
+
+def test_download_refuses_a_file_above_the_block_limit():
+    sc = make_scenario()
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    too_big = FileSpec(MAX_DOWNLOAD_BLOCKS + 1, 64)
+    for scheme in (UniformScheme(), LtScheme(SolitonParams(0.1, 0.5, 0.01))):
+        with pytest.raises(InvalidParameterError, match="download limit"):
+            simulate_download_time(sc, 20.0, too_big, scheme, rng)
+    assert rng.bit_generator.state == state  # refused before any draw
 
 
 def test_download_detects_a_wrong_decode(monkeypatch):

@@ -21,6 +21,7 @@ from vanetsim import (
     span_probability,
 )
 from vanetsim.errors import InvalidParameterError
+from vanetsim.fountain import vector_sampler
 
 
 def reference_rank(vectors: list[int]) -> int:
@@ -241,8 +242,11 @@ def test_receive_detects_linear_dependence():
 
 def test_receive_rejects_length_mismatch():
     state = DecoderState(3)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="vector length 1 != decoder length 3"):
         state.receive(pkt(0b1, 1))
+    state.receive(pkt(0b1, 3))
+    with pytest.raises(InvalidParameterError, match="payload size changed mid-stream"):
+        state.receive(pkt(0b10, 3, b"\x00\x00"))
 
 
 def test_rank_matches_reference_and_stays_reduced():
@@ -299,6 +303,92 @@ def test_round_trip_random_packets():
     # every received packet is reproduced by re-encoding the decoded blocks
     for packet in received:
         assert encode(decoded, packet.vector).payload == packet.payload
+
+
+class ReferenceDecoder:
+    """Oracle: incremental reduced row-echelon decoder with int payloads.
+
+    Every stored vector has a 1 at its own pivot (its lowest set bit) and 0
+    at every other row's pivot; payloads, packed big-endian into ints, carry
+    the same combinations as their vectors.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self._rows: dict[int, tuple[int, int]] = {}
+        self._payload_bytes = 1
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def rows(self) -> list[tuple[int, int, int]]:
+        return [(piv, vec, pay) for piv, (vec, pay) in sorted(self._rows.items())]
+
+    def receive(self, packet: Packet) -> bool:
+        self._payload_bytes = len(packet.payload)
+        vec = packet.vector.bits
+        pay = int.from_bytes(packet.payload, "big")
+        for piv, (rvec, rpay) in self._rows.items():
+            if (vec >> piv) & 1:
+                vec ^= rvec
+                pay ^= rpay
+        if vec == 0:
+            return False
+        piv = (vec & -vec).bit_length() - 1
+        for other, (rvec, rpay) in self._rows.items():
+            if (rvec >> piv) & 1:
+                self._rows[other] = (rvec ^ vec, rpay ^ pay)
+        self._rows[piv] = (vec, pay)
+        return True
+
+    def try_decode(self) -> list[bytes] | NotYetDecodable:
+        if self.rank < self.k:
+            return NotYetDecodable(self.rank)
+        return [self._rows[i][1].to_bytes(self._payload_bytes, "big") for i in range(self.k)]
+
+
+def mixed_vectors(k: int, rng: np.random.Generator):
+    """Endless stream mixing uniform, LT, zero and repeated vectors."""
+    lt = vector_sampler(LtScheme(SolitonParams(0.1, 0.5, 0.01)), k)
+    seen: list[EncodingVector] = []
+    while True:
+        kind = rng.random()
+        if kind < 0.4:
+            vec = sample_uniform_vector(k, rng)
+        elif kind < 0.7:
+            vec = lt(rng)
+        elif kind < 0.8 or not seen:
+            vec = EncodingVector(0, k)
+        else:
+            vec = seen[int(rng.integers(len(seen)))]
+        seen.append(vec)
+        yield vec
+
+
+@pytest.mark.parametrize("size", [1, 3, 8, 1024])
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 63, 64, 65, 100, 256])
+def test_decoder_matches_reference_decoder(k, size):
+    rng = np.random.default_rng(7919 * k + size)
+    blocks = [rng.bytes(size) for _ in range(k)]
+    prepared = Blocks(blocks)
+    state, oracle = DecoderState(k), ReferenceDecoder(k)
+    vectors = mixed_vectors(k, rng)
+    extra = 5  # packets sent after full rank
+    while extra:
+        packet = encode(prepared, next(vectors))
+        assert state.receive(packet) == oracle.receive(packet)
+        assert state.rank == oracle.rank
+        if k <= 9:
+            assert state.rows() == oracle.rows()
+        if state.rank < k:
+            assert state.try_decode() == oracle.try_decode() == NotYetDecodable(state.rank)
+        else:
+            extra -= 1
+    assert state.rows() == oracle.rows()
+    decoded = state.try_decode()
+    assert decoded == oracle.try_decode() == blocks
+    assert state.try_decode() == decoded
 
 
 # --- decode thresholds ------------------------------------------------------------

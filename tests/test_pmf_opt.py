@@ -10,7 +10,7 @@ from vanetsim import (
     probabilities_decrease_with_speed,
     reduced_hessian,
 )
-from vanetsim.errors import InvalidParameterError
+from vanetsim.errors import InvalidParameterError, NumericalError
 
 
 def random_speeds(rng, m):
@@ -229,6 +229,18 @@ def test_optimizer_rejects_bad_inputs():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidParameterError, match="finite"):
             optimize_pmf([20.0, bad, 30.0])
+    for bad in (1e-310, -5e-324):  # subnormal: 1/|v| overflows
+        with pytest.raises(InvalidParameterError, match="finite reciprocal"):
+            optimize_pmf([20.0, bad])
+    optimize_pmf([20.0, 1e-300])  # 1/|v| = 1e300 is still finite
+
+
+def test_nan_stationarity_residual_fails_the_certificate():
+    # 1/|v| = 1e308 is finite but the pair sums overflow, so the marginals
+    # are inf and their spread is NaN, which must not pass as <= KKT_TOL
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="nan"):
+            optimize_pmf([1e-308, 1e-308])
 
 
 def test_global_optimality_against_random_points():
