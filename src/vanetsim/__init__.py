@@ -48,12 +48,16 @@ from .fountain import (
     Packet,
     SolitonParams,
     UniformScheme,
+    batch_packets,
     encode,
+    encode_batch,
     packets_needed,
     robust_soliton_pmf,
     sample_soliton_vector,
     sample_uniform_vector,
+    sample_uniform_vectors,
     span_probability,
+    vector_batch_sampler,
 )
 from .pmf_opt import (
     PmfSolution,

@@ -49,11 +49,25 @@ EXIT_NUMERICAL = 3
 
 Z_LIMIT = 4.0
 
+# Largest --trials any command accepts: simulate and compare keep one float
+# per trial, download-time three.
+MAX_TRIALS = 10_000_000
+
 _CSV_HELP = (
     "CSV output is a flat two-column table (key,value); keys are dotted "
     "paths into the JSON report, list entries indexed as key[i]. Floats "
     "are printed with 9 significant digits in both formats."
 )
+
+
+_TRIALS_HELP = f"number of trials, at most {MAX_TRIALS:,}"
+
+
+def _check_trials(trials: int, minimum: int) -> None:
+    if not minimum <= trials <= MAX_TRIALS:
+        raise InvalidParameterError(
+            f"--trials must be between {minimum} and {MAX_TRIALS:,}, got {trials}"
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo throughput estimate")
     add_common(p)
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=int, default=10000, help=_TRIALS_HELP)
     p.add_argument(
         "--observer-v",
         type=float,
@@ -92,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="analytic vs simulated throughput, exit 1 on mismatch")
     add_common(p)
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=int, default=10000, help=_TRIALS_HELP)
 
     p = sub.add_parser("optimize-pmf", help="throughput-maximizing class probabilities")
     add_common(p, scenario=False)
@@ -105,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=["uniform", "lt"], default="uniform")
     p.add_argument("--lt-c", type=float, default=0.1)
     p.add_argument("--lt-delta", type=float, default=0.5)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=int, default=100, help=_TRIALS_HELP)
     p.add_argument("--observer-v", type=float, default=None)
     return parser
 
@@ -211,8 +225,7 @@ def _cmd_analyze(args) -> tuple[str, int, dict, int]:
 
 def _cmd_simulate(args) -> tuple[str, int, dict, int]:
     scenario, digest = _load_scenario(args.scenario)
-    if args.trials < 2:
-        raise InvalidParameterError("--trials must be >= 2")
+    _check_trials(args.trials, 2)
     seed = args.seed if args.seed is not None else scenario.seed
     observer = args.observer_v if args.observer_v is not None else _default_observer(scenario)
     rng = np.random.default_rng(seed)
@@ -228,8 +241,7 @@ def _cmd_simulate(args) -> tuple[str, int, dict, int]:
 
 def _cmd_compare(args) -> tuple[str, int, dict, int]:
     scenario, digest = _load_scenario(args.scenario)
-    if args.trials < 2:
-        raise InvalidParameterError("--trials must be >= 2")
+    _check_trials(args.trials, 2)
     seed = args.seed if args.seed is not None else scenario.seed
     rng = np.random.default_rng(seed)
     rows = []
@@ -308,8 +320,7 @@ def _cmd_download_time(args) -> tuple[str, int, dict, int]:
     scenario, digest = _load_scenario(args.scenario)
     if args.k < 1:
         raise InvalidParameterError("--K must be >= 1")
-    if args.trials < 1:
-        raise InvalidParameterError("--trials must be >= 1")
+    _check_trials(args.trials, 1)
     seed = args.seed if args.seed is not None else scenario.seed
     if args.scheme == "uniform":
         scheme = UniformScheme()

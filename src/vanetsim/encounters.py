@@ -19,7 +19,16 @@ from .errors import (
     InvalidParameterError,
     NoProgressError,
 )
-from .fountain import Blocks, DecoderState, FileSpec, VectorScheme, encode, vector_sampler
+from .fountain import (
+    Blocks,
+    DecoderState,
+    FileSpec,
+    VectorScheme,
+    batch_packets,
+    encode,  # noqa: F401  (perfbench/tracing.py wraps encounters.encode by name)
+    encode_batch,
+    vector_batch_sampler,
+)
 from .traffic import ArrivalRecord, Scenario, sample_velocities
 
 # Lookback margin beyond the longest partner dwell time, in units of
@@ -35,6 +44,13 @@ MAX_EXPECTED_ARRIVALS = 1e7
 # (8192 packets, 127-137 MB peak RSS) on a 2-core x86-64 KVM guest, and
 # doubling K costs about five times as long.
 MAX_DOWNLOAD_BLOCKS = 8192
+
+# A download draws and encodes a batch in pieces of at most BATCH_MARGIN
+# packets more than the k - rank it still needs (uniform vectors need more
+# than 8 extra with probability below 2**-8), and at most MAX_BATCH packets:
+# its vectors and table indices take about k / 2 bytes per packet.
+BATCH_MARGIN = 8
+MAX_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -286,9 +302,14 @@ def simulate_download_time(
     Each segment starts with a roadside-station batch of
     floor(packet_rate*r/v) packets; each encounter delivers its whole-packet
     count at the crossing time. Every packet carries an independently
-    sampled encoding vector. Returns (travel time consumed, packets
-    received, segments fully or partially traversed) at the moment the
-    decoder reaches full rank.
+    sampled encoding vector. A batch is drawn and encoded as a unit (in
+    pieces of at most ``MAX_BATCH`` and ``k - rank + BATCH_MARGIN``
+    packets): one draw of its vectors and one
+    :func:`~vanetsim.fountain.encode_batch` product. Its packets then reach
+    the decoder one by one, in arrival order. The vectors, and so every
+    result, are those of one draw per packet. Returns (travel time
+    consumed, packets received, segments fully or partially traversed) at
+    the moment the decoder reaches full rank.
 
     Raises :class:`NoProgressError` if the decode is still incomplete after
     ``segment_cap`` segments (for example with no traffic and a station
@@ -303,25 +324,31 @@ def simulate_download_time(
         )
     if segment_cap < 1:
         raise InvalidParameterError("segment cap must be >= 1")
-    sampler = vector_sampler(scheme, file.k)
+    sample = vector_batch_sampler(scheme, file.k)
     arr_rng, vec_rng, file_rng = rng.spawn(3)
-    file_blocks = [file_rng.bytes(file.block_bytes) for _ in range(file.k)]
+    # one draw for the file, sliced as k separate rng.bytes(size) draws
+    size, stride = file.block_bytes, 4 * ((file.block_bytes + 3) // 4)
+    raw = file_rng.bytes(file.k * stride)
+    file_blocks = [raw[i : i + size] for i in range(0, len(raw), stride)]
     blocks = Blocks(file_blocks)
     decoder = DecoderState(file.k)
     received = 0
     for segment in range(segment_cap):
         for offset, count in _segment_events(scenario, vi, arr_rng):
-            for _ in range(count):
-                packet = encode(blocks, sampler(vec_rng))
-                received += 1
-                decoder.receive(packet)
-                if decoder.rank == file.k:
-                    decoded = decoder.try_decode()
-                    if decoded != file_blocks:
-                        raise InternalInconsistencyError(
-                            "decoded blocks disagree with the encoded file"
-                        )
-                    return segment * ti + offset, received, segment + 1
+            while count:
+                n = min(count, file.k - decoder.rank + BATCH_MARGIN, MAX_BATCH)
+                count -= n
+                vectors = sample(vec_rng, n)
+                for packet in batch_packets(vectors, encode_batch(blocks, vectors), file.k):
+                    received += 1
+                    decoder.receive(packet)
+                    if decoder.rank == file.k:
+                        decoded = decoder.try_decode()
+                        if decoded != file_blocks:
+                            raise InternalInconsistencyError(
+                                "decoded blocks disagree with the encoded file"
+                            )
+                        return segment * ti + offset, received, segment + 1
     raise NoProgressError(
         f"decode rank {decoder.rank}/{file.k} after {segment_cap} segments"
     )

@@ -2,20 +2,25 @@
 
 Encoding vectors are bit strings of length ``k`` packed into Python ints
 (bit ``i`` is the coefficient of block ``i``), so vector arithmetic is
-whole-word XOR. A file's blocks are checked once and held as a ``k x size``
-``uint8`` matrix (:class:`Blocks`); a packet payload is the byte-wise XOR of
-the rows its vector selects, computed as one NumPy reduction. The decoder
-tracks rank on the vectors alone, in an echelon basis whose rows also name
-the innovative packets they combine, and keeps those packets' payloads as
-bytes. It solves for the blocks once, at full rank, with 8-row XOR tables
-(the "method of four Russians").
+whole-word XOR. A batch of vectors is a ``count x ceil(k / 8)`` ``uint8``
+matrix of the same bits, LSB-first; the batch samplers draw it in one go,
+and the single-vector samplers draw a batch of one. A file's blocks are
+checked once and held as a ``k x size`` ``uint8`` matrix (:class:`Blocks`),
+together with XOR tables of its 4-row groups built on first use.
+:func:`encode_batch` computes a batch's payloads as one GF(2) product over
+those tables (the "method of four Russians"), and :func:`encode` is a batch
+of one. The decoder tracks rank on the vectors alone, in an echelon basis
+whose rows also name the innovative packets they combine, and keeps those
+packets' payloads as bytes. It solves for the blocks once, at full rank,
+with 8-row XOR tables.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -137,35 +142,72 @@ def robust_soliton_pmf(k: int, params: SolitonParams) -> np.ndarray:
     return mu / mu.sum()
 
 
-def sample_uniform_vector(k: int, rng: np.random.Generator) -> EncodingVector:
-    """Draw each coefficient independently with probability 1/2.
+def sample_uniform_vectors(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` vectors, each coefficient independently with probability 1/2.
 
+    Returns the packed ``count x ceil(k / 8)`` batch. It comes from one
+    ``rng.bytes`` call of ``count * 4 * ceil(ceil(k / 8) / 4)`` bytes:
+    ``rng.bytes(n)`` consumes ``ceil(n / 4)`` 32-bit draws, so row ``p``
+    holds the bytes, and leaves the generator in the state, of the
+    ``p + 1``-th of ``count`` separate ``rng.bytes(ceil(k / 8))`` calls.
     The all-zero vector is a legal sample.
     """
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
     nbytes = (k + 7) // 8
-    bits = int.from_bytes(rng.bytes(nbytes), "little") & ((1 << k) - 1)
-    return EncodingVector(bits, k)
+    stride = 4 * ((nbytes + 3) // 4)
+    raw = np.frombuffer(rng.bytes(count * stride), dtype=np.uint8)
+    vectors = raw.reshape(count, stride)[:, :nbytes].copy()
+    vectors[:, -1] &= 0xFF >> (-k % 8)
+    return vectors
 
 
-def vector_sampler(scheme: VectorScheme, k: int) -> Callable[[np.random.Generator], EncodingVector]:
-    """Bind a scheme to a vector length, precomputing any degree tables."""
+def _vector(packed: np.ndarray, k: int) -> EncodingVector:
+    """The vector of one packed row."""
+    return EncodingVector(int.from_bytes(packed.tobytes(), "little"), k)
+
+
+def sample_uniform_vector(k: int, rng: np.random.Generator) -> EncodingVector:
+    """Draw each coefficient independently with probability 1/2.
+
+    The all-zero vector is a legal sample.
+    """
+    return _vector(sample_uniform_vectors(k, 1, rng)[0], k)
+
+
+def vector_batch_sampler(
+    scheme: VectorScheme, k: int
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Bind a scheme to a vector length, precomputing any degree tables.
+
+    The result draws ``count`` vectors as a packed ``count x ceil(k / 8)``
+    batch (see :func:`sample_uniform_vectors`). Under :class:`LtScheme` each
+    vector draws its degree, then its support, one vector after another.
+    """
     if isinstance(scheme, UniformScheme):
-        return lambda rng: sample_uniform_vector(k, rng)
+        return lambda rng, count: sample_uniform_vectors(k, count, rng)
     if isinstance(scheme, LtScheme):
         cdf = np.cumsum(robust_soliton_pmf(k, scheme.params))
+        nbytes = (k + 7) // 8
 
-        def sample(rng: np.random.Generator) -> EncodingVector:
-            degree = int(np.searchsorted(cdf, rng.random(), side="right")) + 1
-            degree = min(degree, k)
-            bits = 0
-            for i in rng.choice(k, size=degree, replace=False):
-                bits |= 1 << int(i)
-            return EncodingVector(bits, k)
+        def sample(rng: np.random.Generator, count: int) -> np.ndarray:
+            rows = []
+            for _ in range(count):
+                degree = int(np.searchsorted(cdf, rng.random(), side="right")) + 1
+                bits = 0
+                for i in rng.choice(k, size=min(degree, k), replace=False):
+                    bits |= 1 << int(i)
+                rows.append(bits.to_bytes(nbytes, "little"))
+            return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(count, nbytes)
 
         return sample
     raise InvalidParameterError(f"unknown scheme: {scheme!r}")
+
+
+def vector_sampler(scheme: VectorScheme, k: int) -> Callable[[np.random.Generator], EncodingVector]:
+    """Bind a scheme to a vector length: a batch sampler drawing one vector."""
+    sample = vector_batch_sampler(scheme, k)
+    return lambda rng: _vector(sample(rng, 1)[0], k)
 
 
 def sample_soliton_vector(k: int, params: SolitonParams, rng: np.random.Generator) -> EncodingVector:
@@ -173,12 +215,47 @@ def sample_soliton_vector(k: int, params: SolitonParams, rng: np.random.Generato
     return vector_sampler(LtScheme(params), k)(rng)
 
 
+def _xor_tables(rows: np.ndarray, width: int) -> np.ndarray:
+    """XOR tables of the consecutive ``width``-row groups of ``rows``.
+
+    ``width`` is 4 or 8. Entry ``[g, c]`` of the ``ceil(n / width) x
+    2**width x size`` result is the XOR of the rows ``width * g + i`` whose
+    bit ``i`` is set in ``c``; a short last group acts as if padded with
+    zero rows. The 4-row tables of all groups are built together, in four
+    vectorised XOR steps, and an 8-row table is the outer XOR of the tables
+    of its two halves. A table replaces up to ``width`` row XORs by one
+    lookup per target row: the "method of four Russians" of Albrecht and
+    Bard's M4RI library.
+    """
+    n, size = rows.shape
+    if n % width:
+        rows = np.concatenate((rows, np.zeros((-n % width, size), dtype=np.uint8)))
+    quads = rows.reshape(-1, 4, 1, size)
+    tables = np.empty((len(quads), 16, size), dtype=np.uint8)
+    tables[:, 0] = 0
+    for i in range(4):
+        np.bitwise_xor(tables[:, : 1 << i], quads[:, i], out=tables[:, 1 << i : 2 << i])
+    if width == 8:
+        # entry 16 * h + l: entry h of the upper half's table ^ entry l of the lower's
+        tables = (tables[1::2, :, None] ^ tables[0::2, None, :]).reshape(-1, 256, size)
+    return tables
+
+
+def _table_product(digits: np.ndarray, tables: np.ndarray, out: np.ndarray) -> None:
+    """XOR entry ``digits[p, g]`` of ``tables[g]`` into ``out[p]``, for every group ``g``."""
+    for g, table in enumerate(tables):
+        out ^= table.take(digits[:, g].astype(np.intp), axis=0)
+
+
 class Blocks(Sequence[bytes]):
     """A file's blocks, checked once and held as a ``k x size`` matrix.
 
     Row ``i`` of ``matrix`` (``uint8``, read-only) is block ``i``, and
-    ``blocks[i]`` returns it as bytes. Building this once per file spares
-    ``encode`` the size checks and conversions for every packet.
+    ``blocks[i]`` returns it as bytes. ``tables`` holds the XOR tables of
+    the matrix's 4-row groups, ``ceil(k / 4) x 16 x size`` (four times the
+    file's bytes), built in four vectorised steps on first use and kept
+    read-only. Building this once per file spares every packet the size
+    checks, the conversions and the table builds.
     """
 
     def __init__(self, blocks: Sequence[bytes]):
@@ -192,6 +269,12 @@ class Blocks(Sequence[bytes]):
         joined = np.frombuffer(b"".join(blocks), dtype=np.uint8)
         self.matrix = joined.reshape(len(blocks), size)
 
+    @cached_property
+    def tables(self) -> np.ndarray:
+        tables = _xor_tables(self.matrix, 4)
+        tables.flags.writeable = False
+        return tables
+
     def __len__(self) -> int:
         return len(self.matrix)
 
@@ -201,22 +284,52 @@ class Blocks(Sequence[bytes]):
         return self.matrix[i].tobytes()
 
 
+def encode_batch(blocks: Blocks, vectors: np.ndarray) -> np.ndarray:
+    """Payloads of a batch of packets, one row per packed vector.
+
+    ``vectors`` is a packed ``count x ceil(k / 8)`` batch; row ``p`` of the
+    ``count x size`` result is the XOR of the blocks that row ``p`` selects.
+    The product takes one table lookup per 4-bit digit of the vectors.
+    """
+    nbytes = vectors.shape[1]
+    if nbytes != (len(blocks) + 7) // 8:
+        raise InvalidParameterError(
+            f"packed vectors of {nbytes} bytes do not fit {len(blocks)} blocks"
+        )
+    digits = np.stack((vectors & 0x0F, vectors >> 4), axis=-1).reshape(len(vectors), 2 * nbytes)
+    out = np.zeros((len(vectors), blocks.matrix.shape[1]), dtype=np.uint8)
+    _table_product(digits, blocks.tables, out)
+    return out
+
+
+def batch_packets(vectors: np.ndarray, payloads: np.ndarray, k: int) -> Iterator[Packet]:
+    """The packets of a packed batch of length-``k`` vectors and their payloads.
+
+    Packets come in row order, each built only when it is consumed.
+    """
+    nbytes, size = vectors.shape[1], payloads.shape[1]
+    bits, data = vectors.tobytes(), payloads.tobytes()
+    for p in range(len(vectors)):
+        vector = EncodingVector(int.from_bytes(bits[p * nbytes : (p + 1) * nbytes], "little"), k)
+        yield Packet(vector, data[p * size : (p + 1) * size])
+
+
 def encode(blocks: Sequence[bytes], vector: EncodingVector) -> Packet:
     """XOR together the blocks selected by the vector's nonzero coefficients.
 
     ``blocks`` is a :class:`Blocks` or a plain sequence of equal-size byte
-    strings, which is converted on every call; callers that encode one file
-    many times should build the :class:`Blocks` once.
+    strings, which is converted (and its tables built) on every call;
+    callers that encode one file many times should build the
+    :class:`Blocks` once, and callers with many vectors at hand should use
+    :func:`encode_batch`, of which this is a batch of one.
     """
     k = vector.k
     if len(blocks) != k:
         raise InvalidParameterError(f"expected {k} blocks, got {len(blocks)}")
     if not isinstance(blocks, Blocks):
         blocks = Blocks(blocks)
-    coeffs = np.frombuffer(vector.bits.to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
-    selected = np.flatnonzero(np.unpackbits(coeffs, count=k, bitorder="little"))
-    rows = blocks.matrix.take(selected, axis=0)
-    return Packet(vector, np.bitwise_xor.reduce(rows, axis=0).tobytes())
+    packed = np.frombuffer(vector.bits.to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
+    return Packet(vector, encode_batch(blocks, packed[None])[0].tobytes())
 
 
 @dataclass(frozen=True)
@@ -226,19 +339,10 @@ class NotYetDecodable:
     rank: int
 
 
-def _xor_table(rows: np.ndarray) -> np.ndarray:
-    """All XOR combinations of up to 8 byte rows, indexed by a bit mask.
-
-    Entry ``c`` of the ``2**len(rows)``-row result is the XOR of the rows
-    whose bit is set in ``c`` (bit ``i`` selects ``rows[i]``). One table
-    replaces up to eight row XORs by one lookup per target row: the "method
-    of four Russians" of Albrecht and Bard's M4RI library.
-    """
-    table = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.uint8)
-    for i, row in enumerate(rows):
-        n = 1 << i
-        np.bitwise_xor(table[:n], row, out=table[n : 2 * n])
-    return table
+# Bytes of 8-row XOR tables that _gf2_product builds at a time. The tables
+# take 32 times the rows they cover, 8 MiB for 256 blocks of 1 KiB; chunks
+# keep a decode's peak memory near that of one table per group.
+_PRODUCT_TABLE_BYTES = 1 << 18
 
 
 def _back_substitute(rows: list[int], k: int) -> np.ndarray:
@@ -249,11 +353,13 @@ def _back_substitute(rows: list[int], k: int) -> np.ndarray:
     the ``k x ceil(k / 8)`` packed tags that remain once every row is
     reduced to its unit vector, that is the tag matrix multiplied by the
     inverse of the triangle. The rows of each 8-column group are first
-    reduced among themselves as ints. Then, last group first, one
-    :func:`_xor_table` lookup per earlier row, indexed by its bits in the
-    group's columns, adds the group's tags to it. Those bits need no
-    update on the way: the rows added before the group's turn belong to
-    groups further right, which have no bits in its columns.
+    reduced among themselves as ints. Then, last group first, one 8-row
+    table lookup per earlier row, indexed by its bits in the group's
+    columns, adds the group's tags to it. Those bits need no update on the
+    way: the rows added before the group's turn belong to groups further
+    right, which have no bits in its columns. Each group's table is built
+    from tags that the groups after it have just updated, so the tables
+    are built one at a time.
     """
     rows = list(rows)
     for lo in range(0, k, 8):
@@ -269,7 +375,7 @@ def _back_substitute(rows: list[int], k: int) -> np.ndarray:
     vectors, tags = packed[:, :nbytes], packed[:, nbytes:].copy()
     for g in reversed(range(1, nbytes)):
         lo = 8 * g
-        tags[:lo] ^= _xor_table(tags[lo : lo + 8])[vectors[:lo, g]]
+        _table_product(vectors[:lo, g : g + 1], _xor_tables(tags[lo : lo + 8], 8), tags[:lo])
     return tags
 
 
@@ -277,11 +383,15 @@ def _gf2_product(selector: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """GF(2) product of a packed bit matrix with a ``uint8`` row matrix.
 
     Bit ``j`` (LSB-first) of row ``p`` of ``selector`` selects ``rows[j]``;
-    row ``p`` of the result is the XOR of the selected rows.
+    row ``p`` of the result is the XOR of the selected rows. The 8-row
+    tables are built a chunk of groups at a time, at most
+    ``_PRODUCT_TABLE_BYTES`` of them.
     """
     out = np.zeros((len(selector), rows.shape[1]), dtype=np.uint8)
-    for g in range(selector.shape[1]):
-        out ^= _xor_table(rows[8 * g : 8 * g + 8])[selector[:, g]]
+    step = max(1, _PRODUCT_TABLE_BYTES // (256 * rows.shape[1]))
+    for g in range(0, selector.shape[1], step):
+        tables = _xor_tables(rows[8 * g : 8 * (g + step)], 8)
+        _table_product(selector[:, g : g + step], tables, out)
     return out
 
 

@@ -356,6 +356,22 @@ def test_download_time_rejects_infeasible_k(twoclass_path, capsys):
     assert "exceeds the download limit of 8192 blocks" in err
 
 
+@pytest.mark.parametrize("trials", [cli.MAX_TRIALS + 1, 100_000_000_000])
+@pytest.mark.parametrize("command", ["simulate", "compare", "download-time"])
+def test_trials_above_the_limit_are_refused(twoclass_path, command, trials, capsys):
+    # refused before any per-trial array is allocated
+    args = [command, str(twoclass_path), "--trials", str(trials)]
+    if command == "download-time":
+        args += ["--K", "100"]
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    minimum = 1 if command == "download-time" else 2
+    assert err.splitlines() == [
+        f"error: --trials must be between {minimum} and 10,000,000, got {trials}"
+    ]
+
+
 # --- report formats ------------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from vanetsim import (
     ArrivalRecord,
+    Blocks,
     DecoderState,
     DiscreteVelocityDist,
     FileSpec,
@@ -14,6 +15,7 @@ from vanetsim import (
     SolitonParams,
     UniformScheme,
     VelocityClass,
+    encode,
     encounter_of,
     expected_download_time,
     expected_encounters,
@@ -25,12 +27,14 @@ from vanetsim import (
     simulate_trip,
     span_probability,
 )
-from vanetsim.encounters import MAX_DOWNLOAD_BLOCKS
+from vanetsim import encounters
+from vanetsim.encounters import MAX_DOWNLOAD_BLOCKS, _segment_events
 from vanetsim.errors import (
     InternalInconsistencyError,
     InvalidParameterError,
     NoProgressError,
 )
+from vanetsim.fountain import vector_sampler
 from vanetsim.traffic import MixtureVelocityDist, ContinuousVelocityDist
 
 
@@ -321,6 +325,52 @@ def test_download_time_tracks_projection_over_many_segments():
         t, _, _ = simulate_download_time(sc, observer, file, UniformScheme(), rng)
         times.append(t)
     assert np.mean(times) == pytest.approx(projection, rel=0.15)
+
+
+def reference_download(scenario, observer, file, scheme, rng):
+    """Per-packet oracle: one vector draw and one encode for every packet."""
+    ti = scenario.d / observer
+    sample = vector_sampler(scheme, file.k)
+    arr_rng, vec_rng, file_rng = rng.spawn(3)
+    blocks = Blocks([file_rng.bytes(file.block_bytes) for _ in range(file.k)])
+    decoder = DecoderState(file.k)
+    received = 0
+    for segment in range(1000):
+        for offset, count in _segment_events(scenario, observer, arr_rng):
+            for _ in range(count):
+                received += 1
+                decoder.receive(encode(blocks, sample(vec_rng)))
+                if decoder.rank == file.k:
+                    assert decoder.try_decode() == list(blocks)
+                    return segment * ti + offset, received, segment + 1
+    raise AssertionError("no decode")
+
+
+@pytest.mark.parametrize("scheme", [UniformScheme(), LtScheme(SolitonParams(0.1, 0.5, 0.01))])
+@pytest.mark.parametrize("bit_rate", [500.0, 50_000.0])
+@pytest.mark.parametrize("k, l", [(1, 8), (7, 24), (40, 64), (100, 8)])
+def test_download_matches_per_packet_oracle(k, l, bit_rate, scheme):
+    # packet rate 0.5 gives batches of 2 and 5 packets over many segments;
+    # packet rate 50 gives station batches of 200-250, encoded in pieces
+    sc = make_scenario(bit_rate=bit_rate)
+    file = FileSpec(k, l)
+    for seed in range(4):
+        observer = (20.0, 25.0)[seed % 2]
+        got = simulate_download_time(sc, observer, file, scheme, np.random.default_rng(seed))
+        expected = reference_download(sc, observer, file, scheme, np.random.default_rng(seed))
+        assert got == expected, seed
+
+
+def test_download_file_is_one_draw_per_block(monkeypatch):
+    seen = []
+    real = encounters.Blocks
+    monkeypatch.setattr(encounters, "Blocks", lambda blocks: seen.append(list(blocks)) or real(blocks))
+    for k, l in ((3, 8), (5, 24), (4, 40), (2, 64)):  # 1, 3, 5 and 8-byte blocks
+        simulate_download_time(
+            make_scenario(lam=0.0), 20.0, FileSpec(k, l), UniformScheme(), np.random.default_rng(k)
+        )
+        file_rng = np.random.default_rng(k).spawn(3)[2]
+        assert seen[-1] == [file_rng.bytes(l // 8) for _ in range(k)]
 
 
 def test_download_refuses_a_file_above_the_block_limit():

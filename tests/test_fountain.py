@@ -13,13 +13,18 @@ from vanetsim import (
     Packet,
     SolitonParams,
     UniformScheme,
+    batch_packets,
     encode,
+    encode_batch,
     packets_needed,
     robust_soliton_pmf,
     sample_soliton_vector,
     sample_uniform_vector,
+    sample_uniform_vectors,
     span_probability,
+    vector_batch_sampler,
 )
+from vanetsim import fountain
 from vanetsim.errors import InvalidParameterError
 from vanetsim.fountain import vector_sampler
 
@@ -87,6 +92,28 @@ def test_uniform_sampling_rejects_zero_length():
         sample_uniform_vector(0, np.random.default_rng(0))
 
 
+def packed_bits(vectors: np.ndarray) -> list[int]:
+    return [int.from_bytes(row.tobytes(), "little") for row in vectors]
+
+
+def reference_uniform_bits(k: int, rng: np.random.Generator) -> int:
+    """Per-vector oracle: one rng.bytes(ceil(k/8)) draw, masked to k bits."""
+    return int.from_bytes(rng.bytes((k + 7) // 8), "little") & ((1 << k) - 1)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 8, 9, 31, 32, 33, 100, 256])
+def test_batched_uniform_draw_equals_per_vector_draws(k):
+    for count in (1, 2, 5, 16):
+        batched = np.random.default_rng(100 * k + count)
+        separate = np.random.default_rng(100 * k + count)
+        vectors = sample_uniform_vectors(k, count, batched)
+        assert vectors.shape == (count, (k + 7) // 8) and vectors.dtype == np.uint8
+        assert packed_bits(vectors) == [reference_uniform_bits(k, separate) for _ in range(count)]
+        assert batched.bit_generator.state == separate.bit_generator.state
+        assert sample_uniform_vector(k, batched).bits == reference_uniform_bits(k, separate)
+        assert batched.bit_generator.state == separate.bit_generator.state
+
+
 # --- robust soliton sampling -------------------------------------------------
 
 
@@ -121,6 +148,29 @@ def test_soliton_sampling_deterministic_under_seed():
     a = [sample_soliton_vector(10, params, rng1).bits for _ in range(30)]
     b = [sample_soliton_vector(10, params, rng2).bits for _ in range(30)]
     assert a == b
+
+
+def reference_lt_bits(k: int, cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Per-vector oracle: a soliton degree, then that many distinct positions."""
+    degree = min(int(np.searchsorted(cdf, rng.random(), side="right")) + 1, k)
+    bits = 0
+    for i in rng.choice(k, size=degree, replace=False):
+        bits |= 1 << int(i)
+    return bits
+
+
+@pytest.mark.parametrize("k", [1, 9, 64, 100, 257])
+def test_batched_lt_draw_equals_per_vector_draws(k):
+    params = SolitonParams(c=0.1, delta=0.5, epsilon=0.01)
+    cdf = np.cumsum(robust_soliton_pmf(k, params))
+    sample = vector_batch_sampler(LtScheme(params), k)
+    batched, separate = np.random.default_rng(k), np.random.default_rng(k)
+    vectors = sample(batched, 20)
+    assert vectors.shape == (20, (k + 7) // 8)
+    assert packed_bits(vectors) == [reference_lt_bits(k, cdf, separate) for _ in range(20)]
+    assert vector_sampler(LtScheme(params), k)(batched).bits == reference_lt_bits(k, cdf, separate)
+    assert sample_soliton_vector(k, params, batched).bits == reference_lt_bits(k, cdf, separate)
+    assert batched.bit_generator.state == separate.bit_generator.state
 
 
 def test_soliton_spike_out_of_range_rejected():
@@ -175,6 +225,8 @@ def test_encode_rejects_bad_blocks():
             Blocks(bad)
     with pytest.raises(InvalidParameterError, match="at least one block"):
         Blocks([])
+    with pytest.raises(InvalidParameterError, match="vectors of 1 bytes do not fit 9 blocks"):
+        encode_batch(Blocks([b"\xff"] * 9), np.zeros((1, 1), dtype=np.uint8))
 
 
 def reference_xor(blocks: list[bytes], bits: int) -> bytes:
@@ -198,6 +250,11 @@ def test_encode_matches_xor_oracle(k, size):
         expected = reference_xor(blocks, bits)
         assert encode(prepared, vector) == Packet(vector, expected)
         assert encode(blocks, vector) == Packet(vector, expected)
+    packed = np.array([list(bits.to_bytes((k + 7) // 8, "little")) for bits in vectors], dtype=np.uint8)
+    packets = batch_packets(packed, encode_batch(prepared, packed), k)
+    assert list(packets) == [
+        Packet(EncodingVector(bits, k), reference_xor(blocks, bits)) for bits in vectors
+    ]
 
 
 def test_blocks_is_a_sequence_of_the_original_bytes():
@@ -208,6 +265,31 @@ def test_blocks_is_a_sequence_of_the_original_bytes():
     assert prepared[0] == b"\x01\x02" and prepared[-1] == b"\x05\x06"
     assert prepared[1:] == blocks[1:]
     assert prepared.matrix.shape == (3, 2)
+
+
+def test_blocks_tables_are_built_once_and_read_only(monkeypatch):
+    builds = []
+    build = fountain._xor_tables
+    monkeypatch.setattr(
+        fountain, "_xor_tables", lambda rows, width: builds.append(width) or build(rows, width)
+    )
+    rng = np.random.default_rng(3)
+    k, size = 10, 3
+    blocks = [rng.bytes(size) for _ in range(k)]
+    prepared = Blocks(blocks)
+    tables = prepared.tables
+    for bits in (0, 5, (1 << k) - 1):
+        encode(prepared, EncodingVector(bits, k))
+    encode_batch(prepared, sample_uniform_vectors(k, 4, rng))
+    assert builds == [4]
+    assert prepared.tables is tables
+    # entry c of group g XORs the blocks 4g + i with bit i of c set
+    assert tables.shape == (3, 16, size)
+    for g in range(3):
+        for c in range(16):
+            assert tables[g, c].tobytes() == reference_xor(blocks, c << (4 * g))
+    with pytest.raises(ValueError):
+        tables[0, 1, 0] = 0
 
 
 # --- incremental decoding -------------------------------------------------------
