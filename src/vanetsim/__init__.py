@@ -71,7 +71,6 @@ from .traffic import (
     ArrivalRecord,
     ContinuousVelocityDist,
     DiscreteVelocityDist,
-    MixtureVelocityDist,
     Scenario,
     VelocityClass,
     class_quantities,

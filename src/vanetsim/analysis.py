@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from .errors import InternalInconsistencyError, InvalidParameterError
 from .fountain import FileSpec, VectorScheme, packets_needed
 from .traffic import (
-    ContinuousVelocityDist,
     DiscreteVelocityDist,
-    MixtureVelocityDist,
     Scenario,
     class_quantities,
     mean_inverse_speed,
@@ -111,25 +109,14 @@ def mean_cars_in_segment(scenario: Scenario) -> float:
 
 
 def expected_throughput_continuous(scenario: Scenario) -> float:
-    """Observer-independent mean throughput for a continuous speed density.
+    """Observer-independent mean throughput for continuous traffic.
 
-    packet_rate*r*(1/d + lam/2 * E[1/|V|]); also evaluated through the mean
-    car count, and the two are required to agree within quadrature accuracy.
+    packet_rate*r*(1/d + lam/2 * E[1/|V|]); c4 checks it against simulation.
     """
     if scenario.is_discrete:
         raise InvalidParameterError("this expectation needs a continuous distribution")
     inv = mean_inverse_speed(scenario.velocity)
-    rp_r = scenario.packet_rate * scenario.r
-    via_inverse_speed = rp_r * (1.0 / scenario.d + 0.5 * scenario.lam * inv)
-    cars = scenario.lam * scenario.d * inv
-    via_car_count = rp_r * (1.0 / scenario.d + 0.5 * cars / scenario.d)
-    scale = max(abs(via_inverse_speed), abs(via_car_count), 1e-300)
-    if abs(via_inverse_speed - via_car_count) > 1e-9 * scale:
-        raise InternalInconsistencyError(
-            f"continuous-throughput forms disagree: "
-            f"{via_inverse_speed!r} vs {via_car_count!r}"
-        )
-    return via_inverse_speed
+    return scenario.packet_rate * scenario.r * (1.0 / scenario.d + 0.5 * scenario.lam * inv)
 
 
 def expected_throughput(scenario: Scenario) -> float:

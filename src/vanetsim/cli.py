@@ -34,13 +34,7 @@ from .errors import (
 )
 from .fountain import FileSpec, LtScheme, SolitonParams, UniformScheme, packets_needed
 from .pmf_opt import optimize_pmf, probabilities_decrease_with_speed
-from .traffic import (
-    ContinuousVelocityDist,
-    MixtureVelocityDist,
-    Scenario,
-    mean_inverse_speed,
-    scenario_from_dict,
-)
+from .traffic import Scenario, mean_inverse_speed, scenario_from_dict
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -134,16 +128,11 @@ def _load_scenario(path: str) -> tuple[Scenario, str]:
 
 
 def _forward_support(scenario: Scenario) -> tuple[float, float]:
+    """First positive-weight forward band of a continuous distribution."""
     vel = scenario.velocity
-    if isinstance(vel, ContinuousVelocityDist):
-        comps = [vel]
-    elif isinstance(vel, MixtureVelocityDist):
-        comps = [c for c, w in zip(vel.components, vel.weights) if w > 0]
-    else:
-        raise InvalidParameterError("not a continuous distribution")
-    for comp in comps:
-        if comp.support[0] > 0:
-            return comp.support
+    for (a, b), w in zip(vel.bands, vel.weights):
+        if w > 0 and a > 0:
+            return a, b
     raise InvalidParameterError("no forward traffic component to observe")
 
 

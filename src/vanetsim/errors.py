@@ -14,7 +14,7 @@ class SchemaError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed (singular system, quadrature breakdown)."""
+    """A numerical routine failed, such as the optimizer's stationarity check."""
 
 
 class InternalInconsistencyError(NumericalError):

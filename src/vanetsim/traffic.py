@@ -4,23 +4,25 @@ Units are fixed as SI throughout: meters, seconds, bits. Speeds are signed;
 negative speeds are traffic moving against the observer's direction (it
 enters the segment at the far end). Probability inputs are validated, never
 silently renormalized.
+
+Velocities are either discrete speed classes or continuous traffic made of
+weighted uniform bands; both give E[1/|V|] in closed form, so the module
+needs nothing beyond NumPy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
-from scipy import integrate
 
-from .errors import InvalidParameterError, NumericalError, SchemaError
+from .errors import InvalidParameterError, SchemaError
 
 PROB_TOL = 1e-12
-DENSITY_NORM_TOL = 1e-6
-QUAD_ABS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,81 +79,74 @@ class DiscreteVelocityDist:
         return self._speeds[idx], idx
 
 
+def _band_inverse_speed(a: float, b: float) -> float:
+    """E[1/|V|] for V uniform on the band (a, b): log(hi/lo) / (hi - lo)."""
+    lo, hi = sorted((abs(a), abs(b)))
+    ratio = hi / lo
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
+    return log_ratio / (hi - lo)
+
+
 @dataclass(frozen=True)
 class ContinuousVelocityDist:
-    """A one-directional continuous speed density on [a, b] with 0 outside.
+    """A piecewise-uniform speed density: weighted bands (a, b), uniform on each.
 
-    The support must not straddle zero; bidirectional traffic is expressed
-    as a :class:`MixtureVelocityDist` of two of these with direction
-    weights. Sampling is implemented for the uniform family; arbitrary
-    densities support expectation queries only.
+    Each band holds signed speeds a < b and may not contain zero, so it is
+    wholly forward or wholly reverse traffic; bidirectional traffic is a
+    forward and a reverse band with the direction weights. Weights are
+    nonnegative and sum to 1, and no band's E[1/|V|] may overflow.
     """
 
-    density: Callable[[float], float]
-    support: tuple[float, float]
-    is_uniform: bool = False
+    bands: tuple[tuple[float, float], ...]
+    weights: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        a, b = self.support
-        if not a < b:
-            raise InvalidParameterError("support must satisfy a < b")
-        if a <= 0.0 <= b:
-            raise InvalidParameterError("support must exclude zero speed")
-        mass, _ = integrate.quad(self.density, a, b, epsabs=QUAD_ABS_TOL, limit=200)
-        if abs(mass - 1.0) > DENSITY_NORM_TOL:
-            raise InvalidParameterError(
-                f"density integrates to {mass!r} over the support, not 1"
-            )
+        bands = tuple((float(a), float(b)) for a, b in self.bands)
+        weights = tuple(float(w) for w in self.weights)
+        object.__setattr__(self, "bands", bands)
+        object.__setattr__(self, "weights", weights)
+        if len(bands) < 1:
+            raise InvalidParameterError("need at least one speed band")
+        if len(bands) != len(weights):
+            raise InvalidParameterError("band/weight count mismatch")
+        for a, b in bands:
+            if not (math.isfinite(a) and math.isfinite(b) and a < b):
+                raise InvalidParameterError("band must satisfy finite a < b")
+            if a <= 0.0 <= b:
+                raise InvalidParameterError("band must exclude zero speed")
+            if not math.isfinite(_band_inverse_speed(a, b)):
+                raise InvalidParameterError(f"E[1/|V|] of band ({a!r}, {b!r}) overflows")
+        if not all(w >= 0.0 for w in weights):
+            raise InvalidParameterError("band weights must be nonnegative")
+        if abs(math.fsum(weights) - 1.0) > PROB_TOL:
+            raise InvalidParameterError("band weights must sum to 1")
+        object.__setattr__(self, "_cum_w", np.cumsum(weights))
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "ContinuousVelocityDist":
-        width = b - a
-        return cls(
-            density=lambda v: 1.0 / width if a <= v <= b else 0.0,
-            support=(a, b),
-            is_uniform=True,
-        )
+        """The single band (a, b)."""
+        return cls(((a, b),))
 
     def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, None]:
-        if not self.is_uniform:
-            raise InvalidParameterError(
-                "sampling is only implemented for the uniform family"
-            )
-        a, b = self.support
-        return rng.uniform(a, b, n), None
+        """Draw n speeds; continuous traffic has no class indices.
 
-
-@dataclass(frozen=True)
-class MixtureVelocityDist:
-    """Weighted mixture of one-directional continuous distributions."""
-
-    components: tuple[ContinuousVelocityDist, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if len(self.components) < 1:
-            raise InvalidParameterError("mixture needs at least one component")
-        if len(self.components) != len(self.weights):
-            raise InvalidParameterError("component/weight count mismatch")
-        if any(w < 0 for w in self.weights):
-            raise InvalidParameterError("mixture weights must be nonnegative")
-        if abs(math.fsum(self.weights) - 1.0) > PROB_TOL:
-            raise InvalidParameterError("mixture weights must sum to 1")
-
-    def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, None]:
-        cum = np.cumsum(self.weights)
-        comp = np.searchsorted(cum, rng.random(n), side="right")
-        comp = np.minimum(comp, len(self.components) - 1)
+        A single band is one uniform draw. Several bands take one random
+        draw per speed to pick its band, then one uniform draw per band, in
+        band order.
+        """
+        if len(self.bands) == 1:
+            a, b = self.bands[0]
+            return rng.uniform(a, b, n), None
+        pick = np.searchsorted(self._cum_w, rng.random(n), side="right")
+        pick = np.minimum(pick, len(self.bands) - 1)
         out = np.empty(n)
-        for i, dist in enumerate(self.components):
-            mask = comp == i
-            out[mask] = dist.sample(rng, int(mask.sum()))[0]
+        for i, (a, b) in enumerate(self.bands):
+            mask = pick == i
+            out[mask] = rng.uniform(a, b, int(mask.sum()))
         return out, None
 
 
-VelocityDist = Union[DiscreteVelocityDist, ContinuousVelocityDist, MixtureVelocityDist]
+VelocityDist = Union[DiscreteVelocityDist, ContinuousVelocityDist]
 
 
 @dataclass(frozen=True)
@@ -200,13 +195,8 @@ class Scenario:
         if isinstance(vel, DiscreteVelocityDist):
             reachable = [abs(c.v) for c in vel.classes if c.p > 0]
             return min(reachable)
-        if isinstance(vel, ContinuousVelocityDist):
-            a, b = vel.support
-            return min(abs(a), abs(b))
         return min(
-            min(abs(c.support[0]), abs(c.support[1]))
-            for c, w in zip(vel.components, vel.weights)
-            if w > 0
+            min(abs(a), abs(b)) for (a, b), w in zip(vel.bands, vel.weights) if w > 0
         )
 
     def max_travel_time(self) -> float:
@@ -273,29 +263,12 @@ def generate_arrivals(
 
 
 def mean_inverse_speed(dist: VelocityDist) -> float:
-    """E[1/|V|] for a velocity distribution.
-
-    Uniform components use the closed-form log integral; other densities go
-    through adaptive quadrature with absolute tolerance 1e-9.
-    """
+    """E[1/|V|] for a velocity distribution, in closed form for both kinds."""
     if isinstance(dist, DiscreteVelocityDist):
         return math.fsum(c.p / abs(c.v) for c in dist.classes)
-    if isinstance(dist, MixtureVelocityDist):
-        return math.fsum(
-            w * mean_inverse_speed(c) for c, w in zip(dist.components, dist.weights)
-        )
-    a, b = dist.support
-    if dist.is_uniform:
-        lo, hi = sorted((abs(a), abs(b)))
-        return math.log(hi / lo) / (hi - lo)
-    value, err = integrate.quad(
-        lambda v: dist.density(v) / abs(v), a, b, epsabs=QUAD_ABS_TOL, limit=200
+    return math.fsum(
+        w * _band_inverse_speed(a, b) for (a, b), w in zip(dist.bands, dist.weights)
     )
-    if err > 10 * QUAD_ABS_TOL + 1e-12 * abs(value):
-        raise NumericalError(
-            f"quadrature for E[1/|V|] did not converge: value={value}, err={err}"
-        )
-    return value
 
 
 # --- scenario JSON schema -------------------------------------------------
@@ -310,7 +283,7 @@ def _require_number(doc: dict, key: str, path: str) -> float:
     val = doc[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise SchemaError(f"{path}.{key}", "expected a number")
-    if not math.isfinite(val):
+    if not abs(val) <= sys.float_info.max:  # nan, inf, or an int past any float
         raise SchemaError(f"{path}.{key}", "must be finite")
     return float(val)
 
@@ -360,13 +333,16 @@ def _velocity_from_dict(doc: dict, path: str) -> VelocityDist:
             raise SchemaError(f"{path}.a", "need 0 < a < b for the forward support")
         if not 0.0 <= w <= 1.0:
             raise SchemaError(f"{path}.direction_split", "must lie in [0, 1]")
-        forward = ContinuousVelocityDist.uniform(a, b)
         if w == 1.0:
-            return forward
-        reverse = ContinuousVelocityDist.uniform(-b, -a)
-        if w == 0.0:
-            return reverse
-        return MixtureVelocityDist((forward, reverse), (w, 1.0 - w))
+            bands, weights = ((a, b),), (1.0,)
+        elif w == 0.0:
+            bands, weights = ((-b, -a),), (1.0,)
+        else:
+            bands, weights = ((a, b), (-b, -a)), (w, 1.0 - w)
+        try:
+            return ContinuousVelocityDist(bands, weights)
+        except InvalidParameterError as exc:
+            raise SchemaError(path, str(exc)) from exc
     raise SchemaError(f"{path}.type", "must be 'discrete' or 'continuous'")
 
 

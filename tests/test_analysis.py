@@ -8,7 +8,6 @@ from vanetsim import (
     ContinuousVelocityDist,
     DiscreteVelocityDist,
     FileSpec,
-    MixtureVelocityDist,
     Scenario,
     UniformScheme,
     VelocityClass,
@@ -212,11 +211,9 @@ def test_continuous_throughput_without_traffic(uniform2040):
 
 
 def test_continuous_throughput_ignores_direction_split(uniform2040):
-    fwd = ContinuousVelocityDist.uniform(20.0, 40.0)
-    rev = ContinuousVelocityDist.uniform(-40.0, -20.0)
     expected = expected_throughput_continuous(uniform2040)
     for w in (0.0, 0.3, 0.7):
-        mix = MixtureVelocityDist((fwd, rev), (w, 1.0 - w))
+        mix = ContinuousVelocityDist(((20.0, 40.0), (-40.0, -20.0)), (w, 1.0 - w))
         sc = replace(uniform2040, velocity=mix)
         assert expected_throughput_continuous(sc) == pytest.approx(expected, rel=1e-12)
 

@@ -423,3 +423,18 @@ def test_python_dash_m_runs_the_command(twoclass_path, module, capsys):
     _, in_process = run_json(["analyze", str(twoclass_path)], capsys)
     assert report["command"] == "analyze"
     assert report["results"] == in_process["results"]
+
+
+def test_import_loads_no_scipy():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = (
+        "import sys, vanetsim, vanetsim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, cwd=root, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -35,7 +35,7 @@ from vanetsim.errors import (
     NoProgressError,
 )
 from vanetsim.fountain import vector_sampler
-from vanetsim.traffic import MixtureVelocityDist, ContinuousVelocityDist
+from vanetsim.traffic import ContinuousVelocityDist
 
 
 def make_scenario(lam=0.1, velocity=None, **kw):
@@ -231,13 +231,7 @@ def test_monte_carlo_deterministic_under_seed():
 
 
 def test_forward_and_reverse_traffic_contribute_equally():
-    mix = MixtureVelocityDist(
-        (
-            ContinuousVelocityDist.uniform(20.0, 40.0),
-            ContinuousVelocityDist.uniform(-40.0, -20.0),
-        ),
-        (0.5, 0.5),
-    )
+    mix = ContinuousVelocityDist(((20.0, 40.0), (-40.0, -20.0)), (0.5, 0.5))
     sc = make_scenario(velocity=mix)
     rng = np.random.default_rng(23)
     trials = 30_000

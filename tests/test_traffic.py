@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetsim import (
     ContinuousVelocityDist,
     DiscreteVelocityDist,
-    MixtureVelocityDist,
     Scenario,
     VelocityClass,
     class_quantities,
@@ -52,9 +53,32 @@ def test_continuous_dist_rejects_support_through_zero():
         ContinuousVelocityDist.uniform(-5.0, 5.0)
 
 
-def test_continuous_dist_rejects_unnormalized_density():
+@pytest.mark.parametrize(
+    "bands",
+    [
+        (),
+        ((40.0, 20.0),),
+        ((20.0, 20.0),),
+        ((-math.inf, -20.0),),
+        ((20.0, math.nan),),
+        ((0.0, 20.0),),
+        ((-20.0, -0.0),),
+        ((20.0, 40.0), (-5.0, 5.0)),
+        ((5e-324, 1e-323),),  # E[1/|V|] overflows
+    ],
+)
+def test_band_dist_rejects_bad_bands(bands):
     with pytest.raises(InvalidParameterError):
-        ContinuousVelocityDist(density=lambda v: 0.1, support=(20.0, 40.0))
+        ContinuousVelocityDist(bands, (1.0,) * len(bands))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(0.5, 0.4), (1.2, -0.2), (math.nan, 1.0), (math.inf, -math.inf), (1.0,)],
+)
+def test_band_dist_rejects_bad_weights(weights):
+    with pytest.raises(InvalidParameterError):
+        ContinuousVelocityDist(((20.0, 40.0), (-40.0, -20.0)), weights)
 
 
 def test_scenario_validation():
@@ -170,6 +194,12 @@ def test_mean_inverse_speed_uniform_closed_form():
     assert mean_inverse_speed(dist) == pytest.approx(math.log(2) / 20.0, abs=1e-12)
 
 
+def test_mean_inverse_speed_of_a_band_wider_than_any_speed_ratio():
+    # hi/lo overflows a float, the log of it does not
+    dist = ContinuousVelocityDist.uniform(1e-300, 1e300)
+    assert mean_inverse_speed(dist) == pytest.approx(600 * math.log(10) / 1e300, rel=1e-14)
+
+
 def test_mean_inverse_speed_narrow_support():
     dist = ContinuousVelocityDist.uniform(30.0 - 1e-6, 30.0 + 1e-6)
     assert mean_inverse_speed(dist) == pytest.approx(1.0 / 30.0, abs=1e-9)
@@ -180,22 +210,84 @@ def test_mean_inverse_speed_reverse_support():
     assert mean_inverse_speed(dist) == pytest.approx(math.log(2) / 20.0, abs=1e-12)
 
 
-def test_mean_inverse_speed_quadrature_path():
-    # triangular density on [20, 40]: f(v) = (v - 20) / 200
-    dist = ContinuousVelocityDist(
-        density=lambda v: (v - 20.0) / 200.0 if 20.0 <= v <= 40.0 else 0.0,
-        support=(20.0, 40.0),
+def test_mean_inverse_speed_of_bands_matches_quadrature():
+    import mpmath as mp
+
+    # a stepped density on [20, 50] with a reverse band, against mpmath's
+    # quadrature of density/|v|
+    bands = ((20.0, 30.0), (30.0, 35.0), (35.0, 50.0), (-45.0, -25.0))
+    weights = (0.1, 0.4, 0.3, 0.2)
+    dist = ContinuousVelocityDist(bands, weights)
+    with mp.workdps(30):
+        exact = mp.fsum(
+            w / (b - a) * mp.quad(lambda v: 1 / abs(v), [a, b])
+            for (a, b), w in zip(bands, weights)
+        )
+    assert mean_inverse_speed(dist) == pytest.approx(float(exact), rel=1e-14)
+
+
+def test_zero_weight_bands_are_unreachable():
+    dist = ContinuousVelocityDist(((1.0, 2.0), (20.0, 40.0)), (0.0, 1.0))
+    assert mean_inverse_speed(dist) == mean_inverse_speed(
+        ContinuousVelocityDist.uniform(20.0, 40.0)
     )
-    closed_form = (20.0 - 20.0 * math.log(2.0)) / 200.0
-    assert mean_inverse_speed(dist) == pytest.approx(closed_form, abs=1e-9)
+    assert make_scenario(velocity=dist).min_speed() == 20.0
 
 
 def test_mean_inverse_speed_mixture_is_direction_blind():
-    fwd = ContinuousVelocityDist.uniform(20.0, 40.0)
-    rev = ContinuousVelocityDist.uniform(-40.0, -20.0)
     for w in (0.2, 0.5, 0.9):
-        mix = MixtureVelocityDist((fwd, rev), (w, 1.0 - w))
+        mix = ContinuousVelocityDist(((20.0, 40.0), (-40.0, -20.0)), (w, 1.0 - w))
         assert mean_inverse_speed(mix) == pytest.approx(math.log(2) / 20.0, abs=1e-12)
+
+
+# --- band sampling ---------------------------------------------------------------
+
+
+def _former_sample(bands, weights, rng, n):
+    """Draw order of the former single-uniform and mixture types, as an oracle:
+    one band is one uniform draw; a mixture picks components, then draws
+    from each component in order."""
+    if len(bands) == 1:
+        a, b = bands[0]
+        return rng.uniform(a, b, n)
+    cum = np.cumsum(weights)
+    comp = np.searchsorted(cum, rng.random(n), side="right")
+    comp = np.minimum(comp, len(bands) - 1)
+    out = np.empty(n)
+    for i, (a, b) in enumerate(bands):
+        mask = comp == i
+        out[mask] = rng.uniform(a, b, int(mask.sum()))
+    return out
+
+
+@pytest.mark.parametrize(
+    "bands, weights",
+    [
+        (((20.0, 40.0),), (1.0,)),
+        (((-40.0, -20.0),), (1.0,)),
+        (((20.0, 40.0), (-40.0, -20.0)), (0.3, 0.7)),
+        (((20.0, 25.0), (30.0, 45.0), (-35.0, -22.0)), (0.2, 0.5, 0.3)),
+        (((20.0, 25.0), (30.0, 45.0), (-35.0, -22.0)), (0.6, 0.0, 0.4)),
+        (((20.0, 25.0), (-35.0, -22.0)), (0.0, 1.0)),
+    ],
+)
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_band_sample_keeps_former_draw_order(bands, weights, n):
+    dist = ContinuousVelocityDist(bands, weights)
+    rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+    speeds, idx = dist.sample(rng, n)
+    assert idx is None
+    assert np.array_equal(speeds, _former_sample(bands, weights, oracle_rng, n))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_band_sample_never_draws_a_zero_weight_band():
+    dist = ContinuousVelocityDist(
+        ((20.0, 25.0), (30.0, 45.0), (-35.0, -22.0)), (0.6, 0.0, 0.4)
+    )
+    speeds, _ = dist.sample(np.random.default_rng(5), 10_000)
+    assert not np.any((speeds >= 30.0) & (speeds <= 45.0))
+    assert np.all(((speeds >= 20.0) & (speeds <= 25.0)) | ((speeds >= -35.0) & (speeds <= -22.0)))
 
 
 # --- scenario JSON schema ---------------------------------------------------------------
@@ -205,7 +297,8 @@ def test_fixture_files_parse(twoclass, uniform2040):
     assert twoclass.is_discrete
     assert twoclass.packet_rate == 50.0
     assert not uniform2040.is_discrete
-    assert uniform2040.velocity.support == (20.0, 40.0)
+    assert uniform2040.velocity.bands == ((20.0, 40.0),)
+    assert uniform2040.velocity.weights == (1.0,)
 
 
 def base_doc():
@@ -288,15 +381,14 @@ def test_schema_builds_direction_mixture():
         "direction_split": 0.5,
     }
     sc = scenario_from_dict(doc)
-    assert isinstance(sc.velocity, MixtureVelocityDist)
-    assert sc.velocity.components[0].support == (20.0, 40.0)
-    assert sc.velocity.components[1].support == (-40.0, -20.0)
+    assert isinstance(sc.velocity, ContinuousVelocityDist)
+    assert sc.velocity.bands == ((20.0, 40.0), (-40.0, -20.0))
     assert sc.velocity.weights == (0.5, 0.5)
 
     doc["velocity"]["direction_split"] = 0.0
     sc = scenario_from_dict(doc)
-    assert isinstance(sc.velocity, ContinuousVelocityDist)
-    assert sc.velocity.support == (-40.0, -20.0)
+    assert sc.velocity.bands == ((-40.0, -20.0),)
+    assert sc.velocity.weights == (1.0,)
 
 
 def test_schema_round_trips_fixture(twoclass_path):
@@ -304,3 +396,44 @@ def test_schema_round_trips_fixture(twoclass_path):
     sc = scenario_from_dict(doc)
     assert sc.seed == 42
     assert [c.v for c in sc.velocity.classes] == [20.0, 25.0]
+
+
+def test_schema_refuses_integers_past_any_float():
+    doc = base_doc()
+    doc["velocity"]["classes"][0]["v"] = 10**400
+    with pytest.raises(SchemaError, match=r"classes\[0\]\.v"):
+        scenario_from_dict(doc)
+
+
+_ANY_NUMBER = st.one_of(
+    st.floats(),  # nan, +-inf, +-0 and subnormals included
+    st.integers(),
+    st.sampled_from([0, -1, 10**400, -(10**400), 5e-324, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_ANY_NUMBER, b=_ANY_NUMBER, split=_ANY_NUMBER)
+def test_continuous_schema_gives_scenario_or_schema_error(a, b, split):
+    doc = base_doc()
+    doc["velocity"] = {
+        "type": "continuous",
+        "family": "uniform",
+        "a": a,
+        "b": b,
+        "direction_split": split,
+    }
+    try:
+        sc = scenario_from_dict(doc)
+    except SchemaError:
+        return
+    vel = sc.velocity
+    inv = mean_inverse_speed(vel)
+    assert math.isfinite(inv) and inv > 0
+    speeds, idx = vel.sample(np.random.default_rng(3), 200)
+    assert idx is None
+    inside = np.zeros(speeds.shape, dtype=bool)
+    for (lo, hi), w in zip(vel.bands, vel.weights):
+        if w > 0:
+            inside |= (speeds >= lo) & (speeds <= hi)
+    assert inside.all()
