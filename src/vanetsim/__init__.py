@@ -21,10 +21,8 @@ from .analysis import (
     mean_cars_in_segment,
 )
 from .encounters import (
-    EncounterEvent,
     MonteCarloEstimate,
     TripResult,
-    encounter_of,
     infostation_download,
     monte_carlo_throughput,
     packets_per_encounter,
@@ -68,13 +66,11 @@ from .pmf_opt import (
     reduced_hessian,
 )
 from .traffic import (
-    ArrivalRecord,
     ContinuousVelocityDist,
     DiscreteVelocityDist,
     Scenario,
     VelocityClass,
     class_quantities,
-    generate_arrivals,
     mean_inverse_speed,
     scenario_from_dict,
 )

@@ -43,8 +43,9 @@ EXIT_NUMERICAL = 3
 
 Z_LIMIT = 4.0
 
-# Largest --trials any command accepts: simulate and compare keep one float
-# per trial, download-time three.
+# Largest --trials any command accepts. simulate and compare keep no
+# per-trial array (their estimator merges chunk moments as it goes), but
+# their time grows with the trials; download-time keeps three floats per trial.
 MAX_TRIALS = 10_000_000
 
 _CSV_HELP = (

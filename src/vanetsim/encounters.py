@@ -1,10 +1,19 @@
-"""Monte Carlo simulation of one observer's traversal of a highway segment.
+"""Monte Carlo simulation of an observer's traversals of a highway segment.
 
 An encounter is the trajectory-crossing event: a partner entering at time t
 meets the observer (who enters at time 0 at speed v_i > 0) iff t falls in
 the open interval where both are inside the segment when their positions
 cross. The transmit range enters packet counts and connection times only,
 never the encounter decision itself.
+
+One sampler draws the background traffic of a chunk of trips at once: every
+trip's Poisson arrival count on its lookback window, then all entry times,
+then all velocities, one vectorized crossing test, and each crosser's trip
+index. A trip is a chunk of one, and draws what it always drew.
+:func:`monte_carlo_throughput` runs chunks of at most
+:data:`CHUNK_ARRIVALS` expected arrivals, reduces each by trip with
+``np.bincount``, and merges the chunks' means and sums of squared deviations
+as it goes, so it keeps no per-trial array.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from .fountain import (
     encode_batch,
     vector_batch_sampler,
 )
-from .traffic import ArrivalRecord, Scenario, sample_velocities
+from .traffic import Scenario, sample_velocities
 
 # Lookback margin beyond the longest partner dwell time, in units of
 # r / min|v|; arrivals earlier than that can never cross the observer.
@@ -38,6 +47,11 @@ ARRIVAL_MARGIN_FACTOR = 10.0
 # Cap on the expected arrivals in one lookback window: a very slow observer
 # needs a window long enough to hold more than memory allows.
 MAX_EXPECTED_ARRIVALS = 1e7
+
+# Expected arrivals in one chunk of trips that monte_carlo_throughput draws
+# at once: its temporaries peak near 60 bytes per arrival, about 1 MB. A
+# trip that alone expects more is a chunk of one, as large as it always was.
+CHUNK_ARRIVALS = 2**14
 
 # Largest file, in blocks, that simulate_download_time accepts. Decode cost
 # grows about as K^2.4: one K=8192 download of 64-bit blocks took 39-47 s
@@ -51,14 +65,6 @@ MAX_DOWNLOAD_BLOCKS = 8192
 # its vectors and table indices take about k / 2 bytes per packet.
 BATCH_MARGIN = 8
 MAX_BATCH = 128
-
-
-@dataclass(frozen=True)
-class EncounterEvent:
-    partner_velocity: float
-    meeting_time: float
-    connection_time: float
-    packets_received: float
 
 
 @dataclass(frozen=True)
@@ -129,48 +135,22 @@ def infostation_download(v: float, packet_rate: float, r: float) -> float:
     return packet_rate * r / abs(v)
 
 
-def encounter_of(
-    observer_velocity: float,
-    arrival: ArrivalRecord,
-    d: float,
-    r: float,
-    packet_rate: float,
-) -> EncounterEvent | None:
-    """Test whether one background arrival meets the observer.
+def _arrival_window(scenario: Scenario, ti: float) -> tuple[float, float]:
+    """Start of one trip's lookback window, and the arrivals it expects.
 
-    The observer enters at time 0 and position 0 moving forward. Returns the
-    populated event, or None when the trajectories do not cross inside the
-    segment. Same-velocity pairs never meet.
+    The window runs up to the observer's travel time ``ti``. Raises
+    :class:`InvalidParameterError` when it expects more than
+    :data:`MAX_EXPECTED_ARRIVALS` arrivals.
     """
-    vi = _observer_speed(observer_velocity)
-    vp = arrival.v
-    t = arrival.entry_time
-    ti = d / vi
-    if vp > 0:
-        if vp == vi:
-            return None
-        diff = ti - d / vp
-        lo, hi = min(0.0, diff), max(0.0, diff)
-        if not lo < t < hi:
-            return None
-        meet = vp * t / (vp - vi)
-    else:
-        if not -d / abs(vp) < t < ti:
-            return None
-        meet = (d - vp * t) / (vi - vp)
-    rel = abs(vi - vp)
-    return EncounterEvent(
-        partner_velocity=vp,
-        meeting_time=meet,
-        connection_time=r / rel,
-        packets_received=packet_rate * r / (2.0 * rel),
-    )
-
-
-def _trip_window(scenario: Scenario) -> tuple[float, float]:
     vmin = scenario.min_speed()
-    lookback = scenario.d / vmin + ARRIVAL_MARGIN_FACTOR * scenario.r / vmin
-    return -lookback, 0.0  # upper bound is extended per observer
+    w0 = -(scenario.d / vmin + ARRIVAL_MARGIN_FACTOR * scenario.r / vmin)
+    expected = scenario.lam * (ti - w0)
+    if not expected <= MAX_EXPECTED_ARRIVALS:
+        raise InvalidParameterError(
+            f"observer too slow: its lookback window holds {expected:.6g} "
+            f"expected arrivals, more than {MAX_EXPECTED_ARRIVALS:.0e}"
+        )
+    return w0, expected
 
 
 def _encounter_mask(
@@ -185,32 +165,33 @@ def _encounter_mask(
 
 
 def _crossing_arrivals(
-    scenario: Scenario, ti: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Draw background arrivals and keep those that cross the observer.
+    scenario: Scenario, ti: float, rng: np.random.Generator, trips: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Draw the background arrivals of ``trips`` trips; keep the crossers.
 
-    Arrivals are Poisson on the lookback window up to the observer's travel
-    time ``ti``, drawn as count, entry times, then velocities. Returns the
-    crossers' entry times, velocities and class indices (None for continuous
-    velocity distributions).
+    Each trip's arrivals are Poisson on its lookback window up to the
+    observer's travel time ``ti``. The draws are every trip's count, then
+    all entry times, then all velocities, so one trip draws count, entry
+    times, velocities. Returns the crossers' entry times, velocities, class
+    indices (None for continuous velocity distributions) and trip indices
+    in ``0..trips-1`` (None for one trip), with the trips in order.
     """
-    n = 0
+    counts = None
     if scenario.lam > 0:
-        w0, _ = _trip_window(scenario)
-        expected = scenario.lam * (ti - w0)
-        if not expected <= MAX_EXPECTED_ARRIVALS:
-            raise InvalidParameterError(
-                f"observer too slow: its lookback window holds {expected:.6g} "
-                f"expected arrivals, more than {MAX_EXPECTED_ARRIVALS:.0e}"
-            )
-        n = rng.poisson(expected)
+        w0, expected = _arrival_window(scenario, ti)
+        counts = rng.poisson(expected, trips)
+    n = 0 if counts is None else int(counts.sum())
     if not n:
         no_class = np.empty(0, dtype=int) if scenario.is_discrete else None
-        return np.empty(0), np.empty(0), no_class
+        no_trip = None if trips == 1 else np.empty(0, dtype=int)
+        return np.empty(0), np.empty(0), no_class, no_trip
     entry = rng.uniform(w0, ti, n)
     vel, cls = sample_velocities(scenario.velocity, n, rng)
     mask = _encounter_mask(entry, vel, scenario.d, ti)
-    return entry[mask], vel[mask], None if cls is None else cls[mask]
+    trip = None
+    if trips > 1:
+        trip = np.searchsorted(np.cumsum(counts), np.flatnonzero(mask), side="right")
+    return entry[mask], vel[mask], None if cls is None else cls[mask], trip
 
 
 def simulate_trip(
@@ -223,7 +204,7 @@ def simulate_trip(
     """
     vi, ti = _observer_trip(scenario, observer_velocity)
     r, packet_rate = scenario.r, scenario.packet_rate
-    _, enc_vel, enc_cls = _crossing_arrivals(scenario, ti, rng)
+    _, enc_vel, enc_cls, _ = _crossing_arrivals(scenario, ti, rng)
     packets = packet_rate * r / (2.0 * np.abs(vi - enc_vel))
     info = packet_rate * r / vi
     total = info + float(packets.sum())
@@ -245,6 +226,28 @@ def simulate_trip(
     )
 
 
+def _trip_throughputs(
+    scenario: Scenario, vi: float, ti: float, trials: int, rng: np.random.Generator
+):
+    """Yield the throughputs of ``trials`` trips, one array per chunk, in order.
+
+    A chunk holds as many trips as fit in :data:`CHUNK_ARRIVALS` expected
+    arrivals, and at least one.
+    """
+    packet_rate, r = scenario.packet_rate, scenario.r
+    info = packet_rate * r / vi
+    _, expected = _arrival_window(scenario, ti)
+    chunk = max(1, int(CHUNK_ARRIVALS // max(expected, 1.0)))
+    for done in range(0, trials, chunk):
+        trips = min(chunk, trials - done)
+        _, vel, _, trip = _crossing_arrivals(scenario, ti, rng, trips)
+        packets = packet_rate * r / (2.0 * np.abs(vi - vel))
+        if trip is None:
+            yield np.full(1, (info + packets.sum()) / ti)
+        else:
+            yield (info + np.bincount(trip, weights=packets, minlength=trips)) / ti
+
+
 def monte_carlo_throughput(
     scenario: Scenario,
     observer_velocity: float,
@@ -253,19 +256,29 @@ def monte_carlo_throughput(
 ) -> MonteCarloEstimate:
     """Mean and standard error of the trip throughput over independent trips.
 
-    Trials are consumed sequentially from ``rng``; callers wanting parallel
-    execution should hand each worker its own spawned substream and reduce
-    the per-trial results in index order.
+    Trips are drawn in chunks (see the module docstring) from ``rng``, in
+    order; a trip's throughput is that of :func:`simulate_trip` on the same
+    arrivals. Each chunk's mean and sum of squared deviations are merged
+    into the running ones by the pairwise update of Chan, Golub and LeVeque
+    (1979), so memory does not grow with ``trials``. Callers wanting
+    parallel execution should hand each worker its own spawned substream.
     """
     if trials < 2:
         raise InvalidParameterError("need at least 2 trials")
-    vals = np.empty(trials)
-    for i in range(trials):
-        vals[i] = simulate_trip(scenario, observer_velocity, rng).throughput
+    vi, ti = _observer_trip(scenario, observer_velocity)
+    n, mean, m2 = 0, 0.0, 0.0
+    for values in _trip_throughputs(scenario, vi, ti, trials, rng):
+        k = values.size
+        chunk_mean = float(values.mean())
+        chunk_m2 = float(np.square(values - chunk_mean).sum())
+        delta = chunk_mean - mean
+        n += k
+        mean += delta * (k / n)
+        m2 += chunk_m2 + delta * delta * ((n - k) * k / n)
     return MonteCarloEstimate(
-        mean=float(vals.mean()),
-        std_error=float(vals.std(ddof=1) / math.sqrt(trials)),
-        trials=trials,
+        mean=mean,
+        std_error=math.sqrt(m2 / (n - 1)) / math.sqrt(n),
+        trials=n,
     )
 
 
@@ -277,7 +290,7 @@ def _segment_events(
     packet_rate = scenario.packet_rate
     ti = d / vi
     events = [(0.0, math.floor(packet_rate * r / vi))]
-    enc_t, enc_vel, _ = _crossing_arrivals(scenario, ti, rng)
+    enc_t, enc_vel, _, _ = _crossing_arrivals(scenario, ti, rng)
     meet = np.where(
         enc_vel > 0,
         enc_vel * enc_t / (enc_vel - vi),

@@ -1,4 +1,4 @@
-"""Scenario description: velocity distributions, Poisson arrivals, densities.
+"""Scenario description: velocity distributions, Poisson traffic, densities.
 
 Units are fixed as SI throughout: meters, seconds, bits. Speeds are signed;
 negative speeds are traffic moving against the observer's direction (it
@@ -35,6 +35,10 @@ class VelocityClass:
     def __post_init__(self):
         if self.v == 0:
             raise InvalidParameterError("class speed must be nonzero")
+        if not (math.isfinite(self.v) and math.isfinite(1.0 / abs(self.v))):
+            raise InvalidParameterError(
+                f"class speed {self.v!r} must be finite with a finite reciprocal"
+            )
         if not 0.0 <= self.p <= 1.0:
             raise InvalidParameterError("class probability must lie in [0, 1]")
 
@@ -211,19 +215,6 @@ class DerivedClassQuantities:
     density: float
 
 
-@dataclass(frozen=True)
-class ArrivalRecord:
-    """One vehicle entering the segment.
-
-    Forward traffic (v > 0) enters at position 0, reverse traffic (v < 0)
-    at position d. ``class_index`` is None for continuous distributions.
-    """
-
-    entry_time: float
-    v: float
-    class_index: int | None = None
-
-
 def class_quantities(scenario: Scenario, m: int) -> DerivedClassQuantities:
     """Travel time d/v and density lam*p/|v| for class m."""
     if not scenario.is_discrete:
@@ -240,26 +231,6 @@ def sample_velocities(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Draw n velocities; class indices come back for discrete distributions."""
     return dist.sample(rng, n)
-
-
-def generate_arrivals(
-    scenario: Scenario,
-    window: tuple[float, float],
-    rng: np.random.Generator,
-) -> list[ArrivalRecord]:
-    """Homogeneous Poisson arrivals on the window, sorted by entry time."""
-    t0, t1 = window
-    if t1 <= t0:
-        return []
-    n = rng.poisson(scenario.lam * (t1 - t0))
-    times = np.sort(rng.uniform(t0, t1, n))
-    speeds, idx = sample_velocities(scenario.velocity, n, rng)
-    if idx is None:
-        return [ArrivalRecord(float(t), float(v)) for t, v in zip(times, speeds)]
-    return [
-        ArrivalRecord(float(t), float(v), int(i))
-        for t, v, i in zip(times, speeds, idx)
-    ]
 
 
 def mean_inverse_speed(dist: VelocityDist) -> float:

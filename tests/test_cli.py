@@ -348,6 +348,29 @@ def test_tiny_observer_in_zero_rate_scenario_is_an_input_error(tmp_path, command
     assert "observer too slow" in err
 
 
+@pytest.mark.parametrize(
+    "command", ["analyze", "simulate", "compare", "optimize-pmf", "download-time"]
+)
+def test_class_speed_with_overflowing_reciprocal_is_an_input_error(tmp_path, command, capsys):
+    doc = zero_rate_doc()
+    doc["lambda"] = 0.1
+    doc["velocity"]["classes"][1]["v"] = 1e-310
+    if command == "optimize-pmf":
+        args = [command, "--speeds", "20,1e-310"]
+    else:
+        args = [command, write_scenario(tmp_path, doc), "--trials", "5"]
+    if command == "analyze":
+        args = args[:2]
+    if command == "download-time":
+        args += ["--K", "8"]
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite reciprocal" in err
+    if command != "optimize-pmf":
+        assert err.startswith("error: $.velocity.classes[1]: ")
+
+
 def test_download_time_rejects_infeasible_k(twoclass_path, capsys):
     args = ["download-time", str(twoclass_path), "--K", "100000000", "--trials", "1"]
     code, out, err = run(args, capsys)

@@ -1,11 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vanetsim import (
-    ArrivalRecord,
     Blocks,
     DecoderState,
     DiscreteVelocityDist,
@@ -16,7 +16,6 @@ from vanetsim import (
     UniformScheme,
     VelocityClass,
     encode,
-    encounter_of,
     expected_download_time,
     expected_encounters,
     expected_throughput_class,
@@ -36,6 +35,8 @@ from vanetsim.errors import (
 )
 from vanetsim.fountain import vector_sampler
 from vanetsim.traffic import ContinuousVelocityDist
+
+from oracles import ArrivalRecord, encounter_of
 
 
 def make_scenario(lam=0.1, velocity=None, **kw):
@@ -245,6 +246,152 @@ def test_forward_and_reverse_traffic_contribute_equally():
         fwd.var(ddof=1) / trials + rev.var(ddof=1) / trials
     )
     assert abs(fwd.mean() - rev.mean()) <= 3 * pooled_se
+
+
+# --- batched trips ------------------------------------------------------------------
+
+REVERSE_CLASS = DiscreteVelocityDist(
+    (VelocityClass(20.0, 0.4), VelocityClass(25.0, 0.4), VelocityClass(-30.0, 0.2))
+)
+TWO_BAND_MIX = ContinuousVelocityDist(((20.0, 40.0), (-40.0, -20.0)), (0.7, 0.3))
+
+
+def oracle_trips(scenario, observer, trips, rng):
+    """Replay a chunk's draws and decide every arrival with ``encounter_of``.
+
+    Returns, per trip, the crossers as (entry time, velocity, class index)
+    and the exchanged packets.
+    """
+    ti = scenario.d / observer
+    w0, expected = encounters._arrival_window(scenario, ti)
+    counts = rng.poisson(expected, trips)
+    entry = rng.uniform(w0, ti, int(counts.sum()))
+    vel, cls = scenario.velocity.sample(rng, int(counts.sum()))
+    out = []
+    for lo, hi in zip(np.cumsum(counts) - counts, np.cumsum(counts)):
+        crossers, packets = [], []
+        for j in range(lo, hi):
+            index = None if cls is None else int(cls[j])
+            arrival = ArrivalRecord(float(entry[j]), float(vel[j]), index)
+            ev = encounter_of(observer, arrival, scenario.d, scenario.r, scenario.packet_rate)
+            if ev is not None:
+                crossers.append((arrival.entry_time, arrival.v, index))
+                packets.append(ev.packets_received)
+        out.append((crossers, math.fsum(packets)))
+    return out
+
+
+@pytest.mark.parametrize("trips", [1, 2, 7, 655])
+@pytest.mark.parametrize(
+    "velocity, observer", [(None, 20.0), (REVERSE_CLASS, 25.0), (TWO_BAND_MIX, 30.0)]
+)
+def test_batch_matches_per_arrival_oracle(monkeypatch, velocity, observer, trips):
+    sc = make_scenario(velocity=velocity)
+    ti = sc.d / observer
+    expected = oracle_trips(sc, observer, trips, np.random.default_rng(trips))
+    entry, vel, cls, trip = encounters._crossing_arrivals(
+        sc, ti, np.random.default_rng(trips), trips
+    )
+    if trips == 1:
+        assert trip is None
+        trip = np.zeros(vel.size, dtype=int)
+    for t, (crossers, _) in enumerate(expected):
+        mine = trip == t
+        classes = [None] * int(mine.sum()) if cls is None else cls[mine].tolist()
+        assert list(zip(entry[mine].tolist(), vel[mine].tolist(), classes)) == crossers
+    # the chunk's per-trip throughputs, reduced by trip
+    _, one_trip = encounters._arrival_window(sc, ti)
+    monkeypatch.setattr(encounters, "CHUNK_ARRIVALS", (trips + 0.5) * one_trip)
+    chunks = list(
+        encounters._trip_throughputs(sc, observer, ti, trips, np.random.default_rng(trips))
+    )
+    assert [c.size for c in chunks] == [trips]
+    info = sc.packet_rate * sc.r / observer
+    oracle = [(info + packets) / ti for _, packets in expected]
+    np.testing.assert_allclose(chunks[0], oracle, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("velocity", [None, TWO_BAND_MIX])
+@pytest.mark.parametrize("chunk", [1, 3, 500])
+def test_chunked_moments_match_two_pass(monkeypatch, velocity, chunk):
+    trials = 500
+    sc = make_scenario(velocity=velocity)
+    observer = 30.0
+    _, one_trip = encounters._arrival_window(sc, sc.d / observer)
+    monkeypatch.setattr(encounters, "CHUNK_ARRIVALS", (chunk + 0.5) * one_trip)
+    seen = []
+    real = encounters._trip_throughputs
+    monkeypatch.setattr(
+        encounters, "_trip_throughputs", lambda *a: (seen.append(c) or c for c in real(*a))
+    )
+    est = monte_carlo_throughput(sc, observer, trials, np.random.default_rng(chunk))
+    assert {c.size for c in seen[:-1]} <= {chunk} and sum(c.size for c in seen) == trials
+    values = np.concatenate(seen)
+    assert est.trials == trials
+    assert est.mean == pytest.approx(np.mean(values), rel=1e-12, abs=0)
+    se = np.std(values, ddof=1) / math.sqrt(trials)
+    assert est.std_error == pytest.approx(se, rel=1e-12, abs=0)
+    if chunk == 1:  # a chunk of one is one simulate_trip, draw for draw
+        rng = np.random.default_rng(chunk)
+        assert values.tolist() == [
+            simulate_trip(sc, observer, rng).throughput for _ in range(trials)
+        ]
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials():
+    # 10**7 trips of a traffic-free road, in chunks of CHUNK_ARRIVALS trips:
+    # one float per trip would take 80 MB
+    sc = make_scenario(lam=0.0)
+    tracemalloc.start()
+    try:
+        est = monte_carlo_throughput(sc, 20.0, 10_000_000, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (est.mean, est.std_error, est.trials) == (0.5, 0.0, 10_000_000)
+    assert peak < 4e6
+
+
+# TripResults recorded from the implementation that drew one trip per call,
+# keyed by (scenario, observer, seed); two consecutive trips each.
+def _trip(v, ti, per_class, n, info, total, thr, fwd, rev):
+    return encounters.TripResult(v, ti, per_class, n, info, total, thr, fwd, rev)
+
+
+PINNED_TRIPS = {
+    ("twoclass", 20.0, 1): [
+        _trip(20.0, 500.0, (0, 5), 5, 250.0, 2750.0, 5.5, 2500.0, 0.0),
+        _trip(20.0, 500.0, (0, 4), 4, 250.0, 2250.0, 4.5, 2000.0, 0.0),
+    ],
+    ("twoclass", 25.0, 2): [
+        _trip(25.0, 400.0, (5, 0), 5, 200.0, 2700.0, 6.75, 2500.0, 0.0),
+        _trip(25.0, 400.0, (3, 0), 3, 200.0, 1700.0, 4.25, 1500.0, 0.0),
+    ],
+    ("reverse", 25.0, 3): [
+        _trip(25.0, 400.0, (2, 0, 7), 9, 200.0, 1518.1818181818182, 3.7954545454545454,
+              1000.0, 318.18181818181813),
+        _trip(25.0, 400.0, (2, 0, 13), 15, 200.0, 1790.9090909090912, 4.477272727272728,
+              1000.0, 590.9090909090909),
+    ],
+    ("mix", 30.0, 4): [
+        _trip(30.0, 333.3333333333333, (), 41, 166.66666666666666, 3296.5015583640893,
+              9.889504675092269, 1574.2103173216883, 1555.624574375735),
+        _trip(30.0, 333.3333333333333, (), 16, 166.66666666666666, 1407.895873008882,
+              4.223687619026647, 643.4345191923562, 597.794687149859),
+    ],
+}
+
+
+def test_simulate_trip_matches_pinned_results(twoclass, uniform2040):
+    scenarios = {
+        "twoclass": twoclass,
+        "reverse": replace(twoclass, velocity=REVERSE_CLASS),
+        "mix": replace(uniform2040, velocity=TWO_BAND_MIX),
+    }
+    for (name, observer, seed), expected in PINNED_TRIPS.items():
+        rng = np.random.default_rng(seed)
+        got = [simulate_trip(scenarios[name], observer, rng) for _ in expected]
+        assert got == expected, (name, observer, seed)
 
 
 # --- coupled download simulation ----------------------------------------------------

@@ -12,11 +12,12 @@ from vanetsim import (
     Scenario,
     VelocityClass,
     class_quantities,
-    generate_arrivals,
     mean_inverse_speed,
     scenario_from_dict,
 )
 from vanetsim.errors import InvalidParameterError, SchemaError
+
+from oracles import generate_arrivals
 
 
 def make_scenario(lam=0.1, velocity=None, **kw):
@@ -36,6 +37,11 @@ def test_velocity_class_validation():
         VelocityClass(0.0, 0.5)
     with pytest.raises(InvalidParameterError):
         VelocityClass(20.0, 1.5)
+    # a speed whose 1/|v| overflows would break every closed form
+    for v in (math.nan, math.inf, -math.inf, 1e-310, -4e-320, 5e-324):
+        with pytest.raises(InvalidParameterError, match="finite reciprocal"):
+            VelocityClass(v, 0.5)
+    assert VelocityClass(-1e-300, 0.5).v == -1e-300
 
 
 def test_discrete_dist_rejects_bad_probabilities():
