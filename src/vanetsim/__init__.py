@@ -70,7 +70,6 @@ from .traffic import (
     DiscreteVelocityDist,
     Scenario,
     VelocityClass,
-    class_quantities,
     mean_inverse_speed,
     scenario_from_dict,
 )

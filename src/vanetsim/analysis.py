@@ -1,8 +1,14 @@
 """Closed-form expectations: encounter counts, packet totals, throughput.
 
-All quantities are per-node over one segment traversal. Packet totals scale
-with travel time; throughput (packets per second of travel) depends only on
-segment geometry and the densities of the other traffic classes.
+All quantities are per-node over one segment traversal. Every throughput
+follows one law, packet_rate*r*(1/d + met_density/2): the stations give
+packet_rate*r/d packets per second, and traffic of density x met at
+relative speed w gives x*w encounters per second of packet_rate*r/(2w)
+packets each. An observer meets all traffic, of density lam*E[1/|V|],
+except the vehicles at its own speed: a discrete class meets every other
+class, the population average meets lam*E[1/|V|] - rho_bar, and continuous
+traffic meets all of lam*E[1/|V|]. Packet totals are throughput times the
+travel time d/|v|.
 """
 
 from __future__ import annotations
@@ -12,12 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, InvalidParameterError
 from .fountain import FileSpec, VectorScheme, packets_needed
-from .traffic import (
-    DiscreteVelocityDist,
-    Scenario,
-    class_quantities,
-    mean_inverse_speed,
-)
+from .traffic import DiscreteVelocityDist, Scenario, mean_inverse_speed
 
 REL_TOL = 1e-12
 
@@ -28,6 +29,16 @@ def _discrete(scenario: Scenario) -> DiscreteVelocityDist:
     return scenario.velocity
 
 
+def _throughput(scenario: Scenario, met_density: float) -> float:
+    """Throughput of an observer meeting traffic of ``met_density`` vehicles per meter."""
+    return scenario.packet_rate * scenario.r * (1.0 / scenario.d + 0.5 * met_density)
+
+
+def _densities(scenario: Scenario) -> list[float]:
+    """Highway density lam*p/|v| of each class, in vehicles per meter."""
+    return [scenario.lam * c.p / abs(c.v) for c in _discrete(scenario).classes]
+
+
 def expected_encounters(scenario: Scenario, i: int, m: int) -> float:
     """Mean number of class-m vehicles a class-i observer crosses: lam*p_m*|t_m - t_i|."""
     dist = _discrete(scenario)
@@ -36,53 +47,42 @@ def expected_encounters(scenario: Scenario, i: int, m: int) -> float:
     return scenario.lam * dist.classes[m].p * abs(tm - ti)
 
 
+def expected_throughput_class(scenario: Scenario, i: int) -> float:
+    """Mean throughput of a class-i observer, which meets every other class."""
+    met = math.fsum(x for m, x in enumerate(_densities(scenario)) if m != i)
+    return _throughput(scenario, met)
+
+
 def expected_packets(scenario: Scenario, i: int) -> float:
     """Mean packets collected per traversal by a class-i observer.
 
-    Station download plus the expected exchange total:
-    packet_rate*r*t_i/d * (1 + lam/2 * sum_{m != i} p_m*|t_m|).
+    The class throughput times the travel time d/|v_i|: station download
+    plus the expected exchange total.
     """
-    dist = _discrete(scenario)
-    ti = scenario.d / dist.classes[i].v
-    other = math.fsum(
-        c.p * abs(scenario.d / c.v) for m, c in enumerate(dist.classes) if m != i
-    )
-    base = scenario.packet_rate * scenario.r * ti / scenario.d
-    return base * (1.0 + 0.5 * scenario.lam * other)
-
-
-def expected_throughput_class(scenario: Scenario, i: int) -> float:
-    """Mean throughput of a class-i observer: packet_rate*r*(1/d + sum of other densities / 2)."""
-    dist = _discrete(scenario)
-    other = math.fsum(
-        class_quantities(scenario, m).density
-        for m in range(dist.m)
-        if m != i
-    )
-    return scenario.packet_rate * scenario.r * (1.0 / scenario.d + 0.5 * other)
+    v = _discrete(scenario).classes[i].v
+    return expected_throughput_class(scenario, i) * (scenario.d / abs(v))
 
 
 def rho_bar(scenario: Scenario) -> float:
     """Probability-weighted mean class density."""
     dist = _discrete(scenario)
-    return math.fsum(
-        c.p * class_quantities(scenario, m).density for m, c in enumerate(dist.classes)
-    )
+    return math.fsum(c.p * x for c, x in zip(dist.classes, _densities(scenario)))
 
 
-def expected_throughput_avg(scenario: Scenario) -> float:
-    """Population-average throughput for a discrete velocity distribution.
+def expected_throughput(scenario: Scenario) -> float:
+    """Population-average throughput for either distribution kind.
 
-    Evaluated two algebraically equal ways — via class densities and via the
-    pairwise inverse-speed sum — and cross-checked to 1e-12 relative before
-    returning; disagreement indicates an implementation bug.
+    The met density is lam*E[1/|V|], less rho_bar for discrete traffic,
+    where an observer never meets its own class. The discrete value is
+    cross-checked to 1e-12 relative against the pairwise inverse-speed sum
+    lam * sum_{i<j} p_i p_j (1/|v_i| + 1/|v_j|) before it is returned;
+    disagreement indicates an implementation bug.
     """
-    dist = _discrete(scenario)
-    rp_r = scenario.packet_rate * scenario.r
-    densities = [class_quantities(scenario, m).density for m in range(dist.m)]
-    via_density = rp_r * (
-        1.0 / scenario.d - 0.5 * rho_bar(scenario) + 0.5 * math.fsum(densities)
-    )
+    met = scenario.lam * mean_inverse_speed(scenario.velocity)
+    if not scenario.is_discrete:
+        return _throughput(scenario, met)
+    dist = scenario.velocity
+    via_density = _throughput(scenario, met - rho_bar(scenario))
     pair_sum = math.fsum(
         dist.classes[i].p
         * dist.classes[j].p
@@ -90,7 +90,7 @@ def expected_throughput_avg(scenario: Scenario) -> float:
         for i in range(dist.m)
         for j in range(i + 1, dist.m)
     )
-    via_pairs = rp_r * (1.0 / scenario.d + 0.5 * scenario.lam * pair_sum)
+    via_pairs = _throughput(scenario, scenario.lam * pair_sum)
     scale = max(abs(via_density), abs(via_pairs))
     if abs(via_density - via_pairs) > REL_TOL * scale:
         raise InternalInconsistencyError(
@@ -99,31 +99,25 @@ def expected_throughput_avg(scenario: Scenario) -> float:
     return via_density
 
 
-def mean_cars_in_segment(scenario: Scenario) -> float:
-    """Expected number of vehicles inside one segment at any instant."""
-    if scenario.is_discrete:
-        return scenario.lam * math.fsum(
-            c.p * abs(scenario.d / c.v) for c in scenario.velocity.classes
-        )
-    return scenario.lam * scenario.d * mean_inverse_speed(scenario.velocity)
+def expected_throughput_avg(scenario: Scenario) -> float:
+    """:func:`expected_throughput` of a discrete velocity distribution."""
+    _discrete(scenario)
+    return expected_throughput(scenario)
 
 
 def expected_throughput_continuous(scenario: Scenario) -> float:
-    """Observer-independent mean throughput for continuous traffic.
+    """:func:`expected_throughput` of continuous traffic, the same for every observer.
 
     packet_rate*r*(1/d + lam/2 * E[1/|V|]); c4 checks it against simulation.
     """
     if scenario.is_discrete:
         raise InvalidParameterError("this expectation needs a continuous distribution")
-    inv = mean_inverse_speed(scenario.velocity)
-    return scenario.packet_rate * scenario.r * (1.0 / scenario.d + 0.5 * scenario.lam * inv)
+    return expected_throughput(scenario)
 
 
-def expected_throughput(scenario: Scenario) -> float:
-    """Population-average throughput for either distribution kind."""
-    if scenario.is_discrete:
-        return expected_throughput_avg(scenario)
-    return expected_throughput_continuous(scenario)
+def mean_cars_in_segment(scenario: Scenario) -> float:
+    """Expected number of vehicles inside one segment at any instant: lam*d*E[1/|V|]."""
+    return scenario.lam * scenario.d * mean_inverse_speed(scenario.velocity)
 
 
 def expected_download_time(
@@ -143,6 +137,8 @@ def expected_download_time(
 
 @dataclass(frozen=True)
 class ClassExpectation:
+    """Closed forms of one velocity class; its fields are the ``analyze`` report's row keys."""
+
     index: int
     v: float
     p: float
@@ -169,36 +165,30 @@ class AnalyticReport:
 
 
 def analytic_report(scenario: Scenario) -> AnalyticReport:
-    cars = mean_cars_in_segment(scenario)
-    if not scenario.is_discrete:
-        avg = expected_throughput_continuous(scenario)
-        return AnalyticReport(
-            per_class=(),
-            average_throughput=avg,
-            rho_bar=None,
-            mean_cars=cars,
-            system_throughput=avg * cars,
-        )
-    dist = scenario.velocity
-    rows = []
-    for i, cls in enumerate(dist.classes):
-        enc = math.fsum(expected_encounters(scenario, i, m) for m in range(dist.m))
-        rows.append(
+    rows, rho = (), None
+    if scenario.is_discrete:
+        densities = _densities(scenario)
+        rows = tuple(
             ClassExpectation(
                 index=i,
                 v=cls.v,
                 p=cls.p,
-                density=class_quantities(scenario, i).density,
-                expected_encounters=enc,
+                density=densities[i],
+                expected_encounters=math.fsum(
+                    expected_encounters(scenario, i, m) for m in range(scenario.velocity.m)
+                ),
                 expected_packets=expected_packets(scenario, i),
                 expected_throughput=expected_throughput_class(scenario, i),
             )
+            for i, cls in enumerate(scenario.velocity.classes)
         )
-    avg = expected_throughput_avg(scenario)
+        rho = rho_bar(scenario)
+    avg = expected_throughput(scenario)
+    cars = mean_cars_in_segment(scenario)
     return AnalyticReport(
-        per_class=tuple(rows),
+        per_class=rows,
         average_throughput=avg,
-        rho_bar=rho_bar(scenario),
+        rho_bar=rho,
         mean_cars=cars,
         system_throughput=avg * cars,
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -183,18 +184,7 @@ def _cmd_analyze(args) -> tuple[str, int, dict, int]:
         results = {
             "kind": "discrete",
             "packet_rate": scenario.packet_rate,
-            "classes": [
-                {
-                    "index": row.index,
-                    "v": row.v,
-                    "p": row.p,
-                    "density": row.density,
-                    "expected_encounters": row.expected_encounters,
-                    "expected_packets": row.expected_packets,
-                    "expected_throughput": row.expected_throughput,
-                }
-                for row in report.per_class
-            ],
+            "classes": [dataclasses.asdict(row) for row in report.per_class],
             "average_throughput": report.average_throughput,
             "rho_bar": report.rho_bar,
             "mean_cars": report.mean_cars,
@@ -234,41 +224,34 @@ def _cmd_compare(args) -> tuple[str, int, dict, int]:
     _check_trials(args.trials, 2)
     seed = args.seed if args.seed is not None else scenario.seed
     rng = np.random.default_rng(seed)
-    rows = []
+
+    def estimate_row(label: str, observer: float, analytic: float) -> dict:
+        est = monte_carlo_throughput(scenario, observer, args.trials, rng)
+        return {
+            "label": label,
+            "observer_v": observer,
+            "analytic": analytic,
+            "simulated": est.mean,
+            "std_error": est.std_error,
+            "z": _z_score(est.mean - analytic, est.std_error, analytic),
+        }
+
     if scenario.is_discrete:
         kind = "discrete"
-        for i, cls in enumerate(scenario.velocity.classes):
-            if cls.v <= 0:
-                continue  # only forward observers traverse the segment
-            analytic = expected_throughput_class(scenario, i)
-            est = monte_carlo_throughput(scenario, cls.v, args.trials, rng)
-            rows.append(
-                {
-                    "label": f"class[{i}]",
-                    "observer_v": cls.v,
-                    "analytic": analytic,
-                    "simulated": est.mean,
-                    "std_error": est.std_error,
-                    "z": _z_score(est.mean - analytic, est.std_error, analytic),
-                }
-            )
+        rows = [
+            estimate_row(f"class[{i}]", cls.v, expected_throughput_class(scenario, i))
+            for i, cls in enumerate(scenario.velocity.classes)
+            if cls.v > 0  # only forward observers traverse the segment
+        ]
     else:
         kind = "continuous"
         analytic = expected_throughput_continuous(scenario)
         a, b = _forward_support(scenario)
         width = b - a
-        for obs in (a + 0.1 * width, 0.5 * (a + b), b - 0.1 * width):
-            est = monte_carlo_throughput(scenario, obs, args.trials, rng)
-            rows.append(
-                {
-                    "label": f"observer_v={obs:g}",
-                    "observer_v": obs,
-                    "analytic": analytic,
-                    "simulated": est.mean,
-                    "std_error": est.std_error,
-                    "z": _z_score(est.mean - analytic, est.std_error, analytic),
-                }
-            )
+        rows = [
+            estimate_row(f"observer_v={obs:g}", obs, analytic)
+            for obs in (a + 0.1 * width, 0.5 * (a + b), b - 0.1 * width)
+        ]
     max_abs_z = max(abs(row["z"]) for row in rows)
     passed = max_abs_z <= Z_LIMIT
     results = {
@@ -399,10 +382,9 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         digest, seed, results, code = _COMMANDS[args.command](args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (InvalidParameterError, FileNotFoundError, IsADirectoryError) as exc:
+    except (
+        SchemaError, InvalidParameterError, FileNotFoundError, IsADirectoryError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except json.JSONDecodeError as exc:

@@ -94,26 +94,21 @@ class MonteCarloEstimate:
     trials: int
 
 
-def _observer_speed(observer_velocity: float) -> float:
-    """The observer speed as a float, checked to be finite and forward."""
+def _observer_trip(scenario: Scenario, observer_velocity: float) -> tuple[float, float]:
+    """The checked observer speed and its travel time ``d / v``.
+
+    The speed must be finite and positive, and not so small that the travel
+    time or the station batch ``packet_rate * r / v`` overflows to infinity;
+    such an observer is refused here rather than turning into a NaN throughput.
+    """
     vi = float(observer_velocity)
     if not (math.isfinite(vi) and vi > 0):
         raise InvalidParameterError(
             f"observer speed must be finite and > 0, got {vi!r}"
         )
-    return vi
-
-
-def _observer_trip(scenario: Scenario, observer_velocity: float) -> tuple[float, float]:
-    """The checked observer speed and its travel time ``d / v``.
-
-    A speed can be finite and positive yet so small that the travel time or
-    the station batch ``packet_rate * r / v`` overflows to infinity; such an
-    observer is refused here rather than turning into a NaN throughput.
-    """
-    vi = _observer_speed(observer_velocity)
     ti = scenario.d / vi
-    if not math.isfinite(max(ti, scenario.packet_rate * scenario.r / vi)):
+    batch = infostation_download(vi, scenario.packet_rate, scenario.r)
+    if not math.isfinite(max(ti, batch)):
         raise InvalidParameterError(
             f"observer too slow: travel time d/v = {scenario.d:g}/{vi!r} "
             "or its station batch is not finite"
@@ -121,11 +116,14 @@ def _observer_trip(scenario: Scenario, observer_velocity: float) -> tuple[float,
     return vi, ti
 
 
-def packets_per_encounter(v: float, v_prime: float, packet_rate: float, r: float) -> float:
-    """Packets transferred in one direction while two nodes stay in range."""
-    if v == v_prime:
+def packets_per_encounter(v, v_prime, packet_rate: float, r: float):
+    """Packets transferred in one direction while two nodes stay in range.
+
+    Elementwise on arrays of speeds; refused if any pair of speeds is equal.
+    """
+    if np.equal(v, v_prime).any():
         raise InvalidParameterError("equal velocities never yield an encounter")
-    return packet_rate * r / (2.0 * abs(v - v_prime))
+    return packet_rate * r / (2.0 * np.abs(np.subtract(v, v_prime)))
 
 
 def infostation_download(v: float, packet_rate: float, r: float) -> float:
@@ -205,8 +203,8 @@ def simulate_trip(
     vi, ti = _observer_trip(scenario, observer_velocity)
     r, packet_rate = scenario.r, scenario.packet_rate
     _, enc_vel, enc_cls, _ = _crossing_arrivals(scenario, ti, rng)
-    packets = packet_rate * r / (2.0 * np.abs(vi - enc_vel))
-    info = packet_rate * r / vi
+    packets = packets_per_encounter(vi, enc_vel, packet_rate, r)
+    info = infostation_download(vi, packet_rate, r)
     total = info + float(packets.sum())
     if scenario.is_discrete:
         counts = np.bincount(enc_cls, minlength=scenario.velocity.m)
@@ -235,13 +233,13 @@ def _trip_throughputs(
     arrivals, and at least one.
     """
     packet_rate, r = scenario.packet_rate, scenario.r
-    info = packet_rate * r / vi
+    info = infostation_download(vi, packet_rate, r)
     _, expected = _arrival_window(scenario, ti)
     chunk = max(1, int(CHUNK_ARRIVALS // max(expected, 1.0)))
     for done in range(0, trials, chunk):
         trips = min(chunk, trials - done)
         _, vel, _, trip = _crossing_arrivals(scenario, ti, rng, trips)
-        packets = packet_rate * r / (2.0 * np.abs(vi - vel))
+        packets = packets_per_encounter(vi, vel, packet_rate, r)
         if trip is None:
             yield np.full(1, (info + packets.sum()) / ti)
         else:
@@ -289,14 +287,14 @@ def _segment_events(
     d, r = scenario.d, scenario.r
     packet_rate = scenario.packet_rate
     ti = d / vi
-    events = [(0.0, math.floor(packet_rate * r / vi))]
+    events = [(0.0, math.floor(infostation_download(vi, packet_rate, r)))]
     enc_t, enc_vel, _, _ = _crossing_arrivals(scenario, ti, rng)
     meet = np.where(
         enc_vel > 0,
         enc_vel * enc_t / (enc_vel - vi),
         (d - enc_vel * enc_t) / (vi - enc_vel),
     )
-    counts = np.floor(packet_rate * r / (2.0 * np.abs(vi - enc_vel)))
+    counts = np.floor(packets_per_encounter(vi, enc_vel, packet_rate, r))
     events.extend((float(t), int(c)) for t, c in zip(meet, counts) if c > 0)
     events.sort()
     return events

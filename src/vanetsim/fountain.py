@@ -63,10 +63,6 @@ class EncodingVector:
     def degree(self) -> int:
         return self.bits.bit_count()
 
-    def indices(self) -> tuple[int, ...]:
-        """Positions of the nonzero coefficients."""
-        return tuple(i for i in range(self.k) if (self.bits >> i) & 1)
-
 
 @dataclass(frozen=True)
 class Packet:

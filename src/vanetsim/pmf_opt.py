@@ -22,6 +22,7 @@ KKT_TOL = 1e-9
 
 
 def _check_speeds(speeds) -> np.ndarray:
+    """Speeds as a float array; each pair sum 1/|v_i| + 1/|v_j| must be finite."""
     arr = np.asarray(speeds, dtype=float)
     if arr.ndim != 1:
         raise InvalidParameterError("speeds must be a flat sequence")
@@ -30,15 +31,21 @@ def _check_speeds(speeds) -> np.ndarray:
     if np.any(arr == 0):
         raise InvalidParameterError("speeds must be nonzero")
     with np.errstate(over="ignore"):
-        if not np.all(np.isfinite(1.0 / arr)):
+        inv = 1.0 / np.abs(arr)
+        if not np.all(np.isfinite(inv)):
             raise InvalidParameterError("speeds must have a finite reciprocal 1/|v|")
+        if arr.size > 1 and not np.isfinite(np.sum(np.sort(inv)[-2:])):
+            raise InvalidParameterError(
+                "speeds must have finite pair sums 1/|v_i| + 1/|v_j|"
+            )
     return arr
 
 
 def alpha_matrix(speeds) -> np.ndarray:
     """Symmetric matrix of pairwise inverse-speed sums, zero diagonal."""
     inv = 1.0 / np.abs(_check_speeds(speeds))
-    a = inv[:, None] + inv[None, :]
+    with np.errstate(over="ignore"):  # only the diagonal, zeroed below, can overflow
+        a = inv[:, None] + inv[None, :]
     np.fill_diagonal(a, 0.0)
     return a
 
@@ -109,9 +116,7 @@ def optimize_pmf(speeds) -> PmfSolution:
     # non-negative: s is ascending and 1/2 - c_n s_n >= 0
     full[:n] = 0.5 - c[n - 1] * s[:n]
 
-    inv = 1.0 / s
-    a_full = inv[:, None] + inv[None, :]
-    np.fill_diagonal(a_full, 0.0)
+    a_full = alpha_matrix(s)
     marginals = a_full @ full
     active = full > 0.0
     nu = float(marginals[active].mean())

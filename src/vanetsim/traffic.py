@@ -72,10 +72,6 @@ class DiscreteVelocityDist:
     def speeds(self) -> np.ndarray:
         return self._speeds
 
-    @property
-    def probs(self) -> np.ndarray:
-        return np.array([c.p for c in self.classes])
-
     def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw n (velocity, class index) pairs."""
         idx = np.searchsorted(self._cum_p, rng.random(n), side="right")
@@ -202,28 +198,6 @@ class Scenario:
         return min(
             min(abs(a), abs(b)) for (a, b), w in zip(vel.bands, vel.weights) if w > 0
         )
-
-    def max_travel_time(self) -> float:
-        return self.d / self.min_speed()
-
-
-@dataclass(frozen=True)
-class DerivedClassQuantities:
-    """Per-class travel time (signed) and highway density."""
-
-    travel_time: float
-    density: float
-
-
-def class_quantities(scenario: Scenario, m: int) -> DerivedClassQuantities:
-    """Travel time d/v and density lam*p/|v| for class m."""
-    if not scenario.is_discrete:
-        raise InvalidParameterError("class quantities need a discrete distribution")
-    cls = scenario.velocity.classes[m]
-    return DerivedClassQuantities(
-        travel_time=scenario.d / cls.v,
-        density=scenario.lam * cls.p / abs(cls.v),
-    )
 
 
 def sample_velocities(

@@ -12,7 +12,6 @@ from vanetsim import (
     UniformScheme,
     VelocityClass,
     analytic_report,
-    class_quantities,
     expected_download_time,
     expected_encounters,
     expected_packets,
@@ -111,9 +110,10 @@ def test_throughput_times_travel_time_equals_packets():
     for _ in range(200):
         sc = random_discrete_scenario(rng)
         for i, cls in enumerate(sc.velocity.classes):
-            ti = sc.d / cls.v  # signed; the identity carries the sign through
+            ti = sc.d / abs(cls.v)  # reverse classes travel as long as forward ones
             lhs = expected_throughput_class(sc, i) * ti
             assert lhs == pytest.approx(expected_packets(sc, i), rel=1e-12)
+            assert expected_packets(sc, i) >= 0
 
 
 def test_low_density_gain():
@@ -121,8 +121,7 @@ def test_low_density_gain():
     for _ in range(100):
         sc = random_discrete_scenario(rng)
         rows = [
-            (class_quantities(sc, i).density, expected_throughput_class(sc, i))
-            for i in range(sc.velocity.m)
+            (row.density, row.expected_throughput) for row in analytic_report(sc).per_class
         ]
         for rho_i, c_i in rows:
             for rho_j, c_j in rows:
@@ -268,14 +267,33 @@ def test_analytic_report_discrete(twoclass):
     assert report.system_throughput == pytest.approx(
         report.average_throughput * report.mean_cars, rel=1e-12
     )
-    for row in report.per_class:
-        for value in (
-            row.density,
-            row.expected_encounters,
-            row.expected_packets,
-            row.expected_throughput,
-        ):
-            assert math.isfinite(value) and value >= 0
+    reverse = DiscreteVelocityDist((VelocityClass(20.0, 0.5), VelocityClass(-25.0, 0.5)))
+    for sc in (twoclass, replace(twoclass, velocity=reverse)):
+        for row in analytic_report(sc).per_class:
+            for value in (
+                row.density,
+                row.expected_encounters,
+                row.expected_packets,
+                row.expected_throughput,
+            ):
+                assert math.isfinite(value) and value >= 0
+
+
+def test_class_density_values():
+    sc = make_scenario()
+    assert analytic_report(sc).per_class[0].density == pytest.approx(0.0025, abs=0)
+
+
+def test_class_density_reverse_class():
+    dist = DiscreteVelocityDist((VelocityClass(-20.0, 0.5), VelocityClass(25.0, 0.5)))
+    sc = make_scenario(velocity=dist)
+    assert analytic_report(sc).per_class[0].density == pytest.approx(0.0025, abs=0)
+
+
+def test_class_density_empty_class():
+    dist = DiscreteVelocityDist((VelocityClass(20.0, 0.0), VelocityClass(25.0, 1.0)))
+    sc = make_scenario(velocity=dist)
+    assert analytic_report(sc).per_class[0].density == 0.0
 
 
 def test_analytic_report_continuous(uniform2040):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,61 @@ def test_analyze_unknown_key(tmp_path, capsys):
 def test_analyze_missing_file(capsys):
     code, out, err = run(["analyze", "/nonexistent/path.json"], capsys)
     assert code == 2
+
+
+def _class_rows(v0, v1, encounters, packets1):
+    rows = [(v0, 0.0025, 2750.0, 5.5), (v1, 0.002, packets1, 6.75)]
+    return [
+        {
+            "index": i,
+            "v": v,
+            "p": 0.5,
+            "density": density,
+            "expected_encounters": encounters,
+            "expected_packets": packets,
+            "expected_throughput": throughput,
+        }
+        for i, (v, density, packets, throughput) in enumerate(rows)
+    ]
+
+
+_TWOCLASS_RESULTS = {
+    "kind": "discrete",
+    "packet_rate": 50.0,
+    "classes": _class_rows(20.0, 25.0, 5.0, 2700.0),
+    "average_throughput": 6.125,
+    "rho_bar": 0.00225,
+    "mean_cars": 45.0,
+    "system_throughput": 275.625,
+}
+
+# analyze results as printed (9 digits); the reverse class of twodir collects
+# 6.75 pkt/s for d/|v| = 400 s, so 2700 packets
+ANALYZE_GOLDEN = {
+    "twoclass": _TWOCLASS_RESULTS,
+    "twodir": dict(_TWOCLASS_RESULTS, classes=_class_rows(20.0, -25.0, 45.0, 2700.0)),
+    "uniform2040": {
+        "kind": "continuous",
+        "packet_rate": 50.0,
+        "average_throughput": 9.16433976,
+        "mean_inverse_speed": 0.034657359,
+        "mean_cars": 34.657359,
+        "car_density": 0.0034657359,
+        "system_throughput": 317.611813,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_GOLDEN))
+def test_analyze_results_match_recorded_reports(name, twoclass_path, tmp_path, capsys):
+    path = twoclass_path.parent / f"{name}.json"
+    if name == "twodir":
+        doc = json.loads(twoclass_path.read_text())
+        doc["velocity"]["classes"][1]["v"] = -25.0
+        path = write_scenario(tmp_path, doc)
+    code, report = run_json(["analyze", str(path)], capsys)
+    assert code == 0
+    assert report["results"] == ANALYZE_GOLDEN[name]
 
 
 # --- simulate ------------------------------------------------------------------
@@ -227,6 +283,19 @@ def test_optimize_pmf_rejects_speeds_with_overflowing_reciprocal(speeds, capsys)
     assert out == ""
     assert "finite reciprocal" in err
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize("speeds, expected", [("1e-308,1e-308", 2), ("1e-308,2e-308", 0)])
+def test_optimize_pmf_pair_sum_overflow_is_refused_without_warnings(speeds, expected, capsys):
+    # 1/|v| = 1e308 is finite; only 1e308 + 1e308 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["optimize-pmf", "--speeds", speeds], capsys)
+    assert code == expected
+    assert "Warning" not in err
+    if expected == 2:
+        assert out == ""
+        assert "pair sums" in err
 
 
 # --- download-time -----------------------------------------------------------------------

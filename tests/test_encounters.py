@@ -116,6 +116,15 @@ def test_packets_per_encounter_values():
     )
     with pytest.raises(InvalidParameterError):
         packets_per_encounter(20.0, 20.0, 50.0, 100.0)
+    # elementwise on arrays, refused if any pair of speeds is equal
+    partners = np.array([25.0, -20.0, 40.0])
+    packets = packets_per_encounter(20.0, partners, 50.0, 100.0)
+    assert packets.tolist() == [500.0, 62.5, 125.0]
+    assert packets_per_encounter(20.0, np.empty(0), 50.0, 100.0).shape == (0,)
+    with pytest.raises(InvalidParameterError):
+        packets_per_encounter(20.0, np.array([25.0, 20.0, -20.0]), 50.0, 100.0)
+    with pytest.raises(InvalidParameterError):
+        packets_per_encounter(np.array([20.0, 30.0]), np.array([25.0, 30.0]), 50.0, 100.0)
 
 
 def test_infostation_download_values():

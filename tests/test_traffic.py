@@ -11,7 +11,7 @@ from vanetsim import (
     DiscreteVelocityDist,
     Scenario,
     VelocityClass,
-    class_quantities,
+    analytic_report,
     mean_inverse_speed,
     scenario_from_dict,
 )
@@ -164,32 +164,8 @@ def test_stationary_car_count_matches_density():
             np.minimum(times + dwell, horizon) - np.maximum(times, 0.0), 0.0, None
         )
         avg = inside.sum() / horizon
-        expected = class_quantities(sc, c).density * sc.d
+        expected = analytic_report(sc).per_class[c].density * sc.d
         assert avg == pytest.approx(expected, rel=0.02)
-
-
-# --- derived quantities ------------------------------------------------------------
-
-
-def test_class_quantities_values():
-    sc = make_scenario()
-    q = class_quantities(sc, 0)
-    assert q.travel_time == 500.0
-    assert q.density == pytest.approx(0.0025, abs=0)
-
-
-def test_class_quantities_reverse_class():
-    dist = DiscreteVelocityDist((VelocityClass(-20.0, 0.5), VelocityClass(25.0, 0.5)))
-    sc = make_scenario(velocity=dist)
-    q = class_quantities(sc, 0)
-    assert q.travel_time == -500.0
-    assert q.density == pytest.approx(0.0025, abs=0)
-
-
-def test_class_quantities_empty_class():
-    dist = DiscreteVelocityDist((VelocityClass(20.0, 0.0), VelocityClass(25.0, 1.0)))
-    sc = make_scenario(velocity=dist)
-    assert class_quantities(sc, 0).density == 0.0
 
 
 # --- mean inverse speed ----------------------------------------------------------------
