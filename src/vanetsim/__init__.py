@@ -51,7 +51,6 @@ from .fountain import (
     encode_batch,
     packets_needed,
     robust_soliton_pmf,
-    sample_soliton_vector,
     sample_uniform_vector,
     sample_uniform_vectors,
     span_probability,

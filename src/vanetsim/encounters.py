@@ -1,14 +1,15 @@
 """Monte Carlo simulation of an observer's traversals of a highway segment.
 
-An encounter is the trajectory-crossing event: a partner entering at time t
-meets the observer (who enters at time 0 at speed v_i > 0) iff t falls in
-the open interval where both are inside the segment when their positions
-cross. The transmit range enters packet counts and connection times only,
-never the encounter decision itself.
+An encounter is the trajectory-crossing event. The observer enters at time
+0 at speed v_i > 0 and runs x = v_i t; a partner entering at time e runs
+x = v (t - e) from 0 if v > 0, or x = d + v (t - e) from d if v < 0. Their
+paths meet at t = (v e - d [v < 0]) / (v - v_i), and they meet inside the
+segment iff 0 < t < d / v_i. The transmit range enters packet counts and
+connection times only, never the encounter decision itself.
 
 One sampler draws the background traffic of a chunk of trips at once: every
 trip's Poisson arrival count on its lookback window, then all entry times,
-then all velocities, one vectorized crossing test, and each crosser's trip
+then all velocities, one vectorized meeting time, and each crosser's trip
 index. A trip is a chunk of one, and draws what it always drew.
 :func:`monte_carlo_throughput` runs chunks of at most
 :data:`CHUNK_ARRIVALS` expected arrivals, reduces each by trip with
@@ -58,6 +59,9 @@ CHUNK_ARRIVALS = 2**14
 # (8192 packets, 127-137 MB peak RSS) on a 2-core x86-64 KVM guest, and
 # doubling K costs about five times as long.
 MAX_DOWNLOAD_BLOCKS = 8192
+
+# Segments a download may traverse before it gives up without full rank.
+MAX_SEGMENTS = 1000
 
 # A download draws and encodes a batch in pieces of at most BATCH_MARGIN
 # packets more than the k - rank it still needs (uniform vectors need more
@@ -151,28 +155,20 @@ def _arrival_window(scenario: Scenario, ti: float) -> tuple[float, float]:
     return w0, expected
 
 
-def _encounter_mask(
-    entry: np.ndarray, vel: np.ndarray, d: float, ti: float
-) -> np.ndarray:
-    """Vectorized crossing test for arrays of background arrivals."""
-    dwell = d / vel
-    diff = ti - dwell
-    fwd_hit = (entry > np.minimum(0.0, diff)) & (entry < np.maximum(0.0, diff))
-    rev_hit = (entry > -np.abs(dwell)) & (entry < ti)
-    return np.where(vel > 0, fwd_hit, rev_hit)
-
-
 def _crossing_arrivals(
-    scenario: Scenario, ti: float, rng: np.random.Generator, trips: int = 1
+    scenario: Scenario, vi: float, ti: float, rng: np.random.Generator, trips: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Draw the background arrivals of ``trips`` trips; keep the crossers.
 
-    Each trip's arrivals are Poisson on its lookback window up to the
-    observer's travel time ``ti``. The draws are every trip's count, then
-    all entry times, then all velocities, so one trip draws count, entry
-    times, velocities. Returns the crossers' entry times, velocities, class
-    indices (None for continuous velocity distributions) and trip indices
-    in ``0..trips-1`` (None for one trip), with the trips in order.
+    Each trip's arrivals are Poisson on its lookback window up to the travel
+    time ``ti`` of the observer at speed ``vi``. The draws are every trip's
+    count, then all entry times, then all velocities, so one trip draws
+    count, entry times, velocities. An arrival crosses iff its meeting time
+    with the observer (see the module docstring) lies in ``(0, ti)``; a
+    partner at the observer's speed never meets it. Returns the crossers'
+    meeting times, velocities, class indices (None for continuous velocity
+    distributions) and trip indices in ``0..trips-1`` (None for one trip),
+    with the trips in order.
     """
     counts = None
     if scenario.lam > 0:
@@ -185,11 +181,13 @@ def _crossing_arrivals(
         return np.empty(0), np.empty(0), no_class, no_trip
     entry = rng.uniform(w0, ti, n)
     vel, cls = sample_velocities(scenario.velocity, n, rng)
-    mask = _encounter_mask(entry, vel, scenario.d, ti)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        meet = (vel * entry - scenario.d * (vel < 0)) / (vel - vi)
+    mask = (meet > 0) & (meet < ti)
     trip = None
     if trips > 1:
         trip = np.searchsorted(np.cumsum(counts), np.flatnonzero(mask), side="right")
-    return entry[mask], vel[mask], None if cls is None else cls[mask], trip
+    return meet[mask], vel[mask], None if cls is None else cls[mask], trip
 
 
 def simulate_trip(
@@ -202,7 +200,7 @@ def simulate_trip(
     """
     vi, ti = _observer_trip(scenario, observer_velocity)
     r, packet_rate = scenario.r, scenario.packet_rate
-    _, enc_vel, enc_cls, _ = _crossing_arrivals(scenario, ti, rng)
+    _, enc_vel, enc_cls, _ = _crossing_arrivals(scenario, vi, ti, rng)
     packets = packets_per_encounter(vi, enc_vel, packet_rate, r)
     info = infostation_download(vi, packet_rate, r)
     total = info + float(packets.sum())
@@ -238,7 +236,7 @@ def _trip_throughputs(
     chunk = max(1, int(CHUNK_ARRIVALS // max(expected, 1.0)))
     for done in range(0, trials, chunk):
         trips = min(chunk, trials - done)
-        _, vel, _, trip = _crossing_arrivals(scenario, ti, rng, trips)
+        _, vel, _, trip = _crossing_arrivals(scenario, vi, ti, rng, trips)
         packets = packets_per_encounter(vi, vel, packet_rate, r)
         if trip is None:
             yield np.full(1, (info + packets.sum()) / ti)
@@ -284,16 +282,9 @@ def _segment_events(
     scenario: Scenario, vi: float, rng: np.random.Generator
 ) -> list[tuple[float, int]]:
     """Packet batches for one segment: (time offset, whole packets)."""
-    d, r = scenario.d, scenario.r
-    packet_rate = scenario.packet_rate
-    ti = d / vi
+    packet_rate, r = scenario.packet_rate, scenario.r
     events = [(0.0, math.floor(infostation_download(vi, packet_rate, r)))]
-    enc_t, enc_vel, _, _ = _crossing_arrivals(scenario, ti, rng)
-    meet = np.where(
-        enc_vel > 0,
-        enc_vel * enc_t / (enc_vel - vi),
-        (d - enc_vel * enc_t) / (vi - enc_vel),
-    )
+    meet, enc_vel, _, _ = _crossing_arrivals(scenario, vi, scenario.d / vi, rng)
     counts = np.floor(packets_per_encounter(vi, enc_vel, packet_rate, r))
     events.extend((float(t), int(c)) for t, c in zip(meet, counts) if c > 0)
     events.sort()
@@ -306,7 +297,6 @@ def simulate_download_time(
     file: FileSpec,
     scheme: VectorScheme,
     rng: np.random.Generator,
-    segment_cap: int = 1000,
 ) -> tuple[float, int, int]:
     """Event-level download of one file across consecutive segments.
 
@@ -323,7 +313,7 @@ def simulate_download_time(
     the moment the decoder reaches full rank.
 
     Raises :class:`NoProgressError` if the decode is still incomplete after
-    ``segment_cap`` segments (for example with no traffic and a station
+    :data:`MAX_SEGMENTS` segments (for example with no traffic and a station
     batch of zero packets), and :class:`InvalidParameterError` before any
     work for a file of more than :data:`MAX_DOWNLOAD_BLOCKS` blocks.
     """
@@ -333,8 +323,6 @@ def simulate_download_time(
             f"file of {file.k} blocks exceeds the download limit of "
             f"{MAX_DOWNLOAD_BLOCKS} blocks"
         )
-    if segment_cap < 1:
-        raise InvalidParameterError("segment cap must be >= 1")
     sample = vector_batch_sampler(scheme, file.k)
     arr_rng, vec_rng, file_rng = rng.spawn(3)
     # one draw for the file, sliced as k separate rng.bytes(size) draws
@@ -344,7 +332,7 @@ def simulate_download_time(
     blocks = Blocks(file_blocks)
     decoder = DecoderState(file.k)
     received = 0
-    for segment in range(segment_cap):
+    for segment in range(MAX_SEGMENTS):
         for offset, count in _segment_events(scenario, vi, arr_rng):
             while count:
                 n = min(count, file.k - decoder.rank + BATCH_MARGIN, MAX_BATCH)
@@ -361,5 +349,5 @@ def simulate_download_time(
                             )
                         return segment * ti + offset, received, segment + 1
     raise NoProgressError(
-        f"decode rank {decoder.rank}/{file.k} after {segment_cap} segments"
+        f"decode rank {decoder.rank}/{file.k} after {MAX_SEGMENTS} segments"
     )

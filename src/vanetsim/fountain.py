@@ -3,8 +3,8 @@
 Encoding vectors are bit strings of length ``k`` packed into Python ints
 (bit ``i`` is the coefficient of block ``i``), so vector arithmetic is
 whole-word XOR. A batch of vectors is a ``count x ceil(k / 8)`` ``uint8``
-matrix of the same bits, LSB-first; the batch samplers draw it in one go,
-and the single-vector samplers draw a batch of one. A file's blocks are
+matrix of the same bits, LSB-first. Vectors are drawn as such batches
+(:func:`sample_uniform_vector` is a batch of one). A file's blocks are
 checked once and held as a ``k x size`` ``uint8`` matrix (:class:`Blocks`),
 together with XOR tables of its 4-row groups built on first use.
 :func:`encode_batch` computes a batch's payloads as one GF(2) product over
@@ -58,10 +58,6 @@ class EncodingVector:
             raise InvalidParameterError("vector length k must be >= 1")
         if not 0 <= self.bits < (1 << self.k):
             raise InvalidParameterError("bits outside the k-bit range")
-
-    @property
-    def degree(self) -> int:
-        return self.bits.bit_count()
 
 
 @dataclass(frozen=True)
@@ -158,17 +154,13 @@ def sample_uniform_vectors(k: int, count: int, rng: np.random.Generator) -> np.n
     return vectors
 
 
-def _vector(packed: np.ndarray, k: int) -> EncodingVector:
-    """The vector of one packed row."""
-    return EncodingVector(int.from_bytes(packed.tobytes(), "little"), k)
-
-
 def sample_uniform_vector(k: int, rng: np.random.Generator) -> EncodingVector:
     """Draw each coefficient independently with probability 1/2.
 
     The all-zero vector is a legal sample.
     """
-    return _vector(sample_uniform_vectors(k, 1, rng)[0], k)
+    packed = sample_uniform_vectors(k, 1, rng)
+    return EncodingVector(int.from_bytes(packed.tobytes(), "little"), k)
 
 
 def vector_batch_sampler(
@@ -198,17 +190,6 @@ def vector_batch_sampler(
 
         return sample
     raise InvalidParameterError(f"unknown scheme: {scheme!r}")
-
-
-def vector_sampler(scheme: VectorScheme, k: int) -> Callable[[np.random.Generator], EncodingVector]:
-    """Bind a scheme to a vector length: a batch sampler drawing one vector."""
-    sample = vector_batch_sampler(scheme, k)
-    return lambda rng: _vector(sample(rng, 1)[0], k)
-
-
-def sample_soliton_vector(k: int, params: SolitonParams, rng: np.random.Generator) -> EncodingVector:
-    """Draw a vector whose degree follows the robust soliton distribution."""
-    return vector_sampler(LtScheme(params), k)(rng)
 
 
 def _xor_tables(rows: np.ndarray, width: int) -> np.ndarray:
@@ -274,9 +255,7 @@ class Blocks(Sequence[bytes]):
     def __len__(self) -> int:
         return len(self.matrix)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [row.tobytes() for row in self.matrix[i]]
+    def __getitem__(self, i: int) -> bytes:
         return self.matrix[i].tobytes()
 
 
@@ -418,31 +397,6 @@ class DecoderState:
     @property
     def rank(self) -> int:
         return len(self._payloads)
-
-    def rows(self) -> list[tuple[int, int, int]]:
-        """Fully reduced (pivot, vector bits, payload bits), for inspection.
-
-        Every vector has a 1 at its own pivot and 0 at every other pivot;
-        the payload (big-endian bits) is the same combination of packets.
-        """
-        reduced: dict[int, int] = {}
-        for piv in reversed(range(self.k)):
-            row = self._rows[piv]
-            if row is not None:
-                for other, done in reduced.items():
-                    if (row >> other) & 1:
-                        row ^= done
-                reduced[piv] = row
-        mask = (1 << self.k) - 1
-        payloads = [int.from_bytes(p, "big") for p in self._payloads]
-        out = []
-        for piv, row in sorted(reduced.items()):
-            tag, pay = row >> self._tag_shift, 0
-            for i, p in enumerate(payloads):
-                if (tag >> i) & 1:
-                    pay ^= p
-            out.append((piv, row & mask, pay))
-        return out
 
     def receive(self, packet: Packet) -> bool:
         """Fold one packet into the basis; True iff it raised the rank."""

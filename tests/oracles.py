@@ -1,9 +1,11 @@
 """Per-arrival reference implementations that the vectorized code is tested against.
 
 ``generate_arrivals`` draws Poisson arrivals on a window as records, and
-``encounter_of`` decides one arrival's crossing with the observer by the
-closed-form meeting time. The library draws and thins arrivals in whole
-arrays instead; these loops state the same model one vehicle at a time.
+``encounter_of`` decides one arrival's crossing with the observer from its
+entry time and gives the meeting time. The library draws and thins
+arrivals in whole arrays instead; these loops state the same model one
+vehicle at a time. ``reduced_rows`` reads a decoder's basis in fully
+reduced form, for comparison with a reference decoder.
 """
 
 from __future__ import annotations
@@ -87,3 +89,30 @@ def encounter_of(
         connection_time=r / rel,
         packets_received=packet_rate * r / (2.0 * rel),
     )
+
+
+def reduced_rows(state) -> list[tuple[int, int, int]]:
+    """Fully reduced (pivot, vector bits, payload bits) of a ``DecoderState``.
+
+    Every vector has a 1 at its own pivot and 0 at every other pivot; the
+    payload (big-endian bits) is the same combination of packets.
+    """
+    k = state.k
+    reduced: dict[int, int] = {}
+    for piv in reversed(range(k)):
+        row = state._rows[piv]
+        if row is not None:
+            for other, done in reduced.items():
+                if (row >> other) & 1:
+                    row ^= done
+            reduced[piv] = row
+    mask, tag_shift = (1 << k) - 1, 8 * ((k + 7) // 8)
+    payloads = [int.from_bytes(p, "big") for p in state._payloads]
+    out = []
+    for piv, row in sorted(reduced.items()):
+        tag, pay = row >> tag_shift, 0
+        for i, p in enumerate(payloads):
+            if (tag >> i) & 1:
+                pay ^= p
+        out.append((piv, row & mask, pay))
+    return out

@@ -33,7 +33,7 @@ from vanetsim.errors import (
     InvalidParameterError,
     NoProgressError,
 )
-from vanetsim.fountain import vector_sampler
+from vanetsim.fountain import EncodingVector, vector_batch_sampler
 from vanetsim.traffic import ContinuousVelocityDist
 
 from oracles import ArrivalRecord, encounter_of
@@ -268,7 +268,7 @@ TWO_BAND_MIX = ContinuousVelocityDist(((20.0, 40.0), (-40.0, -20.0)), (0.7, 0.3)
 def oracle_trips(scenario, observer, trips, rng):
     """Replay a chunk's draws and decide every arrival with ``encounter_of``.
 
-    Returns, per trip, the crossers as (entry time, velocity, class index)
+    Returns, per trip, the crossers as (meeting time, velocity, class index)
     and the exchanged packets.
     """
     ti = scenario.d / observer
@@ -284,7 +284,7 @@ def oracle_trips(scenario, observer, trips, rng):
             arrival = ArrivalRecord(float(entry[j]), float(vel[j]), index)
             ev = encounter_of(observer, arrival, scenario.d, scenario.r, scenario.packet_rate)
             if ev is not None:
-                crossers.append((arrival.entry_time, arrival.v, index))
+                crossers.append((ev.meeting_time, arrival.v, index))
                 packets.append(ev.packets_received)
         out.append((crossers, math.fsum(packets)))
     return out
@@ -298,8 +298,8 @@ def test_batch_matches_per_arrival_oracle(monkeypatch, velocity, observer, trips
     sc = make_scenario(velocity=velocity)
     ti = sc.d / observer
     expected = oracle_trips(sc, observer, trips, np.random.default_rng(trips))
-    entry, vel, cls, trip = encounters._crossing_arrivals(
-        sc, ti, np.random.default_rng(trips), trips
+    meet, vel, cls, trip = encounters._crossing_arrivals(
+        sc, observer, ti, np.random.default_rng(trips), trips
     )
     if trips == 1:
         assert trip is None
@@ -307,7 +307,7 @@ def test_batch_matches_per_arrival_oracle(monkeypatch, velocity, observer, trips
     for t, (crossers, _) in enumerate(expected):
         mine = trip == t
         classes = [None] * int(mine.sum()) if cls is None else cls[mine].tolist()
-        assert list(zip(entry[mine].tolist(), vel[mine].tolist(), classes)) == crossers
+        assert list(zip(meet[mine].tolist(), vel[mine].tolist(), classes)) == crossers
     # the chunk's per-trip throughputs, reduced by trip
     _, one_trip = encounters._arrival_window(sc, ti)
     monkeypatch.setattr(encounters, "CHUNK_ARRIVALS", (trips + 0.5) * one_trip)
@@ -433,9 +433,9 @@ def test_download_single_block_decodes_at_first_nonzero_packet():
 def test_download_without_supply_raises_no_progress():
     # floor(packet_rate * r / v) = 0 and no traffic: nothing ever arrives
     sc = make_scenario(lam=0.0, r=0.2)
-    with pytest.raises(NoProgressError):
+    with pytest.raises(NoProgressError, match="after 1000 segments"):
         simulate_download_time(
-            sc, 20.0, FileSpec(4, 8), UniformScheme(), np.random.default_rng(0), segment_cap=5
+            sc, 20.0, FileSpec(4, 8), UniformScheme(), np.random.default_rng(0)
         )
 
 
@@ -480,7 +480,7 @@ def test_download_time_tracks_projection_over_many_segments():
 def reference_download(scenario, observer, file, scheme, rng):
     """Per-packet oracle: one vector draw and one encode for every packet."""
     ti = scenario.d / observer
-    sample = vector_sampler(scheme, file.k)
+    sample = vector_batch_sampler(scheme, file.k)
     arr_rng, vec_rng, file_rng = rng.spawn(3)
     blocks = Blocks([file_rng.bytes(file.block_bytes) for _ in range(file.k)])
     decoder = DecoderState(file.k)
@@ -489,7 +489,9 @@ def reference_download(scenario, observer, file, scheme, rng):
         for offset, count in _segment_events(scenario, observer, arr_rng):
             for _ in range(count):
                 received += 1
-                decoder.receive(encode(blocks, sample(vec_rng)))
+                packed = sample(vec_rng, 1)  # a batch of one
+                vector = EncodingVector(int.from_bytes(packed.tobytes(), "little"), file.k)
+                decoder.receive(encode(blocks, vector))
                 if decoder.rank == file.k:
                     assert decoder.try_decode() == list(blocks)
                     return segment * ti + offset, received, segment + 1

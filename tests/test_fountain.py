@@ -18,7 +18,6 @@ from vanetsim import (
     encode_batch,
     packets_needed,
     robust_soliton_pmf,
-    sample_soliton_vector,
     sample_uniform_vector,
     sample_uniform_vectors,
     span_probability,
@@ -26,7 +25,14 @@ from vanetsim import (
 )
 from vanetsim import fountain
 from vanetsim.errors import InvalidParameterError
-from vanetsim.fountain import vector_sampler
+
+from oracles import reduced_rows
+
+
+def draw_vector(scheme, k: int, rng: np.random.Generator) -> EncodingVector:
+    """One vector from the scheme's batch sampler: a batch of one."""
+    packed = vector_batch_sampler(scheme, k)(rng, 1)
+    return EncodingVector(int.from_bytes(packed.tobytes(), "little"), k)
 
 
 def reference_rank(vectors: list[int]) -> int:
@@ -130,14 +136,15 @@ def test_soliton_degree_one_frequency_matches_table():
     expected_mu1 = reference_soliton_table(10, 0.1, 0.5)[0]
     rng = np.random.default_rng(5)
     n = 100_000
-    hits = sum(1 for _ in range(n) if sample_soliton_vector(10, params, rng).degree == 1)
+    lt = LtScheme(params)
+    hits = sum(1 for _ in range(n) if draw_vector(lt, 10, rng).bits.bit_count() == 1)
     assert abs(hits / n - expected_mu1) <= 0.01
 
 
 def test_soliton_degrees_stay_in_range():
     params = SolitonParams(c=0.2, delta=0.3, epsilon=0.1)
     rng = np.random.default_rng(11)
-    degrees = [sample_soliton_vector(12, params, rng).degree for _ in range(2_000)]
+    degrees = [draw_vector(LtScheme(params), 12, rng).bits.bit_count() for _ in range(2_000)]
     assert min(degrees) >= 1
     assert max(degrees) <= 12
 
@@ -145,8 +152,8 @@ def test_soliton_degrees_stay_in_range():
 def test_soliton_sampling_deterministic_under_seed():
     params = SolitonParams(c=0.1, delta=0.5, epsilon=0.5)
     rng1, rng2 = np.random.default_rng(42), np.random.default_rng(42)
-    a = [sample_soliton_vector(10, params, rng1).bits for _ in range(30)]
-    b = [sample_soliton_vector(10, params, rng2).bits for _ in range(30)]
+    a = [draw_vector(LtScheme(params), 10, rng1).bits for _ in range(30)]
+    b = [draw_vector(LtScheme(params), 10, rng2).bits for _ in range(30)]
     assert a == b
 
 
@@ -168,8 +175,8 @@ def test_batched_lt_draw_equals_per_vector_draws(k):
     vectors = sample(batched, 20)
     assert vectors.shape == (20, (k + 7) // 8)
     assert packed_bits(vectors) == [reference_lt_bits(k, cdf, separate) for _ in range(20)]
-    assert vector_sampler(LtScheme(params), k)(batched).bits == reference_lt_bits(k, cdf, separate)
-    assert sample_soliton_vector(k, params, batched).bits == reference_lt_bits(k, cdf, separate)
+    assert draw_vector(LtScheme(params), k, batched).bits == reference_lt_bits(k, cdf, separate)
+    assert packed_bits(sample(batched, 1)) == [reference_lt_bits(k, cdf, separate)]
     assert batched.bit_generator.state == separate.bit_generator.state
 
 
@@ -177,7 +184,7 @@ def test_soliton_spike_out_of_range_rejected():
     # c*sqrt(k)*ln(k/delta) = 41.6 >= k = 4
     params = SolitonParams(c=10.0, delta=0.5, epsilon=0.5)
     with pytest.raises(InvalidParameterError):
-        sample_soliton_vector(4, params, np.random.default_rng(0))
+        draw_vector(LtScheme(params), 4, np.random.default_rng(0))
 
 
 def test_soliton_params_validation():
@@ -263,7 +270,6 @@ def test_blocks_is_a_sequence_of_the_original_bytes():
     assert len(prepared) == 3
     assert list(prepared) == blocks
     assert prepared[0] == b"\x01\x02" and prepared[-1] == b"\x05\x06"
-    assert prepared[1:] == blocks[1:]
     assert prepared.matrix.shape == (3, 2)
 
 
@@ -344,11 +350,11 @@ def test_rank_matches_reference_and_stays_reduced():
         assert state.rank == reference_rank(seen)
         assert prev_rank <= state.rank <= k
         prev_rank = state.rank
-        pivots = [row[0] for row in state.rows()]
+        pivots = [row[0] for row in reduced_rows(state)]
         assert len(set(pivots)) == len(pivots) == state.rank
-        for piv, vbits, _ in state.rows():
+        for piv, vbits, _ in reduced_rows(state):
             assert (vbits >> piv) & 1
-            for other, _, _ in state.rows():
+            for other, _, _ in reduced_rows(state):
                 if other != piv:
                     assert not (vbits >> other) & 1
 
@@ -432,14 +438,14 @@ class ReferenceDecoder:
 
 def mixed_vectors(k: int, rng: np.random.Generator):
     """Endless stream mixing uniform, LT, zero and repeated vectors."""
-    lt = vector_sampler(LtScheme(SolitonParams(0.1, 0.5, 0.01)), k)
+    lt = LtScheme(SolitonParams(0.1, 0.5, 0.01))
     seen: list[EncodingVector] = []
     while True:
         kind = rng.random()
         if kind < 0.4:
             vec = sample_uniform_vector(k, rng)
         elif kind < 0.7:
-            vec = lt(rng)
+            vec = draw_vector(lt, k, rng)
         elif kind < 0.8 or not seen:
             vec = EncodingVector(0, k)
         else:
@@ -462,12 +468,12 @@ def test_decoder_matches_reference_decoder(k, size):
         assert state.receive(packet) == oracle.receive(packet)
         assert state.rank == oracle.rank
         if k <= 9:
-            assert state.rows() == oracle.rows()
+            assert reduced_rows(state) == oracle.rows()
         if state.rank < k:
             assert state.try_decode() == oracle.try_decode() == NotYetDecodable(state.rank)
         else:
             extra -= 1
-    assert state.rows() == oracle.rows()
+    assert reduced_rows(state) == oracle.rows()
     decoded = state.try_decode()
     assert decoded == oracle.try_decode() == blocks
     assert state.try_decode() == decoded

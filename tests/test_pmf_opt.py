@@ -117,6 +117,13 @@ def test_reduced_hessian_needs_two_classes():
         reduced_hessian([20.0])
 
 
+@pytest.mark.parametrize("speeds", [[20.0, 1e-308], [1e-308, 20.0, 30.0]])
+def test_reduced_hessian_refuses_an_overflowing_entry(speeds):
+    # 1/|v| = 1e308 is finite, but the entry -2/|v| overflows
+    with pytest.raises(InvalidParameterError, match="Hessian is not finite"):
+        reduced_hessian(speeds)
+
+
 # --- optimizer -----------------------------------------------------------------------
 
 
