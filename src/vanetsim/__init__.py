@@ -46,7 +46,6 @@ from .fountain import (
     Packet,
     SolitonParams,
     UniformScheme,
-    batch_packets,
     encode,
     encode_batch,
     packets_needed,

@@ -374,6 +374,15 @@ def _render(report: dict, fmt: str) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one command; exit 2 on bad input, 3 on a numerical or internal failure."""
+    try:
+        return _run(argv)
+    except Exception as exc:  # a traceback's exit 1 would read as a statistical mismatch
+        print(f"error: internal failure: {exc!r}", file=sys.stderr)
+        return EXIT_NUMERICAL
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -382,13 +391,14 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         digest, seed, results, code = _COMMANDS[args.command](args)
-    except (
-        SchemaError, InvalidParameterError, FileNotFoundError, IsADirectoryError
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except UnicodeDecodeError as exc:
+        print(f"error: scenario file is not UTF-8: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (SchemaError, InvalidParameterError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NumericalError, NoProgressError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -406,7 +416,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
     return code

@@ -34,7 +34,6 @@ from .fountain import (
     DecoderState,
     FileSpec,
     VectorScheme,
-    batch_packets,
     encode,  # noqa: F401  (perfbench/tracing.py wraps encounters.encode by name)
     encode_batch,
     vector_batch_sampler,
@@ -55,20 +54,18 @@ MAX_EXPECTED_ARRIVALS = 1e7
 CHUNK_ARRIVALS = 2**14
 
 # Largest file, in blocks, that simulate_download_time accepts. Decode cost
-# grows about as K^2.4: one K=8192 download of 64-bit blocks took 39-47 s
-# (8192 packets, 127-137 MB peak RSS) on a 2-core x86-64 KVM guest, and
-# doubling K costs about five times as long.
+# grows about as K^2.4: one K=8192 download of 64-bit blocks took 1.7-2.8 s
+# (8192-8195 packets, 101 MB peak RSS) on a 2-core x86-64 KVM guest whose
+# speed drifts by up to 2x, and one at K=4096 took 0.33-0.54 s.
 MAX_DOWNLOAD_BLOCKS = 8192
 
 # Segments a download may traverse before it gives up without full rank.
 MAX_SEGMENTS = 1000
 
-# A download draws and encodes a batch in pieces of at most BATCH_MARGIN
-# packets more than the k - rank it still needs (uniform vectors need more
-# than 8 extra with probability below 2**-8), and at most MAX_BATCH packets:
-# its vectors and table indices take about k / 2 bytes per packet.
+# A download draws a batch in pieces that keep the packets it holds at most
+# BATCH_MARGIN more than the k - rank it still needs (uniform vectors need
+# more than 8 extra with probability below 2**-8).
 BATCH_MARGIN = 8
-MAX_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -303,14 +300,18 @@ def simulate_download_time(
     Each segment starts with a roadside-station batch of
     floor(packet_rate*r/v) packets; each encounter delivers its whole-packet
     count at the crossing time. Every packet carries an independently
-    sampled encoding vector. A batch is drawn and encoded as a unit (in
-    pieces of at most ``MAX_BATCH`` and ``k - rank + BATCH_MARGIN``
-    packets): one draw of its vectors and one
-    :func:`~vanetsim.fountain.encode_batch` product. Its packets then reach
-    the decoder one by one, in arrival order. The vectors, and so every
-    result, are those of one draw per packet. Returns (travel time
-    consumed, packets received, segments fully or partially traversed) at
-    the moment the decoder reaches full rank.
+    sampled encoding vector. The rank grows by at most one a packet, so it
+    cannot reach k before ``k - rank`` more packets are in hand. Vectors are
+    drawn in pieces, each recorded with its segment and offset, and held
+    until they number ``k - rank``; then they are encoded with one
+    :func:`~vanetsim.fountain.encode_batch` product and folded into the
+    decoder as one batch. The first fold thus holds the first k packets (up
+    to ``BATCH_MARGIN`` more from the same batch), and later folds hold a
+    piece or a few. The decoder's innovative flags are those of one packet
+    at a time, so the packet that completes the decode is the k-th
+    innovative one, and every result is that of one draw and one fold per
+    packet. Returns (travel time consumed, packets received, segments fully
+    or partially traversed) at the moment the decoder reaches full rank.
 
     Raises :class:`NoProgressError` if the decode is still incomplete after
     :data:`MAX_SEGMENTS` segments (for example with no traffic and a station
@@ -331,23 +332,35 @@ def simulate_download_time(
     file_blocks = [raw[i : i + size] for i in range(0, len(raw), stride)]
     blocks = Blocks(file_blocks)
     decoder = DecoderState(file.k)
-    received = 0
+    received = waiting = 0
+    held: list[tuple[np.ndarray, int, float]] = []  # drawn, waiting to be folded
     for segment in range(MAX_SEGMENTS):
         for offset, count in _segment_events(scenario, vi, arr_rng):
             while count:
-                n = min(count, file.k - decoder.rank + BATCH_MARGIN, MAX_BATCH)
+                n = min(count, file.k - decoder.rank + BATCH_MARGIN - waiting)
                 count -= n
-                vectors = sample(vec_rng, n)
-                for packet in batch_packets(vectors, encode_batch(blocks, vectors), file.k):
-                    received += 1
-                    decoder.receive(packet)
-                    if decoder.rank == file.k:
-                        decoded = decoder.try_decode()
-                        if decoded != file_blocks:
-                            raise InternalInconsistencyError(
-                                "decoded blocks disagree with the encoded file"
-                            )
-                        return segment * ti + offset, received, segment + 1
+                received += n
+                waiting += n
+                held.append((sample(vec_rng, n), segment, offset))
+                if waiting < file.k - decoder.rank:
+                    continue  # the rank grows by at most one a packet
+                vectors = np.concatenate([v for v, _, _ in held])
+                innovative = decoder.receive_batch(vectors, encode_batch(blocks, vectors))
+                if decoder.rank == file.k:
+                    last = int(np.flatnonzero(innovative)[-1])
+                    ends = np.cumsum([len(v) for v, _, _ in held])
+                    _, at_segment, at_offset = held[int(np.searchsorted(ends, last, side="right"))]
+                    if decoder.try_decode() != file_blocks:
+                        raise InternalInconsistencyError(
+                            "decoded blocks disagree with the encoded file"
+                        )
+                    done = received - waiting + last + 1
+                    return at_segment * ti + at_offset, done, at_segment + 1
+                held.clear()
+                waiting = 0
+    if held:  # report the rank of every packet received
+        vectors = np.concatenate([v for v, _, _ in held])
+        decoder.receive_batch(vectors, encode_batch(blocks, vectors))
     raise NoProgressError(
         f"decode rank {decoder.rank}/{file.k} after {MAX_SEGMENTS} segments"
     )

@@ -1,24 +1,29 @@
 """Rateless XOR coding over GF(2).
 
 Encoding vectors are bit strings of length ``k`` packed into Python ints
-(bit ``i`` is the coefficient of block ``i``), so vector arithmetic is
-whole-word XOR. A batch of vectors is a ``count x ceil(k / 8)`` ``uint8``
-matrix of the same bits, LSB-first. Vectors are drawn as such batches
-(:func:`sample_uniform_vector` is a batch of one). A file's blocks are
-checked once and held as a ``k x size`` ``uint8`` matrix (:class:`Blocks`),
-together with XOR tables of its 4-row groups built on first use.
-:func:`encode_batch` computes a batch's payloads as one GF(2) product over
-those tables (the "method of four Russians"), and :func:`encode` is a batch
-of one. The decoder tracks rank on the vectors alone, in an echelon basis
-whose rows also name the innovative packets they combine, and keeps those
-packets' payloads as bytes. It solves for the blocks once, at full rank,
-with 8-row XOR tables.
+(bit ``i`` is the coefficient of block ``i``). A batch of vectors is a
+``count x ceil(k / 8)`` ``uint8`` matrix of the same bits, LSB-first.
+Vectors are drawn as such batches (:func:`sample_uniform_vector` is a batch
+of one). A file's blocks are checked once and held as a ``k x size``
+``uint8`` matrix (:class:`Blocks`), together with XOR tables of its 4-row
+groups built on first use. :func:`encode_batch` computes a batch's payloads
+as one GF(2) product over those tables (the "method of four Russians"), and
+:func:`encode` is a batch of one.
+
+The decoder folds batches of packets into a reduced echelon basis of packed
+``[vector | tag]`` rows, whose tags name the packets each row combines. One
+Gauss–Jordan kernel does the elimination, 8 columns at a time with one XOR
+table per block, after Albrecht and Bard's M4RI. Its pivots are the
+earliest rows that raise the rank, so a batch's innovative packets are
+those of one packet at a time. At full rank the tags are the inverse of the
+innovative packets' vectors, and the blocks are one more 4-row-table
+product, of the tags with the kept payloads.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -195,33 +200,52 @@ def vector_batch_sampler(
 def _xor_tables(rows: np.ndarray, width: int) -> np.ndarray:
     """XOR tables of the consecutive ``width``-row groups of ``rows``.
 
-    ``width`` is 4 or 8. Entry ``[g, c]`` of the ``ceil(n / width) x
-    2**width x size`` result is the XOR of the rows ``width * g + i`` whose
-    bit ``i`` is set in ``c``; a short last group acts as if padded with
-    zero rows. The 4-row tables of all groups are built together, in four
-    vectorised XOR steps, and an 8-row table is the outer XOR of the tables
-    of its two halves. A table replaces up to ``width`` row XORs by one
-    lookup per target row: the "method of four Russians" of Albrecht and
-    Bard's M4RI library.
+    Entry ``[g, c]`` of the ``ceil(n / width) x 2**width x size`` result is
+    the XOR of the rows ``width * g + i`` whose bit ``i`` is set in ``c``; a
+    short last group acts as if padded with zero rows. The tables of all
+    groups are built together, one vectorised XOR step per row of a group,
+    each step doubling the entries built so far. A table replaces up to
+    ``width`` row XORs by one lookup per target row: the "method of four
+    Russians" of Albrecht and Bard's M4RI library.
     """
     n, size = rows.shape
     if n % width:
         rows = np.concatenate((rows, np.zeros((-n % width, size), dtype=np.uint8)))
-    quads = rows.reshape(-1, 4, 1, size)
-    tables = np.empty((len(quads), 16, size), dtype=np.uint8)
+    groups = rows.reshape(-1, width, 1, size)
+    tables = np.empty((len(groups), 1 << width, size), dtype=np.uint8)
     tables[:, 0] = 0
-    for i in range(4):
-        np.bitwise_xor(tables[:, : 1 << i], quads[:, i], out=tables[:, 1 << i : 2 << i])
-    if width == 8:
-        # entry 16 * h + l: entry h of the upper half's table ^ entry l of the lower's
-        tables = (tables[1::2, :, None] ^ tables[0::2, None, :]).reshape(-1, 256, size)
+    for i in range(width):
+        np.bitwise_xor(tables[:, : 1 << i], groups[:, i], out=tables[:, 1 << i : 2 << i])
     return tables
 
 
-def _table_product(digits: np.ndarray, tables: np.ndarray, out: np.ndarray) -> None:
-    """XOR entry ``digits[p, g]`` of ``tables[g]`` into ``out[p]``, for every group ``g``."""
+def _product(packed: np.ndarray, tables: Iterable[np.ndarray], out: np.ndarray) -> None:
+    """XOR into ``out`` the GF(2) product of a packed bit matrix with some rows.
+
+    Bit ``j`` (LSB-first) of row ``p`` of ``packed`` selects row ``j`` of the
+    matrix whose 4-row XOR tables ``tables`` yields in group order; their
+    XOR goes into ``out[p]``. The product takes one table lookup per 4-bit
+    digit.
+    """
+    count, nbytes = packed.shape
+    digits = np.stack((packed & 0x0F, packed >> 4), axis=-1).reshape(count, 2 * nbytes)
     for g, table in enumerate(tables):
         out ^= table.take(digits[:, g].astype(np.intp), axis=0)
+
+
+# Bytes of 4-row XOR tables that a decoder's products build at a time (the
+# tables take four times the rows they cover). Building all of a K=256,
+# 1 KiB decode's 1 MiB at once raised a download's peak heap enough that the
+# allocator handed memory back to the system after every download and took
+# it back page by page: about 850 page faults and 0.7 ms per download.
+_TABLE_BYTES = 1 << 18
+
+
+def _chunked_tables(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """The 4-row XOR tables of ``rows``, at most ``_TABLE_BYTES`` built at a time."""
+    step = 4 * max(1, _TABLE_BYTES // (64 * rows.shape[1]))
+    for lo in range(0, len(rows), step):
+        yield from _xor_tables(rows[lo : lo + step], 4)
 
 
 class Blocks(Sequence[bytes]):
@@ -271,22 +295,9 @@ def encode_batch(blocks: Blocks, vectors: np.ndarray) -> np.ndarray:
         raise InvalidParameterError(
             f"packed vectors of {nbytes} bytes do not fit {len(blocks)} blocks"
         )
-    digits = np.stack((vectors & 0x0F, vectors >> 4), axis=-1).reshape(len(vectors), 2 * nbytes)
     out = np.zeros((len(vectors), blocks.matrix.shape[1]), dtype=np.uint8)
-    _table_product(digits, blocks.tables, out)
+    _product(vectors, blocks.tables, out)
     return out
-
-
-def batch_packets(vectors: np.ndarray, payloads: np.ndarray, k: int) -> Iterator[Packet]:
-    """The packets of a packed batch of length-``k`` vectors and their payloads.
-
-    Packets come in row order, each built only when it is consumed.
-    """
-    nbytes, size = vectors.shape[1], payloads.shape[1]
-    bits, data = vectors.tobytes(), payloads.tobytes()
-    for p in range(len(vectors)):
-        vector = EncodingVector(int.from_bytes(bits[p * nbytes : (p + 1) * nbytes], "little"), k)
-        yield Packet(vector, data[p * size : (p + 1) * size])
 
 
 def encode(blocks: Sequence[bytes], vector: EncodingVector) -> Packet:
@@ -314,125 +325,168 @@ class NotYetDecodable:
     rank: int
 
 
-# Bytes of 8-row XOR tables that _gf2_product builds at a time. The tables
-# take 32 times the rows they cover, 8 MiB for 256 blocks of 1 KiB; chunks
-# keep a decode's peak memory near that of one table per group.
-_PRODUCT_TABLE_BYTES = 1 << 18
+# Bit j of entry d: bit j of the byte d.
+_BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint8)
 
 
-def _back_substitute(rows: list[int], k: int) -> np.ndarray:
-    """Tags of unit upper-triangular rows after back-substitution.
+def _gauss_jordan(rows: np.ndarray, first: int, taken: list[int]):
+    """Gauss–Jordan elimination of packed ``[vector | tag]`` rows, in place.
 
-    The first ``k`` bits (LSB-first) of ``rows[p]`` have their lowest set
-    bit at column ``p``; a tag starts at bit ``8 * ceil(k / 8)``. Returns
-    the ``k x ceil(k / 8)`` packed tags that remain once every row is
-    reduced to its unit vector, that is the tag matrix multiplied by the
-    inverse of the triangle. The rows of each 8-column group are first
-    reduced among themselves as ints. Then, last group first, one 8-row
-    table lookup per earlier row, indexed by its bits in the group's
-    columns, adds the group's tags to it. Those bits need no update on the
-    way: the rows added before the group's turn belong to groups further
-    right, which have no bits in its columns. Each group's table is built
-    from tags that the groups after it have just updated, so the tables
-    are built one at a time.
+    Each row of ``rows`` holds ``nbytes = len(taken)`` bytes of vector and
+    as many of tag. The rows from ``first`` on are free, in arrival order:
+    they may still become pivots, and every row before them already is one.
+    Bit ``c % 8`` of ``taken[c // 8]`` marks column ``c`` as a pivot
+    column, or as padding past the vector length. The rows reach reduced
+    echelon form, pivots at their lowest set bit, 8 columns at a time:
+
+    - In a block, the new pivot rows are the earliest free rows, in arrival
+      order, whose digits (the block's byte) are independent. Greedy
+      insertion of the free digits into a reduced basis finds them, and
+      each names itself in its tag by its pivot column.
+    - One table of the XORs of the block's pivot rows, indexed through the
+      digit itself, clears the block's pivot columns from every other row.
+
+    A free row is only ever XORed with pivot rows that arrived before it, so
+    it ends at zero exactly when it lies in the span of the rows before it:
+    the new pivots are the rows that raise the rank, the row rank profile of
+    Dumas, Pernet and Sultan (ISSAC 2013). Table rows are zero in vector
+    bytes left of the block. With no stored pivots (``first`` 0) they are
+    also zero in tag bytes past the block, as a tag names only pivot columns
+    found so far. Only the bytes between are XORed. Returns the new pivots'
+    rows and columns, and updates ``taken``.
     """
-    rows = list(rows)
-    for lo in range(0, k, 8):
-        hi = min(lo + 8, k)
-        for i in range(hi - 2, lo - 1, -1):
-            for j in range(i + 1, hi):
-                if (rows[i] >> j) & 1:
-                    rows[i] ^= rows[j]
-    nbytes = (k + 7) // 8
-    packed = np.frombuffer(
-        b"".join(row.to_bytes(2 * nbytes, "little") for row in rows), dtype=np.uint8
-    ).reshape(k, 2 * nbytes)
-    vectors, tags = packed[:, :nbytes], packed[:, nbytes:].copy()
-    for g in reversed(range(1, nbytes)):
-        lo = 8 * g
-        _table_product(vectors[:lo, g : g + 1], _xor_tables(tags[lo : lo + 8], 8), tags[:lo])
-    return tags
-
-
-def _gf2_product(selector: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """GF(2) product of a packed bit matrix with a ``uint8`` row matrix.
-
-    Bit ``j`` (LSB-first) of row ``p`` of ``selector`` selects ``rows[j]``;
-    row ``p`` of the result is the XOR of the selected rows. The 8-row
-    tables are built a chunk of groups at a time, at most
-    ``_PRODUCT_TABLE_BYTES`` of them.
-    """
-    out = np.zeros((len(selector), rows.shape[1]), dtype=np.uint8)
-    step = max(1, _PRODUCT_TABLE_BYTES // (256 * rows.shape[1]))
-    for g in range(0, selector.shape[1], step):
-        tables = _xor_tables(rows[8 * g : 8 * (g + step)], 8)
-        _table_product(selector[:, g : g + step], tables, out)
-    return out
+    nbytes = len(taken)
+    free = np.zeros(len(rows), dtype=np.uint8)
+    free[first:] = 0xFF
+    pivot_rows: list[int] = []
+    pivot_cols: list[int] = []
+    open_blocks = [b for b, t in enumerate(taken) if t != 0xFF]
+    for b in open_blocks:
+        candidates = np.flatnonzero(rows[:, b] & free)
+        if not candidates.size:
+            continue
+        room = 8 - taken[b].bit_count()
+        basis: list[list[int]] = []  # [pivot bit, reduced digit, chosen rows XORed into it]
+        chosen: list[int] = []
+        for row, d in zip(candidates.tolist(), rows[candidates, b].tolist()):
+            mix = 0
+            for bit, reduced, parts in basis:
+                if d & bit:
+                    d ^= reduced
+                    mix ^= parts
+            if d:
+                bit, mix = d & -d, mix | 1 << len(chosen)
+                for entry in basis:
+                    if entry[1] & bit:
+                        entry[1] ^= d
+                        entry[2] ^= mix
+                basis.append([bit, d, mix])
+                chosen.append(row)
+                if len(chosen) == room:
+                    break
+        bits = [entry[0] for entry in basis]
+        cols = [bit.bit_length() - 1 for bit in bits]
+        mixes = np.array([entry[2] for entry in basis], dtype=np.uint8)
+        lo, hi = b, 2 * nbytes if first else nbytes + b + 1
+        source = rows[chosen, lo:hi]
+        source[:, nbytes + b - lo] |= np.array(bits, dtype=np.uint8)
+        table = _xor_tables(source, len(chosen))[0]
+        index = np.bitwise_xor.reduce(_BYTE_BITS[:, cols] * mixes, axis=1)[rows[:, b]]
+        rows[:, lo:hi] ^= table[index]  # the chosen rows are overwritten next
+        rows[chosen, lo:hi] = table[mixes]
+        free[chosen] = 0
+        taken[b] |= sum(bits)
+        pivot_rows += chosen
+        pivot_cols += [8 * b + c for c in cols]
+    return pivot_rows, pivot_cols
 
 
 class DecoderState:
-    """Incremental rank tracker and decoder.
+    """Incremental rank tracker and decoder over packed rows.
 
-    ``receive`` touches encoding vectors only. It keeps an echelon basis,
-    one row per pivot, where a row's pivot is its lowest set bit: a packet's
-    vector is XORed with the row at its lowest set bit until it is zero (not
-    innovative) or lands on a free pivot, where it is stored. Each row also
-    carries, from bit ``8 * ceil(k / 8)`` up, a tag whose bit ``i`` says
-    that the ``i``-th innovative packet is part of the row; innovative
-    payloads are kept as they arrived. At full rank ``try_decode`` solves
-    once: back-substitution turns the tags into a ``k x k`` selector (which
-    innovative packets XOR to each block), and a GF(2) product of that
-    selector with the payloads gives the blocks.
+    The basis is kept in reduced echelon form as packed ``[vector | tag]``
+    rows of ``2 * ceil(k / 8)`` bytes, row ``c`` holding the pivot row of
+    column ``c`` (zero while column ``c`` has none). The packet that became
+    a pivot at column ``c`` has its payload stored in slot ``c``, and bit
+    ``c`` of a row's tag says that slot ``c`` is part of the row. A batch
+    is folded in two steps: one GF(2) product reduces its rows against the
+    stored pivots, then :func:`_gauss_jordan` finds and stores its own
+    pivots, in arrival order, and clears their columns from every row. At
+    full rank the vectors are the identity, so the tags are the selector
+    (which slots XOR to each block), and ``try_decode`` is one product of
+    the selector with the payloads.
     """
 
     def __init__(self, k: int):
         if k < 1:
             raise InvalidParameterError("k must be >= 1")
         self.k = k
-        self._tag_shift = 8 * ((k + 7) // 8)
-        self._rows: list[int | None] = [None] * k
-        self._payloads: list[bytes] = []
-        self._payload_bytes: int | None = None
+        nbytes = (k + 7) // 8
+        self._rows = np.zeros((k, 2 * nbytes), dtype=np.uint8)
+        self._taken = [0] * nbytes
+        self._taken[-1] = (0xFF << (k - 8 * (nbytes - 1))) & 0xFF
+        self._payloads: np.ndarray | None = None
+        self._rank = 0
 
     @property
     def rank(self) -> int:
-        return len(self._payloads)
+        return self._rank
+
+    def receive_batch(self, vectors: np.ndarray, payloads: np.ndarray) -> np.ndarray:
+        """Fold a batch of packets, in row order; True where a packet raised the rank.
+
+        ``vectors`` is a packed ``count x ceil(k / 8)`` batch (see
+        :func:`sample_uniform_vectors`) and ``payloads`` a ``count x size``
+        ``uint8`` matrix, ``size`` fixed for the decoder's lifetime.
+        """
+        nbytes = len(self._taken)
+        if vectors.ndim != 2 or vectors.shape[1] != nbytes:
+            raise InvalidParameterError(
+                f"packed vectors of shape {vectors.shape} do not fit length {self.k}"
+            )
+        if (vectors[:, -1] >> (self.k - 8 * (nbytes - 1))).any():
+            raise InvalidParameterError(f"packed vectors have bits beyond length {self.k}")
+        if payloads.ndim != 2 or len(payloads) != len(vectors):
+            raise InvalidParameterError("need one payload row per vector")
+        if self._payloads is None:
+            if payloads.shape[1] < 1:
+                raise InvalidParameterError("payloads must be at least one byte")
+            self._payloads = np.zeros((self.k, payloads.shape[1]), dtype=np.uint8)
+        if payloads.shape[1] != self._payloads.shape[1]:
+            raise InvalidParameterError("payload size changed mid-stream")
+        innovative = np.zeros(len(vectors), dtype=bool)
+        if self._rank == self.k:
+            return innovative
+        rows = np.zeros((len(vectors), 2 * nbytes), dtype=np.uint8)
+        rows[:, :nbytes] = vectors
+        if self._rank:
+            _product(vectors, _chunked_tables(self._rows), rows)
+            rows = np.concatenate((self._rows, rows))
+            self._rows = rows[: self.k]
+        first = len(rows) - len(vectors)
+        new, cols = _gauss_jordan(rows, first, self._taken)
+        new = np.array(new, dtype=np.intp)
+        self._rows[cols] = rows[new]
+        self._payloads[cols] = payloads[new - first]
+        innovative[new - first] = True
+        self._rank += len(cols)
+        return innovative
 
     def receive(self, packet: Packet) -> bool:
-        """Fold one packet into the basis; True iff it raised the rank."""
-        if packet.vector.k != self.k:
-            raise InvalidParameterError(
-                f"vector length {packet.vector.k} != decoder length {self.k}"
-            )
-        if self._payload_bytes is None:
-            self._payload_bytes = len(packet.payload)
-        elif len(packet.payload) != self._payload_bytes:
-            raise InvalidParameterError("payload size changed mid-stream")
-        rank = len(self._payloads)
-        if rank == self.k:
-            return False
-        rows = self._rows
-        # the tag bit keeps the row nonzero, so a pivot past k means the
-        # vector reduced to zero
-        row = packet.vector.bits | (1 << (self._tag_shift + rank))
-        while True:
-            piv = (row & -row).bit_length() - 1
-            if piv >= self.k:
-                return False
-            basis = rows[piv]
-            if basis is None:
-                rows[piv] = row
-                self._payloads.append(packet.payload)
-                return True
-            row ^= basis
+        """Fold one packet: a batch of one. True iff it raised the rank."""
+        k = packet.vector.k
+        if k != self.k:
+            raise InvalidParameterError(f"vector length {k} != decoder length {self.k}")
+        vector = np.frombuffer(packet.vector.bits.to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
+        payload = np.frombuffer(packet.payload, dtype=np.uint8)
+        return bool(self.receive_batch(vector[None], payload[None])[0])
 
     def try_decode(self) -> list[bytes] | NotYetDecodable:
         """Recover the original blocks, or report the current rank."""
-        if self.rank < self.k:
-            return NotYetDecodable(self.rank)
-        selector = _back_substitute(self._rows, self.k)
-        payloads = np.frombuffer(b"".join(self._payloads), dtype=np.uint8)
-        blocks = _gf2_product(selector, payloads.reshape(self.k, self._payload_bytes))
+        if self._rank < self.k:
+            return NotYetDecodable(self._rank)
+        blocks = np.zeros_like(self._payloads)
+        _product(self._rows[:, len(self._taken) :], _chunked_tables(self._payloads), blocks)
         return [row.tobytes() for row in blocks]
 
 

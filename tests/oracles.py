@@ -4,8 +4,9 @@
 ``encounter_of`` decides one arrival's crossing with the observer from its
 entry time and gives the meeting time. The library draws and thins
 arrivals in whole arrays instead; these loops state the same model one
-vehicle at a time. ``reduced_rows`` reads a decoder's basis in fully
-reduced form, for comparison with a reference decoder.
+vehicle at a time. ``IntDecoder`` is the decoder on Python ints, one packet
+at a time, that the packed ``DecoderState`` is tested against, and
+``reduced_rows`` reads a ``DecoderState``'s basis in fully reduced form.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from vanetsim import NotYetDecodable, Packet
 
 
 @dataclass(frozen=True)
@@ -91,28 +94,94 @@ def encounter_of(
     )
 
 
+class IntDecoder:
+    """Rank tracker and decoder on Python ints, one packet at a time.
+
+    The basis is in echelon form, one row per pivot, where a row's pivot is
+    its lowest set bit: a packet's vector is XORed with the row at its
+    lowest set bit until it is zero (not innovative) or lands on a free
+    pivot, where it is stored. Each row also carries, from bit
+    ``8 * ceil(k / 8)`` up, a tag whose bit ``i`` says that the ``i``-th
+    innovative packet is part of the row.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self._tag_shift = 8 * ((k + 7) // 8)
+        self._rows: list[int | None] = [None] * k
+        self._payloads: list[bytes] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._payloads)
+
+    def receive(self, packet: Packet) -> bool:
+        rank = len(self._payloads)
+        if rank == self.k:
+            return False
+        # the tag bit keeps the row nonzero, so a pivot past k means the
+        # vector reduced to zero
+        row = packet.vector.bits | (1 << (self._tag_shift + rank))
+        while True:
+            piv = (row & -row).bit_length() - 1
+            if piv >= self.k:
+                return False
+            if self._rows[piv] is None:
+                self._rows[piv] = row
+                self._payloads.append(packet.payload)
+                return True
+            row ^= self._rows[piv]
+
+    def rows(self) -> list[tuple[int, int, int]]:
+        """Fully reduced (pivot, vector bits, payload bits) of the basis.
+
+        Every vector has a 1 at its own pivot and 0 at every other pivot; the
+        payload (big-endian bits) is the same combination of packets.
+        """
+        reduced: dict[int, int] = {}
+        for piv in reversed(range(self.k)):
+            row = self._rows[piv]
+            if row is not None:
+                for other, done in reduced.items():
+                    if (row >> other) & 1:
+                        row ^= done
+                reduced[piv] = row
+        payloads = [int.from_bytes(p, "big") for p in self._payloads]
+        mask = (1 << self.k) - 1
+        return [
+            (piv, row & mask, _combine(row >> self._tag_shift, payloads))
+            for piv, row in sorted(reduced.items())
+        ]
+
+    def try_decode(self) -> list[bytes] | NotYetDecodable:
+        if self.rank < self.k:
+            return NotYetDecodable(self.rank)
+        size = len(self._payloads[0])
+        return [pay.to_bytes(size, "big") for _, _, pay in self.rows()]
+
+
+def _combine(tag: int, payloads: list[int]) -> int:
+    """XOR of the payloads whose bit is set in ``tag``."""
+    out = 0
+    for i, p in enumerate(payloads):
+        if (tag >> i) & 1:
+            out ^= p
+    return out
+
+
 def reduced_rows(state) -> list[tuple[int, int, int]]:
     """Fully reduced (pivot, vector bits, payload bits) of a ``DecoderState``.
 
-    Every vector has a 1 at its own pivot and 0 at every other pivot; the
-    payload (big-endian bits) is the same combination of packets.
+    Row ``c`` of the packed basis is the pivot row of column ``c``, and its
+    tag names the payload slots that XOR to its payload (big-endian bits).
     """
-    k = state.k
-    reduced: dict[int, int] = {}
-    for piv in reversed(range(k)):
-        row = state._rows[piv]
-        if row is not None:
-            for other, done in reduced.items():
-                if (row >> other) & 1:
-                    row ^= done
-            reduced[piv] = row
-    mask, tag_shift = (1 << k) - 1, 8 * ((k + 7) // 8)
-    payloads = [int.from_bytes(p, "big") for p in state._payloads]
+    nbytes = (state.k + 7) // 8
+    payloads = [] if state._payloads is None else state._payloads
+    slots = [int.from_bytes(p.tobytes(), "big") for p in payloads]
     out = []
-    for piv, row in sorted(reduced.items()):
-        tag, pay = row >> tag_shift, 0
-        for i, p in enumerate(payloads):
-            if (tag >> i) & 1:
-                pay ^= p
-        out.append((piv, row & mask, pay))
+    for piv, row in enumerate(state._rows):
+        vector = int.from_bytes(row[:nbytes].tobytes(), "little")
+        if (vector >> piv) & 1:
+            tag = int.from_bytes(row[nbytes:].tobytes(), "little")
+            out.append((piv, vector, _combine(tag, slots)))
     return out

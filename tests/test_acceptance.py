@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 from vanetsim import (
+    Blocks,
     DecoderState,
     DiscreteVelocityDist,
     FileSpec,
-    Packet,
     UniformScheme,
     VelocityClass,
     alpha_matrix,
-    encode,
+    encode_batch,
     expected_download_time,
     expected_encounters,
     expected_throughput_avg,
@@ -33,7 +33,7 @@ from vanetsim import (
     packets_needed,
     probabilities_decrease_with_speed,
     reduced_hessian,
-    sample_uniform_vector,
+    sample_uniform_vectors,
     simulate_download_time,
     simulate_trip,
     span_probability,
@@ -334,9 +334,9 @@ def test_c6_codec_correctness():
     rng = np.random.default_rng(607)
     hits = 0
     for _ in range(N_TRIALS):
+        # 5 vectors in one draw are the 5 draws of one vector at a time
         state = DecoderState(3)
-        for _ in range(5):
-            state.receive(Packet(sample_uniform_vector(3, rng), b"\x00"))
+        state.receive_batch(sample_uniform_vectors(3, 5, rng), np.zeros((5, 1), dtype=np.uint8))
         hits += state.rank == 3
     p = float(exact)
     se = math.sqrt(p * (1 - p) / N_TRIALS)
@@ -347,9 +347,12 @@ def test_c6_codec_correctness():
     for k in (1, 4, 64):
         for _ in range(1000):
             blocks = [rng.bytes(4) for _ in range(k)]
+            prepared = Blocks(blocks)
             state = DecoderState(k)
             while state.rank < k:
-                state.receive(encode(blocks, sample_uniform_vector(k, rng)))
+                # the rank grows by at most one a packet: no draw past the decode
+                vectors = sample_uniform_vectors(k, k - state.rank, rng)
+                state.receive_batch(vectors, encode_batch(prepared, vectors))
             if state.try_decode() != blocks:
                 checks.append(False)
                 break
@@ -363,11 +366,12 @@ def test_c6_codec_correctness():
     failures = 0
     trials = 10_000
     for _ in range(trials):
-        state = DecoderState(64)
-        for _ in range(threshold):
-            state.receive(Packet(sample_uniform_vector(64, rng), b"\x00"))
-            if state.rank == 64:
-                break
+        state, drawn = DecoderState(64), 0
+        while state.rank < 64 and drawn < threshold:
+            n = min(64 - state.rank, threshold - drawn)
+            vectors = sample_uniform_vectors(64, n, rng)
+            state.receive_batch(vectors, np.zeros((n, 1), dtype=np.uint8))
+            drawn += n
         failures += state.rank < 64
     failure_rate = failures / trials
     checks.append(failure_rate <= 0.015)

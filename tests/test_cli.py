@@ -105,6 +105,41 @@ def test_analyze_missing_file(capsys):
     assert code == 2
 
 
+def test_output_into_a_missing_directory_is_an_input_error(twoclass_path, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(["analyze", str(twoclass_path), "--output", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write the report: ") and "No such file" in err
+
+
+def test_output_onto_a_directory_is_an_input_error(twoclass_path, tmp_path, capsys):
+    code, out, err = run(["analyze", str(twoclass_path), "--output", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write the report: ") and "directory" in err
+
+
+def test_scenario_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"lam": 0.1}'.encode("utf-16-le"))
+    code, out, err = run(["analyze", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: scenario file is not UTF-8: ")
+
+
+def test_unexpected_failure_exits_3_without_a_traceback(twoclass_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "analytic_report", broken)
+    code, out, err = run(["analyze", str(twoclass_path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal failure: KeyError('boom')\n"
+
+
 def _class_rows(v0, v1, encounters, packets1):
     rows = [(v0, 0.0025, 2750.0, 5.5), (v1, 0.002, packets1, 6.75)]
     return [

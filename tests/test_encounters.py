@@ -36,7 +36,7 @@ from vanetsim.errors import (
 from vanetsim.fountain import EncodingVector, vector_batch_sampler
 from vanetsim.traffic import ContinuousVelocityDist
 
-from oracles import ArrivalRecord, encounter_of
+from oracles import ArrivalRecord, IntDecoder, encounter_of
 
 
 def make_scenario(lam=0.1, velocity=None, **kw):
@@ -439,6 +439,15 @@ def test_download_without_supply_raises_no_progress():
         )
 
 
+def test_download_short_of_supply_reports_the_rank_of_every_packet():
+    # one station packet a segment: 1000 packets of a 2000-block file
+    sc = make_scenario(lam=0.0, r=0.4)
+    with pytest.raises(NoProgressError, match="decode rank 1000/2000 after 1000 segments"):
+        simulate_download_time(
+            sc, 20.0, FileSpec(2000, 8), UniformScheme(), np.random.default_rng(0)
+        )
+
+
 def test_download_deterministic_under_seed():
     sc = make_scenario(bit_rate=500.0)  # packet_rate 0.5: decode spans segments
     file = FileSpec(16, 16)
@@ -478,12 +487,12 @@ def test_download_time_tracks_projection_over_many_segments():
 
 
 def reference_download(scenario, observer, file, scheme, rng):
-    """Per-packet oracle: one vector draw and one encode for every packet."""
+    """Per-packet oracle: one vector draw, one encode and one int fold per packet."""
     ti = scenario.d / observer
     sample = vector_batch_sampler(scheme, file.k)
     arr_rng, vec_rng, file_rng = rng.spawn(3)
     blocks = Blocks([file_rng.bytes(file.block_bytes) for _ in range(file.k)])
-    decoder = DecoderState(file.k)
+    decoder = IntDecoder(file.k)
     received = 0
     for segment in range(1000):
         for offset, count in _segment_events(scenario, observer, arr_rng):
@@ -511,6 +520,36 @@ def test_download_matches_per_packet_oracle(k, l, bit_rate, scheme):
         got = simulate_download_time(sc, observer, file, scheme, np.random.default_rng(seed))
         expected = reference_download(sc, observer, file, scheme, np.random.default_rng(seed))
         assert got == expected, seed
+
+
+def test_large_uniform_download_matches_per_packet_oracle():
+    # packet rate 10: the first fold holds the packets of three segments
+    sc = make_scenario(bit_rate=10_000.0)
+    file = FileSpec(1024, 64)
+    got = simulate_download_time(sc, 20.0, file, UniformScheme(), np.random.default_rng(0))
+    assert got[2] == 3
+    assert got == reference_download(sc, 20.0, file, UniformScheme(), np.random.default_rng(0))
+
+
+def test_lt_download_with_a_long_tail_matches_per_packet_oracle(monkeypatch):
+    # LT vectors leave the first k packets well short of full rank, so the
+    # decode ends after many folds of a few packets each
+    folds = []
+    fold = DecoderState.receive_batch
+
+    def counted(self, vectors, payloads):
+        folds.append(len(vectors))
+        return fold(self, vectors, payloads)
+
+    monkeypatch.setattr(DecoderState, "receive_batch", counted)
+    sc = make_scenario(bit_rate=250.0)
+    file = FileSpec(100, 64)
+    scheme = LtScheme(SolitonParams(0.02, 0.9, 0.01))  # no spike: half the degrees are 2
+    for seed, observer in ((0, 20.0), (1, 25.0)):
+        folds.clear()
+        got = simulate_download_time(sc, observer, file, scheme, np.random.default_rng(seed))
+        assert file.k <= folds[0] <= file.k + encounters.BATCH_MARGIN and len(folds) >= 5, folds
+        assert got == reference_download(sc, observer, file, scheme, np.random.default_rng(seed))
 
 
 def test_download_file_is_one_draw_per_block(monkeypatch):

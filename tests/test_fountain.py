@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetsim import (
     Blocks,
@@ -13,7 +15,6 @@ from vanetsim import (
     Packet,
     SolitonParams,
     UniformScheme,
-    batch_packets,
     encode,
     encode_batch,
     packets_needed,
@@ -26,7 +27,7 @@ from vanetsim import (
 from vanetsim import fountain
 from vanetsim.errors import InvalidParameterError
 
-from oracles import reduced_rows
+from oracles import IntDecoder, reduced_rows
 
 
 def draw_vector(scheme, k: int, rng: np.random.Generator) -> EncodingVector:
@@ -258,10 +259,8 @@ def test_encode_matches_xor_oracle(k, size):
         assert encode(prepared, vector) == Packet(vector, expected)
         assert encode(blocks, vector) == Packet(vector, expected)
     packed = np.array([list(bits.to_bytes((k + 7) // 8, "little")) for bits in vectors], dtype=np.uint8)
-    packets = batch_packets(packed, encode_batch(prepared, packed), k)
-    assert list(packets) == [
-        Packet(EncodingVector(bits, k), reference_xor(blocks, bits)) for bits in vectors
-    ]
+    payloads = [row.tobytes() for row in encode_batch(prepared, packed)]
+    assert payloads == [reference_xor(blocks, bits) for bits in vectors]
 
 
 def test_blocks_is_a_sequence_of_the_original_bytes():
@@ -479,6 +478,65 @@ def test_decoder_matches_reference_decoder(k, size):
     assert state.try_decode() == decoded
 
 
+def oracle_stream(kind: str, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """A packed stream of uniform, LT, or a few repeated (zero among them) vectors."""
+    if kind == "uniform":
+        return sample_uniform_vectors(k, count, rng)
+    if kind == "lt":
+        return vector_batch_sampler(LtScheme(SolitonParams(0.1, 0.5, 0.01)), k)(rng, count)
+    pool = sample_uniform_vectors(k, 4, rng)
+    pool[0] = 0
+    return pool[rng.integers(0, len(pool), count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("kind", ["uniform", "lt", "repeats"])
+@pytest.mark.parametrize("k_range", [(1, 1), (2, 72)])
+def test_receive_batch_matches_the_int_oracle(kind, k_range, data):
+    # one fold, a fold per packet, and random splits all give the oracle's
+    # innovative flags, rank, reduced basis and decode
+    k = data.draw(st.integers(*k_range), label="k")
+    count = data.draw(st.integers(0, 2 * k + 12), label="count")
+    size = data.draw(st.sampled_from([1, 3]), label="size")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    vectors = oracle_stream(kind, k, count, rng)
+    payloads = rng.integers(0, 256, (count, size), dtype=np.uint8)
+    oracle = IntDecoder(k)
+    expected = [
+        oracle.receive(Packet(EncodingVector(bits, k), payload.tobytes()))
+        for bits, payload in zip(packed_bits(vectors), payloads)
+    ]
+    decoded = oracle.try_decode()
+    cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=6), label="cuts"))
+    for ends in ([0, count], list(range(count + 1)), [0, *cuts, count]):
+        state = DecoderState(k)
+        flags: list[bool] = []
+        for lo, hi in zip(ends, ends[1:]):
+            flags += state.receive_batch(vectors[lo:hi], payloads[lo:hi]).tolist()
+            assert state.rank == sum(expected[:hi])
+            if state.rank < k:
+                assert state.try_decode() == NotYetDecodable(state.rank)
+        assert flags == expected
+        assert state.rank == oracle.rank
+        assert reduced_rows(state) == oracle.rows()
+        assert state.try_decode() == decoded
+
+
+def test_receive_batch_rejects_misfit_batches():
+    state = DecoderState(10)
+    one = np.zeros((1, 1), dtype=np.uint8)
+    with pytest.raises(InvalidParameterError, match="do not fit length 10"):
+        state.receive_batch(np.zeros((1, 1), dtype=np.uint8), one)
+    with pytest.raises(InvalidParameterError, match="bits beyond length 10"):
+        state.receive_batch(np.array([[0, 0b100]], dtype=np.uint8), one)
+    with pytest.raises(InvalidParameterError, match="one payload row per vector"):
+        state.receive_batch(np.zeros((2, 2), dtype=np.uint8), one)
+    with pytest.raises(InvalidParameterError, match="at least one byte"):
+        state.receive_batch(np.zeros((1, 2), dtype=np.uint8), np.zeros((1, 0), dtype=np.uint8))
+    assert state.rank == 0
+
+
 # --- decode thresholds ------------------------------------------------------------
 
 
@@ -552,9 +610,9 @@ def test_span_probability_empirical_smoke():
     k, n, trials = 2, 4, 20_000
     hits = 0
     for _ in range(trials):
+        # n vectors in one draw are the n draws of one vector at a time
         state = DecoderState(k)
-        for _ in range(n):
-            state.receive(Packet(sample_uniform_vector(k, rng), b"\x00"))
+        state.receive_batch(sample_uniform_vectors(k, n, rng), np.zeros((n, 1), dtype=np.uint8))
         hits += state.rank == k
     p = span_probability(k, n)
     se = math.sqrt(p * (1 - p) / trials)
