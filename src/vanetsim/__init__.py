@@ -27,6 +27,7 @@ from .encounters import (
     monte_carlo_throughput,
     packets_per_encounter,
     simulate_download_time,
+    simulate_download_times,
     simulate_trip,
 )
 from .errors import (

@@ -26,7 +26,12 @@ from .analysis import (
     expected_throughput_class,
     expected_throughput_continuous,
 )
-from .encounters import monte_carlo_throughput, simulate_download_time
+from .encounters import (
+    download_chunk_trials,
+    monte_carlo_throughput,
+    simulate_download_time,  # noqa: F401  (perfbench/tracing.py wraps cli.simulate_download_time by name)
+    simulate_download_times,
+)
 from .errors import (
     InvalidParameterError,
     NoProgressError,
@@ -306,10 +311,15 @@ def _cmd_download_time(args) -> tuple[str, int, dict, int]:
     times = np.empty(args.trials)
     packets = np.empty(args.trials)
     segments = np.empty(args.trials)
-    for i in range(args.trials):
-        observer = draw_observer(rng)
-        t, n, s = simulate_download_time(scenario, observer, file, scheme, rng)
-        times[i], packets[i], segments[i] = t, n, s
+    chunk = download_chunk_trials(file)
+    for lo in range(0, args.trials, chunk):
+        n = min(chunk, args.trials - lo)
+        # spawning never moves rng, so drawing a chunk's observers first
+        # leaves every trial the streams it had when trials ran one by one
+        observers = [draw_observer(rng) for _ in range(n)]
+        chunk_results = simulate_download_times(scenario, observers, file, scheme, [rng] * n)
+        for i, result in enumerate(chunk_results, lo):
+            times[i], packets[i], segments[i] = result
     std_error = float(times.std(ddof=1) / math.sqrt(args.trials)) if args.trials > 1 else 0.0
     results = {
         "k": args.k,

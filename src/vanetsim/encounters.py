@@ -30,12 +30,13 @@ from .errors import (
     NoProgressError,
 )
 from .fountain import (
-    Blocks,
     DecoderState,
     FileSpec,
     VectorScheme,
+    _product,
+    _xor_tables,
     encode,  # noqa: F401  (perfbench/tracing.py wraps encounters.encode by name)
-    encode_batch,
+    fold,
     vector_batch_sampler,
 )
 from .traffic import Scenario, sample_velocities
@@ -53,11 +54,22 @@ MAX_EXPECTED_ARRIVALS = 1e7
 # trip that alone expects more is a chunk of one, as large as it always was.
 CHUNK_ARRIVALS = 2**14
 
-# Largest file, in blocks, that simulate_download_time accepts. Decode cost
-# grows about as K^2.4: one K=8192 download of 64-bit blocks took 1.7-2.8 s
-# (8192-8195 packets, 101 MB peak RSS) on a 2-core x86-64 KVM guest whose
-# speed drifts by up to 2x, and one at K=4096 took 0.33-0.54 s.
+# Largest file, in blocks, that simulate_download_times accepts. Decode cost
+# grows about as K^2.4: `download-time --K 8192 --trials 2` (64-bit blocks,
+# chunks of one trial) took 6.6 s and 101 MB peak RSS on a 2-core x86-64 KVM
+# guest whose speed drifts by up to 2x, and `--K 4096 --trials 1` 0.6 s.
 MAX_DOWNLOAD_BLOCKS = 8192
+
+# Bytes that one chunk of download trials may hold at once. At its peak a
+# trial of a chunk holds about 8 KiB + k * (6 * block_bytes + 12 * ceil(k /
+# 8)) + 1024 * ceil(k / 8) bytes: its streams, its file and the file's XOR
+# tables, its basis, a fold's working rows and a block's 256-entry table
+# (tracemalloc peaks of 8, 24, 47, 128 and 1700 KB a trial at K = 1, 40,
+# 100, 256 and 1000 with 8-byte blocks). 2 MiB holds 50 trials at K=100,
+# where a chunk of 50 runs a trial in about half the time that trials one
+# at a time take, and one trial from K of about 800 on, where chunks stop
+# saving time (at K=1000 a chunk of 25 was slower per trial than one).
+DOWNLOAD_CHUNK_BYTES = 1 << 21
 
 # Segments a download may traverse before it gives up without full rank.
 MAX_SEGMENTS = 1000
@@ -275,17 +287,197 @@ def monte_carlo_throughput(
     )
 
 
-def _segment_events(
+def _crossing_events(
     scenario: Scenario, vi: float, rng: np.random.Generator
 ) -> list[tuple[float, int]]:
-    """Packet batches for one segment: (time offset, whole packets)."""
-    packet_rate, r = scenario.packet_rate, scenario.r
-    events = [(0.0, math.floor(infostation_download(vi, packet_rate, r)))]
+    """One segment's encounter batches, in time order: (time offset, whole packets)."""
     meet, enc_vel, _, _ = _crossing_arrivals(scenario, vi, scenario.d / vi, rng)
-    counts = np.floor(packets_per_encounter(vi, enc_vel, packet_rate, r))
-    events.extend((float(t), int(c)) for t, c in zip(meet, counts) if c > 0)
-    events.sort()
-    return events
+    counts = np.floor(packets_per_encounter(vi, enc_vel, scenario.packet_rate, scenario.r))
+    return sorted((float(t), int(c)) for t, c in zip(meet, counts) if c > 0)
+
+
+def _packet_events(scenario: Scenario, vi: float, rng: np.random.Generator):
+    """Yield (segment, time offset, whole packets) for up to MAX_SEGMENTS segments.
+
+    A segment opens with its station batch; its crossings are drawn from
+    ``rng`` only when the batch is consumed and more packets are wanted.
+    """
+    batch = math.floor(infostation_download(vi, scenario.packet_rate, scenario.r))
+    for segment in range(MAX_SEGMENTS):
+        yield segment, 0.0, batch
+        for offset, count in _crossing_events(scenario, vi, rng):
+            yield segment, offset, count
+
+
+def _draw_files(file: FileSpec, rngs: list[np.random.Generator]) -> np.ndarray:
+    """One file per generator, ``trials x k x block_bytes``.
+
+    Each file is one draw, sliced as ``k`` separate ``rng.bytes(block_bytes)``
+    draws would give it.
+    """
+    size, stride = file.block_bytes, 4 * ((file.block_bytes + 3) // 4)
+    raw = b"".join(rng.bytes(file.k * stride) for rng in rngs)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(rngs), file.k, stride)[:, :, :size]
+
+
+def download_chunk_trials(file: FileSpec) -> int:
+    """Trials of :func:`simulate_download_times` that fit :data:`DOWNLOAD_CHUNK_BYTES`, at least one."""
+    nbytes = (file.k + 7) // 8
+    per_trial = 8192 + file.k * (6 * file.block_bytes + 12 * nbytes) + 1024 * nbytes
+    return max(1, DOWNLOAD_CHUNK_BYTES // per_trial)
+
+
+class _Download:
+    """One trial of :func:`simulate_download_times`: its streams and progress."""
+
+    def __init__(self, scenario, vi, ti, rng, k):
+        self.ti = ti
+        arr_rng, self.vec_rng, self.file_rng = rng.spawn(3)
+        self.events = _packet_events(scenario, vi, arr_rng)
+        self.decoder = DecoderState(k)
+        self.event = (0, 0.0, 0)  # (segment, offset, packets not yet drawn)
+        self.held: list[tuple] = []  # (vectors, segment, offset) drawn, waiting to be folded
+        self.received = self.waiting = 0
+
+    def draw(self, sample, k: int) -> bool:
+        """Draw pieces until ``k - rank`` packets wait; False if the segments run out.
+
+        Pieces keep the waiting packets at most ``BATCH_MARGIN`` more than
+        ``k - rank``.
+        """
+        need = k - self.decoder.rank
+        while self.waiting < need:  # the rank grows by at most one a packet
+            segment, offset, count = self.event
+            if not count:
+                self.event = next(self.events, None)
+                if self.event is None:
+                    return False
+                continue
+            n = min(count, need + BATCH_MARGIN - self.waiting)
+            self.event = (segment, offset, count - n)
+            self.received += n
+            self.waiting += n
+            self.held.append((sample(self.vec_rng, n), segment, offset))
+        return True
+
+    def pack(self, out: np.ndarray) -> None:
+        """Copy the held vectors into ``out``, in order, keeping only their counts."""
+        at = 0
+        for j, (vectors, segment, offset) in enumerate(self.held):
+            out[at : at + len(vectors)] = vectors
+            at += len(vectors)
+            self.held[j] = (len(vectors), segment, offset)
+
+    def folded(self, innovative: np.ndarray, file: np.ndarray):
+        """Empty the hold after its fold; the trial's result if the decode is complete.
+
+        The result is (time, packets, segments) at the last innovative
+        packet of the packed fold, or an error if the decode disagrees with
+        ``file``; None while the rank is short.
+        """
+        result = None
+        if self.decoder.rank < len(file):
+            pass
+        elif b"".join(self.decoder.try_decode()) != file.tobytes():
+            result = InternalInconsistencyError("decoded blocks disagree with the encoded file")
+        else:
+            last = int(np.flatnonzero(innovative)[-1])
+            ends = np.cumsum([n for n, _, _ in self.held])
+            _, segment, offset = self.held[int(np.searchsorted(ends, last, side="right"))]
+            result = segment * self.ti + offset, self.received - self.waiting + last + 1, segment + 1
+        self.held.clear()
+        self.waiting = 0
+        return result
+
+
+def simulate_download_times(
+    scenario: Scenario,
+    observers,
+    file: FileSpec,
+    scheme: VectorScheme,
+    rngs,
+) -> list[tuple[float, int, int]]:
+    """Event-level downloads of one file across consecutive segments, one per observer.
+
+    Trial ``i`` is the download of observer speed ``observers[i]``, with
+    its arrivals, vectors and file drawn from three streams spawned from
+    ``rngs[i]``, in that order (a generator listed several times spawns
+    them in trial order). Each segment starts with a roadside-station batch
+    of floor(packet_rate*r/v) packets; each encounter delivers its
+    whole-packet count at the crossing time. Every packet carries an
+    independently sampled encoding vector. The rank grows by at most one a
+    packet, so it cannot reach k before ``k - rank`` more packets are in
+    hand. The trials run in lockstep rounds: every unfinished trial draws
+    vectors in pieces, each recorded with its segment and offset, until it
+    holds ``k - rank``; then all of them are encoded with one product and
+    folded with one :func:`~vanetsim.fountain.fold`. A trial's first fold
+    thus holds its first k packets (up to ``BATCH_MARGIN`` more from the
+    same batch), and later folds hold a piece or a few. The innovative
+    flags are those of one packet at a time, so the packet that completes
+    a decode is the k-th innovative one, and every result is that of one
+    draw and one fold per packet. A segment's crossings are drawn only
+    once its station batch is folded and has not completed the decode.
+    Returns, per trial, (travel time consumed, packets received, segments
+    fully or partially traversed) at the moment its decoder reaches full
+    rank.
+
+    Raises the error of the lowest-index failing trial, as running the
+    trials one at a time would: :class:`InvalidParameterError` for an
+    observer speed that :func:`simulate_trip` refuses, or before any work
+    for a file of more than :data:`MAX_DOWNLOAD_BLOCKS` blocks;
+    :class:`NoProgressError` if a decode is still incomplete after
+    :data:`MAX_SEGMENTS` segments (for example with no traffic and a station
+    batch of zero packets); :class:`InternalInconsistencyError` if a
+    decode disagrees with its file.
+    """
+    k = file.k
+    if len(observers) and k > MAX_DOWNLOAD_BLOCKS:
+        _observer_trip(scenario, observers[0])  # the first trial fails on its speed first
+        raise InvalidParameterError(
+            f"file of {k} blocks exceeds the download limit of {MAX_DOWNLOAD_BLOCKS} blocks"
+        )
+    trials, refused = [], None
+    for v, rng in zip(observers, rngs):
+        try:
+            vi, ti = _observer_trip(scenario, v)
+            if scenario.lam > 0:  # refused as the trial's first crossing draw would be
+                _arrival_window(scenario, ti)
+        except InvalidParameterError as exc:
+            refused = exc
+            break
+        trials.append(_Download(scenario, vi, ti, rng, k))
+    sample = vector_batch_sampler(scheme, k)
+    files = _draw_files(file, [d.file_rng for d in trials])
+    tables = _xor_tables(files, 4).reshape((k + 3) // 4, 16 * len(trials), file.block_bytes)
+    results: list = [None] * len(trials)
+    active = list(range(len(trials)))
+    while active:
+        starved = [i for i in active if not trials[i].draw(sample, k)]
+        # a starved trial folds what it holds, to report the rank of every packet
+        folding = [i for i in active if trials[i].held]
+        if folding:
+            count = max(trials[i].waiting for i in folding)
+            vectors = np.zeros((len(folding), count, (k + 7) // 8), dtype=np.uint8)
+            for row, i in zip(vectors, folding):
+                trials[i].pack(row)
+            payloads = np.zeros((*vectors.shape[:2], file.block_bytes), dtype=np.uint8)
+            _product(vectors, tables, payloads, folding)
+            innovative = fold([trials[i].decoder for i in folding], vectors, payloads)
+            for i, flags in zip(folding, innovative):
+                results[i] = trials[i].folded(flags, files[i])
+        for i in starved:
+            results[i] = NoProgressError(
+                f"decode rank {trials[i].decoder.rank}/{k} after {MAX_SEGMENTS} segments"
+            )
+        # trials after a failed one cannot change what is raised
+        failed = next((i for i in active if isinstance(results[i], Exception)), len(trials))
+        active = [i for i in active if results[i] is None and i < failed]
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    if refused is not None:
+        raise refused
+    return results
 
 
 def simulate_download_time(
@@ -295,72 +487,5 @@ def simulate_download_time(
     scheme: VectorScheme,
     rng: np.random.Generator,
 ) -> tuple[float, int, int]:
-    """Event-level download of one file across consecutive segments.
-
-    Each segment starts with a roadside-station batch of
-    floor(packet_rate*r/v) packets; each encounter delivers its whole-packet
-    count at the crossing time. Every packet carries an independently
-    sampled encoding vector. The rank grows by at most one a packet, so it
-    cannot reach k before ``k - rank`` more packets are in hand. Vectors are
-    drawn in pieces, each recorded with its segment and offset, and held
-    until they number ``k - rank``; then they are encoded with one
-    :func:`~vanetsim.fountain.encode_batch` product and folded into the
-    decoder as one batch. The first fold thus holds the first k packets (up
-    to ``BATCH_MARGIN`` more from the same batch), and later folds hold a
-    piece or a few. The decoder's innovative flags are those of one packet
-    at a time, so the packet that completes the decode is the k-th
-    innovative one, and every result is that of one draw and one fold per
-    packet. Returns (travel time consumed, packets received, segments fully
-    or partially traversed) at the moment the decoder reaches full rank.
-
-    Raises :class:`NoProgressError` if the decode is still incomplete after
-    :data:`MAX_SEGMENTS` segments (for example with no traffic and a station
-    batch of zero packets), and :class:`InvalidParameterError` before any
-    work for a file of more than :data:`MAX_DOWNLOAD_BLOCKS` blocks.
-    """
-    vi, ti = _observer_trip(scenario, observer_velocity)
-    if file.k > MAX_DOWNLOAD_BLOCKS:
-        raise InvalidParameterError(
-            f"file of {file.k} blocks exceeds the download limit of "
-            f"{MAX_DOWNLOAD_BLOCKS} blocks"
-        )
-    sample = vector_batch_sampler(scheme, file.k)
-    arr_rng, vec_rng, file_rng = rng.spawn(3)
-    # one draw for the file, sliced as k separate rng.bytes(size) draws
-    size, stride = file.block_bytes, 4 * ((file.block_bytes + 3) // 4)
-    raw = file_rng.bytes(file.k * stride)
-    file_blocks = [raw[i : i + size] for i in range(0, len(raw), stride)]
-    blocks = Blocks(file_blocks)
-    decoder = DecoderState(file.k)
-    received = waiting = 0
-    held: list[tuple[np.ndarray, int, float]] = []  # drawn, waiting to be folded
-    for segment in range(MAX_SEGMENTS):
-        for offset, count in _segment_events(scenario, vi, arr_rng):
-            while count:
-                n = min(count, file.k - decoder.rank + BATCH_MARGIN - waiting)
-                count -= n
-                received += n
-                waiting += n
-                held.append((sample(vec_rng, n), segment, offset))
-                if waiting < file.k - decoder.rank:
-                    continue  # the rank grows by at most one a packet
-                vectors = np.concatenate([v for v, _, _ in held])
-                innovative = decoder.receive_batch(vectors, encode_batch(blocks, vectors))
-                if decoder.rank == file.k:
-                    last = int(np.flatnonzero(innovative)[-1])
-                    ends = np.cumsum([len(v) for v, _, _ in held])
-                    _, at_segment, at_offset = held[int(np.searchsorted(ends, last, side="right"))]
-                    if decoder.try_decode() != file_blocks:
-                        raise InternalInconsistencyError(
-                            "decoded blocks disagree with the encoded file"
-                        )
-                    done = received - waiting + last + 1
-                    return at_segment * ti + at_offset, done, at_segment + 1
-                held.clear()
-                waiting = 0
-    if held:  # report the rank of every packet received
-        vectors = np.concatenate([v for v, _, _ in held])
-        decoder.receive_batch(vectors, encode_batch(blocks, vectors))
-    raise NoProgressError(
-        f"decode rank {decoder.rank}/{file.k} after {MAX_SEGMENTS} segments"
-    )
+    """One download: :func:`simulate_download_times` of one trial."""
+    return simulate_download_times(scenario, [observer_velocity], file, scheme, [rng])[0]

@@ -11,18 +11,24 @@ as one GF(2) product over those tables (the "method of four Russians"), and
 :func:`encode` is a batch of one.
 
 The decoder folds batches of packets into a reduced echelon basis of packed
-``[vector | tag]`` rows, whose tags name the packets each row combines. One
-Gauss–Jordan kernel does the elimination, 8 columns at a time with one XOR
-table per block, after Albrecht and Bard's M4RI. Its pivots are the
-earliest rows that raise the rank, so a batch's innovative packets are
-those of one packet at a time. At full rank the tags are the inverse of the
-innovative packets' vectors, and the blocks are one more 4-row-table
-product, of the tags with the kept payloads.
+``[vector | tag]`` rows, whose tags name the packets each row combines.
+:func:`fold` folds one batch into each of several independent decoders
+(trials) at once, and :meth:`DecoderState.receive_batch` is a fold of one.
+The products and the Gauss–Jordan kernel carry a leading trial axis: the
+kernel eliminates 8 columns at a time with one XOR table per trial and
+block, after Albrecht and Bard's M4RI, and each of a block's NumPy steps
+serves every trial, so the per-call cost that dominates small decodes is
+paid once per chunk of trials. Its pivots are the earliest rows that raise
+the rank, so a batch's innovative packets are those of one packet at a
+time. At full rank the tags are the inverse of the innovative packets'
+vectors, and the blocks are one more 4-row-table product, of the tags with
+the kept payloads.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,8 +90,8 @@ class SolitonParams:
     epsilon: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise InvalidParameterError("c must be positive")
+        if not 0 < self.c < math.inf:
+            raise InvalidParameterError("c must be positive and finite")
         if not 0 < self.delta < 1:
             raise InvalidParameterError("delta must lie in (0, 1)")
         if not 0 < self.epsilon < 1:
@@ -200,35 +206,49 @@ def vector_batch_sampler(
 def _xor_tables(rows: np.ndarray, width: int) -> np.ndarray:
     """XOR tables of the consecutive ``width``-row groups of ``rows``.
 
-    Entry ``[g, c]`` of the ``ceil(n / width) x 2**width x size`` result is
-    the XOR of the rows ``width * g + i`` whose bit ``i`` is set in ``c``; a
-    short last group acts as if padded with zero rows. The tables of all
-    groups are built together, one vectorised XOR step per row of a group,
-    each step doubling the entries built so far. A table replaces up to
-    ``width`` row XORs by one lookup per target row: the "method of four
-    Russians" of Albrecht and Bard's M4RI library.
+    ``rows`` is ``... x n x size``, any leading axes (trials) kept apart.
+    Entry ``[g, ..., c]`` of the ``ceil(n / width) x ... x 2**width x size``
+    result, groups first, is the XOR of the rows ``width * g + i`` whose bit
+    ``i`` is set in ``c``; a short last group acts as if padded with zero
+    rows. The tables of all groups are built together, one vectorised XOR
+    step per row of a group, each step doubling the entries built so far.
+    A table replaces up to ``width`` row XORs by one lookup per target row:
+    the "method of four Russians" of Albrecht and Bard's M4RI library.
     """
-    n, size = rows.shape
+    *lead, n, size = rows.shape
     if n % width:
-        rows = np.concatenate((rows, np.zeros((-n % width, size), dtype=np.uint8)))
-    groups = rows.reshape(-1, width, 1, size)
-    tables = np.empty((len(groups), 1 << width, size), dtype=np.uint8)
+        pad = np.zeros((*lead, -n % width, size), dtype=rows.dtype)
+        rows = np.concatenate((rows, pad), axis=-2)
+    ngroups = rows.shape[-2] // width
+    groups = rows.reshape(-1, ngroups, width, 1, size).swapaxes(0, 1).reshape(-1, width, 1, size)
+    tables = np.empty((len(groups), 1 << width, size), dtype=rows.dtype)
     tables[:, 0] = 0
     for i in range(width):
         np.bitwise_xor(tables[:, : 1 << i], groups[:, i], out=tables[:, 1 << i : 2 << i])
-    return tables
+    return tables.reshape(ngroups, *lead, 1 << width, size)
 
 
-def _product(packed: np.ndarray, tables: Iterable[np.ndarray], out: np.ndarray) -> None:
-    """XOR into ``out`` the GF(2) product of a packed bit matrix with some rows.
+def _product(
+    packed: np.ndarray, tables: Iterable[np.ndarray], out: np.ndarray, trials=None
+) -> None:
+    """XOR into ``out`` the GF(2) products of packed bit matrices with some rows.
 
-    Bit ``j`` (LSB-first) of row ``p`` of ``packed`` selects row ``j`` of the
-    matrix whose 4-row XOR tables ``tables`` yields in group order; their
-    XOR goes into ``out[p]``. The product takes one table lookup per 4-bit
-    digit.
+    ``packed`` is ``trials x count x nbytes`` and ``out`` a contiguous
+    ``trials x count x size`` array. Bit ``j`` (LSB-first) of row ``p`` of
+    trial ``t`` selects row ``j`` of that trial's matrix, whose 4-row XOR
+    tables ``tables`` yields in group order: one ``16 n x size`` array per
+    group, with the tables of ``n`` trials one after another, of which
+    trial ``t`` reads the one at ``trials[t]`` (default ``t``). The XOR of
+    the selected rows goes into ``out[t, p]``. The product takes one table
+    lookup per 4-bit digit, one NumPy gather per group for every trial at
+    once.
     """
-    count, nbytes = packed.shape
-    digits = np.stack((packed & 0x0F, packed >> 4), axis=-1).reshape(count, 2 * nbytes)
+    n, count, nbytes = packed.shape
+    digits = np.stack((packed & 0x0F, packed >> 4), axis=-1).reshape(n * count, 2 * nbytes)
+    at = 16 * (np.arange(n) if trials is None else np.asarray(trials))
+    if at.any():  # digit d of trial t reads row 16 * trials[t] + d of a group's tables
+        digits = digits + np.repeat(at, count).astype(np.uint32)[:, None]
+    out = out.reshape(n * count, out.shape[-1])  # a view: out is contiguous
     for g, table in enumerate(tables):
         out ^= table.take(digits[:, g].astype(np.intp), axis=0)
 
@@ -242,10 +262,16 @@ _TABLE_BYTES = 1 << 18
 
 
 def _chunked_tables(rows: np.ndarray) -> Iterator[np.ndarray]:
-    """The 4-row XOR tables of ``rows``, at most ``_TABLE_BYTES`` built at a time."""
-    step = 4 * max(1, _TABLE_BYTES // (64 * rows.shape[1]))
-    for lo in range(0, len(rows), step):
-        yield from _xor_tables(rows[lo : lo + step], 4)
+    """The 4-row XOR tables of ``trials x n x size`` rows, one group at a time.
+
+    Yields a ``16 trials x size`` array per group, the trials' tables one
+    after another, building at most ``_TABLE_BYTES`` of tables at a time.
+    """
+    trials, n, size = rows.shape
+    step = 4 * max(1, _TABLE_BYTES // (64 * trials * size))
+    for lo in range(0, n, step):
+        tables = _xor_tables(rows[:, lo : lo + step], 4)
+        yield from tables.reshape(len(tables), 16 * trials, size)
 
 
 class Blocks(Sequence[bytes]):
@@ -295,9 +321,9 @@ def encode_batch(blocks: Blocks, vectors: np.ndarray) -> np.ndarray:
         raise InvalidParameterError(
             f"packed vectors of {nbytes} bytes do not fit {len(blocks)} blocks"
         )
-    out = np.zeros((len(vectors), blocks.matrix.shape[1]), dtype=np.uint8)
-    _product(vectors, blocks.tables, out)
-    return out
+    out = np.zeros((1, len(vectors), blocks.matrix.shape[1]), dtype=np.uint8)
+    _product(vectors[None], blocks.tables, out)
+    return out[0]
 
 
 def encode(blocks: Sequence[bytes], vector: EncodingVector) -> Packet:
@@ -325,96 +351,204 @@ class NotYetDecodable:
     rank: int
 
 
-# Bit j of entry d: bit j of the byte d.
-_BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint8)
+# Entry [j, d]: bit j of the byte d.
+_BYTE_BITS = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(np.uint8)
 
 
-def _gauss_jordan(rows: np.ndarray, first: int, taken: list[int]):
+def _row_bytes(nbytes: int) -> int:
+    """Bytes of a packed ``[vector | tag]`` row: ``2 * nbytes``, rounded up to 64-bit words."""
+    return 8 * ((2 * nbytes + 7) // 8)
+
+
+def _gauss_jordan(rows: np.ndarray, first: int, taken: list[list[int]]) -> list[tuple]:
     """Gauss–Jordan elimination of packed ``[vector | tag]`` rows, in place.
 
-    Each row of ``rows`` holds ``nbytes = len(taken)`` bytes of vector and
-    as many of tag. The rows from ``first`` on are free, in arrival order:
-    they may still become pivots, and every row before them already is one.
-    Bit ``c % 8`` of ``taken[c // 8]`` marks column ``c`` as a pivot
+    ``rows`` is a contiguous ``trials x count x width`` array: for each of
+    several independent trials, rows of ``nbytes = len(taken[t])`` bytes of
+    vector, as many of tag, and zero bytes up to ``width``, a multiple of 8
+    (see :func:`_row_bytes`). In every trial the rows from ``first`` on are
+    free, in arrival order: they may still become pivots, and every row
+    before them already is one (or is zero). Bit ``c % 8`` of
+    ``taken[t][c // 8]`` marks column ``c`` of trial ``t`` as a pivot
     column, or as padding past the vector length. The rows reach reduced
     echelon form, pivots at their lowest set bit, 8 columns at a time:
 
-    - In a block, the new pivot rows are the earliest free rows, in arrival
-      order, whose digits (the block's byte) are independent. Greedy
-      insertion of the free digits into a reduced basis finds them, and
-      each names itself in its tag by its pivot column.
-    - One table of the XORs of the block's pivot rows, indexed through the
-      digit itself, clears the block's pivot columns from every other row.
+    - In a block, a trial's new pivot rows are its earliest free rows, in
+      arrival order, whose digits (the block's byte) are independent.
+      Greedy insertion of the free digits into a reduced basis finds them,
+      one trial at a time in Python, and each names itself in its tag by
+      its pivot column.
+    - A table per trial of the XORs of its new pivot rows, indexed through a
+      256-entry map from the digit, clears the block's pivot columns from
+      every other row: the "method of four Russians" of Albrecht and Bard's
+      M4RI. The tables, the maps and the clearing are each one NumPy step
+      for all trials together, so a block's NumPy calls serve every trial.
 
     A free row is only ever XORed with pivot rows that arrived before it, so
     it ends at zero exactly when it lies in the span of the rows before it:
     the new pivots are the rows that raise the rank, the row rank profile of
-    Dumas, Pernet and Sultan (ISSAC 2013). Table rows are zero in vector
-    bytes left of the block. With no stored pivots (``first`` 0) they are
-    also zero in tag bytes past the block, as a tag names only pivot columns
-    found so far. Only the bytes between are XORed. Returns the new pivots'
-    rows and columns, and updates ``taken``.
+    Dumas, Pernet and Sultan (ISSAC 2013). Zero rows (padding) never become
+    pivots. Table rows are zero in vector bytes left of the block. With no
+    stored pivots (``first`` 0) they are also zero in tag bytes past the
+    block, as a tag names only pivot columns found so far. Rows are XORed as
+    64-bit words, skipping the 64-byte spans where the table rows are zero.
+    Returns each trial's new pivot rows and columns, and updates ``taken``.
     """
-    nbytes = len(taken)
-    free = np.zeros(len(rows), dtype=np.uint8)
-    free[first:] = 0xFF
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    open_blocks = [b for b, t in enumerate(taken) if t != 0xFF]
-    for b in open_blocks:
-        candidates = np.flatnonzero(rows[:, b] & free)
-        if not candidates.size:
+    trials, count, width = rows.shape
+    nbytes = len(taken[0])
+    flat = rows.reshape(trials * count, width)
+    words = flat.view(np.uint64)
+    free = np.zeros((trials, count), dtype=np.uint8)
+    free[:, first:] = 0xFF
+    free = free.ravel()
+    map_base = np.repeat(256 * np.arange(trials), count)  # a row's trial in the digit maps
+    pivots: list[tuple[list[int], list[int]]] = [([], []) for _ in range(trials)]
+    for b in [b for b in range(nbytes) if any(t[b] != 0xFF for t in taken)]:
+        digits = flat[:, b]
+        masked = digits & free
+        cand = masked.nonzero()[0]
+        if not cand.size:
             continue
-        room = 8 - taken[b].bit_count()
-        basis: list[list[int]] = []  # [pivot bit, reduced digit, chosen rows XORed into it]
-        chosen: list[int] = []
-        for row, d in zip(candidates.tolist(), rows[candidates, b].tolist()):
-            mix = 0
-            for bit, reduced, parts in basis:
-                if d & bit:
-                    d ^= reduced
-                    mix ^= parts
-            if d:
-                bit, mix = d & -d, mix | 1 << len(chosen)
-                for entry in basis:
-                    if entry[1] & bit:
-                        entry[1] ^= d
-                        entry[2] ^= mix
-                basis.append([bit, d, mix])
-                chosen.append(row)
-                if len(chosen) == room:
-                    break
-        bits = [entry[0] for entry in basis]
-        cols = [bit.bit_length() - 1 for bit in bits]
-        mixes = np.array([entry[2] for entry in basis], dtype=np.uint8)
-        lo, hi = b, 2 * nbytes if first else nbytes + b + 1
-        source = rows[chosen, lo:hi]
-        source[:, nbytes + b - lo] |= np.array(bits, dtype=np.uint8)
-        table = _xor_tables(source, len(chosen))[0]
-        index = np.bitwise_xor.reduce(_BYTE_BITS[:, cols] * mixes, axis=1)[rows[:, b]]
-        rows[:, lo:hi] ^= table[index]  # the chosen rows are overwritten next
-        rows[chosen, lo:hi] = table[mixes]
-        free[chosen] = 0
-        taken[b] |= sum(bits)
-        pivot_rows += chosen
-        pivot_cols += [8 * b + c for c in cols]
-    return pivot_rows, pivot_cols
+        cand_r, cand_d = cand.tolist(), masked[cand].tolist()
+        picks = []  # (trial, chosen flat rows, basis) of every trial with new pivots
+        i = 0
+        while i < len(cand_r):
+            t = cand_r[i] // count
+            end = bisect_left(cand_r, (t + 1) * count, i)
+            room = 8 - taken[t][b].bit_count()
+            basis: list[list[int]] = []  # [pivot bit, reduced digit, chosen rows XORed into it]
+            chosen: list[int] = []
+            for row, d in zip(cand_r[i:end], cand_d[i:end]):
+                mix = 0
+                for bit, reduced, parts in basis:
+                    if d & bit:
+                        d ^= reduced
+                        mix ^= parts
+                if d:
+                    bit, mix = d & -d, mix | 1 << len(chosen)
+                    for entry in basis:
+                        if entry[1] & bit:
+                            entry[1] ^= d
+                            entry[2] ^= mix
+                    basis.append([bit, d, mix])
+                    chosen.append(row)
+                    if len(chosen) == room:
+                        break
+            picks.append((t, chosen, basis))
+            i = end
+        # Table p of the XORs of pick p's chosen rows, each with its own pivot
+        # bit in its tag; short picks are padded with rows that no map reads.
+        m = max(len(chosen) for _, chosen, _ in picks)
+        source_rows: list[int] = []
+        tag_bits: list[int] = []
+        combos = [0] * (8 * trials)  # per trial and pivot column: the chosen rows to XOR
+        offsets = [0] * trials  # trial t's table starts here; entry 0 of any table is zero
+        stored: list[int] = []  # per new pivot: its table entry
+        for p, (t, chosen, basis) in enumerate(picks):
+            pad = m - len(chosen)
+            source_rows += chosen + chosen[:1] * pad
+            tag_bits += [entry[0] for entry in basis] + [0] * pad
+            offsets[t] = p << m
+            for bit, _, mix in basis:
+                combos[8 * t + bit.bit_length() - 1] = mix
+                stored.append((p << m) + mix)
+            cols = [8 * b + entry[0].bit_length() - 1 for entry in basis]
+            taken[t][b] |= sum(entry[0] for entry in basis)
+            pivots[t][0].extend(row - t * count for row in chosen)
+            pivots[t][1].extend(cols)
+        # Table rows are zero left of block b and, with no stored pivots, in
+        # tag bytes right of it: the XORs below skip such 64-byte spans.
+        lo = b // 64 * 8
+        hi = min(width // 8, -(-(width if first else nbytes + b + 1) // 64) * 8)
+        source = flat.take(source_rows, axis=0)
+        source[:, nbytes + b] |= np.array(tag_bits, dtype=np.uint8)
+        source = source.view(np.uint64)[:, lo:hi].reshape(len(picks), m, hi - lo)
+        table = _xor_tables(source, m)[0].reshape(len(picks) << m, hi - lo)
+        # digit d of trial t clears its pivot columns with table entry maps[t, d]
+        combos = np.array(combos, dtype=np.uint8).reshape(trials, 8, 1)
+        maps = np.bitwise_xor.reduce(_BYTE_BITS * combos, axis=1) + np.array(offsets)[:, None]
+        chosen_rows = [row for _, chosen, _ in picks for row in chosen]
+        words[:, lo:hi] ^= table.take(maps.ravel().take(digits + map_base), axis=0)
+        words[chosen_rows, lo:hi] = table.take(stored, axis=0)  # the new pivot rows
+        free[chosen_rows] = 0
+    return pivots
+
+
+def fold(decoders: Sequence[DecoderState], vectors: np.ndarray, payloads: np.ndarray) -> np.ndarray:
+    """Fold one batch of packets into each of several decoders, in row order.
+
+    ``vectors`` is ``trials x count x ceil(k / 8)``, trial ``t``'s packed
+    vectors (see :func:`sample_uniform_vectors`) for ``decoders[t]``, and
+    ``payloads`` the matching ``trials x count x size`` ``uint8`` payloads,
+    ``size`` fixed for each decoder's lifetime. A trial with fewer packets
+    pads its batch with zero rows, which are never innovative. Returns the
+    ``trials x count`` flags, True where a packet raised its decoder's
+    rank: those of one packet at a time. One product reduces every batch
+    against its decoder's stored pivots, and one :func:`_gauss_jordan` pass
+    finds and stores the new pivots of all trials.
+    """
+    k = decoders[0].k
+    nbytes = (k + 7) // 8
+    if any(d.k != k for d in decoders):
+        raise InvalidParameterError("decoders of different lengths")
+    if vectors.ndim != 3 or vectors.shape[0] != len(decoders) or vectors.shape[2] != nbytes:
+        raise InvalidParameterError(
+            f"packed vectors of shape {vectors.shape[1:]} do not fit length {k}"
+        )
+    if (vectors[..., -1] >> (k - 8 * (nbytes - 1))).any():
+        raise InvalidParameterError(f"packed vectors have bits beyond length {k}")
+    if payloads.ndim != 3 or payloads.shape[:2] != vectors.shape[:2]:
+        raise InvalidParameterError("need one payload row per vector")
+    for d in decoders:
+        if d._payloads is None:
+            if payloads.shape[2] < 1:
+                raise InvalidParameterError("payloads must be at least one byte")
+            d._payloads = np.zeros((k, payloads.shape[2]), dtype=np.uint8)
+        if payloads.shape[2] != d._payloads.shape[1]:
+            raise InvalidParameterError("payload size changed mid-stream")
+    innovative = np.zeros(vectors.shape[:2], dtype=bool)
+    live = [t for t, d in enumerate(decoders) if d._rank < k]
+    if not live:
+        return innovative
+    if len(live) < len(decoders):
+        vectors, payloads = vectors[live], payloads[live]
+    states = [decoders[t] for t in live]
+    trials, count = vectors.shape[:2]
+    first = k if any(d._rank for d in states) else 0  # rows before first: the stored pivots
+    width = _row_bytes(nbytes)
+    rows = batch = np.zeros((trials, count, width), dtype=np.uint8)
+    batch[:, :, :nbytes] = vectors
+    if first:  # reduce the batch against the stored pivots, then append it to them
+        rows = np.empty((trials, first + count, width), dtype=np.uint8)
+        np.stack([d._rows for d in states], out=rows[:, :first])
+        _product(vectors, _chunked_tables(rows[:, :first]), batch)
+        rows[:, first:] = batch
+    pivots = _gauss_jordan(rows, first, [d._taken for d in states])
+    for t, (d, (pivot_rows, cols)) in enumerate(zip(states, pivots)):
+        if first:
+            d._rows = rows[t, :k]
+        at = np.array(pivot_rows, dtype=np.intp)
+        d._rows[cols] = rows[t, at]
+        d._payloads[cols] = payloads[t, at - first]
+        innovative[live[t], at - first] = True
+        d._rank += len(cols)
+    return innovative
 
 
 class DecoderState:
     """Incremental rank tracker and decoder over packed rows.
 
     The basis is kept in reduced echelon form as packed ``[vector | tag]``
-    rows of ``2 * ceil(k / 8)`` bytes, row ``c`` holding the pivot row of
+    rows of ``2 * ceil(k / 8)`` bytes (padded to whole 64-bit words), row
+    ``c`` holding the pivot row of
     column ``c`` (zero while column ``c`` has none). The packet that became
     a pivot at column ``c`` has its payload stored in slot ``c``, and bit
-    ``c`` of a row's tag says that slot ``c`` is part of the row. A batch
-    is folded in two steps: one GF(2) product reduces its rows against the
-    stored pivots, then :func:`_gauss_jordan` finds and stores its own
-    pivots, in arrival order, and clears their columns from every row. At
-    full rank the vectors are the identity, so the tags are the selector
-    (which slots XOR to each block), and ``try_decode`` is one product of
-    the selector with the payloads.
+    ``c`` of a row's tag says that slot ``c`` is part of the row. Batches
+    are folded by :func:`fold`, which folds one batch into each of several
+    decoders at once; ``receive_batch`` is a fold of one. At full rank the
+    vectors are the identity, so the tags are the selector (which slots XOR
+    to each block), and ``try_decode`` is one product of the selector with
+    the payloads.
     """
 
     def __init__(self, k: int):
@@ -422,7 +556,7 @@ class DecoderState:
             raise InvalidParameterError("k must be >= 1")
         self.k = k
         nbytes = (k + 7) // 8
-        self._rows = np.zeros((k, 2 * nbytes), dtype=np.uint8)
+        self._rows = np.zeros((k, _row_bytes(nbytes)), dtype=np.uint8)
         self._taken = [0] * nbytes
         self._taken[-1] = (0xFF << (k - 8 * (nbytes - 1))) & 0xFF
         self._payloads: np.ndarray | None = None
@@ -439,38 +573,9 @@ class DecoderState:
         :func:`sample_uniform_vectors`) and ``payloads`` a ``count x size``
         ``uint8`` matrix, ``size`` fixed for the decoder's lifetime.
         """
-        nbytes = len(self._taken)
-        if vectors.ndim != 2 or vectors.shape[1] != nbytes:
-            raise InvalidParameterError(
-                f"packed vectors of shape {vectors.shape} do not fit length {self.k}"
-            )
-        if (vectors[:, -1] >> (self.k - 8 * (nbytes - 1))).any():
-            raise InvalidParameterError(f"packed vectors have bits beyond length {self.k}")
-        if payloads.ndim != 2 or len(payloads) != len(vectors):
-            raise InvalidParameterError("need one payload row per vector")
-        if self._payloads is None:
-            if payloads.shape[1] < 1:
-                raise InvalidParameterError("payloads must be at least one byte")
-            self._payloads = np.zeros((self.k, payloads.shape[1]), dtype=np.uint8)
-        if payloads.shape[1] != self._payloads.shape[1]:
-            raise InvalidParameterError("payload size changed mid-stream")
-        innovative = np.zeros(len(vectors), dtype=bool)
-        if self._rank == self.k:
-            return innovative
-        rows = np.zeros((len(vectors), 2 * nbytes), dtype=np.uint8)
-        rows[:, :nbytes] = vectors
-        if self._rank:
-            _product(vectors, _chunked_tables(self._rows), rows)
-            rows = np.concatenate((self._rows, rows))
-            self._rows = rows[: self.k]
-        first = len(rows) - len(vectors)
-        new, cols = _gauss_jordan(rows, first, self._taken)
-        new = np.array(new, dtype=np.intp)
-        self._rows[cols] = rows[new]
-        self._payloads[cols] = payloads[new - first]
-        innovative[new - first] = True
-        self._rank += len(cols)
-        return innovative
+        if vectors.ndim != 2 or payloads.ndim != 2:
+            raise InvalidParameterError("need 2-d batches of vectors and payloads")
+        return fold([self], vectors[None], payloads[None])[0]
 
     def receive(self, packet: Packet) -> bool:
         """Fold one packet: a batch of one. True iff it raised the rank."""
@@ -485,9 +590,11 @@ class DecoderState:
         """Recover the original blocks, or report the current rank."""
         if self._rank < self.k:
             return NotYetDecodable(self._rank)
-        blocks = np.zeros_like(self._payloads)
-        _product(self._rows[:, len(self._taken) :], _chunked_tables(self._payloads), blocks)
-        return [row.tobytes() for row in blocks]
+        blocks = np.zeros((1, *self._payloads.shape), dtype=np.uint8)
+        nbytes = len(self._taken)
+        tags = self._rows[None, :, nbytes : 2 * nbytes]
+        _product(tags, _chunked_tables(self._payloads[None]), blocks)
+        return [row.tobytes() for row in blocks[0]]
 
 
 def packets_needed(k: int, epsilon: float, scheme: VectorScheme) -> int:

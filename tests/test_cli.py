@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetsim import cli
 from vanetsim.cli import main
@@ -481,6 +485,52 @@ def test_download_time_rejects_infeasible_k(twoclass_path, capsys):
     assert code == 2
     assert out == ""
     assert "exceeds the download limit of 8192 blocks" in err
+
+
+def test_spawning_leaves_the_generator_where_it_was():
+    # download-time draws a chunk's observers before its trials spawn their
+    # streams; the streams match one trial at a time only because of this
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    rng.spawn(3)
+    assert rng.bit_generator.state == state
+
+
+_ODD_NUMBERS = st.sampled_from(["0", "1", "-0.5", "nan", "inf", "-inf", "1e-300", "0.999"])
+
+
+def _mostly(valid):
+    """``valid`` seven times in eight, else an odd number."""
+    return st.integers(0, 7).flatmap(lambda i: valid if i else _ODD_NUMBERS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(1, 64),
+    trials=st.integers(1, 12),
+    epsilon=_mostly(st.floats(0.001, 0.5).map(repr)),
+    lt=st.none() | st.tuples(_mostly(st.floats(0.05, 1).map(repr)), _mostly(st.just("0.5"))),
+    observer=st.none() | _mostly(st.floats(1, 60).map(repr)) | st.sampled_from(["-3", "1e-300"]),
+    seed=_mostly(st.integers(-2, 2**70).map(str)),
+)
+def test_download_time_arguments_never_give_a_traceback_or_exit_1(
+    twoclass_path, k, trials, epsilon, lt, observer, seed
+):
+    args = ["download-time", str(twoclass_path), "--K", str(k), "--trials", str(trials)]
+    args += ["--epsilon", epsilon, "--seed", seed]
+    if lt is not None:
+        args += ["--scheme", "lt", "--lt-c", lt[0], "--lt-delta", lt[1]]
+    if observer is not None:
+        args += ["--observer-v", observer]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 2, 3), (args, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert "error:" in err.getvalue() and not out.getvalue()
+    else:
+        assert json.loads(out.getvalue())["results"]["trials"] == trials
 
 
 @pytest.mark.parametrize("trials", [cli.MAX_TRIALS + 1, 100_000_000_000])

@@ -27,7 +27,7 @@ from vanetsim import (
     span_probability,
 )
 from vanetsim import encounters
-from vanetsim.encounters import MAX_DOWNLOAD_BLOCKS, _segment_events
+from vanetsim.encounters import MAX_DOWNLOAD_BLOCKS, _crossing_events
 from vanetsim.errors import (
     InternalInconsistencyError,
     InvalidParameterError,
@@ -495,7 +495,9 @@ def reference_download(scenario, observer, file, scheme, rng):
     decoder = IntDecoder(file.k)
     received = 0
     for segment in range(1000):
-        for offset, count in _segment_events(scenario, observer, arr_rng):
+        station = math.floor(infostation_download(observer, scenario.packet_rate, scenario.r))
+        events = [(0.0, station)] + _crossing_events(scenario, observer, arr_rng)
+        for offset, count in events:
             for _ in range(count):
                 received += 1
                 packed = sample(vec_rng, 1)  # a batch of one
@@ -535,13 +537,13 @@ def test_lt_download_with_a_long_tail_matches_per_packet_oracle(monkeypatch):
     # LT vectors leave the first k packets well short of full rank, so the
     # decode ends after many folds of a few packets each
     folds = []
-    fold = DecoderState.receive_batch
+    fold = encounters.fold
 
-    def counted(self, vectors, payloads):
-        folds.append(len(vectors))
-        return fold(self, vectors, payloads)
+    def counted(decoders, vectors, payloads):
+        folds.append(vectors.shape[1])  # a download is a chunk of one trial
+        return fold(decoders, vectors, payloads)
 
-    monkeypatch.setattr(DecoderState, "receive_batch", counted)
+    monkeypatch.setattr(encounters, "fold", counted)
     sc = make_scenario(bit_rate=250.0)
     file = FileSpec(100, 64)
     scheme = LtScheme(SolitonParams(0.02, 0.9, 0.01))  # no spike: half the degrees are 2
@@ -554,14 +556,74 @@ def test_lt_download_with_a_long_tail_matches_per_packet_oracle(monkeypatch):
 
 def test_download_file_is_one_draw_per_block(monkeypatch):
     seen = []
-    real = encounters.Blocks
-    monkeypatch.setattr(encounters, "Blocks", lambda blocks: seen.append(list(blocks)) or real(blocks))
+    real = encounters._draw_files
+
+    def drawn(file, rngs):
+        files = real(file, rngs)
+        seen.append([row.tobytes() for row in files[0]])  # a download is a chunk of one trial
+        return files
+
+    monkeypatch.setattr(encounters, "_draw_files", drawn)
     for k, l in ((3, 8), (5, 24), (4, 40), (2, 64)):  # 1, 3, 5 and 8-byte blocks
         simulate_download_time(
             make_scenario(lam=0.0), 20.0, FileSpec(k, l), UniformScheme(), np.random.default_rng(k)
         )
         file_rng = np.random.default_rng(k).spawn(3)[2]
         assert seen[-1] == [file_rng.bytes(l // 8) for _ in range(k)]
+
+
+def test_crossings_are_drawn_only_when_the_station_batch_falls_short(twoclass, monkeypatch):
+    drawn = []
+    draw = encounters._crossing_events
+
+    def counted(scenario, vi, rng):
+        drawn.append(vi)
+        return draw(scenario, vi, rng)
+
+    monkeypatch.setattr(encounters, "_crossing_events", counted)
+    file = FileSpec(100, 64)  # station batches of 250 and 200 packets hold the decode
+    rngs = [np.random.default_rng(seed) for seed in range(6)]
+    got = encounters.simulate_download_times(twoclass, [20.0, 25.0] * 3, file, UniformScheme(), rngs)
+    assert [segments for _, _, segments in got] == [1] * 6 and drawn == []
+    got = simulate_download_time(twoclass, 20.0, FileSpec(300, 64), UniformScheme(), rngs[0])
+    assert got[2] == 1 and drawn == [20.0]  # 250 station packets fall short of 300
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (InvalidParameterError, NoProgressError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "observers, k",
+    [
+        ([20.0, 20.0], 1200),
+        ([20.0, 25.0, 20.0, 25.0], 1200),
+        ([25.0, 20.0, 1e-300], 1200),
+        ([20.0, -1.0, 25.0], 1200),
+        ([1e-300, 25.0], 1200),
+        ([25.0, 20.0], 2500),
+    ],
+)
+def test_a_chunk_gives_what_its_trials_give_one_at_a_time(observers, k):
+    # No traffic: an observer at 20 gets 2 station packets a segment, one at
+    # 25 gets 1, so they give up at ranks 2000 and 1000. The chunk returns
+    # the trials' results or raises the error of its first failing trial.
+    sc = make_scenario(lam=0.0, r=0.9)
+    file = FileSpec(k, 8)
+    one_at_a_time = _outcome(
+        lambda: [
+            simulate_download_time(sc, v, file, UniformScheme(), np.random.default_rng(seed))
+            for seed, v in enumerate(observers)
+        ]
+    )
+    rngs = [np.random.default_rng(seed) for seed in range(len(observers))]
+    chunk = _outcome(
+        lambda: encounters.simulate_download_times(sc, observers, file, UniformScheme(), rngs)
+    )
+    assert chunk == one_at_a_time
 
 
 def test_download_refuses_a_file_above_the_block_limit():

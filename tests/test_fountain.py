@@ -191,6 +191,8 @@ def test_soliton_spike_out_of_range_rejected():
 def test_soliton_params_validation():
     with pytest.raises(InvalidParameterError):
         SolitonParams(c=0.0, delta=0.5, epsilon=0.5)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        SolitonParams(c=math.inf, delta=0.5, epsilon=0.5)  # an infinite spike scale
     with pytest.raises(InvalidParameterError):
         SolitonParams(c=0.1, delta=1.5, epsilon=0.5)
     with pytest.raises(InvalidParameterError):
@@ -523,6 +525,46 @@ def test_receive_batch_matches_the_int_oracle(kind, k_range, data):
         assert state.try_decode() == decoded
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("kind", ["uniform", "lt", "repeats"])
+def test_fold_of_several_decoders_matches_separate_folds(kind, data):
+    # Each trial's batch, padded with zero rows to the longest, folds as if
+    # alone: the flags, rank, basis and decode of a separate DecoderState
+    # fold and of the per-packet int oracle, whatever the stored ranks.
+    k = data.draw(st.integers(1, 72), label="k")
+    trials = data.draw(st.integers(1, 5), label="trials")
+    size = data.draw(st.sampled_from([1, 3]), label="size")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    stored = data.draw(st.lists(st.integers(0, k + 4), min_size=trials, max_size=trials))
+    counts = data.draw(st.lists(st.integers(0, 2 * k + 8), min_size=trials, max_size=trials))
+    vectors = np.zeros((trials, max(counts), (k + 7) // 8), dtype=np.uint8)
+    payloads = np.zeros((trials, max(counts), size), dtype=np.uint8)
+    decoders, expected = [], []
+    for t, (before, count) in enumerate(zip(stored, counts)):
+        stream = oracle_stream(kind, k, before + count, rng)
+        stream_payloads = rng.integers(0, 256, (before + count, size), dtype=np.uint8)
+        decoder, alone, oracle = DecoderState(k), DecoderState(k), IntDecoder(k)
+        for state in (decoder, alone):
+            state.receive_batch(stream[:before], stream_payloads[:before])
+        oracle_flags = [
+            oracle.receive(Packet(EncodingVector(bits, k), payload.tobytes()))
+            for bits, payload in zip(packed_bits(stream), stream_payloads)
+        ]
+        vectors[t, :count] = stream[before:]
+        payloads[t, :count] = stream_payloads[before:]
+        flags = alone.receive_batch(stream[before:], stream_payloads[before:]).tolist()
+        assert flags == oracle_flags[before:]
+        decoders.append(decoder)
+        expected.append((flags, alone, oracle))
+    innovative = fountain.fold(decoders, vectors, payloads)
+    for t, (decoder, (flags, alone, oracle)) in enumerate(zip(decoders, expected)):
+        assert innovative[t].tolist() == flags + [False] * (max(counts) - counts[t])
+        assert decoder.rank == alone.rank == oracle.rank
+        assert reduced_rows(decoder) == reduced_rows(alone) == oracle.rows()
+        assert decoder.try_decode() == alone.try_decode() == oracle.try_decode()
+
+
 def test_receive_batch_rejects_misfit_batches():
     state = DecoderState(10)
     one = np.zeros((1, 1), dtype=np.uint8)
@@ -534,6 +576,13 @@ def test_receive_batch_rejects_misfit_batches():
         state.receive_batch(np.zeros((2, 2), dtype=np.uint8), one)
     with pytest.raises(InvalidParameterError, match="at least one byte"):
         state.receive_batch(np.zeros((1, 2), dtype=np.uint8), np.zeros((1, 0), dtype=np.uint8))
+    with pytest.raises(InvalidParameterError, match="2-d batches"):
+        state.receive_batch(np.zeros(2, dtype=np.uint8), one)
+    two_vectors, two_payloads = np.zeros((2, 1, 2), dtype=np.uint8), np.zeros((2, 1, 1), dtype=np.uint8)
+    with pytest.raises(InvalidParameterError, match="decoders of different lengths"):
+        fountain.fold([state, DecoderState(9)], two_vectors, two_payloads)
+    with pytest.raises(InvalidParameterError, match="do not fit length 10"):
+        fountain.fold([state], two_vectors, two_payloads)  # two batches for one decoder
     assert state.rank == 0
 
 
