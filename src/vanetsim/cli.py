@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -71,6 +72,7 @@ def _check_trials(trials: int, minimum: int) -> None:
         )
 
 
+@functools.cache  # built once per process: building takes far longer than parsing
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vanetsim",
@@ -175,6 +177,13 @@ def _observer_sampler(scenario: Scenario, fixed: float | None):
     return lambda rng: float(rng.uniform(a, b))
 
 
+def _generator(seed: int) -> np.random.Generator:
+    """The run's random generator; a negative seed, from --seed or the scenario, is refused."""
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _z_score(diff: float, std_error: float, scale: float) -> float:
     # a zero-variance estimate still gets a finite, comparable score
     eff = max(std_error, 1e-12 * max(1.0, abs(scale)))
@@ -213,7 +222,7 @@ def _cmd_simulate(args) -> tuple[str, int, dict, int]:
     _check_trials(args.trials, 2)
     seed = args.seed if args.seed is not None else scenario.seed
     observer = args.observer_v if args.observer_v is not None else _default_observer(scenario)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     est = monte_carlo_throughput(scenario, observer, args.trials, rng)
     results = {
         "observer_v": observer,
@@ -228,7 +237,7 @@ def _cmd_compare(args) -> tuple[str, int, dict, int]:
     scenario, digest = _load_scenario(args.scenario)
     _check_trials(args.trials, 2)
     seed = args.seed if args.seed is not None else scenario.seed
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
 
     def estimate_row(label: str, observer: float, analytic: float) -> dict:
         est = monte_carlo_throughput(scenario, observer, args.trials, rng)
@@ -306,7 +315,7 @@ def _cmd_download_time(args) -> tuple[str, int, dict, int]:
         scheme = LtScheme(SolitonParams(c=args.lt_c, delta=args.lt_delta, epsilon=args.epsilon))
     file = FileSpec(k=args.k, l=64)
     projection = expected_download_time(scenario, file, args.epsilon, scheme)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     draw_observer = _observer_sampler(scenario, args.observer_v)
     times = np.empty(args.trials)
     packets = np.empty(args.trials)

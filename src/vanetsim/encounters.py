@@ -35,6 +35,7 @@ from .fountain import (
     VectorScheme,
     _product,
     _xor_tables,
+    decode,
     encode,  # noqa: F401  (perfbench/tracing.py wraps encounters.encode by name)
     fold,
     vector_batch_sampler,
@@ -64,8 +65,11 @@ MAX_DOWNLOAD_BLOCKS = 8192
 # trial of a chunk holds about 8 KiB + k * (6 * block_bytes + 12 * ceil(k /
 # 8)) + 1024 * ceil(k / 8) bytes: its streams, its file and the file's XOR
 # tables, its basis, a fold's working rows and a block's 256-entry table
-# (tracemalloc peaks of 8, 24, 47, 128 and 1700 KB a trial at K = 1, 40,
-# 100, 256 and 1000 with 8-byte blocks). 2 MiB holds 50 trials at K=100,
+# (tracemalloc peaks of 7, 23, 45, 140 and 1135 KB a trial at K = 1, 40,
+# 100, 256 and 1000 with 8-byte blocks, in the chunks of 226, 118, 50, 13
+# and 1 trials that this rule gives; 1811 KB a trial in a chunk of 4 at
+# K=1000, where the round's one decode product indexes the tables with a
+# 32-bit row per digit of the trials' tags). 2 MiB holds 50 trials at K=100,
 # where a chunk of 50 runs a trial in about half the time that trials one
 # at a time take, and one trial from K of about 800 on, where chunks stop
 # saving time (at K=1000 a chunk of 25 was slower per trial than one).
@@ -368,19 +372,14 @@ class _Download:
             at += len(vectors)
             self.held[j] = (len(vectors), segment, offset)
 
-    def folded(self, innovative: np.ndarray, file: np.ndarray):
-        """Empty the hold after its fold; the trial's result if the decode is complete.
+    def folded(self, innovative: np.ndarray):
+        """Empty the hold after its fold; the trial's result if the rank is full.
 
         The result is (time, packets, segments) at the last innovative
-        packet of the packed fold, or an error if the decode disagrees with
-        ``file``; None while the rank is short.
+        packet of the packed fold; None while the rank is short.
         """
         result = None
-        if self.decoder.rank < len(file):
-            pass
-        elif b"".join(self.decoder.try_decode()) != file.tobytes():
-            result = InternalInconsistencyError("decoded blocks disagree with the encoded file")
-        else:
+        if self.decoder.rank == self.decoder.k:
             last = int(np.flatnonzero(innovative)[-1])
             ends = np.cumsum([n for n, _, _ in self.held])
             _, segment, offset = self.held[int(np.searchsorted(ends, last, side="right"))]
@@ -410,7 +409,9 @@ def simulate_download_times(
     hand. The trials run in lockstep rounds: every unfinished trial draws
     vectors in pieces, each recorded with its segment and offset, until it
     holds ``k - rank``; then all of them are encoded with one product and
-    folded with one :func:`~vanetsim.fountain.fold`. A trial's first fold
+    folded with one :func:`~vanetsim.fountain.fold`, and those that reach
+    full rank are decoded with one :func:`~vanetsim.fountain.decode` and
+    checked against their files. A trial's first fold
     thus holds its first k packets (up to ``BATCH_MARGIN`` more from the
     same batch), and later folds hold a piece or a few. The innovative
     flags are those of one packet at a time, so the packet that completes
@@ -448,7 +449,7 @@ def simulate_download_times(
         trials.append(_Download(scenario, vi, ti, rng, k))
     sample = vector_batch_sampler(scheme, k)
     files = _draw_files(file, [d.file_rng for d in trials])
-    tables = _xor_tables(files, 4).reshape((k + 3) // 4, 16 * len(trials), file.block_bytes)
+    tables = _xor_tables(files, 4)
     results: list = [None] * len(trials)
     active = list(range(len(trials)))
     while active:
@@ -464,7 +465,16 @@ def simulate_download_times(
             _product(vectors, tables, payloads, folding)
             innovative = fold([trials[i].decoder for i in folding], vectors, payloads)
             for i, flags in zip(folding, innovative):
-                results[i] = trials[i].folded(flags, files[i])
+                results[i] = trials[i].folded(flags)
+            done = [i for i in folding if results[i] is not None]
+            if done:  # every decode is checked against its file
+                decoded = decode([trials[i].decoder for i in done])
+                np.bitwise_xor(decoded, files[done], out=decoded)
+                for i, wrong in zip(done, decoded.any(axis=(1, 2))):
+                    if wrong:
+                        results[i] = InternalInconsistencyError(
+                            "decoded blocks disagree with the encoded file"
+                        )
         for i in starved:
             results[i] = NoProgressError(
                 f"decode rank {trials[i].decoder.rank}/{k} after {MAX_SEGMENTS} segments"

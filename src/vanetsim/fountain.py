@@ -18,11 +18,15 @@ The products and the Gauss–Jordan kernel carry a leading trial axis: the
 kernel eliminates 8 columns at a time with one XOR table per trial and
 block, after Albrecht and Bard's M4RI, and each of a block's NumPy steps
 serves every trial, so the per-call cost that dominates small decodes is
-paid once per chunk of trials. Its pivots are the earliest rows that raise
-the rank, so a batch's innovative packets are those of one packet at a
-time. At full rank the tags are the inverse of the innovative packets'
-vectors, and the blocks are one more 4-row-table product, of the tags with
-the kept payloads.
+paid once per chunk of trials. XOR tables are laid out entry-major, the
+trials' copies of an entry side by side, so each doubling step of a table
+build is one contiguous XOR over every trial. The kernel's pivots are the
+earliest rows that raise the rank, so a batch's innovative packets are
+those of one packet at a time. At full rank the tags are the inverse of the
+innovative packets' vectors, and the blocks are one more 4-row-table
+product, of the tags with the kept payloads: :func:`decode` recovers the
+blocks of several decoders with one product, and
+:meth:`DecoderState.try_decode` is a decode of one.
 """
 
 from __future__ import annotations
@@ -207,25 +211,29 @@ def _xor_tables(rows: np.ndarray, width: int) -> np.ndarray:
     """XOR tables of the consecutive ``width``-row groups of ``rows``.
 
     ``rows`` is ``... x n x size``, any leading axes (trials) kept apart.
-    Entry ``[g, ..., c]`` of the ``ceil(n / width) x ... x 2**width x size``
-    result, groups first, is the XOR of the rows ``width * g + i`` whose bit
-    ``i`` is set in ``c``; a short last group acts as if padded with zero
-    rows. The tables of all groups are built together, one vectorised XOR
-    step per row of a group, each step doubling the entries built so far.
-    A table replaces up to ``width`` row XORs by one lookup per target row:
+    Entry ``[g, c, ...]`` of the ``ceil(n / width) x 2**width x ... x size``
+    result, groups first and the leading axes after the entry axis, is the
+    XOR of the rows ``width * g + i`` whose bit ``i`` is set in ``c``; a
+    short last group acts as if padded with zero rows. The tables of all
+    groups are built together, one vectorised XOR step per row of a group,
+    each step doubling the entries built so far. With the entry axis before
+    the trials, a step is one contiguous XOR over every trial's rows. A
+    table replaces up to ``width`` row XORs by one lookup per target row:
     the "method of four Russians" of Albrecht and Bard's M4RI library.
     """
     *lead, n, size = rows.shape
+    trials = math.prod(lead)
+    rows = rows.reshape(trials, n, size).swapaxes(0, 1)
     if n % width:
-        pad = np.zeros((*lead, -n % width, size), dtype=rows.dtype)
-        rows = np.concatenate((rows, pad), axis=-2)
-    ngroups = rows.shape[-2] // width
-    groups = rows.reshape(-1, ngroups, width, 1, size).swapaxes(0, 1).reshape(-1, width, 1, size)
-    tables = np.empty((len(groups), 1 << width, size), dtype=rows.dtype)
+        rows = np.concatenate((rows, np.zeros((-n % width, trials, size), dtype=rows.dtype)))
+    ngroups = len(rows) // width
+    # a copy unless there is one trial: each trial's rows of a group side by side
+    groups = np.ascontiguousarray(rows).reshape(ngroups, width, 1, trials, size)
+    tables = np.empty((ngroups, 1 << width, trials, size), dtype=rows.dtype)
     tables[:, 0] = 0
     for i in range(width):
         np.bitwise_xor(tables[:, : 1 << i], groups[:, i], out=tables[:, 1 << i : 2 << i])
-    return tables.reshape(ngroups, *lead, 1 << width, size)
+    return tables.reshape(ngroups, 1 << width, *lead, size)
 
 
 def _product(
@@ -233,24 +241,27 @@ def _product(
 ) -> None:
     """XOR into ``out`` the GF(2) products of packed bit matrices with some rows.
 
-    ``packed`` is ``trials x count x nbytes`` and ``out`` a contiguous
-    ``trials x count x size`` array. Bit ``j`` (LSB-first) of row ``p`` of
+    ``packed`` is ``n x count x nbytes`` and ``out`` a contiguous
+    ``n x count x size`` array. Bit ``j`` (LSB-first) of row ``p`` of
     trial ``t`` selects row ``j`` of that trial's matrix, whose 4-row XOR
-    tables ``tables`` yields in group order: one ``16 n x size`` array per
-    group, with the tables of ``n`` trials one after another, of which
-    trial ``t`` reads the one at ``trials[t]`` (default ``t``). The XOR of
-    the selected rows goes into ``out[t, p]``. The product takes one table
+    tables ``tables`` yields in group order: one ``16 x ntables x size``
+    array per group, entry-major (see :func:`_xor_tables`), of which trial
+    ``t`` reads the tables at ``trials[t]`` (default ``t``). The XOR of the
+    selected rows goes into ``out[t, p]``. The product takes one table
     lookup per 4-bit digit, one NumPy gather per group for every trial at
     once.
     """
     n, count, nbytes = packed.shape
     digits = np.stack((packed & 0x0F, packed >> 4), axis=-1).reshape(n * count, 2 * nbytes)
-    at = 16 * (np.arange(n) if trials is None else np.asarray(trials))
-    if at.any():  # digit d of trial t reads row 16 * trials[t] + d of a group's tables
-        digits = digits + np.repeat(at, count).astype(np.uint32)[:, None]
     out = out.reshape(n * count, out.shape[-1])  # a view: out is contiguous
     for g, table in enumerate(tables):
-        out ^= table.take(digits[:, g].astype(np.intp), axis=0)
+        ntables, size = table.shape[1:]
+        if not g and ntables > 1:  # digit d of trial t reads row d * ntables + trials[t]
+            at = np.arange(n) if trials is None else np.asarray(trials)
+            digits = digits.astype(np.uint32)
+            digits *= ntables
+            digits += np.repeat(at, count).astype(np.uint32)[:, None]
+        out ^= table.reshape(16 * ntables, size).take(digits[:, g].astype(np.intp), axis=0)
 
 
 # Bytes of 4-row XOR tables that a decoder's products build at a time (the
@@ -264,14 +275,13 @@ _TABLE_BYTES = 1 << 18
 def _chunked_tables(rows: np.ndarray) -> Iterator[np.ndarray]:
     """The 4-row XOR tables of ``trials x n x size`` rows, one group at a time.
 
-    Yields a ``16 trials x size`` array per group, the trials' tables one
-    after another, building at most ``_TABLE_BYTES`` of tables at a time.
+    Yields a ``16 x trials x size`` array per group (see :func:`_xor_tables`),
+    building at most ``_TABLE_BYTES`` of tables at a time.
     """
     trials, n, size = rows.shape
     step = 4 * max(1, _TABLE_BYTES // (64 * trials * size))
     for lo in range(0, n, step):
-        tables = _xor_tables(rows[:, lo : lo + step], 4)
-        yield from tables.reshape(len(tables), 16 * trials, size)
+        yield from _xor_tables(rows[:, lo : lo + step], 4)
 
 
 class Blocks(Sequence[bytes]):
@@ -322,7 +332,7 @@ def encode_batch(blocks: Blocks, vectors: np.ndarray) -> np.ndarray:
             f"packed vectors of {nbytes} bytes do not fit {len(blocks)} blocks"
         )
     out = np.zeros((1, len(vectors), blocks.matrix.shape[1]), dtype=np.uint8)
-    _product(vectors[None], blocks.tables, out)
+    _product(vectors[None], blocks.tables[:, :, None], out)
     return out[0]
 
 
@@ -436,38 +446,47 @@ def _gauss_jordan(rows: np.ndarray, first: int, taken: list[list[int]]) -> list[
                         break
             picks.append((t, chosen, basis))
             i = end
-        # Table p of the XORs of pick p's chosen rows, each with its own pivot
-        # bit in its tag; short picks are padded with rows that no map reads.
-        m = max(len(chosen) for _, chosen, _ in picks)
-        source_rows: list[int] = []
+        # Entry mix of pick p's table, row mix * npicks + p, XORs pick p's
+        # chosen rows named by the bits of mix, each with its own pivot bit in
+        # its tag; short picks are padded with rows that no map reads.
+        m, npicks = max(len(chosen) for _, chosen, _ in picks), len(picks)
+        source_rows: list[int] = []  # pick p's chosen rows, padded to m
         tag_bits: list[int] = []
+        chosen_rows: list[int] = []
         combos = [0] * (8 * trials)  # per trial and pivot column: the chosen rows to XOR
-        offsets = [0] * trials  # trial t's table starts here; entry 0 of any table is zero
-        stored: list[int] = []  # per new pivot: its table entry
+        offsets = [0] * trials  # trial t's pick; entry 0 of any table is zero
+        stored: list[int] = []  # per new pivot: its table row
         for p, (t, chosen, basis) in enumerate(picks):
-            pad = m - len(chosen)
-            source_rows += chosen + chosen[:1] * pad
-            tag_bits += [entry[0] for entry in basis] + [0] * pad
-            offsets[t] = p << m
-            for bit, _, mix in basis:
-                combos[8 * t + bit.bit_length() - 1] = mix
-                stored.append((p << m) + mix)
-            cols = [8 * b + entry[0].bit_length() - 1 for entry in basis]
-            taken[t][b] |= sum(entry[0] for entry in basis)
-            pivots[t][0].extend(row - t * count for row in chosen)
-            pivots[t][1].extend(cols)
+            source_rows += chosen
+            chosen_rows += chosen
+            offsets[t] = p
+            pivot_rows, pivot_cols = pivots[t]
+            bits = 0
+            for (bit, _, mix), row in zip(basis, chosen):
+                col = bit.bit_length() - 1
+                combos[8 * t + col] = mix
+                stored.append(mix * npicks + p)
+                tag_bits.append(bit)
+                pivot_rows.append(row - t * count)
+                pivot_cols.append(8 * b + col)
+                bits |= bit
+            taken[t][b] |= bits
+            if len(chosen) < m:
+                source_rows += chosen[:1] * (m - len(chosen))
+                tag_bits += [0] * (m - len(chosen))
         # Table rows are zero left of block b and, with no stored pivots, in
         # tag bytes right of it: the XORs below skip such 64-byte spans.
         lo = b // 64 * 8
         hi = min(width // 8, -(-(width if first else nbytes + b + 1) // 64) * 8)
         source = flat.take(source_rows, axis=0)
         source[:, nbytes + b] |= np.array(tag_bits, dtype=np.uint8)
-        source = source.view(np.uint64)[:, lo:hi].reshape(len(picks), m, hi - lo)
-        table = _xor_tables(source, m)[0].reshape(len(picks) << m, hi - lo)
-        # digit d of trial t clears its pivot columns with table entry maps[t, d]
+        source = source.view(np.uint64)[:, lo:hi].reshape(npicks, m, hi - lo)
+        table = _xor_tables(source, m)[0].reshape(npicks << m, hi - lo)
+        # digit d of trial t clears its pivot columns with table row maps[t, d]
         combos = np.array(combos, dtype=np.uint8).reshape(trials, 8, 1)
-        maps = np.bitwise_xor.reduce(_BYTE_BITS * combos, axis=1) + np.array(offsets)[:, None]
-        chosen_rows = [row for _, chosen, _ in picks for row in chosen]
+        maps = np.bitwise_xor.reduce(_BYTE_BITS * combos, axis=1).astype(np.intp)
+        maps *= npicks
+        maps += np.array(offsets)[:, None]
         words[:, lo:hi] ^= table.take(maps.ravel().take(digits + map_base), axis=0)
         words[chosen_rows, lo:hi] = table.take(stored, axis=0)  # the new pivot rows
         free[chosen_rows] = 0
@@ -587,14 +606,38 @@ class DecoderState:
         return bool(self.receive_batch(vector[None], payload[None])[0])
 
     def try_decode(self) -> list[bytes] | NotYetDecodable:
-        """Recover the original blocks, or report the current rank."""
+        """Recover the original blocks, or report the current rank: a :func:`decode` of one."""
         if self._rank < self.k:
             return NotYetDecodable(self._rank)
-        blocks = np.zeros((1, *self._payloads.shape), dtype=np.uint8)
-        nbytes = len(self._taken)
-        tags = self._rows[None, :, nbytes : 2 * nbytes]
-        _product(tags, _chunked_tables(self._payloads[None]), blocks)
-        return [row.tobytes() for row in blocks[0]]
+        return [row.tobytes() for row in decode([self])[0]]
+
+
+def decode(decoders: Sequence[DecoderState]) -> np.ndarray:
+    """The blocks that several full-rank decoders recover, ``trials x k x size``.
+
+    Row ``i`` of trial ``t`` is block ``i`` of ``decoders[t]``: the XOR of
+    the stored payloads that its tag names. The decoders share ``k`` and
+    the payload size. One product of the stacked tags with the stacked
+    payloads' 4-row tables serves every trial; a single decoder's tags and
+    payloads are read in place, not copied.
+    """
+    k = decoders[0].k
+    if any(d.k != k for d in decoders):
+        raise InvalidParameterError("decoders of different lengths")
+    if any(d.rank < k for d in decoders):
+        raise InvalidParameterError("a decoder is short of full rank")
+    nbytes = len(decoders[0]._taken)
+    tags = [d._rows[:, nbytes : 2 * nbytes] for d in decoders]
+    payloads = [d._payloads for d in decoders]
+    if any(p.shape != payloads[0].shape for p in payloads):
+        raise InvalidParameterError("decoders with different payload sizes")
+    if len(decoders) == 1:  # views, not copies
+        tags, payloads = tags[0][None], payloads[0][None]
+    else:
+        tags, payloads = np.stack(tags), np.stack(payloads)
+    blocks = np.zeros(payloads.shape, dtype=np.uint8)
+    _product(tags, _chunked_tables(payloads), blocks)
+    return blocks
 
 
 def packets_needed(k: int, epsilon: float, scheme: VectorScheme) -> int:

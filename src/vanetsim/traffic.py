@@ -73,9 +73,16 @@ class DiscreteVelocityDist:
         return self._speeds
 
     def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw n (velocity, class index) pairs."""
-        idx = np.searchsorted(self._cum_p, rng.random(n), side="right")
-        idx = np.minimum(idx, self.m - 1)
+        """Draw n (velocity, class index) pairs.
+
+        A draw ``u`` falls in the class of index ``#{j < m - 1: cum_p[j] <= u}``,
+        counted in place one class boundary at a time: the last cumulative
+        probability, which may round below 1, is never a boundary.
+        """
+        u = rng.random(n)
+        idx = np.zeros(n, dtype=np.intp)
+        for c in self._cum_p[:-1]:
+            idx += u >= c
         return self._speeds[idx], idx
 
 

@@ -479,6 +479,36 @@ def test_class_speed_with_overflowing_reciprocal_is_an_input_error(tmp_path, com
         assert err.startswith("error: $.velocity.classes[1]: ")
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare", "download-time"])
+@pytest.mark.parametrize("where", ["flag", "scenario"])
+def test_negative_seed_is_an_input_error(twoclass_path, tmp_path, command, where, capsys):
+    # every command that draws refuses a negative seed, from --seed or from
+    # the scenario, as an input error instead of an internal failure
+    if where == "flag":
+        args = [command, str(twoclass_path), "--seed", "-1"]
+    else:
+        doc = json.loads(twoclass_path.read_text())
+        args = [command, write_scenario(tmp_path, dict(doc, seed=-1))]
+    args += ["--trials", "5"] + (["--K", "8"] if command == "download-time" else [])
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
+def test_the_parser_is_built_once_and_runs_stay_independent(twoclass_path, capsys):
+    # one parser serves every main call; no call's options leak into the next
+    first = ["simulate", str(twoclass_path), "--trials", "20"]
+    other = first + ["--seed", "5", "--observer-v", "25", "--format", "csv"]
+    _, alone = run_json(first, capsys)
+    assert run(other, capsys)[1].startswith("key,value")
+    _, after = run_json(first, capsys)
+    alone.pop("wall_time"), after.pop("wall_time")
+    assert after == alone
+    assert alone["seed"] == json.loads(twoclass_path.read_text())["seed"]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_download_time_rejects_infeasible_k(twoclass_path, capsys):
     args = ["download-time", str(twoclass_path), "--K", "100000000", "--trials", "1"]
     code, out, err = run(args, capsys)
@@ -525,7 +555,7 @@ def test_download_time_arguments_never_give_a_traceback_or_exit_1(
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)
-    assert code in (0, 2, 3), (args, err.getvalue())
+    assert code in (0, 2), (args, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code:
         assert "error:" in err.getvalue() and not out.getvalue()

@@ -638,20 +638,55 @@ def test_download_refuses_a_file_above_the_block_limit():
 
 
 def test_download_detects_a_wrong_decode(monkeypatch):
-    # The decode is checked against the file on every trial: a decoder that
+    # The decode is checked against the file on every trial: a decode that
     # returns one flipped byte must be caught.
-    honest = DecoderState.try_decode
+    honest = encounters.decode
 
-    def flip_one_byte(self):
-        decoded = honest(self)
-        first = decoded[0]
-        decoded[0] = bytes([first[0] ^ 0x01]) + first[1:]
+    def flip_one_byte(decoders):
+        decoded = honest(decoders)
+        decoded[:, 0, 0] ^= 0x01
         return decoded
 
-    monkeypatch.setattr(DecoderState, "try_decode", flip_one_byte)
+    monkeypatch.setattr(encounters, "decode", flip_one_byte)
     sc = make_scenario(lam=0.0)
     with pytest.raises(InternalInconsistencyError):
         simulate_download_time(sc, 20.0, FileSpec(8, 64), UniformScheme(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "j, raised",
+    [(0, InternalInconsistencyError), (1, InternalInconsistencyError), (3, NoProgressError)],
+)
+def test_a_wrong_decode_fails_its_own_trial_only(j, raised, monkeypatch):
+    # No traffic: observers at 20 decode K=8 from the first 16 of their 250
+    # station packets, all in the first round; the one at 1e6 gets none and
+    # gives up after MAX_SEGMENTS. Only trial j's decode is corrupted, so the
+    # chunk raises its error unless trial 2 fails before it, as trials run
+    # one at a time would.
+    made = []
+
+    class Tracked(DecoderState):
+        def __init__(self, k):
+            super().__init__(k)
+            made.append(self)
+
+    honest = encounters.decode
+
+    def corrupt_trial_j(decoders):
+        decoded = honest(decoders)
+        for blocks, decoder in zip(decoded, decoders):
+            if decoder is made[j]:
+                blocks[0, 0] ^= 0x01
+        return decoded
+
+    monkeypatch.setattr(encounters, "DecoderState", Tracked)
+    monkeypatch.setattr(encounters, "decode", corrupt_trial_j)
+    rngs = [np.random.default_rng(seed) for seed in range(4)]
+    with pytest.raises(raised):
+        encounters.simulate_download_times(
+            make_scenario(lam=0.0), [20.0, 20.0, 1e6, 20.0], FileSpec(8, 64), UniformScheme(), rngs
+        )
+    assert len(made) == 4
 
 
 # (t, packets, segments) for twoclass at bit_rate 5000 with FileSpec(256, 8192)

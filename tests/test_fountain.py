@@ -565,6 +565,53 @@ def test_fold_of_several_decoders_matches_separate_folds(kind, data):
         assert decoder.try_decode() == alone.try_decode() == oracle.try_decode()
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("kind", ["uniform", "lt", "repeats"])
+def test_decode_of_several_decoders_matches_each_try_decode(kind, data):
+    # The batched decode of 1-5 full-rank decoders gives each trial the
+    # blocks of its own try_decode and of the per-packet int oracle.
+    k = data.draw(st.integers(1, 72), label="k")
+    trials = data.draw(st.integers(1, 5), label="trials")
+    size = data.draw(st.sampled_from([1, 3, 8]), label="size")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    decoders, oracles = [], []
+    for _ in range(trials):
+        decoder, oracle = DecoderState(k), IntDecoder(k)
+        stream = oracle_stream(kind, k, data.draw(st.integers(0, 2 * k), label="count"), rng)
+        while True:
+            payloads = rng.integers(0, 256, (len(stream), size), dtype=np.uint8)
+            decoder.receive_batch(stream, payloads)
+            for bits, payload in zip(packed_bits(stream), payloads):
+                oracle.receive(Packet(EncodingVector(bits, k), payload.tobytes()))
+            if decoder.rank == k:
+                break
+            stream = sample_uniform_vectors(k, k - decoder.rank + 8, rng)  # tops up the rank
+        decoders.append(decoder)
+        oracles.append(oracle)
+    blocks = fountain.decode(decoders)
+    assert blocks.shape == (trials, k, size)
+    for got, decoder, oracle in zip(blocks, decoders, oracles):
+        assert [row.tobytes() for row in got] == decoder.try_decode() == oracle.try_decode()
+
+
+def test_decode_refuses_short_or_mismatched_decoders():
+    full = [DecoderState(2) for _ in range(3)]
+    for d, size in zip(full, (1, 1, 2)):
+        d.receive_batch(np.array([[1], [2]], dtype=np.uint8), np.zeros((2, size), dtype=np.uint8))
+    short = DecoderState(2)
+    short.receive_batch(np.array([[1]], dtype=np.uint8), np.zeros((1, 1), dtype=np.uint8))
+    wider = DecoderState(3)
+    wider.receive_batch(np.array([[1], [2], [4]], dtype=np.uint8), np.zeros((3, 1), dtype=np.uint8))
+    assert fountain.decode(full[:2]).shape == (2, 2, 1)
+    with pytest.raises(InvalidParameterError, match="short of full rank"):
+        fountain.decode([full[0], short])
+    with pytest.raises(InvalidParameterError, match="decoders of different lengths"):
+        fountain.decode([full[0], wider])
+    with pytest.raises(InvalidParameterError, match="different payload sizes"):
+        fountain.decode(full)
+
+
 def test_receive_batch_rejects_misfit_batches():
     state = DecoderState(10)
     one = np.zeros((1, 1), dtype=np.uint8)

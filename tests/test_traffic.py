@@ -272,6 +272,37 @@ def test_band_sample_never_draws_a_zero_weight_band():
     assert np.all(((speeds >= 20.0) & (speeds <= 25.0)) | ((speeds >= -35.0) & (speeds <= -22.0)))
 
 
+class _FixedDraws:
+    """A generator stand-in whose ``random(n)`` returns the given draws."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64])
+def test_class_sample_matches_searchsorted(m):
+    # The in-place count gives the indices of searchsorted then minimum, also
+    # for draws equal to a cumulative probability and for zero-probability
+    # classes (repeated cumulative probabilities).
+    rng = np.random.default_rng(m)
+    p = rng.dirichlet(np.ones(m))
+    p[1::7] = 0.0
+    p /= p.sum()
+    dist = DiscreteVelocityDist(tuple(VelocityClass(10.0 + i, float(q)) for i, q in enumerate(p)))
+    cum = np.cumsum([c.p for c in dist.classes])
+    ends = [0.0, np.nextafter(1.0, 0.0)]
+    u = np.concatenate((rng.random(10_000), cum, np.nextafter(cum, 0.0), ends))
+    u = u[u < 1.0]  # the range of Generator.random
+    speeds, idx = dist.sample(_FixedDraws(u), len(u))
+    expected = np.minimum(np.searchsorted(cum, u, side="right"), m - 1)
+    assert np.array_equal(idx, expected)
+    assert np.array_equal(speeds, dist.speeds[expected])
+
+
 # --- scenario JSON schema ---------------------------------------------------------------
 
 
