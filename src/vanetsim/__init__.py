@@ -38,7 +38,6 @@ from .errors import (
     SchemaError,
 )
 from .fountain import (
-    Blocks,
     DecoderState,
     EncodingVector,
     FileSpec,

@@ -326,7 +326,7 @@ def _cmd_download_time(args) -> tuple[str, int, dict, int]:
         # spawning never moves rng, so drawing a chunk's observers first
         # leaves every trial the streams it had when trials ran one by one
         observers = [draw_observer(rng) for _ in range(n)]
-        chunk_results = simulate_download_times(scenario, observers, file, scheme, [rng] * n)
+        chunk_results = simulate_download_times(scenario, observers, file, scheme, rng)
         for i, result in enumerate(chunk_results, lo):
             times[i], packets[i], segments[i] = result
     std_error = float(times.std(ddof=1) / math.sqrt(args.trials)) if args.trials > 1 else 0.0

@@ -20,6 +20,7 @@ as it goes, so it keeps no per-trial array.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,10 @@ from .fountain import (
 )
 from .traffic import Scenario, sample_velocities
 
-# Lookback margin beyond the longest partner dwell time, in units of
-# r / min|v|; arrivals earlier than that can never cross the observer.
+# Lookback margin, in units of r / min|v|, before -d / min|v|, the earliest
+# entry time of an arrival that can cross the observer. Arrivals in the
+# margin never cross: on twoclass at observer 20 they are 50 of the
+# window's 1,050 time units.
 ARRIVAL_MARGIN_FACTOR = 10.0
 
 # Cap on the expected arrivals in one lookback window: a very slow observer
@@ -78,9 +81,9 @@ DOWNLOAD_CHUNK_BYTES = 1 << 21
 # Segments a download may traverse before it gives up without full rank.
 MAX_SEGMENTS = 1000
 
-# A download draws a batch in pieces that keep the packets it holds at most
-# BATCH_MARGIN more than the k - rank it still needs (uniform vectors need
-# more than 8 extra with probability below 2**-8).
+# A download folds at most BATCH_MARGIN packets more in a round than the
+# k - rank it still needs (uniform vectors need more than 8 extra with
+# probability below 2**-8).
 BATCH_MARGIN = 8
 
 
@@ -137,10 +140,12 @@ def packets_per_encounter(v, v_prime, packet_rate: float, r: float):
     """Packets transferred in one direction while two nodes stay in range.
 
     Elementwise on arrays of speeds; refused if any pair of speeds is equal.
+    Halving first is exact and keeps a relative speed near the largest
+    float from overflowing when doubled.
     """
     if np.equal(v, v_prime).any():
         raise InvalidParameterError("equal velocities never yield an encounter")
-    return packet_rate * r / (2.0 * np.abs(np.subtract(v, v_prime)))
+    return packet_rate * r / 2.0 / np.abs(np.subtract(v, v_prime))
 
 
 def infostation_download(v: float, packet_rate: float, r: float) -> float:
@@ -332,61 +337,40 @@ def download_chunk_trials(file: FileSpec) -> int:
 
 
 class _Download:
-    """One trial of :func:`simulate_download_times`: its streams and progress."""
+    """One trial of :func:`simulate_download_times`: its streams, packet supply and decoder.
+
+    The supply lists the trial's packet events drawn so far: ``ends[j]``
+    packets have arrived by the end of event ``j``, which is at
+    ``at[j] = (segment, offset)``. ``folded`` packets have had their vectors
+    drawn and folded.
+    """
 
     def __init__(self, scenario, vi, ti, rng, k):
         self.ti = ti
         arr_rng, self.vec_rng, self.file_rng = rng.spawn(3)
         self.events = _packet_events(scenario, vi, arr_rng)
         self.decoder = DecoderState(k)
-        self.event = (0, 0.0, 0)  # (segment, offset, packets not yet drawn)
-        self.held: list[tuple] = []  # (vectors, segment, offset) drawn, waiting to be folded
-        self.received = self.waiting = 0
+        self.ends: list[int] = []
+        self.at: list[tuple[int, float]] = []
+        self.folded = 0
 
-    def draw(self, sample, k: int) -> bool:
-        """Draw pieces until ``k - rank`` packets wait; False if the segments run out.
+    def supply(self, want: int) -> int:
+        """Extend the supply to ``want`` packets as far as the segments go; the packets supplied."""
+        supplied = self.ends[-1] if self.ends else 0
+        while supplied < want:
+            event = next(self.events, None)
+            if event is None:
+                break
+            segment, offset, count = event
+            supplied += count
+            self.ends.append(supplied)
+            self.at.append((segment, offset))
+        return supplied
 
-        Pieces keep the waiting packets at most ``BATCH_MARGIN`` more than
-        ``k - rank``.
-        """
-        need = k - self.decoder.rank
-        while self.waiting < need:  # the rank grows by at most one a packet
-            segment, offset, count = self.event
-            if not count:
-                self.event = next(self.events, None)
-                if self.event is None:
-                    return False
-                continue
-            n = min(count, need + BATCH_MARGIN - self.waiting)
-            self.event = (segment, offset, count - n)
-            self.received += n
-            self.waiting += n
-            self.held.append((sample(self.vec_rng, n), segment, offset))
-        return True
-
-    def pack(self, out: np.ndarray) -> None:
-        """Copy the held vectors into ``out``, in order, keeping only their counts."""
-        at = 0
-        for j, (vectors, segment, offset) in enumerate(self.held):
-            out[at : at + len(vectors)] = vectors
-            at += len(vectors)
-            self.held[j] = (len(vectors), segment, offset)
-
-    def folded(self, innovative: np.ndarray):
-        """Empty the hold after its fold; the trial's result if the rank is full.
-
-        The result is (time, packets, segments) at the last innovative
-        packet of the packed fold; None while the rank is short.
-        """
-        result = None
-        if self.decoder.rank == self.decoder.k:
-            last = int(np.flatnonzero(innovative)[-1])
-            ends = np.cumsum([n for n, _, _ in self.held])
-            _, segment, offset = self.held[int(np.searchsorted(ends, last, side="right"))]
-            result = segment * self.ti + offset, self.received - self.waiting + last + 1, segment + 1
-        self.held.clear()
-        self.waiting = 0
-        return result
+    def arrival(self, n: int) -> tuple[float, int, int]:
+        """(time, packets, segments) when packet ``n`` arrives."""
+        segment, offset = self.at[bisect_left(self.ends, n)]
+        return segment * self.ti + offset, n, segment + 1
 
 
 def simulate_download_times(
@@ -394,33 +378,33 @@ def simulate_download_times(
     observers,
     file: FileSpec,
     scheme: VectorScheme,
-    rngs,
+    rng: np.random.Generator,
 ) -> list[tuple[float, int, int]]:
     """Event-level downloads of one file across consecutive segments, one per observer.
 
     Trial ``i`` is the download of observer speed ``observers[i]``, with
-    its arrivals, vectors and file drawn from three streams spawned from
-    ``rngs[i]``, in that order (a generator listed several times spawns
-    them in trial order). Each segment starts with a roadside-station batch
-    of floor(packet_rate*r/v) packets; each encounter delivers its
-    whole-packet count at the crossing time. Every packet carries an
-    independently sampled encoding vector. The rank grows by at most one a
-    packet, so it cannot reach k before ``k - rank`` more packets are in
-    hand. The trials run in lockstep rounds: every unfinished trial draws
-    vectors in pieces, each recorded with its segment and offset, until it
-    holds ``k - rank``; then all of them are encoded with one product and
-    folded with one :func:`~vanetsim.fountain.fold`, and those that reach
-    full rank are decoded with one :func:`~vanetsim.fountain.decode` and
-    checked against their files. A trial's first fold
-    thus holds its first k packets (up to ``BATCH_MARGIN`` more from the
-    same batch), and later folds hold a piece or a few. The innovative
-    flags are those of one packet at a time, so the packet that completes
-    a decode is the k-th innovative one, and every result is that of one
-    draw and one fold per packet. A segment's crossings are drawn only
-    once its station batch is folded and has not completed the decode.
+    its arrivals, vectors and file drawn from the three streams of the
+    ``i``-th ``rng.spawn(3)``, in that order. Each segment starts with a
+    roadside-station batch of floor(packet_rate*r/v) packets; each
+    encounter delivers its whole-packet count at the crossing time. Every
+    packet carries an independently sampled encoding vector.
+
+    A trial is a packet supply plus a decode. The vector stream alone fixes
+    N, the packet whose vector brings the decoder to full rank; the arrival
+    stream alone fixes when packet N arrives, by one bisection of the
+    supply's cumulative packet counts. The trials run in lockstep rounds.
+    As the rank grows by at most one a packet, a round extends each
+    unfinished trial's supply to ``k - rank`` packets past those it has
+    folded, drawing a segment's crossings only once its station batch falls
+    short, and draws the vectors of up to ``k - rank + BATCH_MARGIN`` of
+    them with one sampler call. All of them are encoded with one product
+    and folded with one :func:`~vanetsim.fountain.fold`, and those that
+    reach full rank are decoded with one :func:`~vanetsim.fountain.decode`
+    and checked against their files. A sampler call of n vectors draws what
+    n calls of one draw, and the innovative flags are those of one packet at
+    a time, so every result is that of one draw and one fold per packet.
     Returns, per trial, (travel time consumed, packets received, segments
-    fully or partially traversed) at the moment its decoder reaches full
-    rank.
+    fully or partially traversed) at packet N.
 
     Raises the error of the lowest-index failing trial, as running the
     trials one at a time would: :class:`InvalidParameterError` for an
@@ -438,7 +422,7 @@ def simulate_download_times(
             f"file of {k} blocks exceeds the download limit of {MAX_DOWNLOAD_BLOCKS} blocks"
         )
     trials, refused = [], None
-    for v, rng in zip(observers, rngs):
+    for v in observers:
         try:
             vi, ti = _observer_trip(scenario, v)
             if scenario.lam > 0:  # refused as the trial's first crossing draw would be
@@ -453,19 +437,29 @@ def simulate_download_times(
     results: list = [None] * len(trials)
     active = list(range(len(trials)))
     while active:
-        starved = [i for i in active if not trials[i].draw(sample, k)]
-        # a starved trial folds what it holds, to report the rank of every packet
-        folding = [i for i in active if trials[i].held]
+        folding, counts, starved = [], [], []
+        for i in active:
+            d = trials[i]
+            need = k - d.decoder.rank
+            supplied = d.supply(d.folded + need)
+            if supplied < d.folded + need:
+                starved.append(i)
+            # a starved trial folds what is left, to report the rank of every packet
+            if supplied > d.folded:
+                folding.append(i)
+                counts.append(min(need + BATCH_MARGIN, supplied - d.folded))
         if folding:
-            count = max(trials[i].waiting for i in folding)
-            vectors = np.zeros((len(folding), count, (k + 7) // 8), dtype=np.uint8)
-            for row, i in zip(vectors, folding):
-                trials[i].pack(row)
+            vectors = np.zeros((len(folding), max(counts), (k + 7) // 8), dtype=np.uint8)
+            for row, i, n in zip(vectors, folding, counts):
+                row[:n] = sample(trials[i].vec_rng, n)
             payloads = np.zeros((*vectors.shape[:2], file.block_bytes), dtype=np.uint8)
             _product(vectors, tables, payloads, folding)
             innovative = fold([trials[i].decoder for i in folding], vectors, payloads)
-            for i, flags in zip(folding, innovative):
-                results[i] = trials[i].folded(flags)
+            for i, n, flags in zip(folding, counts, innovative):
+                d = trials[i]
+                if d.decoder.rank == k:  # packet N is the round's last innovative one
+                    results[i] = d.arrival(d.folded + int(np.flatnonzero(flags)[-1]) + 1)
+                d.folded += n
             done = [i for i in folding if results[i] is not None]
             if done:  # every decode is checked against its file
                 decoded = decode([trials[i].decoder for i in done])
@@ -498,4 +492,4 @@ def simulate_download_time(
     rng: np.random.Generator,
 ) -> tuple[float, int, int]:
     """One download: :func:`simulate_download_times` of one trial."""
-    return simulate_download_times(scenario, [observer_velocity], file, scheme, [rng])[0]
+    return simulate_download_times(scenario, [observer_velocity], file, scheme, rng)[0]

@@ -4,11 +4,9 @@ Encoding vectors are bit strings of length ``k`` packed into Python ints
 (bit ``i`` is the coefficient of block ``i``). A batch of vectors is a
 ``count x ceil(k / 8)`` ``uint8`` matrix of the same bits, LSB-first.
 Vectors are drawn as such batches (:func:`sample_uniform_vector` is a batch
-of one). A file's blocks are checked once and held as a ``k x size``
-``uint8`` matrix (:class:`Blocks`), together with XOR tables of its 4-row
-groups built on first use. :func:`encode_batch` computes a batch's payloads
-as one GF(2) product over those tables (the "method of four Russians"), and
-:func:`encode` is a batch of one.
+of one). :func:`encode_batch` computes a batch's payloads as one GF(2)
+product over XOR tables of the file's 4-row groups (the "method of four
+Russians"), and :func:`encode` is a batch of one.
 
 The decoder folds batches of packets into a reduced echelon basis of packed
 ``[vector | tag]`` rows, whose tags name the packets each row combines.
@@ -35,7 +33,6 @@ import math
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -284,72 +281,43 @@ def _chunked_tables(rows: np.ndarray) -> Iterator[np.ndarray]:
         yield from _xor_tables(rows[:, lo : lo + step], 4)
 
 
-class Blocks(Sequence[bytes]):
-    """A file's blocks, checked once and held as a ``k x size`` matrix.
-
-    Row ``i`` of ``matrix`` (``uint8``, read-only) is block ``i``, and
-    ``blocks[i]`` returns it as bytes. ``tables`` holds the XOR tables of
-    the matrix's 4-row groups, ``ceil(k / 4) x 16 x size`` (four times the
-    file's bytes), built in four vectorised steps on first use and kept
-    read-only. Building this once per file spares every packet the size
-    checks, the conversions and the table builds.
-    """
-
-    def __init__(self, blocks: Sequence[bytes]):
-        if len(blocks) < 1:
-            raise InvalidParameterError("need at least one block")
-        size = len(blocks[0])
-        if size < 1:
-            raise InvalidParameterError("blocks must be at least one byte")
-        if any(len(b) != size for b in blocks):
-            raise InvalidParameterError("blocks must all have the same size")
-        joined = np.frombuffer(b"".join(blocks), dtype=np.uint8)
-        self.matrix = joined.reshape(len(blocks), size)
-
-    @cached_property
-    def tables(self) -> np.ndarray:
-        tables = _xor_tables(self.matrix, 4)
-        tables.flags.writeable = False
-        return tables
-
-    def __len__(self) -> int:
-        return len(self.matrix)
-
-    def __getitem__(self, i: int) -> bytes:
-        return self.matrix[i].tobytes()
-
-
-def encode_batch(blocks: Blocks, vectors: np.ndarray) -> np.ndarray:
+def encode_batch(blocks: Sequence[bytes], vectors: np.ndarray) -> np.ndarray:
     """Payloads of a batch of packets, one row per packed vector.
 
-    ``vectors`` is a packed ``count x ceil(k / 8)`` batch; row ``p`` of the
-    ``count x size`` result is the XOR of the blocks that row ``p`` selects.
-    The product takes one table lookup per 4-bit digit of the vectors.
+    ``blocks`` is a file's blocks, at least one, all of the same size of at
+    least one byte. ``vectors`` is a packed ``count x ceil(k / 8)`` batch;
+    row ``p`` of the ``count x size`` result is the XOR of the blocks that
+    row ``p`` selects. The product takes one table lookup per 4-bit digit
+    of the vectors, over XOR tables of the blocks' 4-row groups built for
+    this call.
     """
+    if len(blocks) < 1:
+        raise InvalidParameterError("need at least one block")
+    size = len(blocks[0])
+    if size < 1:
+        raise InvalidParameterError("blocks must be at least one byte")
+    if any(len(b) != size for b in blocks):
+        raise InvalidParameterError("blocks must all have the same size")
     nbytes = vectors.shape[1]
     if nbytes != (len(blocks) + 7) // 8:
         raise InvalidParameterError(
             f"packed vectors of {nbytes} bytes do not fit {len(blocks)} blocks"
         )
-    out = np.zeros((1, len(vectors), blocks.matrix.shape[1]), dtype=np.uint8)
-    _product(vectors[None], blocks.tables[:, :, None], out)
+    matrix = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(1, len(blocks), size)
+    out = np.zeros((1, len(vectors), size), dtype=np.uint8)
+    _product(vectors[None], _chunked_tables(matrix), out)
     return out[0]
 
 
 def encode(blocks: Sequence[bytes], vector: EncodingVector) -> Packet:
     """XOR together the blocks selected by the vector's nonzero coefficients.
 
-    ``blocks`` is a :class:`Blocks` or a plain sequence of equal-size byte
-    strings, which is converted (and its tables built) on every call;
-    callers that encode one file many times should build the
-    :class:`Blocks` once, and callers with many vectors at hand should use
-    :func:`encode_batch`, of which this is a batch of one.
+    A batch of one of :func:`encode_batch`, which callers with many vectors
+    at hand should use.
     """
     k = vector.k
     if len(blocks) != k:
         raise InvalidParameterError(f"expected {k} blocks, got {len(blocks)}")
-    if not isinstance(blocks, Blocks):
-        blocks = Blocks(blocks)
     packed = np.frombuffer(vector.bits.to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
     return Packet(vector, encode_batch(blocks, packed[None])[0].tobytes())
 

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from vanetsim import (
-    Blocks,
     DecoderState,
     DiscreteVelocityDist,
     FileSpec,
@@ -347,12 +346,11 @@ def test_c6_codec_correctness():
     for k in (1, 4, 64):
         for _ in range(1000):
             blocks = [rng.bytes(4) for _ in range(k)]
-            prepared = Blocks(blocks)
             state = DecoderState(k)
             while state.rank < k:
                 # the rank grows by at most one a packet: no draw past the decode
                 vectors = sample_uniform_vectors(k, k - state.rank, rng)
-                state.receive_batch(vectors, encode_batch(prepared, vectors))
+                state.receive_batch(vectors, encode_batch(blocks, vectors))
             if state.try_decode() != blocks:
                 checks.append(False)
                 break

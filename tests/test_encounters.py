@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from vanetsim import (
-    Blocks,
     DecoderState,
     DiscreteVelocityDist,
     FileSpec,
@@ -20,6 +19,7 @@ from vanetsim import (
     expected_encounters,
     expected_throughput_class,
     infostation_download,
+    mean_inverse_speed,
     monte_carlo_throughput,
     packets_per_encounter,
     simulate_download_time,
@@ -218,6 +218,16 @@ def test_monte_carlo_matches_analytic_throughput():
         est = monte_carlo_throughput(sc, observer, 20_000, rng)
         target = expected_throughput_class(sc, i)
         assert abs(est.mean - target) <= 3 * est.std_error
+
+
+def test_monte_carlo_near_the_largest_speed_matches_the_throughput_law(twoclass):
+    # For an observer off the class speeds |t_m - t_i| / |v_i - v_m| / t_i
+    # is 1 / v_m, so the law holds at any such speed. Doubling a relative
+    # speed near 1e308 used to overflow and drop every exchange packet.
+    sc = twoclass
+    law = sc.packet_rate * sc.r * (1 / sc.d + sc.lam * mean_inverse_speed(sc.velocity) / 2)
+    est = monte_carlo_throughput(sc, 1e308, 2_000, np.random.default_rng(0))
+    assert abs(est.mean - law) <= 5 * est.std_error
 
 
 def test_monte_carlo_zero_rate_has_zero_variance():
@@ -491,7 +501,7 @@ def reference_download(scenario, observer, file, scheme, rng):
     ti = scenario.d / observer
     sample = vector_batch_sampler(scheme, file.k)
     arr_rng, vec_rng, file_rng = rng.spawn(3)
-    blocks = Blocks([file_rng.bytes(file.block_bytes) for _ in range(file.k)])
+    blocks = [file_rng.bytes(file.block_bytes) for _ in range(file.k)]
     decoder = IntDecoder(file.k)
     received = 0
     for segment in range(1000):
@@ -504,7 +514,7 @@ def reference_download(scenario, observer, file, scheme, rng):
                 vector = EncodingVector(int.from_bytes(packed.tobytes(), "little"), file.k)
                 decoder.receive(encode(blocks, vector))
                 if decoder.rank == file.k:
-                    assert decoder.try_decode() == list(blocks)
+                    assert decoder.try_decode() == blocks
                     return segment * ti + offset, received, segment + 1
     raise AssertionError("no decode")
 
@@ -554,6 +564,26 @@ def test_lt_download_with_a_long_tail_matches_per_packet_oracle(monkeypatch):
         assert got == reference_download(sc, observer, file, scheme, np.random.default_rng(seed))
 
 
+@pytest.mark.parametrize("scheme", [UniformScheme(), LtScheme(SolitonParams(0.1, 0.5, 0.01))])
+@pytest.mark.parametrize("k", [40, 256])
+def test_packets_of_a_download_do_not_depend_on_traffic_or_observer(k, scheme):
+    # The vector stream alone fixes N, the packet that completes the decode;
+    # the stations and encounters only fix when packet N arrives.
+    setups = [
+        (make_scenario(), 20.0),
+        (make_scenario(lam=0.3), 20.0),
+        (make_scenario(bit_rate=5_000.0), 25.0),
+        (make_scenario(lam=0.02, bit_rate=500.0), 25.0),
+    ]
+    file = FileSpec(k, 64)
+    for seed in range(4):
+        packets = {
+            simulate_download_time(sc, v, file, scheme, np.random.default_rng(seed))[1]
+            for sc, v in setups
+        }
+        assert len(packets) == 1, (seed, packets)
+
+
 def test_download_file_is_one_draw_per_block(monkeypatch):
     seen = []
     real = encounters._draw_files
@@ -582,10 +612,10 @@ def test_crossings_are_drawn_only_when_the_station_batch_falls_short(twoclass, m
 
     monkeypatch.setattr(encounters, "_crossing_events", counted)
     file = FileSpec(100, 64)  # station batches of 250 and 200 packets hold the decode
-    rngs = [np.random.default_rng(seed) for seed in range(6)]
-    got = encounters.simulate_download_times(twoclass, [20.0, 25.0] * 3, file, UniformScheme(), rngs)
+    rng = np.random.default_rng(0)
+    got = encounters.simulate_download_times(twoclass, [20.0, 25.0] * 3, file, UniformScheme(), rng)
     assert [segments for _, _, segments in got] == [1] * 6 and drawn == []
-    got = simulate_download_time(twoclass, 20.0, FileSpec(300, 64), UniformScheme(), rngs[0])
+    got = simulate_download_time(twoclass, 20.0, FileSpec(300, 64), UniformScheme(), rng)
     assert got[2] == 1 and drawn == [20.0]  # 250 station packets fall short of 300
 
 
@@ -613,15 +643,14 @@ def test_a_chunk_gives_what_its_trials_give_one_at_a_time(observers, k):
     # the trials' results or raises the error of its first failing trial.
     sc = make_scenario(lam=0.0, r=0.9)
     file = FileSpec(k, 8)
+    rng = np.random.default_rng(0)
     one_at_a_time = _outcome(
-        lambda: [
-            simulate_download_time(sc, v, file, UniformScheme(), np.random.default_rng(seed))
-            for seed, v in enumerate(observers)
-        ]
+        lambda: [simulate_download_time(sc, v, file, UniformScheme(), rng) for v in observers]
     )
-    rngs = [np.random.default_rng(seed) for seed in range(len(observers))]
     chunk = _outcome(
-        lambda: encounters.simulate_download_times(sc, observers, file, UniformScheme(), rngs)
+        lambda: encounters.simulate_download_times(
+            sc, observers, file, UniformScheme(), np.random.default_rng(0)
+        )
     )
     assert chunk == one_at_a_time
 
@@ -681,10 +710,13 @@ def test_a_wrong_decode_fails_its_own_trial_only(j, raised, monkeypatch):
 
     monkeypatch.setattr(encounters, "DecoderState", Tracked)
     monkeypatch.setattr(encounters, "decode", corrupt_trial_j)
-    rngs = [np.random.default_rng(seed) for seed in range(4)]
     with pytest.raises(raised):
         encounters.simulate_download_times(
-            make_scenario(lam=0.0), [20.0, 20.0, 1e6, 20.0], FileSpec(8, 64), UniformScheme(), rngs
+            make_scenario(lam=0.0),
+            [20.0, 20.0, 1e6, 20.0],
+            FileSpec(8, 64),
+            UniformScheme(),
+            np.random.default_rng(0),
         )
     assert len(made) == 4
 

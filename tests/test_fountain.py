@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanetsim import (
-    Blocks,
     DecoderState,
     EncodingVector,
     LtScheme,
@@ -223,8 +222,7 @@ def test_encode_xors_selected_blocks():
 def test_encode_rejects_bad_blocks():
     with pytest.raises(InvalidParameterError, match="expected 2 blocks, got 1"):
         encode([b"\xff"], EncodingVector(0b11, 2))
-    with pytest.raises(InvalidParameterError, match="expected 2 blocks, got 1"):
-        encode(Blocks([b"\xff"]), EncodingVector(0b11, 2))
+    one_vector = np.zeros((1, 1), dtype=np.uint8)
     for bad, message in (
         ([b"", b""], "blocks must be at least one byte"),
         ([b"\xff", b"\x0f\x00"], "blocks must all have the same size"),
@@ -232,11 +230,11 @@ def test_encode_rejects_bad_blocks():
         with pytest.raises(InvalidParameterError, match=message):
             encode(bad, EncodingVector(0b11, 2))
         with pytest.raises(InvalidParameterError, match=message):
-            Blocks(bad)
+            encode_batch(bad, one_vector)
     with pytest.raises(InvalidParameterError, match="at least one block"):
-        Blocks([])
+        encode_batch([], one_vector)
     with pytest.raises(InvalidParameterError, match="vectors of 1 bytes do not fit 9 blocks"):
-        encode_batch(Blocks([b"\xff"] * 9), np.zeros((1, 1), dtype=np.uint8))
+        encode_batch([b"\xff"] * 9, one_vector)
 
 
 def reference_xor(blocks: list[bytes], bits: int) -> bytes:
@@ -253,50 +251,26 @@ def reference_xor(blocks: list[bytes], bits: int) -> bytes:
 def test_encode_matches_xor_oracle(k, size):
     rng = np.random.default_rng(1000 * k + size)
     blocks = [rng.bytes(size) for _ in range(k)]
-    prepared = Blocks(blocks)
     vectors = [0, (1 << k) - 1] + [sample_uniform_vector(k, rng).bits for _ in range(3)]
     for bits in vectors:
         vector = EncodingVector(bits, k)
-        expected = reference_xor(blocks, bits)
-        assert encode(prepared, vector) == Packet(vector, expected)
-        assert encode(blocks, vector) == Packet(vector, expected)
+        assert encode(blocks, vector) == Packet(vector, reference_xor(blocks, bits))
     packed = np.array([list(bits.to_bytes((k + 7) // 8, "little")) for bits in vectors], dtype=np.uint8)
-    payloads = [row.tobytes() for row in encode_batch(prepared, packed)]
+    payloads = [row.tobytes() for row in encode_batch(blocks, packed)]
     assert payloads == [reference_xor(blocks, bits) for bits in vectors]
 
 
-def test_blocks_is_a_sequence_of_the_original_bytes():
-    blocks = [b"\x01\x02", b"\x03\x04", b"\x05\x06"]
-    prepared = Blocks(blocks)
-    assert len(prepared) == 3
-    assert list(prepared) == blocks
-    assert prepared[0] == b"\x01\x02" and prepared[-1] == b"\x05\x06"
-    assert prepared.matrix.shape == (3, 2)
-
-
-def test_blocks_tables_are_built_once_and_read_only(monkeypatch):
-    builds = []
-    build = fountain._xor_tables
-    monkeypatch.setattr(
-        fountain, "_xor_tables", lambda rows, width: builds.append(width) or build(rows, width)
-    )
+def test_xor_tables_hold_the_xor_of_every_subset_of_a_group():
     rng = np.random.default_rng(3)
     k, size = 10, 3
     blocks = [rng.bytes(size) for _ in range(k)]
-    prepared = Blocks(blocks)
-    tables = prepared.tables
-    for bits in (0, 5, (1 << k) - 1):
-        encode(prepared, EncodingVector(bits, k))
-    encode_batch(prepared, sample_uniform_vectors(k, 4, rng))
-    assert builds == [4]
-    assert prepared.tables is tables
+    rows = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(k, size)
+    tables = fountain._xor_tables(rows, 4)
     # entry c of group g XORs the blocks 4g + i with bit i of c set
     assert tables.shape == (3, 16, size)
     for g in range(3):
         for c in range(16):
             assert tables[g, c].tobytes() == reference_xor(blocks, c << (4 * g))
-    with pytest.raises(ValueError):
-        tables[0, 1, 0] = 0
 
 
 # --- incremental decoding -------------------------------------------------------
@@ -460,12 +434,11 @@ def mixed_vectors(k: int, rng: np.random.Generator):
 def test_decoder_matches_reference_decoder(k, size):
     rng = np.random.default_rng(7919 * k + size)
     blocks = [rng.bytes(size) for _ in range(k)]
-    prepared = Blocks(blocks)
     state, oracle = DecoderState(k), ReferenceDecoder(k)
     vectors = mixed_vectors(k, rng)
     extra = 5  # packets sent after full rank
     while extra:
-        packet = encode(prepared, next(vectors))
+        packet = encode(blocks, next(vectors))
         assert state.receive(packet) == oracle.receive(packet)
         assert state.rank == oracle.rank
         if k <= 9:
