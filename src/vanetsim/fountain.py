@@ -20,10 +20,15 @@ paid once per chunk of trials. XOR tables are laid out entry-major, the
 trials' copies of an entry side by side, so each doubling step of a table
 build is one contiguous XOR over every trial. The kernel's pivots are the
 earliest rows that raise the rank, so a batch's innovative packets are
-those of one packet at a time. At full rank the tags are the inverse of the
-innovative packets' vectors, and the blocks are one more 4-row-table
-product, of the tags with the kept payloads: :func:`decode` recovers the
-blocks of several decoders with one product, and
+those of one packet at a time. Two searches find a block's pivots, and the
+fold's trial count alone chooses: below :data:`SLICED_TRIALS` a greedy
+insertion in Python, one trial at a time (:func:`_greedy_pivots`); from it
+on a column elimination of every trial at once over bit-sliced Python ints
+(:func:`_sliced_pivots`). Both give the same pivots and combinations, and
+the tables, maps and XORs after them are shared. At full rank the tags are
+the inverse of the innovative packets' vectors, and the blocks are one more
+4-row-table product, of the tags with the kept payloads: :func:`decode`
+recovers the blocks of several decoders with one product, and
 :meth:`DecoderState.try_decode` is a decode of one.
 """
 
@@ -33,7 +38,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -255,9 +260,9 @@ def _product(
         ntables, size = table.shape[1:]
         if not g and ntables > 1:  # digit d of trial t reads row d * ntables + trials[t]
             at = np.arange(n) if trials is None else np.asarray(trials)
-            digits = digits.astype(np.uint32)
+            digits = digits.astype(np.uint16 if 16 * ntables <= 1 << 16 else np.uint32)
             digits *= ntables
-            digits += np.repeat(at, count).astype(np.uint32)[:, None]
+            digits += np.repeat(at, count).astype(digits.dtype)[:, None]
         out ^= table.reshape(16 * ntables, size).take(digits[:, g].astype(np.intp), axis=0)
 
 
@@ -331,6 +336,8 @@ class NotYetDecodable:
 
 # Entry [j, d]: bit j of the byte d.
 _BYTE_BITS = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(np.uint8)
+_ROOM = 8 - _BYTE_BITS.sum(axis=0)  # the clear bits of a byte
+_LOW_BIT = _BYTE_BITS.argmax(axis=0)  # the lowest set bit of a nonzero byte
 
 
 def _row_bytes(nbytes: int) -> int:
@@ -338,24 +345,237 @@ def _row_bytes(nbytes: int) -> int:
     return 8 * ((2 * nbytes + 7) // 8)
 
 
-def _gauss_jordan(rows: np.ndarray, first: int, taken: list[list[int]]) -> list[tuple]:
+class _Pivots(NamedTuple):
+    """A block's new pivots, as a pivot search of :func:`_gauss_jordan` finds them.
+
+    Pick ``p``, the table of one trial, XORs the ``m`` flat rows
+    ``sources[m * p : m * (p + 1)]``, each with its tag bit from ``tags``:
+    table row ``mix * npicks + p`` XORs the sources named by the bits of
+    ``mix``. ``combos[t, c]`` (row-major, ``trials x 8``) names the sources
+    of trial ``t``'s pick ``offsets[t]`` that XOR to its pivot row of column
+    ``c``, 0 where ``c`` gained no pivot. New pivot ``i`` is flat row
+    ``rows[i]``, at column ``cols[i]`` of the block, and becomes table row
+    ``entries[i]``.
+    """
+
+    m: int
+    sources: Sequence[int]
+    tags: Sequence[int]
+    combos: Sequence[int]
+    offsets: Sequence[int]
+    rows: Sequence[int]
+    cols: Sequence[int]
+    entries: Sequence[int]
+
+
+def _greedy_pivots(masked: np.ndarray, taken: np.ndarray) -> _Pivots | None:
+    """A block's new pivots by greedy insertion, one trial at a time in Python.
+
+    ``masked`` is ``trials x count``: the block digits of the free rows,
+    zero for the other rows, and ``taken[t]`` is trial ``t``'s taken byte
+    of the block, which gains the new pivot columns. None if no digit is
+    nonzero. Each trial with nonzero digits (its candidates) inserts them
+    into a reduced basis in arrival order until the basis fills the block's
+    free columns, and has a pick: its chosen rows in arrival order, padded
+    to the longest pick.
+    """
+    trials, count = masked.shape
+    masked = masked.ravel()
+    cand = masked.nonzero()[0]
+    if not cand.size:
+        return None
+    cand_r, cand_d = cand.tolist(), masked[cand].tolist()
+    rooms = taken.tolist()
+    picks = []  # (trial, chosen flat rows, basis) of every trial with new pivots
+    i = 0
+    while i < len(cand_r):
+        t = cand_r[i] // count
+        end = bisect_left(cand_r, (t + 1) * count, i)
+        room = 8 - rooms[t].bit_count()
+        basis: list[list[int]] = []  # [pivot bit, reduced digit, chosen rows XORed into it]
+        chosen: list[int] = []
+        for row, d in zip(cand_r[i:end], cand_d[i:end]):
+            mix = 0
+            for bit, reduced, parts in basis:
+                if d & bit:
+                    d ^= reduced
+                    mix ^= parts
+            if d:
+                bit, mix = d & -d, mix | 1 << len(chosen)
+                for entry in basis:
+                    if entry[1] & bit:
+                        entry[1] ^= d
+                        entry[2] ^= mix
+                basis.append([bit, d, mix])
+                chosen.append(row)
+                if len(chosen) == room:
+                    break
+        picks.append((t, chosen, basis))
+        i = end
+    # short picks are padded with rows that no map reads
+    m, npicks = max(len(chosen) for _, chosen, _ in picks), len(picks)
+    sources: list[int] = []
+    tags: list[int] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    entries: list[int] = []
+    combos = [0] * (8 * trials)
+    offsets = [0] * trials  # entry 0 of any table is zero
+    for p, (t, chosen, basis) in enumerate(picks):
+        pad = m - len(chosen)
+        sources += chosen + chosen[:1] * pad
+        rows += chosen
+        offsets[t] = p
+        bits = 0
+        for bit, _, mix in basis:
+            col = bit.bit_length() - 1
+            combos[8 * t + col] = mix
+            entries.append(mix * npicks + p)
+            tags.append(bit)
+            cols.append(col)
+            bits |= bit
+        tags += [0] * pad
+        taken[t] |= bits
+    return _Pivots(m, sources, tags, combos, offsets, rows, cols, entries)
+
+
+# Rows of a trial, from its first candidate on, that the sliced search reads
+# first; a trial left short of its free columns reads twice as many next.
+_WINDOW = 16
+
+_SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
+
+# Elimination at column c updates the digit columns after c (ints 0-7) and
+# the pivot marks of the columns before it (ints 8-15).
+_ABSORB = [(*range(c + 1, 8), *range(8, 8 + c)) for c in range(8)]
+
+
+def _sliced_pivots(masked: np.ndarray, taken: np.ndarray) -> _Pivots | None:
+    """A block's new pivots by column elimination of every trial at once.
+
+    Takes what :func:`_greedy_pivots` takes. The block's 8 digit columns are
+    bit-sliced into Python ints: field ``i`` of int ``c`` holds bit ``c`` of
+    the digits of ``window`` rows of a trial, from its first candidate on,
+    under a guard bit that keeps each field's subtractions inside it.
+    Column by column, each trial's earliest remaining candidate with the
+    column's bit becomes its pivot and is XORed into the trial's other rows
+    with that bit, together with 8 more ints that mark the pivots each row
+    has absorbed. The earliest-row rule picks the rows that raise the rank,
+    each at the column where the greedy search puts it (both reveal the
+    rank profile matrix of Dumas, Pernet and Sultan), so the pivot rows and
+    their final combinations are those of :func:`_greedy_pivots`. A trial
+    that found fewer pivots than free columns, with candidates past its
+    window, runs again with twice the window. Every trial has a pick, its
+    sources indexed by pivot column (source ``c`` is the pivot row of column
+    ``c``, row 0 where ``c`` has none), and everything past the search is
+    NumPy.
+    """
+    trials, count = masked.shape
+    nonzero = masked != 0
+    start = nonzero.argmax(axis=1)  # each trial's first candidate
+    todo = np.flatnonzero(nonzero[np.arange(trials), start])
+    if not todo.size:
+        return None
+    found = []  # per pass: (trial, column, combination, flat row) of each settled pivot
+    window = _WINDOW
+    while todo.size:
+        n, field = len(todo), window + 1
+        padded = np.zeros((trials, count + field), dtype=np.uint8)
+        padded[:, :count] = masked
+        grid = padded.take((todo * (count + field) + start[todo])[:, None] + np.arange(field))
+        grid[:, window] = 0
+        planes = np.packbits((grid.reshape(1, -1) >> _SHIFTS) & 1, axis=1, bitorder="little")
+        nb, raw = planes.shape[1], planes.tobytes()
+        state = [int.from_bytes(raw[nb * c : nb * (c + 1)], "little") for c in range(8)] + [0] * 8
+        ones = ((1 << n * field) - 1) // ((1 << field) - 1)  # bit 0 of every field
+        guard = ones << window
+        free = guard - ones
+        low = [0] * 8  # per column: each trial's pivot row
+        for c in range(8):
+            cand = state[c] & free
+            if not cand:
+                continue
+            pivot = cand & ~((cand | guard) - ones)  # each field's lowest set bit
+            fill = ((pivot | guard) - ones) & guard
+            fill -= fill >> window  # the window of every trial with a pivot
+            rest = (state[c] ^ pivot) & fill
+            if rest:
+                for j in _ABSORB[c]:
+                    x = state[j] & pivot
+                    if x:  # the guards of the trials whose pivot has bit j, spread
+                        x = (fill + x) & guard
+                        state[j] ^= (x - (x >> window)) & rest
+            state[8 + c] = pivot | rest
+            free ^= pivot
+            low[c] = pivot
+        raw = np.frombuffer(b"".join(v.to_bytes(nb, "little") for v in low + state[8:]), np.uint8)
+        bits = np.unpackbits(raw.reshape(2, 8, nb), axis=2, count=n * field, bitorder="little")
+        bits <<= _SHIFTS
+        cols, mixes = bits.sum(axis=1, dtype=np.uint8)  # per row: its pivot bit, its marks
+        at = np.flatnonzero(cols)
+        i = at // field
+        shift = todo * count + start[todo] - np.arange(n) * field  # from window bit to flat row
+        pivots = [todo[i], _LOW_BIT[cols[at]], mixes[at], at + shift[i]]
+        lack = np.bincount(i, minlength=n) < _ROOM[taken[todo]]
+        todo = todo[lack]
+        if todo.size:  # trials short of their room with candidates past the window
+            last = count - 1 - nonzero[todo, ::-1].argmax(axis=1)
+            todo = todo[last >= start[todo] + window]
+        if todo.size:
+            short = np.zeros(trials, dtype=bool)
+            short[todo] = True
+            pivots = [x[~short[pivots[0]]] for x in pivots]
+        found.append(pivots)
+        window *= 2
+    trial, cols, mixes, rows = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+    m = int(cols.max()) + 1
+    combos = np.zeros((trials, 8), dtype=np.uint8)
+    combos[trial, cols] = mixes
+    sources = np.zeros((trials, m), dtype=np.intp)  # row 0 pads the columns without pivots
+    sources[trial, cols] = rows
+    tags = np.zeros((trials, m), dtype=np.uint8)
+    tags[trial, cols] = 1 << cols
+    taken |= np.bitwise_or.reduce(tags, axis=1)
+    entries = mixes.astype(np.intp) * trials + trial
+    return _Pivots(m, sources.ravel(), tags.ravel(), combos, np.arange(trials), rows, cols, entries)
+
+
+# Fewest 64-bit words of a row that a block's XORs skip; fewer are XORed
+# along with the rest. NumPy XORs a strided span of a few words per row at
+# several times the cost per word of whole contiguous rows: whole rows made
+# one trial at K=1000 0.90x as long and 50 trials at K=100 0.92x, skipping
+# made one trial at K=4096 0.97x as long as whole rows (2-core x86-64 guest).
+_SKIP_WORDS = 25
+
+# Trials from which _gauss_jordan searches pivots with _sliced_pivots. Timed
+# alone on the blocks of K=100 download chunks, the greedy search costs
+# 15-20 us a trial and the sliced one about 60 us plus 1 us a trial, but
+# whole download chunks ran at 1.04x the greedy time with the sliced search
+# at 8 trials, 0.93-0.97x at 10 and 0.90x at 13 (K = 40, 100 and 256; 2-core
+# x86-64 guest, interleaved runs).
+SLICED_TRIALS = 10
+
+
+def _gauss_jordan(rows: np.ndarray, first: int, taken: np.ndarray) -> np.ndarray:
     """Gauss–Jordan elimination of packed ``[vector | tag]`` rows, in place.
 
     ``rows`` is a contiguous ``trials x count x width`` array: for each of
-    several independent trials, rows of ``nbytes = len(taken[t])`` bytes of
-    vector, as many of tag, and zero bytes up to ``width``, a multiple of 8
-    (see :func:`_row_bytes`). In every trial the rows from ``first`` on are
+    several independent trials, rows of ``nbytes`` bytes of vector, as many
+    of tag, and zero bytes up to ``width``, a multiple of 8 (see
+    :func:`_row_bytes`). In every trial the rows from ``first`` on are
     free, in arrival order: they may still become pivots, and every row
-    before them already is one (or is zero). Bit ``c % 8`` of
-    ``taken[t][c // 8]`` marks column ``c`` of trial ``t`` as a pivot
-    column, or as padding past the vector length. The rows reach reduced
-    echelon form, pivots at their lowest set bit, 8 columns at a time:
+    before them already is one (or is zero). ``taken`` is ``trials x
+    nbytes``: bit ``c % 8`` of ``taken[t, c // 8]`` marks column ``c`` of
+    trial ``t`` as a pivot column, or as padding past the vector length.
+    The rows reach reduced echelon form, pivots at their lowest set bit, 8
+    columns at a time:
 
     - In a block, a trial's new pivot rows are its earliest free rows, in
-      arrival order, whose digits (the block's byte) are independent.
-      Greedy insertion of the free digits into a reduced basis finds them,
-      one trial at a time in Python, and each names itself in its tag by
-      its pivot column.
+      arrival order, whose digits (the block's byte) are independent, and
+      each names itself in its tag by its pivot column. Below
+      :data:`SLICED_TRIALS` trials :func:`_greedy_pivots` finds them one
+      trial at a time; from it on :func:`_sliced_pivots` finds them for all
+      trials at once. Both give the same pivots and rows.
     - A table per trial of the XORs of its new pivot rows, indexed through a
       256-entry map from the digit, clears the block's pivot columns from
       every other row: the "method of four Russians" of Albrecht and Bard's
@@ -369,96 +589,55 @@ def _gauss_jordan(rows: np.ndarray, first: int, taken: list[list[int]]) -> list[
     pivots. Table rows are zero in vector bytes left of the block. With no
     stored pivots (``first`` 0) they are also zero in tag bytes past the
     block, as a tag names only pivot columns found so far. Rows are XORed as
-    64-bit words, skipping the 64-byte spans where the table rows are zero.
-    Returns each trial's new pivot rows and columns, and updates ``taken``.
+    64-bit words, skipping the words where the table rows are zero if they
+    are at least :data:`_SKIP_WORDS`. Returns each row's new pivot column,
+    -1 for rows that gained none, as a ``trials x count`` array, and updates
+    ``taken``.
     """
     trials, count, width = rows.shape
-    nbytes = len(taken[0])
+    nbytes = taken.shape[1]
     flat = rows.reshape(trials * count, width)
     words = flat.view(np.uint64)
     free = np.zeros((trials, count), dtype=np.uint8)
     free[:, first:] = 0xFF
     free = free.ravel()
     map_base = np.repeat(256 * np.arange(trials), count)  # a row's trial in the digit maps
-    pivots: list[tuple[list[int], list[int]]] = [([], []) for _ in range(trials)]
-    for b in [b for b in range(nbytes) if any(t[b] != 0xFF for t in taken)]:
+    search = _sliced_pivots if trials >= SLICED_TRIALS else _greedy_pivots
+    new_rows, new_cols, new_blocks = [], [], []  # per block with new pivots
+    for b in np.flatnonzero((taken != 0xFF).any(axis=0)).tolist():
         digits = flat[:, b]
-        masked = digits & free
-        cand = masked.nonzero()[0]
-        if not cand.size:
+        found = search((digits & free).reshape(trials, count), taken[:, b])
+        if found is None:
             continue
-        cand_r, cand_d = cand.tolist(), masked[cand].tolist()
-        picks = []  # (trial, chosen flat rows, basis) of every trial with new pivots
-        i = 0
-        while i < len(cand_r):
-            t = cand_r[i] // count
-            end = bisect_left(cand_r, (t + 1) * count, i)
-            room = 8 - taken[t][b].bit_count()
-            basis: list[list[int]] = []  # [pivot bit, reduced digit, chosen rows XORed into it]
-            chosen: list[int] = []
-            for row, d in zip(cand_r[i:end], cand_d[i:end]):
-                mix = 0
-                for bit, reduced, parts in basis:
-                    if d & bit:
-                        d ^= reduced
-                        mix ^= parts
-                if d:
-                    bit, mix = d & -d, mix | 1 << len(chosen)
-                    for entry in basis:
-                        if entry[1] & bit:
-                            entry[1] ^= d
-                            entry[2] ^= mix
-                    basis.append([bit, d, mix])
-                    chosen.append(row)
-                    if len(chosen) == room:
-                        break
-            picks.append((t, chosen, basis))
-            i = end
-        # Entry mix of pick p's table, row mix * npicks + p, XORs pick p's
-        # chosen rows named by the bits of mix, each with its own pivot bit in
-        # its tag; short picks are padded with rows that no map reads.
-        m, npicks = max(len(chosen) for _, chosen, _ in picks), len(picks)
-        source_rows: list[int] = []  # pick p's chosen rows, padded to m
-        tag_bits: list[int] = []
-        chosen_rows: list[int] = []
-        combos = [0] * (8 * trials)  # per trial and pivot column: the chosen rows to XOR
-        offsets = [0] * trials  # trial t's pick; entry 0 of any table is zero
-        stored: list[int] = []  # per new pivot: its table row
-        for p, (t, chosen, basis) in enumerate(picks):
-            source_rows += chosen
-            chosen_rows += chosen
-            offsets[t] = p
-            pivot_rows, pivot_cols = pivots[t]
-            bits = 0
-            for (bit, _, mix), row in zip(basis, chosen):
-                col = bit.bit_length() - 1
-                combos[8 * t + col] = mix
-                stored.append(mix * npicks + p)
-                tag_bits.append(bit)
-                pivot_rows.append(row - t * count)
-                pivot_cols.append(8 * b + col)
-                bits |= bit
-            taken[t][b] |= bits
-            if len(chosen) < m:
-                source_rows += chosen[:1] * (m - len(chosen))
-                tag_bits += [0] * (m - len(chosen))
         # Table rows are zero left of block b and, with no stored pivots, in
-        # tag bytes right of it: the XORs below skip such 64-byte spans.
-        lo = b // 64 * 8
-        hi = min(width // 8, -(-(width if first else nbytes + b + 1) // 64) * 8)
-        source = flat.take(source_rows, axis=0)
-        source[:, nbytes + b] |= np.array(tag_bits, dtype=np.uint8)
+        # tag bytes right of it: the XORs below skip such words, unless so
+        # few that whole rows, one contiguous span, XOR faster.
+        lo, hi = b // 8, width // 8 if first else -(-(nbytes + b + 1) // 8)
+        if width // 8 - (hi - lo) < _SKIP_WORDS:
+            lo, hi = 0, width // 8
+        m = found.m
+        npicks = len(found.sources) // m
+        source = flat.take(found.sources, axis=0)
+        source[:, nbytes + b] |= np.asarray(found.tags, dtype=np.uint8)
         source = source.view(np.uint64)[:, lo:hi].reshape(npicks, m, hi - lo)
         table = _xor_tables(source, m)[0].reshape(npicks << m, hi - lo)
         # digit d of trial t clears its pivot columns with table row maps[t, d]
-        combos = np.array(combos, dtype=np.uint8).reshape(trials, 8, 1)
-        maps = np.bitwise_xor.reduce(_BYTE_BITS * combos, axis=1).astype(np.intp)
-        maps *= npicks
-        maps += np.array(offsets)[:, None]
+        combos = np.asarray(found.combos, dtype=np.uint8).reshape(trials, 8)
+        maps = np.bitwise_xor.reduce(_BYTE_BITS * combos[:, :, None], axis=1).astype(np.intp)
+        if npicks > 1:
+            maps *= npicks
+            maps += np.asarray(found.offsets)[:, None]
         words[:, lo:hi] ^= table.take(maps.ravel().take(digits + map_base), axis=0)
-        words[chosen_rows, lo:hi] = table.take(stored, axis=0)  # the new pivot rows
-        free[chosen_rows] = 0
-    return pivots
+        words[found.rows, lo:hi] = table.take(found.entries, axis=0)  # the new pivot rows
+        free[found.rows] = 0
+        new_rows.append(found.rows)
+        new_cols.append(found.cols)
+        new_blocks.append(b)
+    pivot_cols = np.full(trials * count, -1, dtype=np.intp)
+    if new_rows:
+        block_cols = np.repeat(8 * np.array(new_blocks), [len(r) for r in new_rows])
+        pivot_cols[np.concatenate(new_rows)] = np.concatenate(new_cols) + block_cols
+    return pivot_cols.reshape(trials, count)
 
 
 def fold(decoders: Sequence[DecoderState], vectors: np.ndarray, payloads: np.ndarray) -> np.ndarray:
@@ -495,7 +674,7 @@ def fold(decoders: Sequence[DecoderState], vectors: np.ndarray, payloads: np.nda
             raise InvalidParameterError("payload size changed mid-stream")
     innovative = np.zeros(vectors.shape[:2], dtype=bool)
     live = [t for t, d in enumerate(decoders) if d._rank < k]
-    if not live:
+    if not live or not innovative.size:
         return innovative
     if len(live) < len(decoders):
         vectors, payloads = vectors[live], payloads[live]
@@ -510,15 +689,18 @@ def fold(decoders: Sequence[DecoderState], vectors: np.ndarray, payloads: np.nda
         np.stack([d._rows for d in states], out=rows[:, :first])
         _product(vectors, _chunked_tables(rows[:, :first]), batch)
         rows[:, first:] = batch
-    pivots = _gauss_jordan(rows, first, [d._taken for d in states])
-    for t, (d, (pivot_rows, cols)) in enumerate(zip(states, pivots)):
+    taken = np.stack([d._taken for d in states])
+    pivot_cols = _gauss_jordan(rows, first, taken)[:, first:]
+    innovative[live] = new = pivot_cols >= 0
+    for t, d in enumerate(states):
+        at = np.flatnonzero(new[t])
+        cols = pivot_cols[t, at]
         if first:
             d._rows = rows[t, :k]
-        at = np.array(pivot_rows, dtype=np.intp)
-        d._rows[cols] = rows[t, at]
-        d._payloads[cols] = payloads[t, at - first]
-        innovative[live[t], at - first] = True
-        d._rank += len(cols)
+        d._rows[cols] = rows[t, first + at]
+        d._payloads[cols] = payloads[t, at]
+        d._taken = taken[t]
+        d._rank += len(at)
     return innovative
 
 
@@ -544,7 +726,7 @@ class DecoderState:
         self.k = k
         nbytes = (k + 7) // 8
         self._rows = np.zeros((k, _row_bytes(nbytes)), dtype=np.uint8)
-        self._taken = [0] * nbytes
+        self._taken = np.zeros(nbytes, dtype=np.uint8)
         self._taken[-1] = (0xFF << (k - 8 * (nbytes - 1))) & 0xFF
         self._payloads: np.ndarray | None = None
         self._rank = 0

@@ -453,6 +453,13 @@ def test_decoder_matches_reference_decoder(k, size):
     assert state.try_decode() == decoded
 
 
+# Chunk sizes on both sides of the switch from the greedy pivot search to the sliced one.
+TRIAL_COUNTS = st.one_of(
+    st.integers(1, fountain.SLICED_TRIALS - 1),
+    st.integers(fountain.SLICED_TRIALS, fountain.SLICED_TRIALS + 3),
+)
+
+
 def oracle_stream(kind: str, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """A packed stream of uniform, LT, or a few repeated (zero among them) vectors."""
     if kind == "uniform":
@@ -504,9 +511,10 @@ def test_receive_batch_matches_the_int_oracle(kind, k_range, data):
 def test_fold_of_several_decoders_matches_separate_folds(kind, data):
     # Each trial's batch, padded with zero rows to the longest, folds as if
     # alone: the flags, rank, basis and decode of a separate DecoderState
-    # fold and of the per-packet int oracle, whatever the stored ranks.
+    # fold and of the per-packet int oracle, whatever the stored ranks, with
+    # the greedy pivot search (few trials) and the sliced one (many).
     k = data.draw(st.integers(1, 72), label="k")
-    trials = data.draw(st.integers(1, 5), label="trials")
+    trials = data.draw(TRIAL_COUNTS, label="trials")
     size = data.draw(st.sampled_from([1, 3]), label="size")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     stored = data.draw(st.lists(st.integers(0, k + 4), min_size=trials, max_size=trials))
@@ -542,30 +550,93 @@ def test_fold_of_several_decoders_matches_separate_folds(kind, data):
 @given(data=st.data())
 @pytest.mark.parametrize("kind", ["uniform", "lt", "repeats"])
 def test_decode_of_several_decoders_matches_each_try_decode(kind, data):
-    # The batched decode of 1-5 full-rank decoders gives each trial the
-    # blocks of its own try_decode and of the per-packet int oracle.
+    # The batched decode of several full-rank decoders, folded together in
+    # rounds, gives each trial the blocks of its own try_decode and of the
+    # per-packet int oracle.
     k = data.draw(st.integers(1, 72), label="k")
-    trials = data.draw(st.integers(1, 5), label="trials")
+    trials = data.draw(TRIAL_COUNTS, label="trials")
     size = data.draw(st.sampled_from([1, 3, 8]), label="size")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    decoders, oracles = [], []
-    for _ in range(trials):
-        decoder, oracle = DecoderState(k), IntDecoder(k)
-        stream = oracle_stream(kind, k, data.draw(st.integers(0, 2 * k), label="count"), rng)
-        while True:
-            payloads = rng.integers(0, 256, (len(stream), size), dtype=np.uint8)
-            decoder.receive_batch(stream, payloads)
-            for bits, payload in zip(packed_bits(stream), payloads):
+    decoders = [DecoderState(k) for _ in range(trials)]
+    oracles = [IntDecoder(k) for _ in range(trials)]
+    counts = data.draw(st.lists(st.integers(0, 2 * k), min_size=trials, max_size=trials))
+    streams = [oracle_stream(kind, k, count, rng) for count in counts]
+    while True:
+        vectors = np.zeros((trials, max(map(len, streams)), (k + 7) // 8), dtype=np.uint8)
+        payloads = rng.integers(0, 256, (*vectors.shape[:2], size), dtype=np.uint8)
+        for t, (stream, oracle) in enumerate(zip(streams, oracles)):
+            vectors[t, : len(stream)] = stream
+            for bits, payload in zip(packed_bits(stream), payloads[t]):
                 oracle.receive(Packet(EncodingVector(bits, k), payload.tobytes()))
-            if decoder.rank == k:
-                break
-            stream = sample_uniform_vectors(k, k - decoder.rank + 8, rng)  # tops up the rank
-        decoders.append(decoder)
-        oracles.append(oracle)
+        fountain.fold(decoders, vectors, payloads)
+        if all(d.rank == k for d in decoders):
+            break
+        # tops up the rank
+        needs = [k - d.rank + 8 if d.rank < k else 0 for d in decoders]
+        streams = [sample_uniform_vectors(k, need, rng) for need in needs]
     blocks = fountain.decode(decoders)
     assert blocks.shape == (trials, k, size)
     for got, decoder, oracle in zip(blocks, decoders, oracles):
         assert [row.tobytes() for row in got] == decoder.try_decode() == oracle.try_decode()
+
+
+def pivot_picks(found: fountain._Pivots, trials: int, count: int) -> list[dict]:
+    """Per trial, each new pivot column's pivot row and the rows its pivot row XORs."""
+    m, npicks = found.m, len(found.sources) // found.m
+    sources = np.asarray(found.sources).reshape(npicks, m).tolist()
+    tags = np.asarray(found.tags).reshape(npicks, m).tolist()
+    combos = np.asarray(found.combos).reshape(trials, 8).tolist()
+    picks: list[dict] = [{} for _ in range(trials)]
+    for t, p in enumerate(np.asarray(found.offsets).tolist()):
+        for col, mix in enumerate(combos[t]):
+            if mix:
+                row = sources[p][tags[p].index(1 << col)]
+                parts = frozenset(sources[p][i] for i in range(m) if mix >> i & 1)
+                picks[t][col] = (row, parts)
+    for row, col, entry in zip(found.rows, found.cols, found.entries):
+        mix, p = divmod(int(entry), npicks)  # each new pivot row is its own table row
+        t = row // count
+        assert p == found.offsets[t] and picks[t][col][0] == row and mix == combos[t][col]
+    assert sorted(found.rows) == sorted(r for pick in picks for r, _ in pick.values())
+    return picks
+
+
+def block_digits(rng: np.random.Generator, taken: int, count: int, run: int) -> list[int]:
+    """A trial's digits of one block: a run of one repeated digit, then a
+    mix of zero, repeated, one-bit and uniform digits, clear of ``taken``."""
+    pool = [int(d) for d in rng.integers(0, 256, 3)]
+    digits = [pool[0]] * run
+    for kind in rng.integers(0, 4, count - run):
+        one_bit, uniform = 1 << int(rng.integers(0, 8)), int(rng.integers(0, 256))
+        digits.append([0, pool[rng.integers(0, 3)], one_bit, uniform][kind])
+    return [d & ~taken for d in digits]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_greedy_and_sliced_pivot_searches_agree(data):
+    # Both searches pick the same pivot rows at the same columns, with the
+    # same rows XORed into each, and mark the same taken columns: on zero,
+    # repeated and one-bit digits, taken columns, trials with no candidate,
+    # and trials whose first window of candidates falls short of its room.
+    trials = data.draw(st.integers(1, 12), label="trials")
+    count = data.draw(st.integers(1, 60), label="count")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    bytes_taken = st.sampled_from([0, 0, 0x01, 0x90, 0xF0, 0x7F])
+    taken = np.array(data.draw(st.lists(bytes_taken, min_size=trials, max_size=trials)), np.uint8)
+    runs = data.draw(st.lists(st.integers(0, count), min_size=trials, max_size=trials))
+    masked = np.array(
+        [block_digits(rng, int(t), count, run) for t, run in zip(taken, runs)], dtype=np.uint8
+    ).reshape(trials, count)
+    results = []
+    for search in (fountain._greedy_pivots, fountain._sliced_pivots):
+        after = taken.copy()
+        found = search(masked, after)
+        picks = None if found is None else pivot_picks(found, trials, count)
+        results.append((picks, after.tolist()))
+    assert results[0] == results[1]
+    if results[0][0] is None:
+        assert not masked.any()
 
 
 def test_decode_refuses_short_or_mismatched_decoders():
