@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,26 +60,21 @@ CHUNK_ARRIVALS = 2**14
 
 # Largest file, in blocks, that simulate_download_times accepts. Decode cost
 # grows about as K^2.4: `download-time --K 8192 --trials 2` (64-bit blocks,
-# chunks of one trial, each block's XORs bounded by the 64-bit words its
-# table rows cover) took 6.4-6.6 s and 94 MB peak RSS on a 2-core x86-64
-# KVM guest whose speed drifts by up to 2x, and `--K 4096 --trials 1`
-# 0.8-0.9 s.
+# chunks of one trial) took 6.5-6.9 s and 94 MB peak RSS on a 2-core x86-64
+# KVM guest whose speed drifts by up to 2x, and `--K 4096 --trials 1` 0.9 s.
 MAX_DOWNLOAD_BLOCKS = 8192
 
 # Bytes that one chunk of download trials may hold at once. At its peak a
 # trial of a chunk holds about 8 KiB + k * (6 * block_bytes + 12 * ceil(k /
 # 8)) + 1024 * ceil(k / 8) bytes: its streams, its file and the file's XOR
 # tables, its basis, a fold's working rows and a block's 256-entry table
-# (tracemalloc peaks of 6, 19, 38, 108 and 1028 KB a trial at K = 1, 40,
+# (tracemalloc peaks of 6, 20, 40, 108 and 1123 KB a trial at K = 1, 40,
 # 100, 256 and 1000 with 8-byte blocks, in the chunks of 226, 118, 50, 13
 # and 1 trials that this rule gives; 1320 KB a trial in a chunk of 4 at
 # K=1000, where the round's one decode product indexes the tables with a
 # 16-bit row per digit of the trials' tags). 2 MiB holds 50 trials at K=100,
-# where a chunk of 50 runs a trial in about half the time that trials one
-# at a time take, and one trial from K of about 800 on, where chunks stopped
-# saving time while each trial searched its pivots alone (at K=1000 a chunk
-# of 25 was slower per trial than one; with the sliced pivot search a chunk
-# of 12 takes 0.67x the time per trial of chunks of one).
+# where a chunk of 50 runs a trial in about a fifth of the time that trials
+# one at a time take, and one trial from K of about 800 on.
 DOWNLOAD_CHUNK_BYTES = 1 << 21
 
 # Segments a download may traverse before it gives up without full rank.
@@ -310,19 +304,15 @@ def _crossing_events(
     return sorted((float(t), int(c)) for t, c in zip(meet, counts) if c > 0)
 
 
-def _packet_events(scenario: Scenario, vi: float, arrivals: Callable[[], np.random.Generator]):
+def _packet_events(scenario: Scenario, vi: float, rng: np.random.Generator):
     """Yield (segment, time offset, whole packets) for up to MAX_SEGMENTS segments.
 
-    A segment opens with its station batch; its crossings are drawn only
-    when the batch is consumed and more packets are wanted, from the
-    generator that ``arrivals()`` builds at the first such draw.
+    A segment opens with its station batch; its crossings are drawn from
+    ``rng`` only when the batch is consumed and more packets are wanted.
     """
     batch = math.floor(infostation_download(vi, scenario.packet_rate, scenario.r))
-    rng = None
     for segment in range(MAX_SEGMENTS):
         yield segment, 0.0, batch
-        if rng is None:
-            rng = arrivals()
         for offset, count in _crossing_events(scenario, vi, rng):
             yield segment, offset, count
 
@@ -356,12 +346,8 @@ class _Download:
 
     def __init__(self, scenario, vi, ti, rng, k):
         self.ti = ti
-        # the streams of rng.spawn(3), the arrival generator built only if used
-        bits = type(rng.bit_generator)
-        arr_seed, vec_seed, file_seed = rng.bit_generator.seed_seq.spawn(3)
-        self.vec_rng = np.random.Generator(bits(vec_seed))
-        self.file_rng = np.random.Generator(bits(file_seed))
-        self.events = _packet_events(scenario, vi, lambda: np.random.Generator(bits(arr_seed)))
+        arr_rng, self.vec_rng, self.file_rng = rng.spawn(3)
+        self.events = _packet_events(scenario, vi, arr_rng)
         self.decoder = DecoderState(k)
         self.ends: list[int] = []
         self.at: list[tuple[int, float]] = []

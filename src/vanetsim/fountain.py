@@ -540,19 +540,17 @@ def _sliced_pivots(masked: np.ndarray, taken: np.ndarray) -> _Pivots | None:
     return _Pivots(m, sources.ravel(), tags.ravel(), combos, np.arange(trials), rows, cols, entries)
 
 
-# Fewest 64-bit words of a row that a block's XORs skip; fewer are XORed
-# along with the rest. NumPy XORs a strided span of a few words per row at
-# several times the cost per word of whole contiguous rows: whole rows made
-# one trial at K=1000 0.90x as long and 50 trials at K=100 0.92x, skipping
-# made one trial at K=4096 0.97x as long as whole rows (2-core x86-64 guest).
-_SKIP_WORDS = 25
-
 # Trials from which _gauss_jordan searches pivots with _sliced_pivots. Timed
 # alone on the blocks of K=100 download chunks, the greedy search costs
 # 15-20 us a trial and the sliced one about 60 us plus 1 us a trial, but
 # whole download chunks ran at 1.04x the greedy time with the sliced search
 # at 8 trials, 0.93-0.97x at 10 and 0.90x at 13 (K = 40, 100 and 256; 2-core
-# x86-64 guest, interleaved runs).
+# x86-64 guest, interleaved runs). A column elimination over a plain trials
+# x count uint16 array of digits and pivot marks (argmax pivots, broadcast
+# XORs, no window) finds the same pivots, but whole chunks ran at 1.05x the
+# sliced time with it for 50 trials at K=100 (36/40 runs slower) and 1.17x
+# for 13 at K=256 (29/30); only LT chunks, whose sparse digits double the
+# sliced window, ran faster with it (0.94x, 50 trials at K=100).
 SLICED_TRIALS = 10
 
 
@@ -589,10 +587,9 @@ def _gauss_jordan(rows: np.ndarray, first: int, taken: np.ndarray) -> np.ndarray
     pivots. Table rows are zero in vector bytes left of the block. With no
     stored pivots (``first`` 0) they are also zero in tag bytes past the
     block, as a tag names only pivot columns found so far. Rows are XORed as
-    64-bit words, skipping the words where the table rows are zero if they
-    are at least :data:`_SKIP_WORDS`. Returns each row's new pivot column,
-    -1 for rows that gained none, as a ``trials x count`` array, and updates
-    ``taken``.
+    64-bit words, skipping the 64-byte spans where the table rows are zero.
+    Returns each row's new pivot column, -1 for rows that gained none, as a
+    ``trials x count`` array, and updates ``taken``.
     """
     trials, count, width = rows.shape
     nbytes = taken.shape[1]
@@ -610,11 +607,9 @@ def _gauss_jordan(rows: np.ndarray, first: int, taken: np.ndarray) -> np.ndarray
         if found is None:
             continue
         # Table rows are zero left of block b and, with no stored pivots, in
-        # tag bytes right of it: the XORs below skip such words, unless so
-        # few that whole rows, one contiguous span, XOR faster.
-        lo, hi = b // 8, width // 8 if first else -(-(nbytes + b + 1) // 8)
-        if width // 8 - (hi - lo) < _SKIP_WORDS:
-            lo, hi = 0, width // 8
+        # tag bytes right of it: the XORs below skip such 64-byte spans.
+        lo = b // 64 * 8
+        hi = min(width // 8, -(-(width if first else nbytes + b + 1) // 64) * 8)
         m = found.m
         npicks = len(found.sources) // m
         source = flat.take(found.sources, axis=0)

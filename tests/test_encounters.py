@@ -603,25 +603,20 @@ def test_download_file_is_one_draw_per_block(monkeypatch):
 
 
 def test_crossings_are_drawn_only_when_the_station_batch_falls_short(twoclass, monkeypatch):
-    # nor is a trial's arrival generator built before its first crossing draw
-    drawn, built = [], []
-    draw, events = encounters._crossing_events, encounters._packet_events
+    drawn = []
+    draw = encounters._crossing_events
 
     def counted(scenario, vi, rng):
         drawn.append(vi)
         return draw(scenario, vi, rng)
 
-    def counted_events(scenario, vi, arrivals):
-        return events(scenario, vi, lambda: built.append(vi) or arrivals())
-
     monkeypatch.setattr(encounters, "_crossing_events", counted)
-    monkeypatch.setattr(encounters, "_packet_events", counted_events)
     file = FileSpec(100, 64)  # station batches of 250 and 200 packets hold the decode
     rng = np.random.default_rng(0)
     got = encounters.simulate_download_times(twoclass, [20.0, 25.0] * 3, file, UniformScheme(), rng)
-    assert [segments for _, _, segments in got] == [1] * 6 and drawn == built == []
+    assert [segments for _, _, segments in got] == [1] * 6 and drawn == []
     got = simulate_download_time(twoclass, 20.0, FileSpec(300, 64), UniformScheme(), rng)
-    assert got[2] == 1 and drawn == built == [20.0]  # 250 station packets fall short of 300
+    assert got[2] == 1 and drawn == [20.0]  # 250 station packets fall short of 300
 
 
 def _outcome(run):
