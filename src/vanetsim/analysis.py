@@ -14,7 +14,7 @@ travel time d/|v|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .errors import InternalInconsistencyError, InvalidParameterError
 from .fountain import FileSpec, VectorScheme, packets_needed
@@ -185,6 +185,11 @@ def analytic_report(scenario: Scenario) -> AnalyticReport:
         rho = rho_bar(scenario)
     avg = expected_throughput(scenario)
     cars = mean_cars_in_segment(scenario)
+    values = (avg, cars, avg * cars, *(x for row in rows for x in astuple(row)))
+    if not all(map(math.isfinite, values)):
+        raise InvalidParameterError(
+            "scenario out of range: a closed-form value of its report overflows"
+        )
     return AnalyticReport(
         per_class=rows,
         average_throughput=avg,

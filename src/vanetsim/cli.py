@@ -29,6 +29,7 @@ from .analysis import (
 )
 from .encounters import (
     download_chunk_trials,
+    merge_moments,
     monte_carlo_throughput,
     simulate_download_time,  # noqa: F401  (perfbench/tracing.py wraps cli.simulate_download_time by name)
     simulate_download_times,
@@ -50,9 +51,8 @@ EXIT_NUMERICAL = 3
 
 Z_LIMIT = 4.0
 
-# Largest --trials any command accepts. simulate and compare keep no
-# per-trial array (their estimator merges chunk moments as it goes), but
-# their time grows with the trials; download-time keeps three floats per trial.
+# Largest --trials any command accepts. No command keeps a per-trial array
+# (each merges chunk moments as it goes), so the limit guards time only.
 MAX_TRIALS = 10_000_000
 
 _CSV_HELP = (
@@ -317,9 +317,7 @@ def _cmd_download_time(args) -> tuple[str, int, dict, int]:
     projection = expected_download_time(scenario, file, args.epsilon, scheme)
     rng = _generator(seed)
     draw_observer = _observer_sampler(scenario, args.observer_v)
-    times = np.empty(args.trials)
-    packets = np.empty(args.trials)
-    segments = np.empty(args.trials)
+    moments = [(0, 0.0, 0.0)] * 3  # of the times, packets and segments
     chunk = download_chunk_trials(file)
     for lo in range(0, args.trials, chunk):
         n = min(chunk, args.trials - lo)
@@ -327,9 +325,14 @@ def _cmd_download_time(args) -> tuple[str, int, dict, int]:
         # leaves every trial the streams it had when trials ran one by one
         observers = [draw_observer(rng) for _ in range(n)]
         chunk_results = simulate_download_times(scenario, observers, file, scheme, rng)
-        for i, result in enumerate(chunk_results, lo):
-            times[i], packets[i], segments[i] = result
-    std_error = float(times.std(ddof=1) / math.sqrt(args.trials)) if args.trials > 1 else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite m2 is refused below
+            moments = [merge_moments(m, np.array(x)) for m, x in zip(moments, zip(*chunk_results))]
+    (trials, mean_time, m2_time), (_, mean_packets, _), (_, mean_segments, _) = moments
+    if not math.isfinite(m2_time):
+        raise InvalidParameterError(
+            f"download times of about {mean_time:.6g} are too large to square for their variance"
+        )
+    std_error = math.sqrt(m2_time / (trials - 1)) / math.sqrt(trials) if trials > 1 else 0.0
     results = {
         "k": args.k,
         "epsilon": args.epsilon,
@@ -337,10 +340,10 @@ def _cmd_download_time(args) -> tuple[str, int, dict, int]:
         "trials": args.trials,
         "packets_needed": packets_needed(args.k, args.epsilon, scheme),
         "projected_time": projection,
-        "simulated_mean_time": float(times.mean()),
+        "simulated_mean_time": mean_time,
         "simulated_std_error": std_error,
-        "mean_packets": float(packets.mean()),
-        "mean_segments": float(segments.mean()),
+        "mean_packets": mean_packets,
+        "mean_segments": mean_segments,
     }
     return digest, seed, results, EXIT_OK
 

@@ -20,7 +20,6 @@ as it goes, so it keeps no per-trial array.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +63,12 @@ CHUNK_ARRIVALS = 2**14
 # KVM guest whose speed drifts by up to 2x, and `--K 4096 --trials 1` 0.9 s.
 MAX_DOWNLOAD_BLOCKS = 8192
 
-# Bytes that one chunk of download trials may hold at once. At its peak a
-# trial of a chunk holds about 8 KiB + k * (6 * block_bytes + 12 * ceil(k /
-# 8)) + 1024 * ceil(k / 8) bytes: its streams, its file and the file's XOR
+# Bytes that one chunk of download trials may hold at once. At its peak, in
+# the first round, whose fold always holds k + BATCH_MARGIN rows, a trial of
+# a chunk holds about 8 KiB + k * (6 * block_bytes + 12 * ceil(k / 8)) +
+# 1024 * ceil(k / 8) bytes: its streams, its file and the file's XOR
 # tables, its basis, a fold's working rows and a block's 256-entry table
-# (tracemalloc peaks of 6, 20, 40, 108 and 1123 KB a trial at K = 1, 40,
+# (tracemalloc peaks of 6, 19, 39, 107 and 1122 KB a trial at K = 1, 40,
 # 100, 256 and 1000 with 8-byte blocks, in the chunks of 226, 118, 50, 13
 # and 1 trials that this rule gives; 1320 KB a trial in a chunk of 4 at
 # K=1000, where the round's one decode product indexes the tables with a
@@ -77,11 +77,11 @@ MAX_DOWNLOAD_BLOCKS = 8192
 # one at a time take, and one trial from K of about 800 on.
 DOWNLOAD_CHUNK_BYTES = 1 << 21
 
-# Segments a download may traverse before it gives up without full rank.
+# Segments a download may traverse for packet N before it gives up.
 MAX_SEGMENTS = 1000
 
-# A download folds at most BATCH_MARGIN packets more in a round than the
-# k - rank it still needs (uniform vectors need more than 8 extra with
+# A download folds BATCH_MARGIN packets more in a round than the k - rank
+# it still needs (uniform vectors need more than 8 extra with
 # probability below 2**-8).
 BATCH_MARGIN = 8
 
@@ -261,6 +261,26 @@ def _trip_throughputs(
             yield (info + np.bincount(trip, weights=packets, minlength=trips)) / ti
 
 
+def merge_moments(moments: tuple, values: np.ndarray) -> tuple:
+    """Merge a chunk of ``values`` into the running ``(count, mean, m2)``.
+
+    ``m2`` is the sum of squared deviations from the mean. The chunk's own
+    moments are merged by the pairwise update of Chan, Golub and LeVeque
+    (1979), so a stream of chunks needs no per-value array. Start from
+    ``(0, 0.0, 0.0)``. Values too large to square give an ``m2`` of inf or
+    nan, with NumPy's overflow warning unless the caller silences it.
+    """
+    n, mean, m2 = moments
+    k = values.size
+    chunk_mean = float(values.mean())
+    chunk_m2 = float(np.square(values - chunk_mean).sum())
+    if not n:  # no 0 * inf below when the chunk's mean squared overflows
+        return k, chunk_mean, chunk_m2
+    delta = chunk_mean - mean
+    total = n + k
+    return total, mean + delta * (k / total), m2 + (chunk_m2 + delta * delta * (n * k / total))
+
+
 def monte_carlo_throughput(
     scenario: Scenario,
     observer_velocity: float,
@@ -271,23 +291,23 @@ def monte_carlo_throughput(
 
     Trips are drawn in chunks (see the module docstring) from ``rng``, in
     order; a trip's throughput is that of :func:`simulate_trip` on the same
-    arrivals. Each chunk's mean and sum of squared deviations are merged
-    into the running ones by the pairwise update of Chan, Golub and LeVeque
-    (1979), so memory does not grow with ``trials``. Callers wanting
-    parallel execution should hand each worker its own spawned substream.
+    arrivals. Each chunk is merged into the running moments by
+    :func:`merge_moments`, so memory does not grow with ``trials``. Callers
+    wanting parallel execution should hand each worker its own spawned
+    substream.
     """
     if trials < 2:
         raise InvalidParameterError("need at least 2 trials")
     vi, ti = _observer_trip(scenario, observer_velocity)
-    n, mean, m2 = 0, 0.0, 0.0
-    for values in _trip_throughputs(scenario, vi, ti, trials, rng):
-        k = values.size
-        chunk_mean = float(values.mean())
-        chunk_m2 = float(np.square(values - chunk_mean).sum())
-        delta = chunk_mean - mean
-        n += k
-        mean += delta * (k / n)
-        m2 += chunk_m2 + delta * delta * ((n - k) * k / n)
+    moments = (0, 0.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite m2 is refused below
+        for values in _trip_throughputs(scenario, vi, ti, trials, rng):
+            moments = merge_moments(moments, values)
+    n, mean, m2 = moments
+    if not math.isfinite(m2):
+        raise InvalidParameterError(
+            f"trip throughputs of about {mean:.6g} are too large to square for their variance"
+        )
     return MonteCarloEstimate(
         mean=mean,
         std_error=math.sqrt(m2 / (n - 1)) / math.sqrt(n),
@@ -335,43 +355,6 @@ def download_chunk_trials(file: FileSpec) -> int:
     return max(1, DOWNLOAD_CHUNK_BYTES // per_trial)
 
 
-class _Download:
-    """One trial of :func:`simulate_download_times`: its streams, packet supply and decoder.
-
-    The supply lists the trial's packet events drawn so far: ``ends[j]``
-    packets have arrived by the end of event ``j``, which is at
-    ``at[j] = (segment, offset)``. ``folded`` packets have had their vectors
-    drawn and folded.
-    """
-
-    def __init__(self, scenario, vi, ti, rng, k):
-        self.ti = ti
-        arr_rng, self.vec_rng, self.file_rng = rng.spawn(3)
-        self.events = _packet_events(scenario, vi, arr_rng)
-        self.decoder = DecoderState(k)
-        self.ends: list[int] = []
-        self.at: list[tuple[int, float]] = []
-        self.folded = 0
-
-    def supply(self, want: int) -> int:
-        """Extend the supply to ``want`` packets as far as the segments go; the packets supplied."""
-        supplied = self.ends[-1] if self.ends else 0
-        while supplied < want:
-            event = next(self.events, None)
-            if event is None:
-                break
-            segment, offset, count = event
-            supplied += count
-            self.ends.append(supplied)
-            self.at.append((segment, offset))
-        return supplied
-
-    def arrival(self, n: int) -> tuple[float, int, int]:
-        """(time, packets, segments) when packet ``n`` arrives."""
-        segment, offset = self.at[bisect_left(self.ends, n)]
-        return segment * self.ti + offset, n, segment + 1
-
-
 def simulate_download_times(
     scenario: Scenario,
     observers,
@@ -388,31 +371,30 @@ def simulate_download_times(
     encounter delivers its whole-packet count at the crossing time. Every
     packet carries an independently sampled encoding vector.
 
-    A trial is a packet supply plus a decode. The vector stream alone fixes
-    N, the packet whose vector brings the decoder to full rank; the arrival
-    stream alone fixes when packet N arrives, by one bisection of the
-    supply's cumulative packet counts. The trials run in lockstep rounds.
-    As the rank grows by at most one a packet, a round extends each
-    unfinished trial's supply to ``k - rank`` packets past those it has
-    folded, drawing a segment's crossings only once its station batch falls
-    short, and draws the vectors of up to ``k - rank + BATCH_MARGIN`` of
-    them with one sampler call. All of them are encoded with one product
-    and folded with one :func:`~vanetsim.fountain.fold`, and those that
+    The vector stream alone fixes N, the packet whose vector brings the
+    decoder to full rank, and the arrival stream alone fixes when packet N
+    arrives, so a download runs in two phases. The decode phase runs the
+    trials in lockstep rounds: as the rank grows by at most one a packet, a
+    round draws ``k - rank + BATCH_MARGIN`` vectors for each unfinished
+    trial with one sampler call, encodes all of them with one product and
+    folds them with one :func:`~vanetsim.fountain.fold`, and the trials that
     reach full rank are decoded with one :func:`~vanetsim.fountain.decode`
     and checked against their files. A sampler call of n vectors draws what
     n calls of one draw, and the innovative flags are those of one packet at
-    a time, so every result is that of one draw and one fold per packet.
-    Returns, per trial, (travel time consumed, packets received, segments
-    fully or partially traversed) at packet N.
+    a time, so N is that of one draw and one fold per packet. The arrival
+    phase then walks each trial's packet events up to the one holding packet
+    N, drawing a segment's crossings only once its station batch falls
+    short. Returns, per trial, (travel time consumed, packets received,
+    segments fully or partially traversed) at packet N.
 
     Raises the error of the lowest-index failing trial, as running the
     trials one at a time would: :class:`InvalidParameterError` for an
-    observer speed that :func:`simulate_trip` refuses, or before any work
+    observer speed that :func:`simulate_trip` refuses, or before any draw
     for a file of more than :data:`MAX_DOWNLOAD_BLOCKS` blocks;
-    :class:`NoProgressError` if a decode is still incomplete after
-    :data:`MAX_SEGMENTS` segments (for example with no traffic and a station
-    batch of zero packets); :class:`InternalInconsistencyError` if a
-    decode disagrees with its file.
+    :class:`NoProgressError`, with the rank of the packets that did arrive,
+    if packet N has not arrived after :data:`MAX_SEGMENTS` segments (for
+    example with no traffic and a station batch of zero packets);
+    :class:`InternalInconsistencyError` if a decode disagrees with its file.
     """
     k = file.k
     if len(observers) and k > MAX_DOWNLOAD_BLOCKS:
@@ -420,7 +402,7 @@ def simulate_download_times(
         raise InvalidParameterError(
             f"file of {k} blocks exceeds the download limit of {MAX_DOWNLOAD_BLOCKS} blocks"
         )
-    trials, refused = [], None
+    trips, streams, refused = [], [], None
     for v in observers:
         try:
             vi, ti = _observer_trip(scenario, v)
@@ -429,55 +411,48 @@ def simulate_download_times(
         except InvalidParameterError as exc:
             refused = exc
             break
-        trials.append(_Download(scenario, vi, ti, rng, k))
+        trips.append((vi, ti))
+        streams.append(rng.spawn(3))  # arrivals, vectors, file
     sample = vector_batch_sampler(scheme, k)
-    files = _draw_files(file, [d.file_rng for d in trials])
+    files = _draw_files(file, [file_rng for _, _, file_rng in streams])
     tables = _xor_tables(files, 4)
-    results: list = [None] * len(trials)
-    active = list(range(len(trials)))
+    decoders = [DecoderState(k) for _ in streams]
+    flags: list[list[np.ndarray]] = [[] for _ in streams]  # each round's innovative flags
+    needed: list = [None] * len(streams)  # N
+    wrong = [False] * len(streams)
+    active = list(range(len(streams)))
     while active:
-        folding, counts, starved = [], [], []
-        for i in active:
-            d = trials[i]
-            need = k - d.decoder.rank
-            supplied = d.supply(d.folded + need)
-            if supplied < d.folded + need:
-                starved.append(i)
-            # a starved trial folds what is left, to report the rank of every packet
-            if supplied > d.folded:
-                folding.append(i)
-                counts.append(min(need + BATCH_MARGIN, supplied - d.folded))
-        if folding:
-            vectors = np.zeros((len(folding), max(counts), (k + 7) // 8), dtype=np.uint8)
-            for row, i, n in zip(vectors, folding, counts):
-                row[:n] = sample(trials[i].vec_rng, n)
-            payloads = np.zeros((*vectors.shape[:2], file.block_bytes), dtype=np.uint8)
-            _product(vectors, tables, payloads, folding)
-            innovative = fold([trials[i].decoder for i in folding], vectors, payloads)
-            for i, n, flags in zip(folding, counts, innovative):
-                d = trials[i]
-                if d.decoder.rank == k:  # packet N is the round's last innovative one
-                    results[i] = d.arrival(d.folded + int(np.flatnonzero(flags)[-1]) + 1)
-                d.folded += n
-            done = [i for i in folding if results[i] is not None]
-            if done:  # every decode is checked against its file
-                decoded = decode([trials[i].decoder for i in done])
-                np.bitwise_xor(decoded, files[done], out=decoded)
-                for i, wrong in zip(done, decoded.any(axis=(1, 2))):
-                    if wrong:
-                        results[i] = InternalInconsistencyError(
-                            "decoded blocks disagree with the encoded file"
-                        )
-        for i in starved:
-            results[i] = NoProgressError(
-                f"decode rank {trials[i].decoder.rank}/{k} after {MAX_SEGMENTS} segments"
-            )
-        # trials after a failed one cannot change what is raised
-        failed = next((i for i in active if isinstance(results[i], Exception)), len(trials))
-        active = [i for i in active if results[i] is None and i < failed]
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
+        counts = [k - decoders[i].rank + BATCH_MARGIN for i in active]
+        vectors = np.zeros((len(active), max(counts), (k + 7) // 8), dtype=np.uint8)
+        for row, i, n in zip(vectors, active, counts):
+            row[:n] = sample(streams[i][1], n)
+        payloads = np.zeros((*vectors.shape[:2], file.block_bytes), dtype=np.uint8)
+        _product(vectors, tables, payloads, active)
+        innovative = fold([decoders[i] for i in active], vectors, payloads)
+        for i, n, row in zip(active, counts, innovative):
+            if decoders[i].rank == k:  # packet N is the round's last innovative one
+                needed[i] = sum(map(len, flags[i])) + int(np.flatnonzero(row)[-1]) + 1
+            flags[i].append(row[:n])
+        done = [i for i in active if needed[i] is not None]
+        if done:  # every decode is checked against its file
+            decoded = decode([decoders[i] for i in done])
+            np.bitwise_xor(decoded, files[done], out=decoded)
+            for i, bad in zip(done, decoded.any(axis=(1, 2))):
+                wrong[i] = bool(bad)
+        active = [i for i in active if needed[i] is None]
+    results = []
+    for i, ((vi, ti), (arr_rng, _, _)) in enumerate(zip(trips, streams)):
+        received = 0
+        for segment, offset, count in _packet_events(scenario, vi, arr_rng):
+            received += count
+            if received >= needed[i]:
+                break
+        else:
+            rank = int(np.concatenate(flags[i])[:received].sum())
+            raise NoProgressError(f"decode rank {rank}/{k} after {MAX_SEGMENTS} segments")
+        if wrong[i]:
+            raise InternalInconsistencyError("decoded blocks disagree with the encoded file")
+        results.append((segment * ti + offset, needed[i], segment + 1))
     if refused is not None:
         raise refused
     return results

@@ -540,17 +540,21 @@ def _sliced_pivots(masked: np.ndarray, taken: np.ndarray) -> _Pivots | None:
     return _Pivots(m, sources.ravel(), tags.ravel(), combos, np.arange(trials), rows, cols, entries)
 
 
-# Trials from which _gauss_jordan searches pivots with _sliced_pivots. Timed
-# alone on the blocks of K=100 download chunks, the greedy search costs
-# 15-20 us a trial and the sliced one about 60 us plus 1 us a trial, but
-# whole download chunks ran at 1.04x the greedy time with the sliced search
-# at 8 trials, 0.93-0.97x at 10 and 0.90x at 13 (K = 40, 100 and 256; 2-core
-# x86-64 guest, interleaved runs). A column elimination over a plain trials
-# x count uint16 array of digits and pivot marks (argmax pivots, broadcast
-# XORs, no window) finds the same pivots, but whole chunks ran at 1.05x the
-# sliced time with it for 50 trials at K=100 (36/40 runs slower) and 1.17x
-# for 13 at K=256 (29/30); only LT chunks, whose sparse digits double the
-# sliced window, ran faster with it (0.94x, 50 trials at K=100).
+# Trials from which _gauss_jordan searches pivots with _sliced_pivots. Two
+# searches stay because neither is fastest on both sides of this count, and
+# the trial count alone selects one (2-core x86-64 guest, interleaved runs).
+# Timed alone, a block costs the greedy search 15-20 us a trial and the
+# sliced one about 60 us plus 1 us a trial, 21 us of it in its Python-int
+# elimination at one trial; forced on every fold, the sliced search took a
+# one-trial K=256 download from 9.3 to 12.4 ms. Whole download chunks ran at
+# 1.04x the greedy time with the sliced search at 8 trials, 0.93-0.97x at 10
+# and 0.90x at 13 (K = 40, 100 and 256). A windowless sliced search (whole
+# rows as one field, no re-runs) ran 25-30 % slower than the greedy one at
+# one trial and 6-25 % slower than the windowed one on 50-trial K=100 chunks.
+# A column elimination over a plain trials x count uint16 array of digits
+# and pivot marks (argmax pivots, broadcast XORs) ran 1.05x the sliced time
+# for 50 trials at K=100 and 1.17x for 13 at K=256; only LT chunks, whose
+# sparse digits double the sliced window, ran faster with it (0.94x).
 SLICED_TRIALS = 10
 
 

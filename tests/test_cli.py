@@ -456,6 +456,37 @@ def test_tiny_observer_in_zero_rate_scenario_is_an_input_error(tmp_path, command
     assert "observer too slow" in err
 
 
+def _classes(v0, v1):
+    return {"type": "discrete", "classes": [{"v": v0, "p": 0.5}, {"v": v1, "p": 0.5}]}
+
+
+def _far_apart_doc():
+    # no traffic, stations 1e300 m apart: 1-2 station packets a segment, each
+    # segment about 1e300 s long
+    return dict(zero_rate_doc(), d=1e300, r=2.0, bit_rate=1000.0, velocity=_classes(1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "args, change, code",
+    [
+        # a class density of 5e298 overflows the system throughput
+        (["analyze"], {"lambda": 0.1, "velocity": _classes(1e-300, 25.0)}, 2),
+        # throughputs near 5e302 differ by more than a square can hold
+        (["simulate", "--trials", "20"], {"lambda": 0.1, "packet_bits": 1e-300}, 2),
+        (["download-time", "--K", "8", "--trials", "5"], _far_apart_doc(), 2),
+        (["download-time", "--K", "8", "--trials", "1"], _far_apart_doc(), 0),
+    ],
+)
+def test_results_too_large_for_their_moments_are_input_errors(
+    tmp_path, args, change, code, capsys
+):
+    path = write_scenario(tmp_path, dict(zero_rate_doc(), **change))
+    got, out, err = run([args[0], path, *args[1:]], capsys)
+    assert got == code, err  # a report of non-finite values would exit 3
+    if code:
+        assert out == "" and ("overflows" in err or "too large to square" in err), err
+
+
 @pytest.mark.parametrize(
     "command", ["analyze", "simulate", "compare", "optimize-pmf", "download-time"]
 )
@@ -552,15 +583,117 @@ def test_download_time_arguments_never_give_a_traceback_or_exit_1(
         args += ["--scheme", "lt", "--lt-c", lt[0], "--lt-delta", lt[1]]
     if observer is not None:
         args += ["--observer-v", observer]
+    report = _report_or_input_error(args)
+    if report is not None:
+        assert report["results"]["trials"] == trials
+
+
+def _report_or_input_error(args, mismatch=False):
+    """Run ``args``: the report, or None after an input error; never a traceback.
+
+    Exit 1 is allowed only with ``mismatch`` and a report that says so.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)
-    assert code in (0, 2), (args, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    if code:
-        assert "error:" in err.getvalue() and not out.getvalue()
+    assert code in ((0, 1, 2) if mismatch else (0, 2)), (args, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith(("error:", "usage:")) and not out.getvalue()
+        return None
+    report = json.loads(out.getvalue()) if "csv" not in args else {}
+    if code == 1:
+        assert report["results"]["passed"] is False
+    return report
+
+
+_FIXTURES = ("twoclass.json", "uniform2040.json")
+# top-level scenario fields, and discrete class fields as "class index.key"
+_FIELDS = ("lambda", "d", "r", "bit_rate", "packet_bits", "seed", "0.v", "0.p", "1.v")
+
+
+@st.composite
+def _scenarios(draw, directory):
+    """A fixture's path, or a copy's with one field set to an odd number."""
+    name = draw(st.sampled_from(_FIXTURES))
+    path = Path(__file__).resolve().parents[1] / "fixtures" / name
+    if draw(st.booleans()):
+        return str(path)
+    doc = json.loads(path.read_text())
+    field, value = draw(st.sampled_from(_FIELDS)), float(draw(_ODD_NUMBERS))
+    if "." not in field:
+        doc[field] = value
+    elif doc["velocity"]["type"] == "discrete":
+        index, key = field.split(".")
+        doc["velocity"]["classes"][int(index)][key] = value
     else:
-        assert json.loads(out.getvalue())["results"]["trials"] == trials
+        doc["velocity"]["a" if field == "0.v" else "b"] = value
+    changed = directory / f"{name}-{field}-{value}.json"
+    changed.write_text(json.dumps(doc))
+    return str(changed)
+
+
+_TRIALS = _mostly(st.integers(-1, 40).map(str))
+_SEEDS = st.none() | _mostly(st.integers(-2, 2**70).map(str))
+
+
+def _with_seed(args, seed):
+    return args if seed is None else args + ["--seed", seed]
+
+
+@pytest.fixture(scope="module")
+def odd_scenarios(tmp_path_factory):
+    return tmp_path_factory.mktemp("odd-scenarios")
+
+
+@pytest.mark.filterwarnings("ignore:transmit range")  # odd d or r
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), fmt=st.sampled_from(["json", "csv"]), seed=_SEEDS)
+def test_analyze_arguments_never_give_a_traceback_or_exit_1(odd_scenarios, data, fmt, seed):
+    scenario = data.draw(_scenarios(odd_scenarios))
+    _report_or_input_error(_with_seed(["analyze", scenario, "--format", fmt], seed))
+
+
+@pytest.mark.filterwarnings("ignore:transmit range")  # odd d or r
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    trials=_TRIALS,
+    observer=st.none() | _mostly(st.floats(1, 60).map(repr)) | st.sampled_from(["-3", "1e308"]),
+    seed=_SEEDS,
+)
+def test_simulate_arguments_never_give_a_traceback_or_exit_1(
+    odd_scenarios, data, trials, observer, seed
+):
+    args = ["simulate", data.draw(_scenarios(odd_scenarios)), "--trials", trials]
+    if observer is not None:
+        args += ["--observer-v", observer]
+    report = _report_or_input_error(_with_seed(args, seed))
+    if report is not None:
+        assert report["results"]["trials"] == int(trials)
+
+
+@pytest.mark.filterwarnings("ignore:transmit range")  # odd d or r
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), trials=_TRIALS, seed=_SEEDS)
+def test_compare_arguments_never_give_a_traceback_or_exit_1_but_on_a_mismatch(
+    odd_scenarios, data, trials, seed
+):
+    args = ["compare", data.draw(_scenarios(odd_scenarios)), "--trials", trials]
+    report = _report_or_input_error(_with_seed(args, seed), mismatch=True)
+    if report is not None:
+        assert report["results"]["trials"] == int(trials)
+
+
+_SPEED_TOKENS = _mostly(st.floats(-200, 200).map(repr)) | st.sampled_from(["", " ", "x", "1e-310"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(speeds=st.lists(_SPEED_TOKENS, max_size=8).map(",".join), seed=_SEEDS)
+def test_optimize_pmf_arguments_never_give_a_traceback_or_exit_1(speeds, seed):
+    report = _report_or_input_error(_with_seed(["optimize-pmf", "--speeds", speeds], seed))
+    if report is not None:
+        assert len(report["results"]["p"]) == len(report["results"]["speeds"])
 
 
 @pytest.mark.parametrize("trials", [cli.MAX_TRIALS + 1, 100_000_000_000])

@@ -27,7 +27,7 @@ from vanetsim import (
     span_probability,
 )
 from vanetsim import encounters
-from vanetsim.encounters import MAX_DOWNLOAD_BLOCKS, _crossing_events
+from vanetsim.encounters import BATCH_MARGIN, MAX_DOWNLOAD_BLOCKS, _crossing_events
 from vanetsim.errors import (
     InternalInconsistencyError,
     InvalidParameterError,
@@ -545,23 +545,31 @@ def test_large_uniform_download_matches_per_packet_oracle():
 
 def test_lt_download_with_a_long_tail_matches_per_packet_oracle(monkeypatch):
     # LT vectors leave the first k packets well short of full rank, so the
-    # decode ends after many folds of a few packets each
+    # decode takes several rounds of k - rank + BATCH_MARGIN packets each
     folds = []
     fold = encounters.fold
 
     def counted(decoders, vectors, payloads):
-        folds.append(vectors.shape[1])  # a download is a chunk of one trial
+        folds.append((vectors.shape[1], decoders[0].rank))  # a download is a chunk of one trial
         return fold(decoders, vectors, payloads)
 
     monkeypatch.setattr(encounters, "fold", counted)
-    sc = make_scenario(bit_rate=250.0)
     file = FileSpec(100, 64)
     scheme = LtScheme(SolitonParams(0.02, 0.9, 0.01))  # no spike: half the degrees are 2
-    for seed, observer in ((0, 20.0), (1, 25.0)):
+    rounds = {}
+    for bit_rate, seed, observer in ((250.0, 0, 20.0), (250.0, 1, 25.0), (50_000.0, 1, 25.0)):
+        sc = make_scenario(bit_rate=bit_rate)
         folds.clear()
         got = simulate_download_time(sc, observer, file, scheme, np.random.default_rng(seed))
-        assert file.k <= folds[0] <= file.k + encounters.BATCH_MARGIN and len(folds) >= 5, folds
-        assert got == reference_download(sc, observer, file, scheme, np.random.default_rng(seed))
+        assert folds[0] == (file.k + BATCH_MARGIN, 0), folds
+        assert all(n == file.k - rank + BATCH_MARGIN for n, rank in folds), folds
+        rounds[bit_rate, seed] = [n for n, _ in folds]
+        if bit_rate == 250.0:
+            expected = reference_download(sc, observer, file, scheme, np.random.default_rng(seed))
+            assert got == expected, seed
+    assert len(rounds[250.0, 1]) >= 5, rounds
+    # the rounds depend on the vector stream alone, not on the packet rate
+    assert rounds[250.0, 1] == rounds[50_000.0, 1]
 
 
 @pytest.mark.parametrize("scheme", [UniformScheme(), LtScheme(SolitonParams(0.1, 0.5, 0.01))])

@@ -246,6 +246,13 @@ def test_optimizer_rejects_bad_inputs():
     optimize_pmf([1e-308, 2e-308])  # 1e308 + 5e307 is still finite
 
 
+def test_certificate_scales_with_the_marginal_value():
+    # the marginals reach 1/|v| = 1.7e7, so their rounding error exceeds 1e-9
+    sol = optimize_pmf([1.0, 0.5, 5.960464477539063e-08])
+    assert sol.kkt_nu > 8e6 and sol.kkt_residual <= 1e-9 * sol.kkt_nu
+    assert abs(sum(sol.p) - 1.0) <= 1e-12
+
+
 def test_nan_stationarity_residual_fails_the_certificate(monkeypatch):
     # 1/|v| = 1e308 is finite but the pair sums overflow, so the marginals
     # are inf and their spread is NaN, which must not pass as <= KKT_TOL;
