@@ -317,7 +317,8 @@ def _cmd_download_time(args) -> tuple[str, int, dict, int]:
     projection = expected_download_time(scenario, file, args.epsilon, scheme)
     rng = _generator(seed)
     draw_observer = _observer_sampler(scenario, args.observer_v)
-    moments = [(0, 0.0, 0.0)] * 3  # of the times, packets and segments
+    labels = ("download times", "packets", "segments")
+    moments = [(0, 0.0, 0.0)] * len(labels)
     chunk = download_chunk_trials(file)
     for lo in range(0, args.trials, chunk):
         n = min(chunk, args.trials - lo)
@@ -325,13 +326,11 @@ def _cmd_download_time(args) -> tuple[str, int, dict, int]:
         # leaves every trial the streams it had when trials ran one by one
         observers = [draw_observer(rng) for _ in range(n)]
         chunk_results = simulate_download_times(scenario, observers, file, scheme, rng)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite m2 is refused below
-            moments = [merge_moments(m, np.array(x)) for m, x in zip(moments, zip(*chunk_results))]
+        moments = [
+            merge_moments(m, np.array(x), label)
+            for m, x, label in zip(moments, zip(*chunk_results), labels)
+        ]
     (trials, mean_time, m2_time), (_, mean_packets, _), (_, mean_segments, _) = moments
-    if not math.isfinite(m2_time):
-        raise InvalidParameterError(
-            f"download times of about {mean_time:.6g} are too large to square for their variance"
-        )
     std_error = math.sqrt(m2_time / (trials - 1)) / math.sqrt(trials) if trials > 1 else 0.0
     results = {
         "k": args.k,

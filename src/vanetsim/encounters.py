@@ -116,9 +116,9 @@ class MonteCarloEstimate:
 def _observer_trip(scenario: Scenario, observer_velocity: float) -> tuple[float, float]:
     """The checked observer speed and its travel time ``d / v``.
 
-    The speed must be finite and positive, and not so small that the travel
-    time or the station batch ``packet_rate * r / v`` overflows to infinity;
-    such an observer is refused here rather than turning into a NaN throughput.
+    The speed must be finite and positive, its travel time finite and above
+    0, and its station batch ``packet_rate * r / v`` finite; other observers
+    are refused here rather than turning into an inf or NaN throughput.
     """
     vi = float(observer_velocity)
     if not (math.isfinite(vi) and vi > 0):
@@ -132,6 +132,8 @@ def _observer_trip(scenario: Scenario, observer_velocity: float) -> tuple[float,
             f"observer too slow: travel time d/v = {scenario.d:g}/{vi!r} "
             "or its station batch is not finite"
         )
+    if not ti > 0:
+        raise InvalidParameterError(f"observer too fast: d/v = {scenario.d:g}/{vi!r} rounds to 0")
     return vi, ti
 
 
@@ -261,24 +263,32 @@ def _trip_throughputs(
             yield (info + np.bincount(trip, weights=packets, minlength=trips)) / ti
 
 
-def merge_moments(moments: tuple, values: np.ndarray) -> tuple:
+def merge_moments(moments: tuple, values: np.ndarray, label: str) -> tuple:
     """Merge a chunk of ``values`` into the running ``(count, mean, m2)``.
 
     ``m2`` is the sum of squared deviations from the mean. The chunk's own
     moments are merged by the pairwise update of Chan, Golub and LeVeque
     (1979), so a stream of chunks needs no per-value array. Start from
-    ``(0, 0.0, 0.0)``. Values too large to square give an ``m2`` of inf or
-    nan, with NumPy's overflow warning unless the caller silences it.
+    ``(0, 0.0, 0.0)``. Values too large to square are refused as input,
+    named by ``label``, since ``m2`` would be inf or nan.
     """
     n, mean, m2 = moments
     k = values.size
-    chunk_mean = float(values.mean())
-    chunk_m2 = float(np.square(values - chunk_mean).sum())
-    if not n:  # no 0 * inf below when the chunk's mean squared overflows
-        return k, chunk_mean, chunk_m2
-    delta = chunk_mean - mean
-    total = n + k
-    return total, mean + delta * (k / total), m2 + (chunk_m2 + delta * delta * (n * k / total))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite m2 is refused below
+        chunk_mean = float(values.mean())
+        chunk_m2 = float(np.square(values - chunk_mean).sum())
+    if n:  # else the chunk's own moments: no 0 * inf when its mean squared overflows
+        delta = chunk_mean - mean
+        m2 += chunk_m2 + delta * delta * (n * k / (n + k))
+        mean += delta * (k / (n + k))
+    else:
+        mean, m2 = chunk_mean, chunk_m2
+    n += k
+    if not math.isfinite(m2):
+        raise InvalidParameterError(
+            f"{label} of about {mean:.6g} are too large to square for their variance"
+        )
+    return n, mean, m2
 
 
 def monte_carlo_throughput(
@@ -300,14 +310,9 @@ def monte_carlo_throughput(
         raise InvalidParameterError("need at least 2 trials")
     vi, ti = _observer_trip(scenario, observer_velocity)
     moments = (0, 0.0, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite m2 is refused below
-        for values in _trip_throughputs(scenario, vi, ti, trials, rng):
-            moments = merge_moments(moments, values)
+    for values in _trip_throughputs(scenario, vi, ti, trials, rng):
+        moments = merge_moments(moments, values, "trip throughputs")
     n, mean, m2 = moments
-    if not math.isfinite(m2):
-        raise InvalidParameterError(
-            f"trip throughputs of about {mean:.6g} are too large to square for their variance"
-        )
     return MonteCarloEstimate(
         mean=mean,
         std_error=math.sqrt(m2 / (n - 1)) / math.sqrt(n),

@@ -18,9 +18,9 @@ import numpy as np
 from .errors import InvalidParameterError, NumericalError
 
 NEG_CLAMP_TOL = 1e-12
-# Largest stationarity residual, relative to the marginal value nu once nu
-# exceeds 1: the marginals scale with 1/|v|, and so does their rounding error
-# (speeds 1, 0.5 and 6e-8 leave a residual of 1.9e-9 at nu = 8.4e6).
+# Largest stationarity residual over max(1, nu), nu the marginal value: the
+# marginals scale with 1/|v|, and so does their rounding error (speeds 1, 0.5
+# and 6e-8 leave an absolute residual of 1.9e-9 at nu = 8.4e6).
 KKT_TOL = 1e-9
 
 
@@ -90,7 +90,7 @@ class PmfSolution:
     ``p`` is in the caller's speed order; ``p_sorted`` in ascending |v|
     order with ``sort_index`` the corresponding argsort. ``kkt_nu`` is the
     common marginal value of the active classes and ``kkt_residual`` the
-    largest stationarity/feasibility violation.
+    largest stationarity/feasibility violation over ``max(1, kkt_nu)``.
     """
 
     p: tuple[float, ...]
@@ -127,14 +127,17 @@ def optimize_pmf(speeds) -> PmfSolution:
     a_full = alpha_matrix(s)
     marginals = a_full @ full
     active = full > 0.0
-    nu = float(marginals[active].mean())
+    with np.errstate(over="ignore"):  # finite marginals can still overflow their sum
+        nu = float(marginals[active].mean())
+    if np.isinf(nu) and np.all(np.isfinite(marginals)):
+        raise InvalidParameterError("speeds too small: the marginal values overflow their sum")
     residual = float(np.abs(marginals[active] - nu).max())
     if np.any(~active):
         residual = max(residual, float((marginals[~active] - nu).max()), 0.0)
-    tolerance = KKT_TOL * max(1.0, nu)
-    if not residual <= tolerance:  # a NaN residual fails too
+    residual /= max(1.0, nu)
+    if not residual <= KKT_TOL:  # a NaN residual fails too
         raise NumericalError(
-            f"stationarity residual {residual!r} is not within {tolerance!r}"
+            f"stationarity residual {residual!r} is not within {KKT_TOL!r}"
         )
 
     p_caller = np.zeros(m)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vanetsim import cli
@@ -690,6 +690,7 @@ _SPEED_TOKENS = _mostly(st.floats(-200, 200).map(repr)) | st.sampled_from(["", "
 
 @settings(max_examples=80, deadline=None)
 @given(speeds=st.lists(_SPEED_TOKENS, max_size=8).map(",".join), seed=_SEEDS)
+@example(speeds="1.0,1.0,1.0,1.1125369292536007e-308", seed=None)  # the marginals' sum overflows
 def test_optimize_pmf_arguments_never_give_a_traceback_or_exit_1(speeds, seed):
     report = _report_or_input_error(_with_seed(["optimize-pmf", "--speeds", speeds], seed))
     if report is not None:

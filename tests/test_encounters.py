@@ -183,6 +183,18 @@ def test_zero_rate_observer_with_overflowing_travel_time_is_rejected():
             simulate_download_time(sc, speed, FileSpec(4, 8), UniformScheme(), rng)
 
 
+def test_observer_whose_travel_time_underflows_is_rejected():
+    sc = make_scenario(d=1e-300, r=1e-302)
+    rng = np.random.default_rng(0)
+    for run in (
+        lambda: simulate_trip(sc, 1e308, rng),
+        lambda: monte_carlo_throughput(sc, 1e308, 2, rng),
+        lambda: simulate_download_time(sc, 1e308, FileSpec(4, 8), UniformScheme(), rng),
+    ):
+        with pytest.raises(InvalidParameterError, match="observer too fast"):
+            run()
+
+
 def test_trip_encounter_count_matches_expectation():
     sc = make_scenario()
     rng = np.random.default_rng(9)
@@ -355,6 +367,26 @@ def test_chunked_moments_match_two_pass(monkeypatch, velocity, chunk):
         assert values.tolist() == [
             simulate_trip(sc, observer, rng).throughput for _ in range(trials)
         ]
+
+
+def test_merge_moments_refuses_values_too_large_to_square():
+    with pytest.raises(InvalidParameterError, match="^speeds of about 0 are too large"):
+        encounters.merge_moments((0, 0.0, 0.0), np.array([1e200, -1e200]), "speeds")
+    moments = encounters.merge_moments((0, 0.0, 0.0), np.array([1e150]), "speeds")
+    with pytest.raises(InvalidParameterError, match="too large to square"):
+        encounters.merge_moments(moments, np.array([-1e160]), "speeds")
+
+
+def test_an_overflow_while_drawing_trips_still_warns(monkeypatch):
+    # merge_moments silences NumPy for its own arithmetic only: an overflow
+    # in a trip's packets must still reach the caller as a RuntimeWarning
+    real = encounters.packets_per_encounter
+    monkeypatch.setattr(
+        encounters, "packets_per_encounter", lambda *a: np.full_like(real(*a), 1e308) * 10.0
+    )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(InvalidParameterError, match="too large to square"):
+            monte_carlo_throughput(make_scenario(), 30.0, 20, np.random.default_rng(0))
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials():

@@ -247,10 +247,19 @@ def test_optimizer_rejects_bad_inputs():
 
 
 def test_certificate_scales_with_the_marginal_value():
-    # the marginals reach 1/|v| = 1.7e7, so their rounding error exceeds 1e-9
+    # the marginals reach 1/|v| = 1.7e7, so their rounding error exceeds 1e-9;
+    # the reported residual is relative to nu and stays within 1e-9
     sol = optimize_pmf([1.0, 0.5, 5.960464477539063e-08])
-    assert sol.kkt_nu > 8e6 and sol.kkt_residual <= 1e-9 * sol.kkt_nu
+    assert sol.kkt_nu > 8e6 and 0.0 < sol.kkt_residual <= 1e-9
     assert abs(sum(sol.p) - 1.0) <= 1e-12
+
+
+def test_marginals_whose_sum_overflows_are_refused():
+    # 1/|v| = 9e307 gives marginals near 4.5e307, four of which overflow a sum
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(InvalidParameterError, match="overflow their sum"):
+            optimize_pmf([1.0, 1.0, 1.0, 1.1125369292536007e-308])
+        assert optimize_pmf([1.0, 1.1125369292536007e-308]).p == (0.5, 0.5)
 
 
 def test_nan_stationarity_residual_fails_the_certificate(monkeypatch):
