@@ -7,10 +7,16 @@ paths meet at t = (v e - d [v < 0]) / (v - v_i), and they meet inside the
 segment iff 0 < t < d / v_i. The transmit range enters packet counts and
 connection times only, never the encounter decision itself.
 
-One sampler draws the background traffic of a chunk of trips at once: every
+One kernel draws the background traffic of a chunk of trips at once: every
 trip's Poisson arrival count on its lookback window, then all entry times,
-then all velocities, one vectorized meeting time, and each crosser's trip
-index. A trip is a chunk of one, and draws what it always drew.
+then all velocities. In place, the meeting times overwrite the entry times
+and the gaps v - v_i the velocities; the kernel returns them with the
+crossing mask, the direction flags v < 0 (which the meeting time needs),
+the class indices and each crosser's trip index. Each caller compresses
+only what it reads: trip throughputs take the gaps, whose packets one
+in-place formula gives; a segment's encounter batches take the meeting
+times and gaps; :func:`simulate_trip` takes the gaps, flags and classes. A
+trip is a chunk of one, and draws what it always drew.
 :func:`monte_carlo_throughput` runs chunks of at most
 :data:`CHUNK_ARRIVALS` expected arrivals, reduces each by trip with
 ``np.bincount``, and merges the chunks' means and sums of squared deviations
@@ -53,8 +59,10 @@ ARRIVAL_MARGIN_FACTOR = 10.0
 MAX_EXPECTED_ARRIVALS = 1e7
 
 # Expected arrivals in one chunk of trips that monte_carlo_throughput draws
-# at once: its temporaries peak near 60 bytes per arrival, about 1 MB. A
-# trip that alone expects more is a chunk of one, as large as it always was.
+# at once: its arrays peak near 33 bytes per arrival, about 0.5 MB
+# (tracemalloc: 33 B on a twoclass chunk at observer 20, 19 B on a
+# uniform2040 trip at observer 0.02). A trip that alone expects more is a
+# chunk of one, as large as it always was.
 CHUNK_ARRIVALS = 2**14
 
 # Largest file, in blocks, that simulate_download_times accepts. Decode cost
@@ -137,16 +145,24 @@ def _observer_trip(scenario: Scenario, observer_velocity: float) -> tuple[float,
     return vi, ti
 
 
+def _packets(gap: np.ndarray, packet_rate: float, r: float) -> np.ndarray:
+    """In place: the packets of encounters at relative speeds ``gap``, ``rho r / (2 |gap|)``.
+
+    Halving first is exact and keeps a relative speed near the largest
+    float from overflowing when doubled.
+    """
+    np.abs(gap, out=gap)
+    return np.divide(packet_rate * r / 2.0, gap, out=gap)
+
+
 def packets_per_encounter(v, v_prime, packet_rate: float, r: float):
     """Packets transferred in one direction while two nodes stay in range.
 
     Elementwise on arrays of speeds; refused if any pair of speeds is equal.
-    Halving first is exact and keeps a relative speed near the largest
-    float from overflowing when doubled.
     """
     if np.equal(v, v_prime).any():
         raise InvalidParameterError("equal velocities never yield an encounter")
-    return packet_rate * r / 2.0 / np.abs(np.subtract(v, v_prime))
+    return _packets(np.array(np.subtract(v, v_prime), dtype=float), packet_rate, r)[()]
 
 
 def infostation_download(v: float, packet_rate: float, r: float) -> float:
@@ -176,37 +192,45 @@ def _arrival_window(scenario: Scenario, ti: float) -> tuple[float, float]:
 
 def _crossing_arrivals(
     scenario: Scenario, vi: float, ti: float, rng: np.random.Generator, trips: int = 1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Draw the background arrivals of ``trips`` trips; keep the crossers.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Draw the background arrivals of ``trips`` trips; mark the crossers.
 
     Each trip's arrivals are Poisson on its lookback window up to the travel
     time ``ti`` of the observer at speed ``vi``. The draws are every trip's
     count, then all entry times, then all velocities, so one trip draws
     count, entry times, velocities. An arrival crosses iff its meeting time
     with the observer (see the module docstring) lies in ``(0, ti)``; a
-    partner at the observer's speed never meets it. Returns the crossers'
-    meeting times, velocities, class indices (None for continuous velocity
-    distributions) and trip indices in ``0..trips-1`` (None for one trip),
-    with the trips in order.
+    partner at the observer's speed never meets it.
+
+    Returns, for every arrival, the crossing mask, the meeting time (in the
+    entry-time array), the gap ``v - vi`` (in the velocity array), the
+    reverse-direction flags ``v < 0`` and the class indices (None for
+    continuous velocity distributions), and the crossers' trip indices in
+    ``0..trips-1`` (None for one trip), with the trips in order.
     """
-    counts = None
+    counts = np.zeros(trips, dtype=int)
     if scenario.lam > 0:
         w0, expected = _arrival_window(scenario, ti)
         counts = rng.poisson(expected, trips)
-    n = 0 if counts is None else int(counts.sum())
-    if not n:
-        no_class = np.empty(0, dtype=int) if scenario.is_discrete else None
-        no_trip = None if trips == 1 else np.empty(0, dtype=int)
-        return np.empty(0), np.empty(0), no_class, no_trip
-    entry = rng.uniform(w0, ti, n)
-    vel, cls = sample_velocities(scenario.velocity, n, rng)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        meet = (vel * entry - scenario.d * (vel < 0)) / (vel - vi)
-    mask = (meet > 0) & (meet < ti)
+    n = int(counts.sum())
+    if n:
+        meet = rng.uniform(w0, ti, n)
+        gap, cls = sample_velocities(scenario.velocity, n, rng)
+    else:
+        meet, gap = np.empty(0), np.empty(0)
+        cls = np.empty(0, dtype=int) if scenario.is_discrete else None
+    reverse = gap < 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 and x/0 at the observer's speed
+        np.multiply(gap, meet, out=meet)
+        np.subtract(meet, scenario.d, out=meet, where=reverse)
+        np.subtract(gap, vi, out=gap)
+        np.divide(meet, gap, out=meet)
+    crossing = meet > 0
+    crossing &= meet < ti
     trip = None
     if trips > 1:
-        trip = np.searchsorted(np.cumsum(counts), np.flatnonzero(mask), side="right")
-    return meet[mask], vel[mask], None if cls is None else cls[mask], trip
+        trip = np.searchsorted(np.cumsum(counts), np.flatnonzero(crossing), side="right")
+    return crossing, meet, gap, reverse, cls, trip
 
 
 def simulate_trip(
@@ -219,12 +243,13 @@ def simulate_trip(
     """
     vi, ti = _observer_trip(scenario, observer_velocity)
     r, packet_rate = scenario.r, scenario.packet_rate
-    _, enc_vel, enc_cls, _ = _crossing_arrivals(scenario, vi, ti, rng)
-    packets = packets_per_encounter(vi, enc_vel, packet_rate, r)
+    crossing, _, gap, reverse, cls, _ = _crossing_arrivals(scenario, vi, ti, rng)
+    packets = _packets(gap[crossing], packet_rate, r)
+    reverse = reverse[crossing]
     info = infostation_download(vi, packet_rate, r)
     total = info + float(packets.sum())
     if scenario.is_discrete:
-        counts = np.bincount(enc_cls, minlength=scenario.velocity.m)
+        counts = np.bincount(cls[crossing], minlength=scenario.velocity.m)
         per_class = tuple(int(c) for c in counts)
     else:
         per_class = ()
@@ -232,12 +257,12 @@ def simulate_trip(
         observer_velocity=vi,
         travel_time=ti,
         encounters_per_class=per_class,
-        n_encounters=int(enc_vel.size),
+        n_encounters=int(packets.size),
         infostation_packets=info,
         total_packets=total,
         throughput=total / ti,
-        forward_exchange_packets=float(packets[enc_vel > 0].sum()),
-        reverse_exchange_packets=float(packets[enc_vel < 0].sum()),
+        forward_exchange_packets=float(packets[~reverse].sum()),
+        reverse_exchange_packets=float(packets[reverse].sum()),
     )
 
 
@@ -255,8 +280,8 @@ def _trip_throughputs(
     chunk = max(1, int(CHUNK_ARRIVALS // max(expected, 1.0)))
     for done in range(0, trials, chunk):
         trips = min(chunk, trials - done)
-        _, vel, _, trip = _crossing_arrivals(scenario, vi, ti, rng, trips)
-        packets = packets_per_encounter(vi, vel, packet_rate, r)
+        crossing, _, gap, _, _, trip = _crossing_arrivals(scenario, vi, ti, rng, trips)
+        packets = _packets(gap[crossing], packet_rate, r)
         if trip is None:
             yield np.full(1, (info + packets.sum()) / ti)
         else:
@@ -324,9 +349,30 @@ def _crossing_events(
     scenario: Scenario, vi: float, rng: np.random.Generator
 ) -> list[tuple[float, int]]:
     """One segment's encounter batches, in time order: (time offset, whole packets)."""
-    meet, enc_vel, _, _ = _crossing_arrivals(scenario, vi, scenario.d / vi, rng)
-    counts = np.floor(packets_per_encounter(vi, enc_vel, scenario.packet_rate, scenario.r))
-    return sorted((float(t), int(c)) for t, c in zip(meet, counts) if c > 0)
+    crossing, meet, gap, _, _, _ = _crossing_arrivals(scenario, vi, scenario.d / vi, rng)
+    counts = np.floor(_packets(gap[crossing], scenario.packet_rate, scenario.r))
+    return sorted((float(t), int(c)) for t, c in zip(meet[crossing], counts) if c > 0)
+
+
+def _refuse_packetless(scenario: Scenario, vi: float) -> None:
+    """Refuse an observer at ``vi`` whom no station and no encounter gives a whole packet.
+
+    An encounter gives the most packets at the drawable partner speed
+    closest to ``vi``, other than ``vi`` itself: a class's own speed, or a
+    band's nearest one (arbitrarily close inside the band).
+    """
+    rate, r, vel = scenario.packet_rate, scenario.r, scenario.velocity
+    if scenario.is_discrete:
+        gaps = [c.v - vi for c in vel.classes if c.p > 0 and c.v != vi]
+    else:
+        gaps = [max(a - vi, vi - b, 0.0) for (a, b), w in zip(vel.bands, vel.weights) if w > 0]
+    with np.errstate(divide="ignore"):  # a band holding vi
+        encounter = scenario.lam > 0 and (_packets(np.array(gaps), rate, r) >= 1).any()
+    if not (encounter or infostation_download(vi, rate, r) >= 1):
+        raise InvalidParameterError(
+            f"observer speed {vi!r} never receives a packet: its station batch and "
+            "every encounter's batch floor to 0 packets"
+        )
 
 
 def _packet_events(scenario: Scenario, vi: float, rng: np.random.Generator):
@@ -394,11 +440,13 @@ def simulate_download_times(
 
     Raises the error of the lowest-index failing trial, as running the
     trials one at a time would: :class:`InvalidParameterError` for an
-    observer speed that :func:`simulate_trip` refuses, or before any draw
-    for a file of more than :data:`MAX_DOWNLOAD_BLOCKS` blocks;
-    :class:`NoProgressError`, with the rank of the packets that did arrive,
-    if packet N has not arrived after :data:`MAX_SEGMENTS` segments (for
-    example with no traffic and a station batch of zero packets);
+    observer speed that :func:`simulate_trip` refuses or that no station
+    and no encounter gives a whole packet, before the trial's draws, or
+    before any draw for a file of more than :data:`MAX_DOWNLOAD_BLOCKS`
+    blocks; :class:`NoProgressError`, with the rank of the packets that did
+    arrive, if packet N has not arrived after :data:`MAX_SEGMENTS` segments
+    (for example with no traffic, one station packet a segment and a file of
+    more than 1000 blocks);
     :class:`InternalInconsistencyError` if a decode disagrees with its file.
     """
     k = file.k
@@ -413,6 +461,7 @@ def simulate_download_times(
             vi, ti = _observer_trip(scenario, v)
             if scenario.lam > 0:  # refused as the trial's first crossing draw would be
                 _arrival_window(scenario, ti)
+            _refuse_packetless(scenario, vi)
         except InvalidParameterError as exc:
             refused = exc
             break

@@ -548,6 +548,19 @@ def test_download_time_rejects_infeasible_k(twoclass_path, capsys):
     assert "exceeds the download limit of 8192 blocks" in err
 
 
+@pytest.mark.parametrize("observer, speed", [([], "25.0"), (["--observer-v", "20"], "20.0")])
+def test_download_time_that_no_packet_can_reach_is_an_input_error(
+    twoclass_path, tmp_path, observer, speed, capsys
+):
+    # bit_rate 1: a station batch floor(0.001 * 100 / v) and every
+    # encounter's floor(0.001 * 100 / (2 * 5)) are 0 packets
+    doc = dict(json.loads(twoclass_path.read_text()), bit_rate=1.0)
+    args = ["download-time", write_scenario(tmp_path, doc), "--K", "100", "--trials", "100"]
+    code, out, err = run(args + observer, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: observer speed {speed} never receives a packet"), err
+
+
 def test_spawning_leaves_the_generator_where_it_was():
     # download-time draws a chunk's observers before its trials spawn their
     # streams; the streams match one trial at a time only because of this

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetsim import (
     DecoderState,
@@ -320,16 +322,19 @@ def test_batch_matches_per_arrival_oracle(monkeypatch, velocity, observer, trips
     sc = make_scenario(velocity=velocity)
     ti = sc.d / observer
     expected = oracle_trips(sc, observer, trips, np.random.default_rng(trips))
-    meet, vel, cls, trip = encounters._crossing_arrivals(
+    crossing, meet, gap, reverse, cls, trip = encounters._crossing_arrivals(
         sc, observer, ti, np.random.default_rng(trips), trips
     )
+    meet, gap, reverse = meet[crossing], gap[crossing], reverse[crossing]
+    cls = None if cls is None else cls[crossing]
     if trips == 1:
         assert trip is None
-        trip = np.zeros(vel.size, dtype=int)
+        trip = np.zeros(gap.size, dtype=int)
     for t, (crossers, _) in enumerate(expected):
         mine = trip == t
         classes = [None] * int(mine.sum()) if cls is None else cls[mine].tolist()
-        assert list(zip(meet[mine].tolist(), vel[mine].tolist(), classes)) == crossers
+        got = zip(meet[mine].tolist(), gap[mine].tolist(), reverse[mine].tolist(), classes)
+        assert list(got) == [(m, v - observer, v < 0, c) for m, v, c in crossers]
     # the chunk's per-trip throughputs, reduced by trip
     _, one_trip = encounters._arrival_window(sc, ti)
     monkeypatch.setattr(encounters, "CHUNK_ARRIVALS", (trips + 0.5) * one_trip)
@@ -369,6 +374,63 @@ def test_chunked_moments_match_two_pass(monkeypatch, velocity, chunk):
         ]
 
 
+_SPEEDS = st.integers(5, 40).map(float)
+_SIGNS = st.sampled_from([1.0, 1.0, -1.0])
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A scenario of random classes or bands, some reverse, and an observer speed.
+
+    The observer is, about half the time, at a forward class's own speed or
+    inside a forward band.
+    """
+    weights = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(any))
+    probs = [w / sum(weights) for w in weights]
+    if draw(st.booleans()):
+        speeds = draw(
+            st.lists(
+                st.tuples(_SPEEDS, _SIGNS).map(lambda vs: vs[0] * vs[1]),
+                min_size=len(weights),
+                max_size=len(weights),
+                unique=True,
+            )
+        )
+        velocity = DiscreteVelocityDist(tuple(map(VelocityClass, speeds, probs)))
+        own = st.sampled_from([v for v in speeds if v > 0] or [30.0])
+    else:
+        bands = []
+        for _ in weights:
+            a, b = draw(st.lists(st.floats(5, 40), min_size=2, max_size=2, unique=True).map(sorted))
+            bands.append((a, b) if draw(_SIGNS) > 0 else (-b, -a))
+        velocity = ContinuousVelocityDist(tuple(bands), tuple(probs))
+        own = st.sampled_from([band for band in bands if band[0] > 0] or [(30.0, 30.0)])
+        own = own.flatmap(lambda band: st.floats(*band))
+    observer = draw(own if draw(st.booleans()) else st.floats(5, 45))
+    lam = draw(st.floats(0.005, 0.2))
+    return make_scenario(lam=lam, velocity=velocity, d=1_000.0, r=draw(st.floats(1, 100))), observer
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_kernel_cases(), trips=st.integers(2, 9), seed=st.integers(0, 2**32))
+def test_the_crossing_kernel_over_random_mixes(case, trips, seed):
+    sc, observer = case
+    ti = sc.d / observer
+    _, one_trip = encounters._arrival_window(sc, ti)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encounters, "CHUNK_ARRIVALS", 0)  # chunks of one trip
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        ones = np.concatenate(list(encounters._trip_throughputs(sc, observer, ti, trips, rng)))
+        assert ones.tolist() == [simulate_trip(sc, observer, twin).throughput for _ in range(trips)]
+        assert rng.bit_generator.state == twin.bit_generator.state
+        mp.setattr(encounters, "CHUNK_ARRIVALS", (trips + 0.5) * max(one_trip, 1.0))
+        rng = np.random.default_rng(seed)
+        (chunk,) = encounters._trip_throughputs(sc, observer, ti, trips, rng)
+    info = sc.packet_rate * sc.r / observer
+    expected = oracle_trips(sc, observer, trips, np.random.default_rng(seed))
+    np.testing.assert_allclose(chunk, [(info + p) / ti for _, p in expected], rtol=1e-12, atol=0)
+
+
 def test_merge_moments_refuses_values_too_large_to_square():
     with pytest.raises(InvalidParameterError, match="^speeds of about 0 are too large"):
         encounters.merge_moments((0, 0.0, 0.0), np.array([1e200, -1e200]), "speeds")
@@ -380,10 +442,8 @@ def test_merge_moments_refuses_values_too_large_to_square():
 def test_an_overflow_while_drawing_trips_still_warns(monkeypatch):
     # merge_moments silences NumPy for its own arithmetic only: an overflow
     # in a trip's packets must still reach the caller as a RuntimeWarning
-    real = encounters.packets_per_encounter
-    monkeypatch.setattr(
-        encounters, "packets_per_encounter", lambda *a: np.full_like(real(*a), 1e308) * 10.0
-    )
+    real = encounters._packets
+    monkeypatch.setattr(encounters, "_packets", lambda *a: np.full_like(real(*a), 1e308) * 10.0)
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(InvalidParameterError, match="too large to square"):
             monte_carlo_throughput(make_scenario(), 30.0, 20, np.random.default_rng(0))
@@ -472,13 +532,39 @@ def test_download_single_block_decodes_at_first_nonzero_packet():
     assert packets <= 12  # geometric with p=1/2; 12 misses has probability 2^-12
 
 
-def test_download_without_supply_raises_no_progress():
-    # floor(packet_rate * r / v) = 0 and no traffic: nothing ever arrives
-    sc = make_scenario(lam=0.0, r=0.2)
-    with pytest.raises(NoProgressError, match="after 1000 segments"):
-        simulate_download_time(
-            sc, 20.0, FileSpec(4, 8), UniformScheme(), np.random.default_rng(0)
-        )
+@pytest.mark.parametrize(
+    "lam, velocity, observer",
+    [
+        (0.0, None, 20.0),  # no traffic, floor(packet_rate * r / v) = 0
+        (0.1, None, 40.0),  # floor(10 / (2 * 15)) = 0 packets from the closest class
+        (0.1, TWO_BAND_MIX, 46.0),  # the band's closest speed, 40: floor(10 / 12) = 0
+        (0.1, ContinuousVelocityDist.uniform(20.0, 30.0), 100.0),
+    ],
+)
+def test_download_that_can_never_receive_a_packet_is_refused(lam, velocity, observer):
+    sc = make_scenario(lam=lam, velocity=velocity, r=0.2)  # packet_rate * r = 10
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    run = encounters.simulate_download_times
+    with pytest.raises(InvalidParameterError, match=f"^observer speed {observer!r} never receives"):
+        run(sc, [observer], FileSpec(4, 8), UniformScheme(), rng)
+    assert rng.bit_generator.state == state  # refused before any draw
+    # an earlier trial that gets one station packet a segment runs first
+    with pytest.raises(InvalidParameterError, match=f"^observer speed {observer!r}"):
+        run(sc, [10.0, observer], FileSpec(1, 8), UniformScheme(), rng)
+
+
+@pytest.mark.parametrize(
+    "velocity, observer", [(None, 20.0), (TWO_BAND_MIX, 44.0), (TWO_BAND_MIX, 30.0)]
+)
+def test_download_with_only_encounter_packets_is_not_refused(velocity, observer):
+    # no station packets; encounters with a class at 25 or speeds near 40 or
+    # inside the band give one or more
+    sc = make_scenario(velocity=velocity, r=0.2)
+    got = encounters.simulate_download_times(
+        sc, [observer], FileSpec(4, 8), UniformScheme(), np.random.default_rng(0)
+    )
+    assert got[0][1] >= 4
 
 
 def test_download_short_of_supply_reports_the_rank_of_every_packet():
@@ -728,10 +814,10 @@ def test_download_detects_a_wrong_decode(monkeypatch):
 )
 def test_a_wrong_decode_fails_its_own_trial_only(j, raised, monkeypatch):
     # No traffic: observers at 20 decode K=8 from the first 16 of their 250
-    # station packets, all in the first round; the one at 1e6 gets none and
-    # gives up after MAX_SEGMENTS. Only trial j's decode is corrupted, so the
-    # chunk raises its error unless trial 2 fails before it, as trials run
-    # one at a time would.
+    # station packets, all in the first round; the one at 4000 gets one a
+    # segment and gives up after MAX_SEGMENTS = 2. Only trial j's decode is
+    # corrupted, so the chunk raises its error unless trial 2 fails before
+    # it, as trials run one at a time would.
     made = []
 
     class Tracked(DecoderState):
@@ -750,10 +836,11 @@ def test_a_wrong_decode_fails_its_own_trial_only(j, raised, monkeypatch):
 
     monkeypatch.setattr(encounters, "DecoderState", Tracked)
     monkeypatch.setattr(encounters, "decode", corrupt_trial_j)
+    monkeypatch.setattr(encounters, "MAX_SEGMENTS", 2)
     with pytest.raises(raised):
         encounters.simulate_download_times(
             make_scenario(lam=0.0),
-            [20.0, 20.0, 1e6, 20.0],
+            [20.0, 20.0, 4000.0, 20.0],
             FileSpec(8, 64),
             UniformScheme(),
             np.random.default_rng(0),
