@@ -25,7 +25,6 @@ from .encounters import (
     TripResult,
     infostation_download,
     monte_carlo_throughput,
-    packets_per_encounter,
     simulate_download_time,
     simulate_download_times,
     simulate_trip,

@@ -155,16 +155,6 @@ def _packets(gap: np.ndarray, packet_rate: float, r: float) -> np.ndarray:
     return np.divide(packet_rate * r / 2.0, gap, out=gap)
 
 
-def packets_per_encounter(v, v_prime, packet_rate: float, r: float):
-    """Packets transferred in one direction while two nodes stay in range.
-
-    Elementwise on arrays of speeds; refused if any pair of speeds is equal.
-    """
-    if np.equal(v, v_prime).any():
-        raise InvalidParameterError("equal velocities never yield an encounter")
-    return _packets(np.array(np.subtract(v, v_prime), dtype=float), packet_rate, r)[()]
-
-
 def infostation_download(v: float, packet_rate: float, r: float) -> float:
     """Packets downloadable from a roadside station in one pass."""
     if v == 0:
@@ -357,17 +347,24 @@ def _crossing_events(
 def _refuse_packetless(scenario: Scenario, vi: float) -> None:
     """Refuse an observer at ``vi`` whom no station and no encounter gives a whole packet.
 
-    An encounter gives the most packets at the drawable partner speed
-    closest to ``vi``, other than ``vi`` itself: a class's own speed, or a
-    band's nearest one (arbitrarily close inside the band).
+    An encounter gives the most packets at the partner speed closest to
+    ``vi``, other than ``vi`` itself: a class's own speed, or a band's
+    nearest one (arbitrarily close inside the band). ``rng.uniform(a, b)``
+    draws ``a`` but never ``b``, so a band's upper end counts only if the
+    packets there exceed 1: every drawable speed gives fewer.
     """
     rate, r, vel = scenario.packet_rate, scenario.r, scenario.velocity
     if scenario.is_discrete:
         gaps = [c.v - vi for c in vel.classes if c.p > 0 and c.v != vi]
+        upper = [False] * len(gaps)
     else:
-        gaps = [max(a - vi, vi - b, 0.0) for (a, b), w in zip(vel.bands, vel.weights) if w > 0]
+        bands = [band for band, w in zip(vel.bands, vel.weights) if w > 0]
+        gaps = [max(a - vi, vi - b, 0.0) for a, b in bands]
+        upper = [vi > b for _, b in bands]
     with np.errstate(divide="ignore"):  # a band holding vi
-        encounter = scenario.lam > 0 and (_packets(np.array(gaps), rate, r) >= 1).any()
+        packets = _packets(np.array(gaps), rate, r)
+    whole = np.where(upper, packets > 1, packets >= 1)
+    encounter = scenario.lam > 0 and whole.any()
     if not (encounter or infostation_download(vi, rate, r) >= 1):
         raise InvalidParameterError(
             f"observer speed {vi!r} never receives a packet: its station batch and "

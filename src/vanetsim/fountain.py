@@ -24,12 +24,13 @@ those of one packet at a time. Two searches find a block's pivots, and the
 fold's trial count alone chooses: below :data:`SLICED_TRIALS` a greedy
 insertion in Python, one trial at a time (:func:`_greedy_pivots`); from it
 on a column elimination of every trial at once over bit-sliced Python ints
-(:func:`_sliced_pivots`). Both give the same pivots and combinations, and
-the tables, maps and XORs after them are shared. At full rank the tags are
-the inverse of the innovative packets' vectors, and the blocks are one more
-4-row-table product, of the tags with the kept payloads: :func:`decode`
-recovers the blocks of several decoders with one product, and
-:meth:`DecoderState.try_decode` is a decode of one.
+(:func:`_sliced_pivots`). Both return the same pivot record, per trial and
+block column the pivot columns whose rows XOR to its new pivot row and
+that pivot's row, and the kernel alone turns the record into tables, maps
+and XORs. At full rank the tags are the inverse of the innovative packets'
+vectors, and the blocks are one more 4-row-table product, of the tags with
+the kept payloads: :func:`decode` recovers the blocks of several decoders
+with one product, and :meth:`DecoderState.try_decode` is a decode of one.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -338,6 +339,7 @@ class NotYetDecodable:
 _BYTE_BITS = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(np.uint8)
 _ROOM = 8 - _BYTE_BITS.sum(axis=0)  # the clear bits of a byte
 _LOW_BIT = _BYTE_BITS.argmax(axis=0)  # the lowest set bit of a nonzero byte
+_PIVOT_BITS = (1 << np.arange(8)).astype(np.uint8)  # entry c: the bit of column c
 
 
 def _row_bytes(nbytes: int) -> int:
@@ -345,39 +347,16 @@ def _row_bytes(nbytes: int) -> int:
     return 8 * ((2 * nbytes + 7) // 8)
 
 
-class _Pivots(NamedTuple):
-    """A block's new pivots, as a pivot search of :func:`_gauss_jordan` finds them.
-
-    Pick ``p``, the table of one trial, XORs the ``m`` flat rows
-    ``sources[m * p : m * (p + 1)]``, each with its tag bit from ``tags``:
-    table row ``mix * npicks + p`` XORs the sources named by the bits of
-    ``mix``. ``combos[t, c]`` (row-major, ``trials x 8``) names the sources
-    of trial ``t``'s pick ``offsets[t]`` that XOR to its pivot row of column
-    ``c``, 0 where ``c`` gained no pivot. New pivot ``i`` is flat row
-    ``rows[i]``, at column ``cols[i]`` of the block, and becomes table row
-    ``entries[i]``.
-    """
-
-    m: int
-    sources: Sequence[int]
-    tags: Sequence[int]
-    combos: Sequence[int]
-    offsets: Sequence[int]
-    rows: Sequence[int]
-    cols: Sequence[int]
-    entries: Sequence[int]
-
-
-def _greedy_pivots(masked: np.ndarray, taken: np.ndarray) -> _Pivots | None:
+def _greedy_pivots(masked: np.ndarray, taken: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """A block's new pivots by greedy insertion, one trial at a time in Python.
 
     ``masked`` is ``trials x count``: the block digits of the free rows,
     zero for the other rows, and ``taken[t]`` is trial ``t``'s taken byte
-    of the block, which gains the new pivot columns. None if no digit is
-    nonzero. Each trial with nonzero digits (its candidates) inserts them
-    into a reduced basis in arrival order until the basis fills the block's
-    free columns, and has a pick: its chosen rows in arrival order, padded
-    to the longest pick.
+    of the block. None if no digit is nonzero. Each trial with nonzero
+    digits (its candidates) inserts them into a reduced basis in arrival
+    order until the basis fills the block's free columns, each chosen row
+    named by its pivot bit. Returns the pivot record of
+    :func:`_gauss_jordan`: ``trials x 8`` combinations and pivot rows.
     """
     trials, count = masked.shape
     masked = masked.ravel()
@@ -386,14 +365,14 @@ def _greedy_pivots(masked: np.ndarray, taken: np.ndarray) -> _Pivots | None:
         return None
     cand_r, cand_d = cand.tolist(), masked[cand].tolist()
     rooms = taken.tolist()
-    picks = []  # (trial, chosen flat rows, basis) of every trial with new pivots
+    combos = [0] * (8 * trials)
+    pivots = [0] * (8 * trials)
     i = 0
     while i < len(cand_r):
         t = cand_r[i] // count
         end = bisect_left(cand_r, (t + 1) * count, i)
         room = 8 - rooms[t].bit_count()
-        basis: list[list[int]] = []  # [pivot bit, reduced digit, chosen rows XORed into it]
-        chosen: list[int] = []
+        basis: list[list[int]] = []  # [pivot bit, reduced digit, pivot bits of its rows]
         for row, d in zip(cand_r[i:end], cand_d[i:end]):
             mix = 0
             for bit, reduced, parts in basis:
@@ -401,42 +380,23 @@ def _greedy_pivots(masked: np.ndarray, taken: np.ndarray) -> _Pivots | None:
                     d ^= reduced
                     mix ^= parts
             if d:
-                bit, mix = d & -d, mix | 1 << len(chosen)
+                bit = d & -d
+                mix |= bit
                 for entry in basis:
                     if entry[1] & bit:
                         entry[1] ^= d
                         entry[2] ^= mix
                 basis.append([bit, d, mix])
-                chosen.append(row)
-                if len(chosen) == room:
+                pivots[8 * t + bit.bit_length() - 1] = row
+                if len(basis) == room:
                     break
-        picks.append((t, chosen, basis))
-        i = end
-    # short picks are padded with rows that no map reads
-    m, npicks = max(len(chosen) for _, chosen, _ in picks), len(picks)
-    sources: list[int] = []
-    tags: list[int] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    entries: list[int] = []
-    combos = [0] * (8 * trials)
-    offsets = [0] * trials  # entry 0 of any table is zero
-    for p, (t, chosen, basis) in enumerate(picks):
-        pad = m - len(chosen)
-        sources += chosen + chosen[:1] * pad
-        rows += chosen
-        offsets[t] = p
-        bits = 0
         for bit, _, mix in basis:
-            col = bit.bit_length() - 1
-            combos[8 * t + col] = mix
-            entries.append(mix * npicks + p)
-            tags.append(bit)
-            cols.append(col)
-            bits |= bit
-        tags += [0] * pad
-        taken[t] |= bits
-    return _Pivots(m, sources, tags, combos, offsets, rows, cols, entries)
+            combos[8 * t + bit.bit_length() - 1] = mix
+        i = end
+    return (
+        np.array(combos, dtype=np.uint8).reshape(trials, 8),
+        np.array(pivots, dtype=np.intp).reshape(trials, 8),
+    )
 
 
 # Rows of a trial, from its first candidate on, that the sliced search reads
@@ -450,7 +410,7 @@ _SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
 _ABSORB = [(*range(c + 1, 8), *range(8, 8 + c)) for c in range(8)]
 
 
-def _sliced_pivots(masked: np.ndarray, taken: np.ndarray) -> _Pivots | None:
+def _sliced_pivots(masked: np.ndarray, taken: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """A block's new pivots by column elimination of every trial at once.
 
     Takes what :func:`_greedy_pivots` takes. The block's 8 digit columns are
@@ -465,10 +425,9 @@ def _sliced_pivots(masked: np.ndarray, taken: np.ndarray) -> _Pivots | None:
     rank profile matrix of Dumas, Pernet and Sultan), so the pivot rows and
     their final combinations are those of :func:`_greedy_pivots`. A trial
     that found fewer pivots than free columns, with candidates past its
-    window, runs again with twice the window. Every trial has a pick, its
-    sources indexed by pivot column (source ``c`` is the pivot row of column
-    ``c``, row 0 where ``c`` has none), and everything past the search is
-    NumPy.
+    window, runs again with twice the window, which finds the same pivots
+    again and overwrites their combinations. Returns what
+    :func:`_greedy_pivots` returns.
     """
     trials, count = masked.shape
     nonzero = masked != 0
@@ -476,7 +435,8 @@ def _sliced_pivots(masked: np.ndarray, taken: np.ndarray) -> _Pivots | None:
     todo = np.flatnonzero(nonzero[np.arange(trials), start])
     if not todo.size:
         return None
-    found = []  # per pass: (trial, column, combination, flat row) of each settled pivot
+    combos = np.zeros((trials, 8), dtype=np.uint8)
+    pivots = np.zeros((trials, 8), dtype=np.intp)
     window = _WINDOW
     while todo.size:
         n, field = len(todo), window + 1
@@ -515,29 +475,16 @@ def _sliced_pivots(masked: np.ndarray, taken: np.ndarray) -> _Pivots | None:
         at = np.flatnonzero(cols)
         i = at // field
         shift = todo * count + start[todo] - np.arange(n) * field  # from window bit to flat row
-        pivots = [todo[i], _LOW_BIT[cols[at]], mixes[at], at + shift[i]]
+        trial, col = todo[i], _LOW_BIT[cols[at]]
+        combos[trial, col] = mixes[at]
+        pivots[trial, col] = at + shift[i]
         lack = np.bincount(i, minlength=n) < _ROOM[taken[todo]]
         todo = todo[lack]
         if todo.size:  # trials short of their room with candidates past the window
             last = count - 1 - nonzero[todo, ::-1].argmax(axis=1)
             todo = todo[last >= start[todo] + window]
-        if todo.size:
-            short = np.zeros(trials, dtype=bool)
-            short[todo] = True
-            pivots = [x[~short[pivots[0]]] for x in pivots]
-        found.append(pivots)
         window *= 2
-    trial, cols, mixes, rows = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
-    m = int(cols.max()) + 1
-    combos = np.zeros((trials, 8), dtype=np.uint8)
-    combos[trial, cols] = mixes
-    sources = np.zeros((trials, m), dtype=np.intp)  # row 0 pads the columns without pivots
-    sources[trial, cols] = rows
-    tags = np.zeros((trials, m), dtype=np.uint8)
-    tags[trial, cols] = 1 << cols
-    taken |= np.bitwise_or.reduce(tags, axis=1)
-    entries = mixes.astype(np.intp) * trials + trial
-    return _Pivots(m, sources.ravel(), tags.ravel(), combos, np.arange(trials), rows, cols, entries)
+    return combos, pivots
 
 
 # Trials from which _gauss_jordan searches pivots with _sliced_pivots. Two
@@ -573,16 +520,24 @@ def _gauss_jordan(rows: np.ndarray, first: int, taken: np.ndarray) -> np.ndarray
     columns at a time:
 
     - In a block, a trial's new pivot rows are its earliest free rows, in
-      arrival order, whose digits (the block's byte) are independent, and
-      each names itself in its tag by its pivot column. Below
+      arrival order, whose digits (the block's byte) are independent. Below
       :data:`SLICED_TRIALS` trials :func:`_greedy_pivots` finds them one
       trial at a time; from it on :func:`_sliced_pivots` finds them for all
-      trials at once. Both give the same pivots and rows.
-    - A table per trial of the XORs of its new pivot rows, indexed through a
-      256-entry map from the digit, clears the block's pivot columns from
-      every other row: the "method of four Russians" of Albrecht and Bard's
-      M4RI. The tables, the maps and the clearing are each one NumPy step
-      for all trials together, so a block's NumPy calls serve every trial.
+      trials at once. Both return the same pivot record, two ``trials x 8``
+      arrays: per trial and block column, its combination (the pivot
+      columns whose rows XOR to its new pivot row, 0 where the column gained
+      no pivot) and its pivot's flat row (0 where none).
+    - From the record alone come the new pivot columns (the OR of a trial's
+      combinations), a table per trial of the XORs of its pivot rows, each
+      tagged by its column (row 0, which no map reads, stands in for the
+      columns without one), and a 256-entry map per trial from a digit to
+      the table row that clears the block's new pivot columns from every
+      other row, ``mix * trials + t`` for the XOR ``mix`` of the digit's
+      combinations: the "method of four Russians" of Albrecht and Bard's
+      M4RI. A new pivot row becomes the table row of its own column's bit,
+      so it names the rows it combines in its tag by their pivot columns.
+      The tables, the maps and the clearing are each one NumPy step for all
+      trials together, so a block's NumPy calls serve every trial.
 
     A free row is only ever XORed with pivot rows that arrived before it, so
     it ends at zero exactly when it lies in the span of the rows before it:
@@ -602,40 +557,43 @@ def _gauss_jordan(rows: np.ndarray, first: int, taken: np.ndarray) -> np.ndarray
     free = np.zeros((trials, count), dtype=np.uint8)
     free[:, first:] = 0xFF
     free = free.ravel()
-    map_base = np.repeat(256 * np.arange(trials), count)  # a row's trial in the digit maps
+    trial_index = np.arange(trials)[:, None]
+    map_base = np.repeat(256 * trial_index, count)  # a row's trial in the digit maps
     search = _sliced_pivots if trials >= SLICED_TRIALS else _greedy_pivots
-    new_rows, new_cols, new_blocks = [], [], []  # per block with new pivots
+    pivot_maps = (256 * trial_index + _PIVOT_BITS).ravel()
+    pivot_cols = np.full(trials * count, -1, dtype=np.intp)
     for b in np.flatnonzero((taken != 0xFF).any(axis=0)).tolist():
         digits = flat[:, b]
         found = search((digits & free).reshape(trials, count), taken[:, b])
         if found is None:
             continue
+        combos, pivots = found
+        new = np.packbits(combos, axis=1, bitorder="little").ravel()  # the OR of the combinations
+        np.bitwise_or(taken[:, b], new, out=taken[:, b])
+        m = max(new.tolist()).bit_length()
         # Table rows are zero left of block b and, with no stored pivots, in
         # tag bytes right of it: the XORs below skip such 64-byte spans.
         lo = b // 64 * 8
         hi = min(width // 8, -(-(width if first else nbytes + b + 1) // 64) * 8)
-        m = found.m
-        npicks = len(found.sources) // m
-        source = flat.take(found.sources, axis=0)
-        source[:, nbytes + b] |= np.asarray(found.tags, dtype=np.uint8)
-        source = source.view(np.uint64)[:, lo:hi].reshape(npicks, m, hi - lo)
-        table = _xor_tables(source, m)[0].reshape(npicks << m, hi - lo)
-        # digit d of trial t clears its pivot columns with table row maps[t, d]
-        combos = np.asarray(found.combos, dtype=np.uint8).reshape(trials, 8)
+        # source c of trial t: its pivot row of column c, tagged with bit c
+        # (row 0, which no map reads, where c gained no pivot)
+        source = flat.take(pivots[:, :m], axis=0)
+        tags = source[:, :, nbytes + b]
+        tags |= _PIVOT_BITS[:m]
+        source = source.view(np.uint64)[:, :, lo:hi]
+        table = _xor_tables(source, m)[0].reshape(trials << m, hi - lo)
+        # digit d of trial t clears its new pivot columns with table row
+        # maps[t, d] = mix * trials + t, mix the XOR of its bits' combinations
         maps = np.bitwise_xor.reduce(_BYTE_BITS * combos[:, :, None], axis=1).astype(np.intp)
-        if npicks > 1:
-            maps *= npicks
-            maps += np.asarray(found.offsets)[:, None]
+        maps *= trials
+        maps += trial_index
         words[:, lo:hi] ^= table.take(maps.ravel().take(digits + map_base), axis=0)
-        words[found.rows, lo:hi] = table.take(found.entries, axis=0)  # the new pivot rows
-        free[found.rows] = 0
-        new_rows.append(found.rows)
-        new_cols.append(found.cols)
-        new_blocks.append(b)
-    pivot_cols = np.full(trials * count, -1, dtype=np.intp)
-    if new_rows:
-        block_cols = np.repeat(8 * np.array(new_blocks), [len(r) for r in new_rows])
-        pivot_cols[np.concatenate(new_rows)] = np.concatenate(new_cols) + block_cols
+        # a new pivot row, record index 8 t + c, becomes table row maps[t, 1 << c]
+        new_at = combos.ravel().nonzero()[0]
+        at = pivots.ravel().take(new_at)
+        words[at, lo:hi] = table.take(maps.ravel().take(pivot_maps.take(new_at)), axis=0)
+        free[at] = 0
+        pivot_cols[at] = (new_at & 7) + 8 * b
     return pivot_cols.reshape(trials, count)
 
 

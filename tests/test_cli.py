@@ -561,6 +561,19 @@ def test_download_time_that_no_packet_can_reach_is_an_input_error(
     assert err.startswith(f"error: observer speed {speed} never receives a packet"), err
 
 
+def test_download_time_past_a_band_end_worth_one_packet_is_an_input_error(
+    uniform2040_path, tmp_path, capsys
+):
+    # 50 * 0.2 / (2 * (45 - 40)) = 1 packet only at the band's end, 40,
+    # which rng.uniform(20, 40) never draws: no encounter ever gives one
+    doc = json.loads(uniform2040_path.read_text())
+    doc.update(r=0.2, velocity=dict(doc["velocity"], direction_split=0.7))
+    args = ["download-time", write_scenario(tmp_path, doc), "--K", "1", "--trials", "1"]
+    code, out, err = run(args + ["--observer-v", "45"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: observer speed 45.0 never receives a packet"), err
+
+
 def test_spawning_leaves_the_generator_where_it_was():
     # download-time draws a chunk's observers before its trials spawn their
     # streams; the streams match one trial at a time only because of this

@@ -23,7 +23,6 @@ from vanetsim import (
     infostation_download,
     mean_inverse_speed,
     monte_carlo_throughput,
-    packets_per_encounter,
     simulate_download_time,
     simulate_trip,
     span_probability,
@@ -111,22 +110,13 @@ def test_encounter_decision_matches_crossing_oracle():
 
 
 def test_packets_per_encounter_values():
-    assert packets_per_encounter(20.0, 25.0, 50.0, 100.0) == 500.0
-    assert packets_per_encounter(20.0, -20.0, 50.0, 100.0) == 62.5
-    assert packets_per_encounter(20.0, 25.0, 50.0, 200.0) == 2 * packets_per_encounter(
-        20.0, 25.0, 50.0, 100.0
-    )
-    with pytest.raises(InvalidParameterError):
-        packets_per_encounter(20.0, 20.0, 50.0, 100.0)
-    # elementwise on arrays, refused if any pair of speeds is equal
-    partners = np.array([25.0, -20.0, 40.0])
-    packets = packets_per_encounter(20.0, partners, 50.0, 100.0)
-    assert packets.tolist() == [500.0, 62.5, 125.0]
-    assert packets_per_encounter(20.0, np.empty(0), 50.0, 100.0).shape == (0,)
-    with pytest.raises(InvalidParameterError):
-        packets_per_encounter(20.0, np.array([25.0, 20.0, -20.0]), 50.0, 100.0)
-    with pytest.raises(InvalidParameterError):
-        packets_per_encounter(np.array([20.0, 30.0]), np.array([25.0, 30.0]), 50.0, 100.0)
+    # rho r / (2 |v - v'|), computed in place over the gaps v - v'
+    gaps = np.array([20.0 - 25.0, 20.0 - -20.0, 20.0 - 40.0])
+    packets = encounters._packets(gaps, 50.0, 100.0)
+    assert packets is gaps and packets.tolist() == [500.0, 62.5, 125.0]
+    wider = encounters._packets(np.array([20.0 - 25.0]), 50.0, 200.0)
+    assert wider.tolist() == [2 * 500.0]
+    assert encounters._packets(np.empty(0), 50.0, 100.0).shape == (0,)
 
 
 def test_infostation_download_values():
@@ -538,6 +528,7 @@ def test_download_single_block_decodes_at_first_nonzero_packet():
         (0.0, None, 20.0),  # no traffic, floor(packet_rate * r / v) = 0
         (0.1, None, 40.0),  # floor(10 / (2 * 15)) = 0 packets from the closest class
         (0.1, TWO_BAND_MIX, 46.0),  # the band's closest speed, 40: floor(10 / 12) = 0
+        (0.1, TWO_BAND_MIX, 45.0),  # 10 / (2 * 5) = 1 only at 40, which is never drawn
         (0.1, ContinuousVelocityDist.uniform(20.0, 30.0), 100.0),
     ],
 )
@@ -552,6 +543,12 @@ def test_download_that_can_never_receive_a_packet_is_refused(lam, velocity, obse
     # an earlier trial that gets one station packet a segment runs first
     with pytest.raises(InvalidParameterError, match=f"^observer speed {observer!r}"):
         run(sc, [10.0, observer], FileSpec(1, 8), UniformScheme(), rng)
+
+
+def test_an_observer_a_band_end_gives_just_over_one_packet_is_not_refused():
+    # 10 / (2 * 4.99) > 1: partners drawn just below 40 give one packet each
+    sc = make_scenario(velocity=TWO_BAND_MIX, r=0.2)
+    assert encounters._refuse_packetless(sc, 44.99) is None
 
 
 @pytest.mark.parametrize(

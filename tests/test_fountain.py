@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -580,27 +581,6 @@ def test_decode_of_several_decoders_matches_each_try_decode(kind, data):
         assert [row.tobytes() for row in got] == decoder.try_decode() == oracle.try_decode()
 
 
-def pivot_picks(found: fountain._Pivots, trials: int, count: int) -> list[dict]:
-    """Per trial, each new pivot column's pivot row and the rows its pivot row XORs."""
-    m, npicks = found.m, len(found.sources) // found.m
-    sources = np.asarray(found.sources).reshape(npicks, m).tolist()
-    tags = np.asarray(found.tags).reshape(npicks, m).tolist()
-    combos = np.asarray(found.combos).reshape(trials, 8).tolist()
-    picks: list[dict] = [{} for _ in range(trials)]
-    for t, p in enumerate(np.asarray(found.offsets).tolist()):
-        for col, mix in enumerate(combos[t]):
-            if mix:
-                row = sources[p][tags[p].index(1 << col)]
-                parts = frozenset(sources[p][i] for i in range(m) if mix >> i & 1)
-                picks[t][col] = (row, parts)
-    for row, col, entry in zip(found.rows, found.cols, found.entries):
-        mix, p = divmod(int(entry), npicks)  # each new pivot row is its own table row
-        t = row // count
-        assert p == found.offsets[t] and picks[t][col][0] == row and mix == combos[t][col]
-    assert sorted(found.rows) == sorted(r for pick in picks for r, _ in pick.values())
-    return picks
-
-
 def block_digits(rng: np.random.Generator, taken: int, count: int, run: int) -> list[int]:
     """A trial's digits of one block: a run of one repeated digit, then a
     mix of zero, repeated, one-bit and uniform digits, clear of ``taken``."""
@@ -615,10 +595,10 @@ def block_digits(rng: np.random.Generator, taken: int, count: int, run: int) -> 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_greedy_and_sliced_pivot_searches_agree(data):
-    # Both searches pick the same pivot rows at the same columns, with the
-    # same rows XORed into each, and mark the same taken columns: on zero,
-    # repeated and one-bit digits, taken columns, trials with no candidate,
-    # and trials whose first window of candidates falls short of its room.
+    # Both searches return the same pivot record, each column's combination
+    # and pivot row: on zero, repeated and one-bit digits, taken columns,
+    # trials with no candidate, and trials whose first window of candidates
+    # falls short of its room.
     trials = data.draw(st.integers(1, 12), label="trials")
     count = data.draw(st.integers(1, 60), label="count")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -628,15 +608,58 @@ def test_greedy_and_sliced_pivot_searches_agree(data):
     masked = np.array(
         [block_digits(rng, int(t), count, run) for t, run in zip(taken, runs)], dtype=np.uint8
     ).reshape(trials, count)
+    before = taken.copy()
+    greedy = fountain._greedy_pivots(masked, taken)
+    sliced = fountain._sliced_pivots(masked, taken)
+    assert np.array_equal(taken, before)  # _gauss_jordan alone marks the new columns
+    if greedy is None or sliced is None:
+        assert greedy is sliced is None and not masked.any()
+        return
+    for got, want in zip(sliced, greedy):
+        assert got.shape == (trials, 8) and np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("kind", ["uniform", "lt", "repeats"])
+@pytest.mark.parametrize("stored", [False, True])
+def test_gauss_jordan_gives_the_same_rows_under_either_pivot_search(kind, stored, data):
+    # The tables, maps and pivot rows built from either search's record are
+    # the same: equal rows, taken bytes and pivot columns, whatever the trial
+    # count, with no stored pivots (first 0) and after some; the new pivot
+    # columns, and only they, join the taken columns.
+    k = data.draw(st.integers(1, 72), label="k")
+    trials = data.draw(st.integers(1, 12), label="trials")
+    count = data.draw(st.integers(1, 2 * k + 8), label="count")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    nbytes = (k + 7) // 8
+    vectors = np.stack([oracle_stream(kind, k, count, rng) for _ in range(trials)])
+    rows = np.zeros((trials, count, fountain._row_bytes(nbytes)), dtype=np.uint8)
+    rows[:, :, :nbytes] = vectors
+    decoders, first = [DecoderState(k) for _ in range(trials)], 0
+    if stored:  # reduced against the stored pivots and appended to them, as fold does
+        for d in decoders:
+            n = data.draw(st.integers(1, k + 4), label="stored")
+            d.receive_batch(oracle_stream(kind, k, n, rng), np.zeros((n, 1), dtype=np.uint8))
+        pivots = np.stack([d._rows for d in decoders])
+        fountain._product(vectors, fountain._chunked_tables(pivots), rows)
+        rows, first = np.concatenate((pivots, rows), axis=1), k
+    taken = np.stack([d._taken for d in decoders])
     results = []
-    for search in (fountain._greedy_pivots, fountain._sliced_pivots):
-        after = taken.copy()
-        found = search(masked, after)
-        picks = None if found is None else pivot_picks(found, trials, count)
-        results.append((picks, after.tolist()))
-    assert results[0] == results[1]
-    if results[0][0] is None:
-        assert not masked.any()
+    for threshold in (1, trials + 1):  # the sliced search, then the greedy one
+        got_rows, got_taken = rows.copy(), taken.copy()
+        with mock.patch.object(fountain, "SLICED_TRIALS", threshold):
+            cols = fountain._gauss_jordan(got_rows, first, got_taken)
+        results.append((got_rows, got_taken, cols))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+    cols, after = results[1][2], results[1][1]
+    t, at = np.nonzero(cols >= 0)
+    marks = np.unpackbits(taken, axis=1, bitorder="little")
+    assert not marks[t, cols[t, at]].any()
+    assert len(set(zip(t.tolist(), cols[t, at].tolist()))) == len(t)
+    marks[t, cols[t, at]] = 1
+    assert np.array_equal(np.packbits(marks, axis=1, bitorder="little"), after)
 
 
 def test_decode_refuses_short_or_mismatched_decoders():
