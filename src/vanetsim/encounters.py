@@ -7,26 +7,44 @@ paths meet at t = (v e - d [v < 0]) / (v - v_i), and they meet inside the
 segment iff 0 < t < d / v_i. The transmit range enters packet counts and
 connection times only, never the encounter decision itself.
 
-One kernel draws the background traffic of a chunk of trips at once: every
-trip's Poisson arrival count on its lookback window, then all entry times,
-then all velocities. In place, the meeting times overwrite the entry times
-and the gaps v - v_i the velocities; the kernel returns them with the
-crossing mask, the direction flags v < 0 (which the meeting time needs),
-the class indices and each crosser's trip index. Each caller compresses
-only what it reads: trip throughputs take the gaps, whose packets one
-in-place formula gives; a segment's encounter batches take the meeting
-times and gaps; :func:`simulate_trip` takes the gaps, flags and classes. A
-trip is a chunk of one, and draws what it always drew.
-:func:`monte_carlo_throughput` runs chunks of at most
-:data:`CHUNK_ARRIVALS` expected arrivals, reduces each by trip with
-``np.bincount``, and merges the chunks' means and sums of squared deviations
-as it goes, so it keeps no per-trial array.
+Two samplers draw the crossers of a chunk of trips at once, chosen by the
+kind of traffic; both return a :class:`Crossers` record, trip by trip.
+
+- Discrete traffic: :func:`_crossing_arrivals` draws every trip's Poisson
+  arrival count on its lookback window, then all entry times, then all
+  velocities, and keeps the arrivals whose meeting time lies in
+  ``(0, d / v_i)``. In place, the meeting times overwrite the entry times
+  and the gaps v - v_i the velocities.
+- Continuous traffic: :func:`_tilted_crossings` draws the crossers alone.
+  By the marking theorem (Kingman, *Poisson Processes*, 1993) the partners
+  an observer crosses are Poisson with intensity
+  ``lam d f(v) |1/v - 1/v_i|`` over the speed density ``f``, and their
+  meeting times are uniform on ``(0, d / v_i)``, the meeting time being
+  linear in the entry time. Near a stationary observer almost every
+  arrival crosses, so drawing and testing arrivals costs two draws and
+  about twelve array passes a crosser, where a crosser drawn directly
+  costs one draw and a few passes. Each band is split at ``v_i``; on each
+  piece the tilt ``|1/v - 1/v_i|`` is a flat part, its minimum, plus a
+  tail that vanishes at one end of the piece (see :func:`_tilt_parts`).
+  The stream of a chunk is: one Poisson call a part for every trip's
+  count, then the parts' speeds in part order, a flat part one uniform a
+  crosser and a tail rounds of proposals and acceptance uniforms (see
+  :func:`_tail_speeds`), then, for a segment's encounters only, one
+  uniform meeting time a crosser. Trips never draw meeting times.
+
+A trip is a chunk of one, and draws what it always drew.
+:func:`monte_carlo_throughput` runs chunks of at most :data:`CHUNK_VEHICLES`
+expected arrivals (discrete) or crossers (continuous), reduces each by trip
+with ``np.bincount``, and merges the chunks' means and sums of squared
+deviations as it goes, so it keeps no per-trial array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +64,7 @@ from .fountain import (
     fold,
     vector_batch_sampler,
 )
-from .traffic import Scenario, sample_velocities
+from .traffic import Scenario, _log_ratio, sample_velocities
 
 # Lookback margin, in units of r / min|v|, before -d / min|v|, the earliest
 # entry time of an arrival that can cross the observer. Arrivals in the
@@ -54,16 +72,18 @@ from .traffic import Scenario, sample_velocities
 # window's 1,050 time units.
 ARRIVAL_MARGIN_FACTOR = 10.0
 
-# Cap on the expected arrivals in one lookback window: a very slow observer
-# needs a window long enough to hold more than memory allows.
-MAX_EXPECTED_ARRIVALS = 1e7
+# Cap on the vehicles one trip's sampler expects to draw: arrivals in the
+# lookback window for discrete traffic, crossers for continuous traffic. A
+# very slow observer expects more than memory allows.
+MAX_EXPECTED_VEHICLES = 1e7
 
-# Expected arrivals in one chunk of trips that monte_carlo_throughput draws
-# at once: its arrays peak near 33 bytes per arrival, about 0.5 MB
-# (tracemalloc: 33 B on a twoclass chunk at observer 20, 19 B on a
+# Expected vehicles (arrivals or crossers, as above) in one chunk of trips
+# that monte_carlo_throughput draws at once: its arrays peak at 0.5-0.7 MB
+# (tracemalloc: 33 B an arrival on a twoclass chunk at observer 20, 44 B a
+# crosser on a uniform2040 chunk at observer 30, 9 B a crosser on one
 # uniform2040 trip at observer 0.02). A trip that alone expects more is a
-# chunk of one, as large as it always was.
-CHUNK_ARRIVALS = 2**14
+# chunk of one.
+CHUNK_VEHICLES = 2**14
 
 # Largest file, in blocks, that simulate_download_times accepts. Decode cost
 # grows about as K^2.4: `download-time --K 8192 --trials 2` (64-bit blocks,
@@ -162,41 +182,57 @@ def infostation_download(v: float, packet_rate: float, r: float) -> float:
     return packet_rate * r / abs(v)
 
 
+class Crossers(NamedTuple):
+    """The crossers of a chunk of trips, from either sampler.
+
+    ``gap`` is each crosser's ``v - v_i`` and ``reverse`` its flag
+    ``v < 0``. ``cls`` holds class indices (None for continuous traffic),
+    ``trip`` trip indices in ``0..trips-1`` (None for one trip), and
+    ``meet`` meeting times (None when continuous traffic was not asked for
+    them).
+    """
+
+    gap: np.ndarray
+    reverse: np.ndarray
+    cls: np.ndarray | None
+    trip: np.ndarray | None
+    meet: np.ndarray | None
+
+
+def _too_slow(expected: float, what: str) -> None:
+    if not expected <= MAX_EXPECTED_VEHICLES:
+        raise InvalidParameterError(
+            f"observer too slow: its trip expects {expected:.6g} {what}, "
+            f"more than {MAX_EXPECTED_VEHICLES:.0e}"
+        )
+
+
 def _arrival_window(scenario: Scenario, ti: float) -> tuple[float, float]:
     """Start of one trip's lookback window, and the arrivals it expects.
 
     The window runs up to the observer's travel time ``ti``. Raises
     :class:`InvalidParameterError` when it expects more than
-    :data:`MAX_EXPECTED_ARRIVALS` arrivals.
+    :data:`MAX_EXPECTED_VEHICLES` arrivals.
     """
     vmin = scenario.min_speed()
     w0 = -(scenario.d / vmin + ARRIVAL_MARGIN_FACTOR * scenario.r / vmin)
     expected = scenario.lam * (ti - w0)
-    if not expected <= MAX_EXPECTED_ARRIVALS:
-        raise InvalidParameterError(
-            f"observer too slow: its lookback window holds {expected:.6g} "
-            f"expected arrivals, more than {MAX_EXPECTED_ARRIVALS:.0e}"
-        )
+    _too_slow(expected, "arrivals in its lookback window")
     return w0, expected
 
 
 def _crossing_arrivals(
     scenario: Scenario, vi: float, ti: float, rng: np.random.Generator, trips: int = 1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Draw the background arrivals of ``trips`` trips; mark the crossers.
+) -> Crossers:
+    """Draw the background arrivals of ``trips`` trips; keep the crossers.
 
     Each trip's arrivals are Poisson on its lookback window up to the travel
     time ``ti`` of the observer at speed ``vi``. The draws are every trip's
     count, then all entry times, then all velocities, so one trip draws
     count, entry times, velocities. An arrival crosses iff its meeting time
     with the observer (see the module docstring) lies in ``(0, ti)``; a
-    partner at the observer's speed never meets it.
-
-    Returns, for every arrival, the crossing mask, the meeting time (in the
-    entry-time array), the gap ``v - vi`` (in the velocity array), the
-    reverse-direction flags ``v < 0`` and the class indices (None for
-    continuous velocity distributions), and the crossers' trip indices in
-    ``0..trips-1`` (None for one trip), with the trips in order.
+    partner at the observer's speed never meets it. The crossers come in
+    arrival order, so with the trips in order.
     """
     counts = np.zeros(trips, dtype=int)
     if scenario.lam > 0:
@@ -217,29 +253,168 @@ def _crossing_arrivals(
         np.divide(meet, gap, out=meet)
     crossing = meet > 0
     crossing &= meet < ti
+    at = np.flatnonzero(crossing)
+    trip = np.searchsorted(np.cumsum(counts), at, side="right") if trips > 1 else None
+    return Crossers(gap[at], reverse[at], None if cls is None else cls[at], trip, meet[at])
+
+
+@functools.lru_cache(maxsize=256)  # a trip or a segment at a time asks again and again
+def _tilt_parts(scenario: Scenario, vi: float) -> tuple[tuple[float, str, float, float], ...]:
+    """The parts of the crossing intensity of an observer at ``vi``.
+
+    Each part is (mean crossers a trip, shape, a, b), over speeds in
+    ``(a, b)``: ``lam d w / (b0 - a0)`` times the integral of the part's
+    tilt for a band ``(a0, b0)`` of weight ``w``. A forward band is split at
+    ``vi``; in ``u = |v|`` each piece ``(lo, hi)`` tilts by
+    ``1/vi - 1/u`` above ``vi``, ``1/u - 1/vi`` below it, and ``1/u + 1/vi``
+    on a reverse band. The tilt is a flat part, its minimum over the piece
+    (shape "flat", uniform speeds), plus a tail: ``1/lo - 1/u`` above
+    ``vi`` (shape "rising", zero at ``lo``) or ``1/u - 1/hi`` below it and
+    on a reverse band (shape "falling", zero at ``hi``), whose integrals are
+    ``(hi - lo)/lo - ln(hi/lo)`` and ``ln(hi/lo) - (hi - lo)/hi``. Parts
+    that no crosser can come from are left out.
+    """
+    vel, parts = scenario.velocity, []
+    for (a, b), w in zip(vel.bands, vel.weights):
+        scale = scenario.lam * scenario.d * w / (b - a)
+        if b < 0:
+            pieces = [(a, b, 1 / -a + 1 / vi, "falling")]
+        else:
+            below, above = min(b, vi), max(a, vi)
+            pieces = [
+                (a, below, 1 / below - 1 / vi, "falling"),
+                (above, b, 1 / vi - 1 / above, "rising"),
+            ]
+        for pa, pb, flat, shape in pieces:
+            if not pa < pb:
+                continue
+            lo, hi = sorted((abs(pa), abs(pb)))
+            log_ratio = _log_ratio(lo, hi)
+            tail = (hi - lo) / lo - log_ratio if shape == "rising" else log_ratio - (hi - lo) / hi
+            parts += [(scale * flat * (hi - lo), "flat", pa, pb), (scale * tail, shape, pa, pb)]
+    return tuple(part for part in parts if part[0] > 0)
+
+
+def _tail_speeds(rng: np.random.Generator, n: int, shape: str, a: float, b: float) -> np.ndarray:
+    """``n`` speeds of a tail part (see :func:`_tilt_parts`) on ``(a, b)``, drawn by rejection.
+
+    In ``u = |v|`` on ``(lo, hi)``, a rising tail ``1/lo - 1/u`` is drawn
+    from uniform proposals and a falling tail ``1/u - 1/hi`` from
+    log-uniform ones (Devroye, *Non-Uniform Random Variate Generation*,
+    1986, II.3): for every ratio ``hi/lo`` the closed-form acceptance of
+    that proposal is the higher of the two, and above 1/2. So a round
+    proposes twice the speeds still wanting, plus 16, drawing the
+    proposals' uniforms, then their acceptance uniforms; the first ``n``
+    accepted speeds are kept. Neither end of the piece is ever returned:
+    each tail is zero at one end, and the other is not proposed.
+    """
+    lo, hi = sorted((abs(a), abs(b)))
+    log_ratio = _log_ratio(lo, hi)
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        m = 2 * (n - filled) + 16
+        x, test = rng.random((2, m))
+        if shape == "rising":  # u = lo + (hi - lo) x, accepted iff U u < x hi
+            u = x * (hi - lo)
+            u += lo
+            test *= u
+            kept = u[test < x * hi]
+        else:  # u = hi e with e = (lo/hi)**x, accepted iff U (hi - lo)/hi + e < 1
+            x *= -log_ratio
+            e = np.exp(x, out=x)
+            test *= (hi - lo) / hi
+            test += e
+            kept = e[test < 1.0]
+            kept *= hi
+        kept = kept[: n - filled]
+        out[filled : filled + kept.size] = kept
+        filled += kept.size
+    return out if a > 0 else np.negative(out, out=out)
+
+
+def _tilted_crossings(
+    parts: tuple,
+    vi: float,
+    ti: float,
+    rng: np.random.Generator,
+    trips: int = 1,
+    times: bool = False,
+) -> Crossers:
+    """Draw the crossers of ``trips`` trips of continuous traffic directly.
+
+    ``parts`` is :func:`_tilt_parts` of the observer at ``vi``, whose
+    travel time is ``ti``. Each part draws every trip's Poisson count with
+    one call; a flat part's speeds are uniform on its piece, one uniform a
+    crosser, and a tail's come from :func:`_tail_speeds`. The crossers come
+    part by part, each part's trip by trip. Meeting times, uniform on
+    ``(0, ti)``, are drawn last and only if ``times``.
+    """
+    counts = np.array([rng.poisson(mean, trips) for mean, *_ in parts], dtype=int)
+    sizes = counts.reshape(len(parts), trips).sum(axis=1).tolist()
+    gap = np.empty(sum(sizes))
+    reverse = np.zeros(gap.size, dtype=bool)
+    at = 0
+    for (_, shape, a, b), n in zip(parts, sizes):
+        out = gap[at : at + n]
+        if shape == "flat":  # v - vi = (a - vi) + (b - a) U, in place
+            rng.random(out=out)
+            out *= b - a
+            out += a - vi
+        elif n:
+            np.subtract(_tail_speeds(rng, n, shape, a, b), vi, out=out)
+        if b < 0:
+            reverse[at : at + n] = True
+        at += n
     trip = None
     if trips > 1:
-        trip = np.searchsorted(np.cumsum(counts), np.flatnonzero(crossing), side="right")
-    return crossing, meet, gap, reverse, cls, trip
+        trip = np.repeat(np.tile(np.arange(trips), len(parts)), counts.ravel())
+    meet = rng.uniform(0.0, ti, gap.size) if times else None
+    return Crossers(gap, reverse, None, trip, meet)
+
+
+def _crossing_sampler(scenario: Scenario, vi: float, ti: float):
+    """The crossing sampler of an observer at ``vi``, and the vehicles a trip expects it to draw.
+
+    The sampler is called as ``draw(rng, trips=1, times=False)`` and returns
+    the :class:`Crossers` of ``trips`` trips: :func:`_crossing_arrivals` for
+    discrete traffic, which expects the arrivals of a lookback window, and
+    :func:`_tilted_crossings` for continuous traffic, which expects the
+    crossers themselves and draws meeting times only if ``times``. Raises
+    :class:`InvalidParameterError` when a trip expects more than
+    :data:`MAX_EXPECTED_VEHICLES`.
+    """
+    if scenario.is_discrete:
+        expected = _arrival_window(scenario, ti)[1] if scenario.lam > 0 else 0.0
+
+        def draw(rng, trips=1, times=False):
+            return _crossing_arrivals(scenario, vi, ti, rng, trips)
+
+        return draw, expected
+    parts = _tilt_parts(scenario, vi) if scenario.lam > 0 else ()
+    expected = math.fsum(mean for mean, *_ in parts)
+    _too_slow(expected, "crossings")
+
+    def draw(rng, trips=1, times=False):
+        return _tilted_crossings(parts, vi, ti, rng, trips, times)
+
+    return draw, expected
 
 
 def simulate_trip(
     scenario: Scenario, observer_velocity: float, rng: np.random.Generator
 ) -> TripResult:
-    """Simulate one traversal: draw background traffic, count crossings.
-
-    Background arrivals are generated on a window long enough to contain
-    every entry time that could satisfy the crossing condition.
-    """
+    """Simulate one traversal: draw its crossers (see the module docstring), sum their packets."""
     vi, ti = _observer_trip(scenario, observer_velocity)
     r, packet_rate = scenario.r, scenario.packet_rate
-    crossing, _, gap, reverse, cls, _ = _crossing_arrivals(scenario, vi, ti, rng)
-    packets = _packets(gap[crossing], packet_rate, r)
-    reverse = reverse[crossing]
+    draw, _ = _crossing_sampler(scenario, vi, ti)
+    crossers = draw(rng)
+    packets = _packets(crossers.gap, packet_rate, r)
+    reverse = crossers.reverse
     info = infostation_download(vi, packet_rate, r)
     total = info + float(packets.sum())
     if scenario.is_discrete:
-        counts = np.bincount(cls[crossing], minlength=scenario.velocity.m)
+        counts = np.bincount(crossers.cls, minlength=scenario.velocity.m)
         per_class = tuple(int(c) for c in counts)
     else:
         per_class = ()
@@ -261,21 +436,21 @@ def _trip_throughputs(
 ):
     """Yield the throughputs of ``trials`` trips, one array per chunk, in order.
 
-    A chunk holds as many trips as fit in :data:`CHUNK_ARRIVALS` expected
-    arrivals, and at least one.
+    A chunk holds as many trips as fit in :data:`CHUNK_VEHICLES` expected
+    vehicles, and at least one.
     """
     packet_rate, r = scenario.packet_rate, scenario.r
     info = infostation_download(vi, packet_rate, r)
-    _, expected = _arrival_window(scenario, ti)
-    chunk = max(1, int(CHUNK_ARRIVALS // max(expected, 1.0)))
+    draw, expected = _crossing_sampler(scenario, vi, ti)
+    chunk = max(1, int(CHUNK_VEHICLES // max(expected, 1.0)))
     for done in range(0, trials, chunk):
         trips = min(chunk, trials - done)
-        crossing, _, gap, _, _, trip = _crossing_arrivals(scenario, vi, ti, rng, trips)
-        packets = _packets(gap[crossing], packet_rate, r)
-        if trip is None:
+        crossers = draw(rng, trips)
+        packets = _packets(crossers.gap, packet_rate, r)
+        if crossers.trip is None:
             yield np.full(1, (info + packets.sum()) / ti)
         else:
-            yield (info + np.bincount(trip, weights=packets, minlength=trips)) / ti
+            yield (info + np.bincount(crossers.trip, weights=packets, minlength=trips)) / ti
 
 
 def merge_moments(moments: tuple, values: np.ndarray, label: str) -> tuple:
@@ -339,9 +514,10 @@ def _crossing_events(
     scenario: Scenario, vi: float, rng: np.random.Generator
 ) -> list[tuple[float, int]]:
     """One segment's encounter batches, in time order: (time offset, whole packets)."""
-    crossing, meet, gap, _, _, _ = _crossing_arrivals(scenario, vi, scenario.d / vi, rng)
-    counts = np.floor(_packets(gap[crossing], scenario.packet_rate, scenario.r))
-    return sorted((float(t), int(c)) for t, c in zip(meet[crossing], counts) if c > 0)
+    draw, _ = _crossing_sampler(scenario, vi, scenario.d / vi)
+    crossers = draw(rng, times=True)
+    counts = np.floor(_packets(crossers.gap, scenario.packet_rate, scenario.r))
+    return sorted((float(t), int(c)) for t, c in zip(crossers.meet, counts) if c > 0)
 
 
 def _refuse_packetless(scenario: Scenario, vi: float) -> None:
@@ -349,8 +525,9 @@ def _refuse_packetless(scenario: Scenario, vi: float) -> None:
 
     An encounter gives the most packets at the partner speed closest to
     ``vi``, other than ``vi`` itself: a class's own speed, or a band's
-    nearest one (arbitrarily close inside the band). ``rng.uniform(a, b)``
-    draws ``a`` but never ``b``, so a band's upper end counts only if the
+    nearest one (arbitrarily close inside the band). A crosser of a band
+    ``(a, b)`` may be drawn at ``a`` but never at ``b`` (see
+    :func:`_tilted_crossings`), so a band's upper end counts only if the
     packets there exceed 1: every drawable speed gives fewer.
     """
     rate, r, vel = scenario.packet_rate, scenario.r, scenario.velocity
@@ -452,17 +629,18 @@ def simulate_download_times(
         raise InvalidParameterError(
             f"file of {k} blocks exceeds the download limit of {MAX_DOWNLOAD_BLOCKS} blocks"
         )
-    trips, streams, refused = [], [], None
+    trips, streams, refused, checked = [], [], None, {}
     for v in observers:
-        try:
-            vi, ti = _observer_trip(scenario, v)
-            if scenario.lam > 0:  # refused as the trial's first crossing draw would be
-                _arrival_window(scenario, ti)
-            _refuse_packetless(scenario, vi)
-        except InvalidParameterError as exc:
-            refused = exc
-            break
-        trips.append((vi, ti))
+        if v not in checked:  # each distinct speed is checked once, at its first trial
+            try:
+                vi, ti = _observer_trip(scenario, v)
+                _crossing_sampler(scenario, vi, ti)  # refused as its first crossing draw would be
+                _refuse_packetless(scenario, vi)
+            except InvalidParameterError as exc:
+                refused = exc
+                break
+            checked[v] = vi, ti
+        trips.append(checked[v])
         streams.append(rng.spawn(3))  # arrivals, vectors, file
     sample = vector_batch_sampler(scheme, k)
     files = _draw_files(file, [file_rng for _, _, file_rng in streams])

@@ -267,12 +267,13 @@ def _product(
         out ^= table.reshape(16 * ntables, size).take(digits[:, g].astype(np.intp), axis=0)
 
 
-# Bytes of 4-row XOR tables that a decoder's products build at a time (the
-# tables take four times the rows they cover). Building all of a K=256,
-# 1 KiB decode's 1 MiB at once raised a download's peak heap enough that the
-# allocator handed memory back to the system after every download and took
-# it back page by page: about 850 page faults and 0.7 ms per download.
-_TABLE_BYTES = 1 << 18
+# Bytes of 4-row XOR tables that a decoder's products build at a time: a
+# group's 16-entry table takes four times the 4 rows it covers. Building
+# all of a K=256, 1 KiB decode's 1 MiB at once raised a download's peak heap
+# enough that the allocator handed memory back to the system after every
+# download and took it back page by page: about 850 page faults and 0.7 ms
+# per download. That download ran as fast with 64 KiB as with 256 KiB a step.
+_TABLE_BYTES = 1 << 16
 
 
 def _chunked_tables(rows: np.ndarray) -> Iterator[np.ndarray]:
@@ -282,7 +283,8 @@ def _chunked_tables(rows: np.ndarray) -> Iterator[np.ndarray]:
     building at most ``_TABLE_BYTES`` of tables at a time.
     """
     trials, n, size = rows.shape
-    step = 4 * max(1, _TABLE_BYTES // (64 * trials * size))
+    # the groups whose 16 x trials x size tables fit, 4 rows each
+    step = 4 * max(1, _TABLE_BYTES // (16 * trials * size))
     for lo in range(0, n, step):
         yield from _xor_tables(rows[:, lo : lo + step], 4)
 

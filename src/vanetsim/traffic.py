@@ -86,12 +86,16 @@ class DiscreteVelocityDist:
         return self._speeds[idx], idx
 
 
+def _log_ratio(lo: float, hi: float) -> float:
+    """``ln(hi / lo)`` for ``0 < lo < hi``, also where ``hi / lo`` overflows."""
+    ratio = hi / lo
+    return math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
+
+
 def _band_inverse_speed(a: float, b: float) -> float:
     """E[1/|V|] for V uniform on the band (a, b): log(hi/lo) / (hi - lo)."""
     lo, hi = sorted((abs(a), abs(b)))
-    ratio = hi / lo
-    log_ratio = math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
-    return log_ratio / (hi - lo)
+    return _log_ratio(lo, hi) / (hi - lo)
 
 
 @dataclass(frozen=True)

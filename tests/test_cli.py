@@ -445,6 +445,20 @@ def test_too_slow_observer_is_an_input_error(twoclass_path, command, speed, caps
 
 
 @pytest.mark.parametrize("command", ["simulate", "download-time"])
+def test_continuous_observer_over_the_crossing_cap_is_an_input_error(
+    uniform2040_path, command, capsys
+):
+    # at 5e-5 a uniform2040 trip expects about 2e7 crossings, over the 1e7 cap
+    args = [command, str(uniform2040_path), "--observer-v", "5e-5", "--trials", "5"]
+    if command == "download-time":
+        args += ["--K", "8"]
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "observer too slow" in err and "crossings" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "download-time"])
 def test_tiny_observer_in_zero_rate_scenario_is_an_input_error(tmp_path, command, capsys):
     path = write_scenario(tmp_path, zero_rate_doc())
     args = [command, path, "--observer-v", "1e-310", "--trials", "3"]

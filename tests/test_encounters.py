@@ -280,7 +280,7 @@ TWO_BAND_MIX = ContinuousVelocityDist(((20.0, 40.0), (-40.0, -20.0)), (0.7, 0.3)
 
 
 def oracle_trips(scenario, observer, trips, rng):
-    """Replay a chunk's draws and decide every arrival with ``encounter_of``.
+    """Replay a chunk's arrival draws and decide every arrival with ``encounter_of``.
 
     Returns, per trip, the crossers as (meeting time, velocity, class index)
     and the exchanged packets.
@@ -304,37 +304,56 @@ def oracle_trips(scenario, observer, trips, rng):
     return out
 
 
+def trip_packets(scenario, observer, trips, rng):
+    """Each trip's exchanged packets, reduced one crosser at a time in Python.
+
+    Discrete traffic replays the arrivals (:func:`oracle_trips`); continuous
+    traffic takes the crossers that the tilted sampler draws from ``rng``.
+    """
+    if scenario.is_discrete:
+        return [packets for _, packets in oracle_trips(scenario, observer, trips, rng)]
+    draw, _ = encounters._crossing_sampler(scenario, observer, scenario.d / observer)
+    got = draw(rng, trips)
+    trip = [0] * got.gap.size if got.trip is None else got.trip.tolist()
+    per_trip = [[] for _ in range(trips)]
+    for t, gap in zip(trip, got.gap.tolist()):
+        per_trip[t].append(scenario.packet_rate * scenario.r / (2 * abs(gap)))
+    return [math.fsum(packets) for packets in per_trip]
+
+
+def one_trip_draws(scenario, observer):
+    """The vehicles one trip's sampler expects to draw."""
+    return encounters._crossing_sampler(scenario, observer, scenario.d / observer)[1]
+
+
 @pytest.mark.parametrize("trips", [1, 2, 7, 655])
 @pytest.mark.parametrize(
     "velocity, observer", [(None, 20.0), (REVERSE_CLASS, 25.0), (TWO_BAND_MIX, 30.0)]
 )
 def test_batch_matches_per_arrival_oracle(monkeypatch, velocity, observer, trips):
+    # the arrival kernel, also on continuous traffic, where it is the reference
     sc = make_scenario(velocity=velocity)
     ti = sc.d / observer
     expected = oracle_trips(sc, observer, trips, np.random.default_rng(trips))
-    crossing, meet, gap, reverse, cls, trip = encounters._crossing_arrivals(
-        sc, observer, ti, np.random.default_rng(trips), trips
-    )
-    meet, gap, reverse = meet[crossing], gap[crossing], reverse[crossing]
-    cls = None if cls is None else cls[crossing]
-    if trips == 1:
-        assert trip is None
-        trip = np.zeros(gap.size, dtype=int)
+    got = encounters._crossing_arrivals(sc, observer, ti, np.random.default_rng(trips), trips)
+    assert (got.trip is None) == (trips == 1)
+    trip = np.zeros(got.gap.size, dtype=int) if got.trip is None else got.trip
     for t, (crossers, _) in enumerate(expected):
         mine = trip == t
-        classes = [None] * int(mine.sum()) if cls is None else cls[mine].tolist()
-        got = zip(meet[mine].tolist(), gap[mine].tolist(), reverse[mine].tolist(), classes)
-        assert list(got) == [(m, v - observer, v < 0, c) for m, v, c in crossers]
+        classes = [None] * int(mine.sum()) if got.cls is None else got.cls[mine].tolist()
+        rows = zip(
+            got.meet[mine].tolist(), got.gap[mine].tolist(), got.reverse[mine].tolist(), classes
+        )
+        assert list(rows) == [(m, v - observer, v < 0, c) for m, v, c in crossers]
     # the chunk's per-trip throughputs, reduced by trip
-    _, one_trip = encounters._arrival_window(sc, ti)
-    monkeypatch.setattr(encounters, "CHUNK_ARRIVALS", (trips + 0.5) * one_trip)
+    monkeypatch.setattr(encounters, "CHUNK_VEHICLES", (trips + 0.5) * one_trip_draws(sc, observer))
     chunks = list(
         encounters._trip_throughputs(sc, observer, ti, trips, np.random.default_rng(trips))
     )
     assert [c.size for c in chunks] == [trips]
     info = sc.packet_rate * sc.r / observer
-    oracle = [(info + packets) / ti for _, packets in expected]
-    np.testing.assert_allclose(chunks[0], oracle, rtol=1e-12, atol=0)
+    packets = trip_packets(sc, observer, trips, np.random.default_rng(trips))
+    np.testing.assert_allclose(chunks[0], [(info + p) / ti for p in packets], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("velocity", [None, TWO_BAND_MIX])
@@ -343,8 +362,7 @@ def test_chunked_moments_match_two_pass(monkeypatch, velocity, chunk):
     trials = 500
     sc = make_scenario(velocity=velocity)
     observer = 30.0
-    _, one_trip = encounters._arrival_window(sc, sc.d / observer)
-    monkeypatch.setattr(encounters, "CHUNK_ARRIVALS", (chunk + 0.5) * one_trip)
+    monkeypatch.setattr(encounters, "CHUNK_VEHICLES", (chunk + 0.5) * one_trip_draws(sc, observer))
     seen = []
     real = encounters._trip_throughputs
     monkeypatch.setattr(
@@ -362,6 +380,88 @@ def test_chunked_moments_match_two_pass(monkeypatch, velocity, chunk):
         assert values.tolist() == [
             simulate_trip(sc, observer, rng).throughput for _ in range(trials)
         ]
+
+
+def _sampler_statistics(draw, trips, per_call, rng, packet_rate, r):
+    """Per-trip crossings and packets, and every crosser's gap and meeting time."""
+    stats = {"crossings": [], "packets": [], "gap": [], "meeting time": []}
+    for lo in range(0, trips, per_call):
+        n = min(per_call, trips - lo)
+        got = draw(rng, n)
+        trip = np.zeros(got.gap.size, dtype=int) if got.trip is None else got.trip
+        stats["gap"].append(got.gap.copy())
+        stats["meeting time"].append(got.meet)
+        stats["crossings"].append(np.bincount(trip, minlength=n))
+        packets = encounters._packets(got.gap, packet_rate, r)
+        stats["packets"].append(np.bincount(trip, weights=packets, minlength=n))
+    return {name: np.concatenate(x) for name, x in stats.items()}
+
+
+def _within_3_se(ref, new):
+    """Per-trip means agree within 3 SE, and so do the deciles of per-crosser values."""
+    for name in ("crossings", "packets"):
+        a, b = ref[name], new[name]
+        se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+        assert abs(b.mean() - a.mean()) <= 3 * se, name
+    for name in ("gap", "meeting time"):
+        a, b = np.sort(ref[name]), np.sort(new[name])
+        q = np.quantile(a, np.arange(1, 10) / 10)
+        p = np.searchsorted(a, q, side="right") / a.size
+        p_new = np.searchsorted(b, q, side="right") / b.size
+        se = np.sqrt(p * (1 - p) * (1 / a.size + 1 / b.size))
+        assert np.all(np.abs(p_new - p) <= 3 * se), name
+
+
+@pytest.mark.parametrize(
+    "velocity, observer",
+    [
+        (None, 0.02),  # a flat part and a small tail
+        (None, 30.0),  # inside the band: both pieces are tails
+        (TWO_BAND_MIX, 30.0),
+        (ContinuousVelocityDist(((-40.0, -20.0),)), 25.0),  # a reverse band
+    ],
+)
+def test_tilted_crossings_match_the_arrival_kernel_in_distribution(uniform2040, velocity, observer):
+    # At least 10**6 crossers a side: mean crossings and packets per trip,
+    # and the deciles of the crossers' gaps v - vi and meeting times
+    sc = replace(uniform2040, velocity=velocity or uniform2040.velocity)
+    ti = sc.d / observer
+    draw, crossings = encounters._crossing_sampler(sc, observer, ti)
+    _, arrivals = encounters._arrival_window(sc, ti)
+    trips = math.ceil(1.01e6 / crossings)  # 10 SD above 10**6 crossers
+    rng = np.random.default_rng(0)
+    args = sc.packet_rate, sc.r
+    ref = _sampler_statistics(
+        lambda rng, n: encounters._crossing_arrivals(sc, observer, ti, rng, n),
+        trips, max(1, int(2e5 // arrivals)), rng, *args,
+    )
+    new = _sampler_statistics(
+        lambda rng, n: draw(rng, n, times=True), trips, max(1, int(2e5 // crossings)), rng, *args
+    )
+    assert new["gap"].size >= 1e6 and ref["gap"].size >= 1e6
+    _within_3_se(ref, new)
+
+
+def _tail_cdf(shape, lo, hi, u):
+    """The closed-form CDF of a tail part on (lo, hi) in u = |v|."""
+    if shape == "rising":
+        return ((u - lo) / lo - np.log(u / lo)) / ((hi - lo) / lo - math.log(hi / lo))
+    return (np.log(u / lo) - (u - lo) / hi) / (math.log(hi / lo) - (hi - lo) / hi)
+
+
+@pytest.mark.parametrize("shape", ["rising", "falling"])
+@pytest.mark.parametrize("lo, hi", [(20.0, 20.001), (20.0, 40.0), (0.001, 40.0), (1.0, 1e6)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_tail_speeds_follow_their_density(shape, lo, hi, sign):
+    n = 200_000
+    a, b = sorted((sign * lo, sign * hi))
+    speeds = encounters._tail_speeds(np.random.default_rng(1), n, shape, a, b)
+    assert speeds.size == n and np.all(a < speeds) and np.all(speeds < b)
+    # the CDF at the draws is uniform: its deciles within 3 SE
+    cdf = np.sort(_tail_cdf(shape, lo, hi, np.abs(speeds)))
+    p = np.arange(1, 10) / 10
+    got = np.searchsorted(cdf, p, side="right") / n
+    assert np.all(np.abs(got - p) <= 3 * np.sqrt(p * (1 - p) / n))
 
 
 _SPEEDS = st.integers(5, 40).map(float)
@@ -406,19 +506,39 @@ def _kernel_cases(draw):
 def test_the_crossing_kernel_over_random_mixes(case, trips, seed):
     sc, observer = case
     ti = sc.d / observer
-    _, one_trip = encounters._arrival_window(sc, ti)
+    one_trip = one_trip_draws(sc, observer)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(encounters, "CHUNK_ARRIVALS", 0)  # chunks of one trip
+        mp.setattr(encounters, "CHUNK_VEHICLES", 0)  # chunks of one trip
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         ones = np.concatenate(list(encounters._trip_throughputs(sc, observer, ti, trips, rng)))
         assert ones.tolist() == [simulate_trip(sc, observer, twin).throughput for _ in range(trips)]
         assert rng.bit_generator.state == twin.bit_generator.state
-        mp.setattr(encounters, "CHUNK_ARRIVALS", (trips + 0.5) * max(one_trip, 1.0))
+        mp.setattr(encounters, "CHUNK_VEHICLES", (trips + 0.5) * max(one_trip, 1.0))
         rng = np.random.default_rng(seed)
         (chunk,) = encounters._trip_throughputs(sc, observer, ti, trips, rng)
     info = sc.packet_rate * sc.r / observer
-    expected = oracle_trips(sc, observer, trips, np.random.default_rng(seed))
-    np.testing.assert_allclose(chunk, [(info + p) / ti for _, p in expected], rtol=1e-12, atol=0)
+    packets = trip_packets(sc, observer, trips, np.random.default_rng(seed))
+    np.testing.assert_allclose(chunk, [(info + p) / ti for p in packets], rtol=1e-12, atol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=_kernel_cases().filter(lambda case: not case[0].is_discrete),
+    trips=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+)
+def test_tilted_crossers_lie_in_their_bands(case, trips, seed):
+    sc, observer = case
+    draw, _ = encounters._crossing_sampler(sc, observer, sc.d / observer)
+    with np.errstate(all="raise"):
+        got = draw(np.random.default_rng(seed), trips, times=True)
+    bands = [band for band, w in zip(sc.velocity.bands, sc.velocity.weights) if w > 0]
+    slack = 1e-12 * 45.0  # speeds and observers lie below 45
+    for gap in got.gap.tolist():
+        assert gap != 0 and any(a - slack <= gap + observer < b + slack for a, b in bands)
+    assert np.array_equal(got.reverse, got.gap + observer < 0)
+    assert np.all((0 <= got.meet) & (got.meet < sc.d / observer))
+    assert got.trip is None if trips == 1 else np.all((0 <= got.trip) & (got.trip < trips))
 
 
 def test_merge_moments_refuses_values_too_large_to_square():
@@ -440,7 +560,7 @@ def test_an_overflow_while_drawing_trips_still_warns(monkeypatch):
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials():
-    # 10**7 trips of a traffic-free road, in chunks of CHUNK_ARRIVALS trips:
+    # 10**7 trips of a traffic-free road, in chunks of CHUNK_VEHICLES trips:
     # one float per trip would take 80 MB
     sc = make_scenario(lam=0.0)
     tracemalloc.start()
@@ -474,11 +594,12 @@ PINNED_TRIPS = {
         _trip(25.0, 400.0, (2, 0, 13), 15, 200.0, 1790.9090909090912, 4.477272727272728,
               1000.0, 590.9090909090909),
     ],
+    # continuous traffic: recorded from the tilted crossing sampler
     ("mix", 30.0, 4): [
-        _trip(30.0, 333.3333333333333, (), 41, 166.66666666666666, 3296.5015583640893,
-              9.889504675092269, 1574.2103173216883, 1555.624574375735),
-        _trip(30.0, 333.3333333333333, (), 16, 166.66666666666666, 1407.895873008882,
-              4.223687619026647, 643.4345191923562, 597.794687149859),
+        _trip(30.0, 333.3333333333333, (), 24, 166.66666666666666, 2596.6580926719066,
+              7.789974278015721, 1619.0552856339336, 810.9361403713061),
+        _trip(30.0, 333.3333333333333, (), 23, 166.66666666666666, 3945.10532726115,
+              11.83531598178345, 3033.466262149229, 744.9723984452547),
     ],
 }
 
@@ -740,6 +861,19 @@ def test_crossings_are_drawn_only_when_the_station_batch_falls_short(twoclass, m
     assert [segments for _, _, segments in got] == [1] * 6 and drawn == []
     got = simulate_download_time(twoclass, 20.0, FileSpec(300, 64), UniformScheme(), rng)
     assert got[2] == 1 and drawn == [20.0]  # 250 station packets fall short of 300
+
+
+def test_a_chunk_checks_each_distinct_observer_speed_once(twoclass, monkeypatch):
+    checked = []
+    real = encounters._refuse_packetless
+    monkeypatch.setattr(
+        encounters, "_refuse_packetless", lambda sc, vi: checked.append(vi) or real(sc, vi)
+    )
+    observers = [20.0, 25.0, 20.0, 25.0, 20.0]
+    got = encounters.simulate_download_times(
+        twoclass, observers, FileSpec(40, 64), UniformScheme(), np.random.default_rng(0)
+    )
+    assert checked == [20.0, 25.0] and len(got) == len(observers)
 
 
 def _outcome(run):

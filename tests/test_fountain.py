@@ -274,6 +274,30 @@ def test_xor_tables_hold_the_xor_of_every_subset_of_a_group():
             assert tables[g, c].tobytes() == reference_xor(blocks, c << (4 * g))
 
 
+@pytest.mark.parametrize(
+    "trials, n, size, steps",
+    [
+        (1, 256, 1024, [16] * 16),  # K=256, 1 KiB: 4 groups of 16 x 1 KiB, 64 KiB a step
+        (3, 10, 8, [10]),  # every group in one step
+        (2, 9, 40_000, [4, 4, 1]),  # one group a step, even past the budget
+    ],
+)
+def test_chunked_tables_build_at_most_the_table_budget_a_step(monkeypatch, trials, n, size, steps):
+    built = []
+    real = fountain._xor_tables
+
+    def counted(rows, width):
+        built.append(rows.shape[1])
+        return real(rows, width)
+
+    monkeypatch.setattr(fountain, "_xor_tables", counted)
+    rows = np.random.default_rng(0).integers(0, 256, (trials, n, size), dtype=np.uint8)
+    tables = list(fountain._chunked_tables(rows))
+    assert built == steps
+    # the same tables as one build
+    np.testing.assert_array_equal(np.stack(tables), real(rows, 4))
+
+
 # --- incremental decoding -------------------------------------------------------
 
 
