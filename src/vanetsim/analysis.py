@@ -6,9 +6,9 @@ packet_rate*r/d packets per second, and traffic of density x met at
 relative speed w gives x*w encounters per second of packet_rate*r/(2w)
 packets each. An observer meets all traffic, of density lam*E[1/|V|],
 except the vehicles at its own speed: a discrete class meets every other
-class, the population average meets lam*E[1/|V|] - rho_bar, and continuous
-traffic meets all of lam*E[1/|V|]. Packet totals are throughput times the
-travel time d/|v|.
+class, the population average meets each class's met density weighted by
+its probability, and continuous traffic meets all of lam*E[1/|V|]. Packet
+totals are throughput times the travel time d/|v|.
 """
 
 from __future__ import annotations
@@ -34,9 +34,13 @@ def _throughput(scenario: Scenario, met_density: float) -> float:
     return scenario.packet_rate * scenario.r * (1.0 / scenario.d + 0.5 * met_density)
 
 
-def _densities(scenario: Scenario) -> list[float]:
-    """Highway density lam*p/|v| of each class, in vehicles per meter."""
-    return [scenario.lam * c.p / abs(c.v) for c in _discrete(scenario).classes]
+def _met_density(scenario: Scenario, i: int) -> float:
+    """Density of the traffic a class-i observer meets, every other class: lam*sum p/|v|.
+
+    lam multiplies the sum, so a subnormal lam*p does not underflow a class away.
+    """
+    classes = _discrete(scenario).classes
+    return scenario.lam * math.fsum(c.p / abs(c.v) for m, c in enumerate(classes) if m != i)
 
 
 def expected_encounters(scenario: Scenario, i: int, m: int) -> float:
@@ -49,8 +53,7 @@ def expected_encounters(scenario: Scenario, i: int, m: int) -> float:
 
 def expected_throughput_class(scenario: Scenario, i: int) -> float:
     """Mean throughput of a class-i observer, which meets every other class."""
-    met = math.fsum(x for m, x in enumerate(_densities(scenario)) if m != i)
-    return _throughput(scenario, met)
+    return _throughput(scenario, _met_density(scenario, i))
 
 
 def expected_packets(scenario: Scenario, i: int) -> float:
@@ -63,26 +66,22 @@ def expected_packets(scenario: Scenario, i: int) -> float:
     return expected_throughput_class(scenario, i) * (scenario.d / abs(v))
 
 
-def rho_bar(scenario: Scenario) -> float:
-    """Probability-weighted mean class density."""
-    dist = _discrete(scenario)
-    return math.fsum(c.p * x for c, x in zip(dist.classes, _densities(scenario)))
-
-
 def expected_throughput(scenario: Scenario) -> float:
     """Population-average throughput for either distribution kind.
 
-    The met density is lam*E[1/|V|], less rho_bar for discrete traffic,
-    where an observer never meets its own class. The discrete value is
+    The met density is lam*E[1/|V|] for continuous traffic. For discrete
+    traffic, where an observer never meets its own class, it is each
+    class's met density weighted by its probability, a sum of nonnegative
+    terms that, unlike lam*E[1/|V|] - rho_bar, cannot cancel. It is
     cross-checked to 1e-12 relative against the pairwise inverse-speed sum
     lam * sum_{i<j} p_i p_j (1/|v_i| + 1/|v_j|) before it is returned;
     disagreement indicates an implementation bug.
     """
-    met = scenario.lam * mean_inverse_speed(scenario.velocity)
     if not scenario.is_discrete:
-        return _throughput(scenario, met)
+        return _throughput(scenario, scenario.lam * mean_inverse_speed(scenario.velocity))
     dist = scenario.velocity
-    via_density = _throughput(scenario, met - rho_bar(scenario))
+    met = math.fsum(c.p * _met_density(scenario, i) for i, c in enumerate(dist.classes))
+    via_density = _throughput(scenario, met)
     pair_sum = math.fsum(
         dist.classes[i].p
         * dist.classes[j].p
@@ -132,7 +131,13 @@ def expected_download_time(
     of floor(packet_rate*r/v) packets covers the packets needed, the
     event-level download ends at the segment entrance.
     """
-    return packets_needed(file.k, epsilon, scheme) / expected_throughput(scenario)
+    throughput = expected_throughput(scenario)
+    if not throughput > 0:
+        raise InvalidParameterError(
+            f"scenario out of range: its mean throughput {throughput!r} packets/s "
+            "underflows, so no download time can be projected"
+        )
+    return packets_needed(file.k, epsilon, scheme) / throughput
 
 
 @dataclass(frozen=True)
@@ -167,7 +172,8 @@ class AnalyticReport:
 def analytic_report(scenario: Scenario) -> AnalyticReport:
     rows, rho = (), None
     if scenario.is_discrete:
-        densities = _densities(scenario)
+        classes = scenario.velocity.classes
+        densities = [scenario.lam * c.p / abs(c.v) for c in classes]  # vehicles per meter
         rows = tuple(
             ClassExpectation(
                 index=i,
@@ -180,9 +186,9 @@ def analytic_report(scenario: Scenario) -> AnalyticReport:
                 expected_packets=expected_packets(scenario, i),
                 expected_throughput=expected_throughput_class(scenario, i),
             )
-            for i, cls in enumerate(scenario.velocity.classes)
+            for i, cls in enumerate(classes)
         )
-        rho = rho_bar(scenario)
+        rho = math.fsum(c.p * x for c, x in zip(classes, densities))  # mean class density
     avg = expected_throughput(scenario)
     cars = mean_cars_in_segment(scenario)
     values = (avg, cars, avg * cars, *(x for row in rows for x in astuple(row)))

@@ -252,20 +252,28 @@ def _cmd_compare(args) -> tuple[str, int, dict, int]:
 
     if scenario.is_discrete:
         kind = "discrete"
-        rows = [
-            estimate_row(f"class[{i}]", cls.v, expected_throughput_class(scenario, i))
+        observers = [  # only forward observers traverse the segment
+            (f"class[{i}]", cls.v, expected_throughput_class(scenario, i))
             for i, cls in enumerate(scenario.velocity.classes)
-            if cls.v > 0  # only forward observers traverse the segment
+            if cls.v > 0
         ]
+        if not observers:
+            raise InvalidParameterError("no forward class to observe")
     else:
         kind = "continuous"
         analytic = expected_throughput_continuous(scenario)
         a, b = _forward_support(scenario)
         width = b - a
-        rows = [
-            estimate_row(f"observer_v={obs:g}", obs, analytic)
+        observers = [
+            (f"observer_v={obs:g}", obs, analytic)
             for obs in (a + 0.1 * width, 0.5 * (a + b), b - 0.1 * width)
         ]
+    for _, _, analytic in observers:
+        if not math.isfinite(analytic):
+            raise InvalidParameterError(
+                f"scenario out of range: its closed-form throughput {analytic!r} is not finite"
+            )
+    rows = [estimate_row(*observer) for observer in observers]
     max_abs_z = max(abs(row["z"]) for row in rows)
     passed = max_abs_z <= Z_LIMIT
     results = {

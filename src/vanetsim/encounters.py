@@ -58,7 +58,6 @@ from .fountain import (
     FileSpec,
     VectorScheme,
     _product,
-    _xor_tables,
     decode,
     encode,  # noqa: F401  (perfbench/tracing.py wraps encounters.encode by name)
     fold,
@@ -94,15 +93,14 @@ MAX_DOWNLOAD_BLOCKS = 8192
 # Bytes that one chunk of download trials may hold at once. At its peak, in
 # the first round, whose fold always holds k + BATCH_MARGIN rows, a trial of
 # a chunk holds about 8 KiB + k * (6 * block_bytes + 12 * ceil(k / 8)) +
-# 1024 * ceil(k / 8) bytes: its streams, its file and the file's XOR
-# tables, its basis, a fold's working rows and a block's 256-entry table
-# (tracemalloc peaks of 6, 19, 39, 107 and 1122 KB a trial at K = 1, 40,
-# 100, 256 and 1000 with 8-byte blocks, in the chunks of 226, 118, 50, 13
-# and 1 trials that this rule gives; 1320 KB a trial in a chunk of 4 at
-# K=1000, where the round's one decode product indexes the tables with a
-# 16-bit row per digit of the trials' tags). 2 MiB holds 50 trials at K=100,
-# where a chunk of 50 runs a trial in about a fifth of the time that trials
-# one at a time take, and one trial from K of about 800 on.
+# 1024 * ceil(k / 8) bytes: its streams, file and payloads, its basis, a
+# fold's working rows and a block's 256-entry table. Tracemalloc peaks a
+# trial: 6, 18, 36, 98 and 1072 KB at K = 1, 40, 100, 256 and 1000 with
+# 8-byte blocks, in the rule's chunks of 226, 118, 50, 13 and 1 trials (the
+# rule gives 17.6 KB at K=40); 1302 KB in a chunk of 4 at K=1000; 1436 and
+# 5990 KB at K = 256 and 1024 with 1 KiB blocks (the rule: 1712 and 8004).
+# 2 MiB holds 50 trials at K=100, where a chunk runs a trial in about a fifth
+# of the time that trials one at a time take, and one trial from K ~ 800 on.
 DOWNLOAD_CHUNK_BYTES = 1 << 21
 
 # Segments a download may traverse for packet N before it gives up.
@@ -162,6 +160,8 @@ def _observer_trip(scenario: Scenario, observer_velocity: float) -> tuple[float,
         )
     if not ti > 0:
         raise InvalidParameterError(f"observer too fast: d/v = {scenario.d:g}/{vi!r} rounds to 0")
+    if not math.isfinite(batch / ti):
+        raise InvalidParameterError("scenario out of range: station rate packet_rate*r/d overflows")
     return vi, ti
 
 
@@ -212,12 +212,15 @@ def _arrival_window(scenario: Scenario, ti: float) -> tuple[float, float]:
 
     The window runs up to the observer's travel time ``ti``. Raises
     :class:`InvalidParameterError` when it expects more than
-    :data:`MAX_EXPECTED_VEHICLES` arrivals.
+    :data:`MAX_EXPECTED_VEHICLES` arrivals, or partners whose ``v e - d``
+    overflows.
     """
-    vmin = scenario.min_speed()
+    vmin, vmax = scenario.speed_bounds()
     w0 = -(scenario.d / vmin + ARRIVAL_MARGIN_FACTOR * scenario.r / vmin)
     expected = scenario.lam * (ti - w0)
     _too_slow(expected, "arrivals in its lookback window")
+    if not math.isfinite(vmax * max(-w0, ti) + scenario.d):  # see _crossing_arrivals
+        raise InvalidParameterError(f"scenario out of range: partners at {vmax:g} overflow")
     return w0, expected
 
 
@@ -644,7 +647,6 @@ def simulate_download_times(
         streams.append(rng.spawn(3))  # arrivals, vectors, file
     sample = vector_batch_sampler(scheme, k)
     files = _draw_files(file, [file_rng for _, _, file_rng in streams])
-    tables = _xor_tables(files, 4)
     decoders = [DecoderState(k) for _ in streams]
     flags: list[list[np.ndarray]] = [[] for _ in streams]  # each round's innovative flags
     needed: list = [None] * len(streams)  # N
@@ -656,7 +658,7 @@ def simulate_download_times(
         for row, i, n in zip(vectors, active, counts):
             row[:n] = sample(streams[i][1], n)
         payloads = np.zeros((*vectors.shape[:2], file.block_bytes), dtype=np.uint8)
-        _product(vectors, tables, payloads, active)
+        _product(vectors, files[active], payloads)
         innovative = fold([decoders[i] for i in active], vectors, payloads)
         for i, n, row in zip(active, counts, innovative):
             if decoders[i].rank == k:  # packet N is the round's last innovative one

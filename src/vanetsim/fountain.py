@@ -4,21 +4,22 @@ Encoding vectors are bit strings of length ``k`` packed into Python ints
 (bit ``i`` is the coefficient of block ``i``). A batch of vectors is a
 ``count x ceil(k / 8)`` ``uint8`` matrix of the same bits, LSB-first.
 Vectors are drawn as such batches (:func:`sample_uniform_vector` is a batch
-of one). :func:`encode_batch` computes a batch's payloads as one GF(2)
-product over XOR tables of the file's 4-row groups (the "method of four
-Russians"), and :func:`encode` is a batch of one.
+of one). Every product of packed vectors with rows, for several independent
+trials at once, is one :func:`_product`: it builds XOR tables of the rows'
+4-row groups (the "method of four Russians") a bounded
+:data:`_TABLE_BYTES` at a time and looks up each 4-bit digit of the
+vectors. :func:`encode_batch` computes a batch's payloads with one product,
+and :func:`encode` is a batch of one.
 
 The decoder folds batches of packets into a reduced echelon basis of packed
 ``[vector | tag]`` rows, whose tags name the packets each row combines.
 :func:`fold` folds one batch into each of several independent decoders
 (trials) at once, and :meth:`DecoderState.receive_batch` is a fold of one.
-The products and the Gauss–Jordan kernel carry a leading trial axis: the
-kernel eliminates 8 columns at a time with one XOR table per trial and
-block, after Albrecht and Bard's M4RI, and each of a block's NumPy steps
-serves every trial, so the per-call cost that dominates small decodes is
-paid once per chunk of trials. XOR tables are laid out entry-major, the
-trials' copies of an entry side by side, so each doubling step of a table
-build is one contiguous XOR over every trial. The kernel's pivots are the
+One product reduces a batch against each decoder's stored pivots. The
+Gauss–Jordan kernel eliminates 8 columns at a time with one XOR table per
+trial and block, after Albrecht and Bard's M4RI, and each of a block's
+NumPy steps serves every trial, so the per-call cost that dominates small
+decodes is paid once per chunk of trials. The kernel's pivots are the
 earliest rows that raise the rank, so a batch's innovative packets are
 those of one packet at a time. Two searches find a block's pivots, and the
 fold's trial count alone chooses: below :data:`SLICED_TRIALS` a greedy
@@ -28,16 +29,16 @@ on a column elimination of every trial at once over bit-sliced Python ints
 block column the pivot columns whose rows XOR to its new pivot row and
 that pivot's row, and the kernel alone turns the record into tables, maps
 and XORs. At full rank the tags are the inverse of the innovative packets'
-vectors, and the blocks are one more 4-row-table product, of the tags with
-the kept payloads: :func:`decode` recovers the blocks of several decoders
-with one product, and :meth:`DecoderState.try_decode` is a decode of one.
+vectors, and the blocks are one more product, of the tags with the kept
+payloads: :func:`decode` recovers the blocks of several decoders with one
+product, and :meth:`DecoderState.try_decode` is a decode of one.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -211,22 +212,21 @@ def vector_batch_sampler(
 
 
 def _xor_tables(rows: np.ndarray, width: int) -> np.ndarray:
-    """XOR tables of the consecutive ``width``-row groups of ``rows``.
+    """XOR tables of the consecutive ``width``-row groups of each trial's rows.
 
-    ``rows`` is ``... x n x size``, any leading axes (trials) kept apart.
-    Entry ``[g, c, ...]`` of the ``ceil(n / width) x 2**width x ... x size``
-    result, groups first and the leading axes after the entry axis, is the
-    XOR of the rows ``width * g + i`` whose bit ``i`` is set in ``c``; a
-    short last group acts as if padded with zero rows. The tables of all
-    groups are built together, one vectorised XOR step per row of a group,
-    each step doubling the entries built so far. With the entry axis before
-    the trials, a step is one contiguous XOR over every trial's rows. A
-    table replaces up to ``width`` row XORs by one lookup per target row:
-    the "method of four Russians" of Albrecht and Bard's M4RI library.
+    ``rows`` is ``trials x n x size``. Row ``c * trials + t`` of table ``g``
+    in the ``ceil(n / width) x (2**width * trials) x size`` result is the
+    XOR of trial ``t``'s rows ``width * g + i`` whose bit ``i`` is set in
+    ``c``; a short last group acts as if padded with zero rows. The tables
+    of all groups are built together, one vectorised XOR step per row of a
+    group, each step doubling the entries built so far. With the trials'
+    copies of an entry side by side, a step is one contiguous XOR over
+    every trial's rows. A table replaces up to ``width`` row XORs by one
+    lookup per target row: the "method of four Russians" of Albrecht and
+    Bard's M4RI library.
     """
-    *lead, n, size = rows.shape
-    trials = math.prod(lead)
-    rows = rows.reshape(trials, n, size).swapaxes(0, 1)
+    trials, n, size = rows.shape
+    rows = rows.swapaxes(0, 1)
     if n % width:
         rows = np.concatenate((rows, np.zeros((-n % width, trials, size), dtype=rows.dtype)))
     ngroups = len(rows) // width
@@ -236,38 +236,10 @@ def _xor_tables(rows: np.ndarray, width: int) -> np.ndarray:
     tables[:, 0] = 0
     for i in range(width):
         np.bitwise_xor(tables[:, : 1 << i], groups[:, i], out=tables[:, 1 << i : 2 << i])
-    return tables.reshape(ngroups, 1 << width, *lead, size)
+    return tables.reshape(ngroups, trials << width, size)
 
 
-def _product(
-    packed: np.ndarray, tables: Iterable[np.ndarray], out: np.ndarray, trials=None
-) -> None:
-    """XOR into ``out`` the GF(2) products of packed bit matrices with some rows.
-
-    ``packed`` is ``n x count x nbytes`` and ``out`` a contiguous
-    ``n x count x size`` array. Bit ``j`` (LSB-first) of row ``p`` of
-    trial ``t`` selects row ``j`` of that trial's matrix, whose 4-row XOR
-    tables ``tables`` yields in group order: one ``16 x ntables x size``
-    array per group, entry-major (see :func:`_xor_tables`), of which trial
-    ``t`` reads the tables at ``trials[t]`` (default ``t``). The XOR of the
-    selected rows goes into ``out[t, p]``. The product takes one table
-    lookup per 4-bit digit, one NumPy gather per group for every trial at
-    once.
-    """
-    n, count, nbytes = packed.shape
-    digits = np.stack((packed & 0x0F, packed >> 4), axis=-1).reshape(n * count, 2 * nbytes)
-    out = out.reshape(n * count, out.shape[-1])  # a view: out is contiguous
-    for g, table in enumerate(tables):
-        ntables, size = table.shape[1:]
-        if not g and ntables > 1:  # digit d of trial t reads row d * ntables + trials[t]
-            at = np.arange(n) if trials is None else np.asarray(trials)
-            digits = digits.astype(np.uint16 if 16 * ntables <= 1 << 16 else np.uint32)
-            digits *= ntables
-            digits += np.repeat(at, count).astype(digits.dtype)[:, None]
-        out ^= table.reshape(16 * ntables, size).take(digits[:, g].astype(np.intp), axis=0)
-
-
-# Bytes of 4-row XOR tables that a decoder's products build at a time: a
+# Bytes of 4-row XOR tables that a product builds at a time: a
 # group's 16-entry table takes four times the 4 rows it covers. Building
 # all of a K=256, 1 KiB decode's 1 MiB at once raised a download's peak heap
 # enough that the allocator handed memory back to the system after every
@@ -276,17 +248,29 @@ def _product(
 _TABLE_BYTES = 1 << 16
 
 
-def _chunked_tables(rows: np.ndarray) -> Iterator[np.ndarray]:
-    """The 4-row XOR tables of ``trials x n x size`` rows, one group at a time.
+def _product(packed: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """XOR into ``out`` the GF(2) products of packed bit matrices with some rows.
 
-    Yields a ``16 x trials x size`` array per group (see :func:`_xor_tables`),
-    building at most ``_TABLE_BYTES`` of tables at a time.
+    ``packed`` is ``trials x count x nbytes``, ``rows`` ``trials x n x
+    size`` and ``out`` a contiguous ``trials x count x size`` array: bit
+    ``j`` (LSB-first) of row ``p`` of trial ``t`` selects ``rows[t, j]``
+    into ``out[t, p]``. The rows' 4-row XOR tables (see :func:`_xor_tables`)
+    are built :data:`_TABLE_BYTES` at a time (one group at least), and each
+    group takes one NumPy gather, a table lookup per 4-bit digit, for every
+    trial at once.
     """
-    trials, n, size = rows.shape
-    # the groups whose 16 x trials x size tables fit, 4 rows each
-    step = 4 * max(1, _TABLE_BYTES // (16 * trials * size))
-    for lo in range(0, n, step):
-        yield from _xor_tables(rows[:, lo : lo + step], 4)
+    trials, count, nbytes = packed.shape
+    size = rows.shape[2]
+    digits = np.stack((packed & 0x0F, packed >> 4), axis=-1).reshape(trials * count, 2 * nbytes)
+    if trials > 1:  # digit d of trial t reads table row d * trials + t
+        digits = digits.astype(np.uint16 if 16 * trials <= 1 << 16 else np.uint32)
+        digits *= trials
+        digits += np.repeat(np.arange(trials), count).astype(digits.dtype)[:, None]
+    out = out.reshape(trials * count, size)  # a view: out is contiguous
+    step = 4 * max(1, _TABLE_BYTES // (16 * trials * size))  # the groups whose tables fit
+    for lo in range(0, rows.shape[1], step):
+        for g, table in enumerate(_xor_tables(rows[:, lo : lo + step], 4), lo // 4):
+            out ^= table.take(digits[:, g].astype(np.intp), axis=0)
 
 
 def encode_batch(blocks: Sequence[bytes], vectors: np.ndarray) -> np.ndarray:
@@ -295,9 +279,7 @@ def encode_batch(blocks: Sequence[bytes], vectors: np.ndarray) -> np.ndarray:
     ``blocks`` is a file's blocks, at least one, all of the same size of at
     least one byte. ``vectors`` is a packed ``count x ceil(k / 8)`` batch;
     row ``p`` of the ``count x size`` result is the XOR of the blocks that
-    row ``p`` selects. The product takes one table lookup per 4-bit digit
-    of the vectors, over XOR tables of the blocks' 4-row groups built for
-    this call.
+    row ``p`` selects: one :func:`_product` with the blocks.
     """
     if len(blocks) < 1:
         raise InvalidParameterError("need at least one block")
@@ -313,7 +295,7 @@ def encode_batch(blocks: Sequence[bytes], vectors: np.ndarray) -> np.ndarray:
         )
     matrix = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(1, len(blocks), size)
     out = np.zeros((1, len(vectors), size), dtype=np.uint8)
-    _product(vectors[None], _chunked_tables(matrix), out)
+    _product(vectors[None], matrix, out)
     return out[0]
 
 
@@ -583,7 +565,7 @@ def _gauss_jordan(rows: np.ndarray, first: int, taken: np.ndarray) -> np.ndarray
         tags = source[:, :, nbytes + b]
         tags |= _PIVOT_BITS[:m]
         source = source.view(np.uint64)[:, :, lo:hi]
-        table = _xor_tables(source, m)[0].reshape(trials << m, hi - lo)
+        table = _xor_tables(source, m)[0]
         # digit d of trial t clears its new pivot columns with table row
         # maps[t, d] = mix * trials + t, mix the XOR of its bits' combinations
         maps = np.bitwise_xor.reduce(_BYTE_BITS * combos[:, :, None], axis=1).astype(np.intp)
@@ -646,7 +628,7 @@ def fold(decoders: Sequence[DecoderState], vectors: np.ndarray, payloads: np.nda
     if first:  # reduce the batch against the stored pivots, then append it to them
         rows = np.empty((trials, first + count, width), dtype=np.uint8)
         np.stack([d._rows for d in states], out=rows[:, :first])
-        _product(vectors, _chunked_tables(rows[:, :first]), batch)
+        _product(vectors, rows[:, :first], batch)
         rows[:, first:] = batch
     taken = np.stack([d._taken for d in states])
     pivot_cols = _gauss_jordan(rows, first, taken)[:, first:]
@@ -727,8 +709,8 @@ def decode(decoders: Sequence[DecoderState]) -> np.ndarray:
     Row ``i`` of trial ``t`` is block ``i`` of ``decoders[t]``: the XOR of
     the stored payloads that its tag names. The decoders share ``k`` and
     the payload size. One product of the stacked tags with the stacked
-    payloads' 4-row tables serves every trial; a single decoder's tags and
-    payloads are read in place, not copied.
+    payloads serves every trial; a single decoder's tags and payloads are
+    read in place, not copied.
     """
     k = decoders[0].k
     if any(d.k != k for d in decoders):
@@ -745,7 +727,7 @@ def decode(decoders: Sequence[DecoderState]) -> np.ndarray:
     else:
         tags, payloads = np.stack(tags), np.stack(payloads)
     blocks = np.zeros(payloads.shape, dtype=np.uint8)
-    _product(tags, _chunked_tables(payloads), blocks)
+    _product(tags, payloads, blocks)
     return blocks
 
 

@@ -200,15 +200,14 @@ class Scenario:
     def is_discrete(self) -> bool:
         return isinstance(self.velocity, DiscreteVelocityDist)
 
-    def min_speed(self) -> float:
-        """Smallest possible |v| among reachable velocities."""
+    def speed_bounds(self) -> tuple[float, float]:
+        """Smallest and largest possible |v| among reachable velocities."""
         vel = self.velocity
         if isinstance(vel, DiscreteVelocityDist):
             reachable = [abs(c.v) for c in vel.classes if c.p > 0]
-            return min(reachable)
-        return min(
-            min(abs(a), abs(b)) for (a, b), w in zip(vel.bands, vel.weights) if w > 0
-        )
+        else:
+            reachable = [abs(v) for band, w in zip(vel.bands, vel.weights) if w > 0 for v in band]
+        return min(reachable), max(reachable)
 
 
 def sample_velocities(

@@ -194,6 +194,23 @@ def test_throughput_is_affine_in_arrival_rate():
         assert (g2 - g1) == pytest.approx(g1 - g0, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "classes",
+    [
+        [(1e-300, 1.0)],  # lam*E[1/|V|] - rho_bar read -4.6e286, not 0.5
+        [(1e-200, 0.999999), (20.0, 0.000001)],  # it was 7e-11 off, relative
+    ],
+)
+def test_average_of_a_dominant_slow_class_does_not_cancel(classes):
+    sc = make_scenario(velocity=DiscreteVelocityDist(tuple(VelocityClass(*c) for c in classes)))
+    weighted = math.fsum(
+        c.p * expected_throughput_class(sc, i) for i, c in enumerate(sc.velocity.classes)
+    )
+    assert expected_throughput_avg(sc) == pytest.approx(weighted, rel=1e-12)
+    if len(classes) == 1:  # the lone class meets no traffic: the stations alone
+        assert expected_throughput_avg(sc) == 0.5
+
+
 # --- continuous distribution ----------------------------------------------------------
 
 
@@ -252,6 +269,11 @@ def test_expected_download_time_trivial_composition():
     needed = packets_needed(1, 0.25, UniformScheme())
     t = expected_download_time(sc, FileSpec(1, 8), 0.25, UniformScheme())
     assert t == pytest.approx(needed * sc.d / (sc.packet_rate * sc.r), rel=1e-12)
+
+
+def test_expected_download_time_refuses_a_throughput_that_underflows():
+    with pytest.raises(InvalidParameterError, match="mean throughput 0.0 packets/s underflows"):
+        expected_download_time(make_scenario(r=5e-324), FileSpec(8, 8), 0.01, UniformScheme())
 
 
 # --- report assembly ------------------------------------------------------------------------

@@ -275,6 +275,52 @@ def test_compare_continuous_fairness_rows(uniform2040_path, capsys):
     assert len({row["analytic"] for row in rows}) == 1  # same target for all
 
 
+def _twoclass_with(twoclass_path, tmp_path, classes=None, **fields):
+    """The twoclass scenario's file with some top-level fields or its classes replaced."""
+    doc = dict(json.loads(twoclass_path.read_text()), **fields)
+    if classes is not None:
+        doc["velocity"] = dict(doc["velocity"], classes=[{"v": v, "p": p} for v, p in classes])
+    return write_scenario(tmp_path, doc)
+
+
+@pytest.mark.filterwarnings("ignore:transmit range")  # tiny d
+@pytest.mark.parametrize(
+    "command, change, message",
+    [
+        ("compare", {"classes": [(-20.0, 1.0)]}, "no forward class to observe"),
+        # 1/d overflows, so the closed-form throughput is inf
+        ("compare", {"d": 1e-320, "packet_bits": 1e300}, "scenario out of range: its closed-form"),
+        ("download-time", {"r": 5e-324}, "scenario out of range: its mean throughput 0.0"),
+        # a class at 1e-200 gives a finite average throughput but packets beyond any float
+        ("analyze", {"classes": [(1e-200, 0.999999), (20.0, 1e-6)]}, "scenario out of range"),
+        ("download-time", {"classes": [(1e-300, 1.0)]}, "observer too slow"),
+        # a trip's station batch over its travel time of 5e-324 s
+        ("simulate", {"d": 5e-324, "classes": [(1.0, 1.0)]}, "scenario out of range: station rate"),
+        # an observer at 1e-300 looks back 1e304 s, where a partner at 1e300 is past any float
+        (
+            "compare",
+            {"lambda": 1e-300, "classes": [(1e-300, 0.0), (1e300, 1.0)]},
+            "scenario out of range: partners at 1e+300 overflow",
+        ),
+    ],
+)
+def test_scenario_out_of_range_is_an_input_error(
+    twoclass_path, tmp_path, command, change, message, capsys
+):
+    args = [command, _twoclass_with(twoclass_path, tmp_path, **change)]
+    args += {"analyze": [], "download-time": ["--K", "4"]}.get(command, ["--trials", "20"])
+    code, out, err = run(args, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}"), err
+
+
+def test_analyze_of_a_lone_slow_class_reports_the_stations_rate(twoclass_path, tmp_path, capsys):
+    path = _twoclass_with(twoclass_path, tmp_path, classes=[(1e-300, 1.0)])
+    code, report = run_json(["analyze", path], capsys)
+    assert code == 0
+    assert report["results"]["average_throughput"] == 0.5
+
+
 # --- optimize-pmf ---------------------------------------------------------------------
 
 
@@ -723,6 +769,62 @@ def test_compare_arguments_never_give_a_traceback_or_exit_1_but_on_a_mismatch(
     report = _report_or_input_error(_with_seed(args, seed), mismatch=True)
     if report is not None:
         assert report["results"]["trials"] == int(trials)
+
+
+# 0, signed zeros and subnormals, tiny and huge numbers
+_ODD_FIELD_VALUES = st.sampled_from([0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, 1e300, -1e300])
+# odd seeds are drawn by the argument tests' --seed
+_DOC_FIELDS = ("lambda", "d", "r", "bit_rate", "packet_bits")
+# 0 and subnormals among the floats, which have no finite reciprocal; slow and huge classes
+_CLASS_SPEEDS = st.floats(-60, 60) | st.sampled_from([1e-300, 1e-200, -1e-200, 1e300, -1e300])
+
+
+@st.composite
+def _discrete_documents(draw, directory):
+    """The twoclass scenario with odd classes and 1-3 odd top-level fields, as a file.
+
+    In about one document in eight, one field is a bool or not a number.
+    """
+    doc = json.loads((Path(__file__).resolve().parents[1] / "fixtures" / "twoclass.json").read_text())
+    m = draw(st.integers(1, 4))
+    speeds = draw(st.lists(_CLASS_SPEEDS, min_size=m, max_size=m, unique=True))
+    weights = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+    classes = [{"v": v, "p": w / sum(weights)} for v, w in zip(speeds, weights)]
+    if draw(st.integers(0, 3)) == 3:  # one odd probability
+        classes[draw(st.integers(0, m - 1))]["p"] = draw(_ODD_FIELD_VALUES | st.just(0.999999))
+    doc["velocity"]["classes"] = classes
+    for field in draw(st.lists(st.sampled_from(_DOC_FIELDS), min_size=1, max_size=3, unique=True)):
+        doc[field] = draw(_ODD_FIELD_VALUES)
+    if draw(st.integers(0, 7)) == 7:
+        target = draw(st.sampled_from([doc, *classes]))
+        key = draw(st.sampled_from(sorted(target.keys() & {*_DOC_FIELDS, "v", "p"})))
+        target[key] = draw(st.sampled_from([True, False, "1", None]))
+    text = json.dumps(doc)
+    path = directory / f"discrete-{abs(hash(text))}.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore:transmit range")  # odd d or r
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), trials=st.integers(2, 4), k=st.integers(1, 8))
+def test_discrete_documents_give_a_report_or_an_input_error(odd_scenarios, data, trials, k):
+    # exit 1 only from compare; exit 3 only for a download that starves
+    scenario = data.draw(_discrete_documents(odd_scenarios))
+    for command, extra, codes in [
+        ("analyze", [], (0, 2)),
+        ("simulate", ["--trials", str(trials)], (0, 2)),
+        ("compare", ["--trials", str(trials)], (0, 1, 2)),
+        ("download-time", ["--K", str(k), "--trials", str(trials)], (0, 2, 3)),
+    ]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, scenario, *extra])
+        assert code in codes and "Traceback" not in err.getvalue(), (command, err.getvalue())
+        if code == 3:
+            assert "after 1000 segments" in err.getvalue(), err.getvalue()
+        if code >= 2:
+            assert err.getvalue().startswith("error:") and not out.getvalue()
 
 
 _SPEED_TOKENS = _mostly(st.floats(-200, 200).map(repr)) | st.sampled_from(["", " ", "x", "1e-310"])

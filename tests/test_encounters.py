@@ -923,6 +923,24 @@ def test_download_refuses_a_file_above_the_block_limit():
     assert rng.bit_generator.state == state  # refused before any draw
 
 
+@pytest.mark.parametrize("k", [256, 1024])
+def test_a_download_trial_peaks_within_the_bytes_its_chunk_assumes(twoclass, k, monkeypatch):
+    # 1 KiB blocks, chunks of one trial: the trial holds its file, basis and
+    # fold rows, but only the product's bounded XOR tables, not its file's
+    file = FileSpec(k, 8192)
+    warm = FileSpec(8, 64)  # first-call allocations are not the trial's
+    simulate_download_time(twoclass, 20.0, warm, UniformScheme(), np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        simulate_download_time(twoclass, 20.0, file, UniformScheme(), np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two peaks less a byte hold two trials unless a trial is assumed to take the peak or more
+    monkeypatch.setattr(encounters, "DOWNLOAD_CHUNK_BYTES", 2 * peak - 1)
+    assert encounters.download_chunk_trials(file) == 1
+
+
 def test_download_detects_a_wrong_decode(monkeypatch):
     # The decode is checked against the file on every trial: a decode that
     # returns one flipped byte must be caught.

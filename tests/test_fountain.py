@@ -266,7 +266,7 @@ def test_xor_tables_hold_the_xor_of_every_subset_of_a_group():
     k, size = 10, 3
     blocks = [rng.bytes(size) for _ in range(k)]
     rows = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(k, size)
-    tables = fountain._xor_tables(rows, 4)
+    tables = fountain._xor_tables(rows[None], 4)
     # entry c of group g XORs the blocks 4g + i with bit i of c set
     assert tables.shape == (3, 16, size)
     for g in range(3):
@@ -282,7 +282,7 @@ def test_xor_tables_hold_the_xor_of_every_subset_of_a_group():
         (2, 9, 40_000, [4, 4, 1]),  # one group a step, even past the budget
     ],
 )
-def test_chunked_tables_build_at_most_the_table_budget_a_step(monkeypatch, trials, n, size, steps):
+def test_product_builds_at_most_the_table_budget_a_step(monkeypatch, trials, n, size, steps):
     built = []
     real = fountain._xor_tables
 
@@ -291,11 +291,18 @@ def test_chunked_tables_build_at_most_the_table_budget_a_step(monkeypatch, trial
         return real(rows, width)
 
     monkeypatch.setattr(fountain, "_xor_tables", counted)
-    rows = np.random.default_rng(0).integers(0, 256, (trials, n, size), dtype=np.uint8)
-    tables = list(fountain._chunked_tables(rows))
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, 256, (trials, n, size), dtype=np.uint8)
+    packed = sample_uniform_vectors(n, trials * 3, rng).reshape(trials, 3, -1)
+    out = np.zeros((trials, 3, size), dtype=np.uint8)
+    fountain._product(packed, rows, out)
     assert built == steps
-    # the same tables as one build
-    np.testing.assert_array_equal(np.stack(tables), real(rows, 4))
+    # the XOR of the rows each packed vector selects
+    for t in range(trials):
+        blocks = [row.tobytes() for row in rows[t]]
+        for p in range(3):
+            bits = int.from_bytes(packed[t, p].tobytes(), "little")
+            assert out[t, p].tobytes() == reference_xor(blocks, bits)
 
 
 # --- incremental decoding -------------------------------------------------------
@@ -605,6 +612,23 @@ def test_decode_of_several_decoders_matches_each_try_decode(kind, data):
         assert [row.tobytes() for row in got] == decoder.try_decode() == oracle.try_decode()
 
 
+def test_fold_and_decode_more_decoders_than_16_bit_table_rows_index():
+    # A product over more than 4,096 trials reads table rows d * trials + t
+    # past 2**16 for the digit d = 15 of the last trials: the second round's
+    # reduction against the stored pivots, with every decoder still short of
+    # rank 4, and the decode.
+    trials, k = 4100, 4
+    rng = np.random.default_rng(11)
+    files = rng.integers(0, 256, (trials, k, 1), dtype=np.uint8)
+    decoders = [DecoderState(k) for _ in range(trials)]
+    while any(d.rank < k for d in decoders):
+        vectors = sample_uniform_vectors(k, 2 * trials, rng).reshape(trials, 2, 1)
+        selected = (vectors >> np.arange(k, dtype=np.uint8)) & 1  # trials x 2 x k bits
+        payloads = np.bitwise_xor.reduce(selected[..., None] * files[:, None], axis=2)
+        fountain.fold(decoders, vectors, payloads)
+    assert np.array_equal(fountain.decode(decoders), files)
+
+
 def block_digits(rng: np.random.Generator, taken: int, count: int, run: int) -> list[int]:
     """A trial's digits of one block: a run of one repeated digit, then a
     mix of zero, repeated, one-bit and uniform digits, clear of ``taken``."""
@@ -666,7 +690,7 @@ def test_gauss_jordan_gives_the_same_rows_under_either_pivot_search(kind, stored
             n = data.draw(st.integers(1, k + 4), label="stored")
             d.receive_batch(oracle_stream(kind, k, n, rng), np.zeros((n, 1), dtype=np.uint8))
         pivots = np.stack([d._rows for d in decoders])
-        fountain._product(vectors, fountain._chunked_tables(pivots), rows)
+        fountain._product(vectors, pivots, rows)
         rows, first = np.concatenate((pivots, rows), axis=1), k
     taken = np.stack([d._taken for d in decoders])
     results = []

@@ -213,7 +213,7 @@ def test_zero_weight_bands_are_unreachable():
     assert mean_inverse_speed(dist) == mean_inverse_speed(
         ContinuousVelocityDist.uniform(20.0, 40.0)
     )
-    assert make_scenario(velocity=dist).min_speed() == 20.0
+    assert make_scenario(velocity=dist).speed_bounds() == (20.0, 40.0)
 
 
 def test_mean_inverse_speed_mixture_is_direction_blind():
