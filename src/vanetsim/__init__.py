@@ -15,7 +15,6 @@ from .analysis import (
     expected_encounters,
     expected_packets,
     expected_throughput,
-    expected_throughput_avg,
     expected_throughput_class,
     expected_throughput_continuous,
     mean_cars_in_segment,
@@ -56,7 +55,6 @@ from .fountain import (
 )
 from .pmf_opt import (
     PmfSolution,
-    alpha_matrix,
     objective,
     optimize_pmf,
     probabilities_decrease_with_speed,

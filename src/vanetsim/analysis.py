@@ -18,6 +18,7 @@ from dataclasses import astuple, dataclass
 
 from .errors import InternalInconsistencyError, InvalidParameterError
 from .fountain import FileSpec, VectorScheme, packets_needed
+from .pmf_opt import pair_law
 from .traffic import DiscreteVelocityDist, Scenario, mean_inverse_speed
 
 REL_TOL = 1e-12
@@ -73,35 +74,24 @@ def expected_throughput(scenario: Scenario) -> float:
     traffic, where an observer never meets its own class, it is each
     class's met density weighted by its probability, a sum of nonnegative
     terms that, unlike lam*E[1/|V|] - rho_bar, cannot cancel. It is
-    cross-checked to 1e-12 relative against the pairwise inverse-speed sum
-    lam * sum_{i<j} p_i p_j (1/|v_i| + 1/|v_j|) before it is returned;
-    disagreement indicates an implementation bug.
+    cross-checked to 1e-12 relative against lam*J(p)/2, J the exchange
+    objective that ``optimize-pmf`` maximises, from
+    :func:`~vanetsim.pmf_opt.pair_law` without the optimizer's refusal of
+    overflowing pair sums, which would refuse finite averages. Disagreement
+    indicates an implementation bug.
     """
     if not scenario.is_discrete:
         return _throughput(scenario, scenario.lam * mean_inverse_speed(scenario.velocity))
-    dist = scenario.velocity
-    met = math.fsum(c.p * _met_density(scenario, i) for i, c in enumerate(dist.classes))
+    classes = scenario.velocity.classes
+    met = math.fsum(c.p * _met_density(scenario, i) for i, c in enumerate(classes))
     via_density = _throughput(scenario, met)
-    pair_sum = math.fsum(
-        dist.classes[i].p
-        * dist.classes[j].p
-        * (1.0 / abs(dist.classes[i].v) + 1.0 / abs(dist.classes[j].v))
-        for i in range(dist.m)
-        for j in range(i + 1, dist.m)
-    )
-    via_pairs = _throughput(scenario, scenario.lam * pair_sum)
-    scale = max(abs(via_density), abs(via_pairs))
-    if abs(via_density - via_pairs) > REL_TOL * scale:
+    _, j = pair_law([c.p for c in classes], [c.v for c in classes])
+    via_law = _throughput(scenario, scenario.lam * (j / 2))
+    if abs(via_density - via_law) > REL_TOL * max(abs(via_density), abs(via_law)):
         raise InternalInconsistencyError(
-            f"average-throughput forms disagree: {via_density!r} vs {via_pairs!r}"
+            f"average-throughput forms disagree: {via_density!r} vs {via_law!r}"
         )
     return via_density
-
-
-def expected_throughput_avg(scenario: Scenario) -> float:
-    """:func:`expected_throughput` of a discrete velocity distribution."""
-    _discrete(scenario)
-    return expected_throughput(scenario)
 
 
 def expected_throughput_continuous(scenario: Scenario) -> float:

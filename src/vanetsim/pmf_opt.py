@@ -1,12 +1,15 @@
 """Throughput-maximizing velocity-class probabilities.
 
-Maximizes the pairwise exchange objective sum_{i != j} p_i p_j
-(1/|v_i| + 1/|v_j|) over the probability simplex. The reduced objective
-(last probability eliminated) is strictly concave, so the optimum is
-unique. Setting the marginal values (A p)_i = u_i (1 - 2 p_i) + sum_j u_j p_j,
-u = 1/|v|, equal on the classes that carry probability gives it in closed
-form: a water-filling vector p_i = max(0, 1/2 - c |v_i|) in which the
-slowest classes are active and probability falls linearly with speed.
+Maximizes the exchange objective J(p) = sum_{i != j} p_i p_j (1/|v_i| +
+1/|v_j|) over the probability simplex. :func:`pair_law` evaluates it in
+O(m): with Q_i and M_i the sums of p_j and p_j/|v_j| over j != i, each an
+exclusive prefix plus an exclusive suffix sum (a total less a class's own
+term, as in 1 - p_i, cancels when one class holds nearly all probability),
+the marginal values are (A p)_i = Q_i/|v_i| + M_i and J = p . (A p). The
+reduced objective is strictly concave, so the optimum is unique; equal
+marginal values on the classes that carry probability give it in closed
+form, a water-filling vector p_i = max(0, 1/2 - c |v_i|): the slowest
+classes are active and probability falls linearly with speed.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from .errors import InvalidParameterError, NumericalError
 
 NEG_CLAMP_TOL = 1e-12
 # Largest stationarity residual over max(1, nu), nu the marginal value: the
-# marginals scale with 1/|v|, and so does their rounding error (speeds 1, 0.5
-# and 6e-8 leave an absolute residual of 1.9e-9 at nu = 8.4e6).
+# marginals scale with 1/|v|, and so does their rounding error (speeds 1, 0.5,
+# 0.25 and 6e-8 leave an absolute residual of 1.9e-9 at nu = 8.4e6).
 KKT_TOL = 1e-9
 
 
@@ -44,22 +47,31 @@ def _check_speeds(speeds) -> np.ndarray:
     return arr
 
 
-def alpha_matrix(speeds) -> np.ndarray:
-    """Symmetric matrix of pairwise inverse-speed sums, zero diagonal."""
-    inv = 1.0 / np.abs(_check_speeds(speeds))
-    with np.errstate(over="ignore"):  # only the diagonal, zeroed below, can overflow
-        a = inv[:, None] + inv[None, :]
-    np.fill_diagonal(a, 0.0)
-    return a
+def _others(x: np.ndarray) -> np.ndarray:
+    """sum_{j != i} x_j for each i: an exclusive prefix sum plus an exclusive suffix sum."""
+    before = np.concatenate(([0.0], np.cumsum(x[:-1])))
+    after = np.concatenate((np.cumsum(x[:0:-1])[::-1], [0.0]))
+    return before + after
+
+
+def pair_law(p, speeds) -> tuple[np.ndarray, float]:
+    """Marginal values (A p)_i = Q_i/|v_i| + M_i and J = p . (A p), unchecked.
+
+    A marginal is inf only where a pair sum 1/|v_i| + 1/|v_j| is; J is then inf or NaN.
+    """
+    pvec = np.asarray(p, dtype=float)
+    inv = 1.0 / np.abs(np.asarray(speeds, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        marginals = _others(pvec) * inv + _others(pvec * inv)
+        return marginals, float(pvec @ marginals)
 
 
 def objective(p, speeds) -> float:
-    """Exchange objective over ordered pairs: p @ A @ p."""
-    pvec = np.asarray(p, dtype=float)
-    a = alpha_matrix(speeds)
-    if pvec.shape != (a.shape[0],):
+    """Exchange objective over ordered pairs, p @ A @ p, by :func:`pair_law`."""
+    arr = _check_speeds(speeds)
+    if np.shape(p) != arr.shape:
         raise InvalidParameterError("probability/speed length mismatch")
-    return float(pvec @ a @ pvec)
+    return pair_law(p, arr)[1]
 
 
 def reduced_hessian(speeds) -> np.ndarray:
@@ -124,8 +136,7 @@ def optimize_pmf(speeds) -> PmfSolution:
     # non-negative: s is ascending and 1/2 - c_n s_n >= 0
     full[:n] = 0.5 - c[n - 1] * s[:n]
 
-    a_full = alpha_matrix(s)
-    marginals = a_full @ full
+    marginals, value = pair_law(full, s)
     active = full > 0.0
     with np.errstate(over="ignore"):  # finite marginals can still overflow their sum
         nu = float(marginals[active].mean())
@@ -146,7 +157,7 @@ def optimize_pmf(speeds) -> PmfSolution:
         p=tuple(float(v) for v in p_caller),
         p_sorted=tuple(float(v) for v in full),
         sort_index=tuple(int(i) for i in order),
-        objective=float(full @ a_full @ full),
+        objective=value,
         active_set_size=int(active.sum()),
         kkt_nu=nu,
         kkt_residual=residual,

@@ -7,6 +7,8 @@ arrivals in whole arrays instead; these loops state the same model one
 vehicle at a time. ``IntDecoder`` is the decoder on Python ints, one packet
 at a time, that the packed ``DecoderState`` is tested against, and
 ``reduced_rows`` reads a ``DecoderState``'s basis in fully reduced form.
+``alpha_matrix`` is the m x m matrix of the exchange objective, the
+quadratic form that ``pmf_opt.pair_law`` evaluates in O(m).
 """
 
 from __future__ import annotations
@@ -185,3 +187,12 @@ def reduced_rows(state) -> list[tuple[int, int, int]]:
             tag = int.from_bytes(row[nbytes:].tobytes(), "little")
             out.append((piv, vector, _combine(tag, slots)))
     return out
+
+
+def alpha_matrix(speeds) -> np.ndarray:
+    """Symmetric matrix of pairwise inverse-speed sums 1/|v_i| + 1/|v_j|, zero diagonal."""
+    inv = 1.0 / np.abs(np.asarray(speeds, dtype=float))
+    with np.errstate(over="ignore"):  # only the diagonal, zeroed below, can overflow
+        a = inv[:, None] + inv[None, :]
+    np.fill_diagonal(a, 0.0)
+    return a

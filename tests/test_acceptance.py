@@ -20,11 +20,10 @@ from vanetsim import (
     FileSpec,
     UniformScheme,
     VelocityClass,
-    alpha_matrix,
     encode_batch,
     expected_download_time,
     expected_encounters,
-    expected_throughput_avg,
+    expected_throughput,
     expected_throughput_class,
     expected_throughput_continuous,
     infostation_download,
@@ -38,6 +37,9 @@ from vanetsim import (
     span_probability,
 )
 from vanetsim.cli import main as cli_main
+from vanetsim.fountain import fold
+
+from oracles import alpha_matrix
 
 N_TRIALS = 100_000
 
@@ -163,7 +165,7 @@ def test_c3_discrete_throughput_validation(twoclass, twoclass_path, fixture_trip
         checks.append(abs(mean - target) <= 0.01 * target)
         details.append(f"C({observer:g})={mean:.4f} vs {target}")
 
-    avg = expected_throughput_avg(twoclass)
+    avg = expected_throughput(twoclass)
     checks.append(abs(avg - 6.125) <= 1e-12 * 6.125)
 
     # independent re-derivation of the pairwise form of the average
@@ -236,8 +238,8 @@ def test_c5_mobility_scaling(twoclass, fixture_trip_stats):
     )
     base = twoclass.packet_rate * twoclass.r / twoclass.d
     analytic_ratio_exact = (
-        expected_throughput_avg(doubled) - base
-    ) == 0.5 * (expected_throughput_avg(twoclass) - base)
+        expected_throughput(doubled) - base
+    ) == 0.5 * (expected_throughput(twoclass) - base)
 
     sim1 = 0.5 * (
         fixture_trip_stats[20.0][1].mean() + fixture_trip_stats[25.0][1].mean()
@@ -332,11 +334,14 @@ def test_c6_codec_correctness():
     # the decoder's own rank process follows the same law at the anchor point
     rng = np.random.default_rng(607)
     hits = 0
-    for _ in range(N_TRIALS):
-        # 5 vectors in one draw are the 5 draws of one vector at a time
-        state = DecoderState(3)
-        state.receive_batch(sample_uniform_vectors(3, 5, rng), np.zeros((5, 1), dtype=np.uint8))
-        hits += state.rank == 3
+    for lo in range(0, N_TRIALS, 4096):
+        # decoders fold 4,096 at a time: one draw of 5 n vectors is the 5
+        # draws of one vector at a time of each of the n decoders in turn
+        n = min(4096, N_TRIALS - lo)
+        decoders = [DecoderState(3) for _ in range(n)]
+        vectors = sample_uniform_vectors(3, 5 * n, rng).reshape(n, 5, 1)
+        fold(decoders, vectors, np.zeros((n, 5, 1), dtype=np.uint8))
+        hits += sum(d.rank == 3 for d in decoders)
     p = float(exact)
     se = math.sqrt(p * (1 - p) / N_TRIALS)
     checks.append(abs(hits / N_TRIALS - p) <= 3 * se)

@@ -15,10 +15,13 @@ from vanetsim import (
     expected_download_time,
     expected_encounters,
     expected_packets,
-    expected_throughput_avg,
+    expected_throughput,
     expected_throughput_class,
     expected_throughput_continuous,
     mean_cars_in_segment,
+    monte_carlo_throughput,
+    objective,
+    optimize_pmf,
     packets_needed,
 )
 from vanetsim.errors import InvalidParameterError
@@ -102,7 +105,7 @@ def test_expected_throughput_class_values():
 def test_expected_throughput_single_class():
     sc = make_scenario(velocity=DiscreteVelocityDist((VelocityClass(25.0, 1.0),)))
     assert expected_throughput_class(sc, 0) == pytest.approx(0.5, rel=1e-12)
-    assert expected_throughput_avg(sc) == pytest.approx(0.5, rel=1e-12)
+    assert expected_throughput(sc) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_throughput_times_travel_time_equals_packets():
@@ -147,9 +150,9 @@ def test_high_speed_gain_for_equiprobable_classes():
 # --- population average ------------------------------------------------------------
 
 
-def test_expected_throughput_avg_value():
+def test_expected_throughput_value():
     sc = make_scenario()
-    assert expected_throughput_avg(sc) == pytest.approx(6.125, rel=1e-12)
+    assert expected_throughput(sc) == pytest.approx(6.125, rel=1e-12)
 
 
 def test_average_is_probability_weighted_mean():
@@ -160,7 +163,7 @@ def test_average_is_probability_weighted_mean():
             c.p * expected_throughput_class(sc, i)
             for i, c in enumerate(sc.velocity.classes)
         )
-        assert expected_throughput_avg(sc) == pytest.approx(weighted, rel=1e-12)
+        assert expected_throughput(sc) == pytest.approx(weighted, rel=1e-12)
 
 
 def test_doubling_speeds_halves_exchange_throughput_exactly():
@@ -172,8 +175,8 @@ def test_doubling_speeds_halves_exchange_throughput_exactly():
         ),
     )
     base = sc.packet_rate * sc.r / sc.d
-    assert expected_throughput_avg(doubled) - base == 0.5 * (
-        expected_throughput_avg(sc) - base
+    assert expected_throughput(doubled) - base == 0.5 * (
+        expected_throughput(sc) - base
     )
 
 
@@ -181,16 +184,16 @@ def test_throughput_is_affine_in_arrival_rate():
     # affine to the last couple of ulps; the decimal parameters are not
     # exactly representable, so bitwise equality of the differences is not
     sc = make_scenario()
-    e0 = expected_throughput_avg(replace(sc, lam=0.0))
-    e1 = expected_throughput_avg(sc)
-    e2 = expected_throughput_avg(replace(sc, lam=2 * sc.lam))
+    e0 = expected_throughput(replace(sc, lam=0.0))
+    e1 = expected_throughput(sc)
+    e2 = expected_throughput(replace(sc, lam=2 * sc.lam))
     assert e2 - e1 == pytest.approx(e1 - e0, rel=1e-12)
     rng = np.random.default_rng(9)
     for _ in range(50):
         rsc = random_discrete_scenario(rng)
-        g0 = expected_throughput_avg(replace(rsc, lam=0.0))
-        g1 = expected_throughput_avg(rsc)
-        g2 = expected_throughput_avg(replace(rsc, lam=2 * rsc.lam))
+        g0 = expected_throughput(replace(rsc, lam=0.0))
+        g1 = expected_throughput(rsc)
+        g2 = expected_throughput(replace(rsc, lam=2 * rsc.lam))
         assert (g2 - g1) == pytest.approx(g1 - g0, rel=1e-10)
 
 
@@ -206,9 +209,62 @@ def test_average_of_a_dominant_slow_class_does_not_cancel(classes):
     weighted = math.fsum(
         c.p * expected_throughput_class(sc, i) for i, c in enumerate(sc.velocity.classes)
     )
-    assert expected_throughput_avg(sc) == pytest.approx(weighted, rel=1e-12)
+    assert expected_throughput(sc) == pytest.approx(weighted, rel=1e-12)
     if len(classes) == 1:  # the lone class meets no traffic: the stations alone
-        assert expected_throughput_avg(sc) == 0.5
+        assert expected_throughput(sc) == 0.5
+
+
+# --- the average, the optimizer's objective and the simulation agree --------------
+
+
+def with_classes(sc, speeds, probs):
+    classes = tuple(VelocityClass(float(v), float(p)) for v, p in zip(speeds, probs))
+    return replace(sc, velocity=DiscreteVelocityDist(classes))
+
+
+def test_average_throughput_is_the_optimizer_objective():
+    # rho*r/d + lam*rho*r*J(p)/4, J(p) the exchange objective optimize-pmf maximises
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        sc = random_discrete_scenario(rng)
+        classes = sc.velocity.classes
+        j = objective([c.p for c in classes], [c.v for c in classes])
+        law = sc.packet_rate * sc.r / sc.d + sc.lam * sc.packet_rate * sc.r * j / 4
+        assert expected_throughput(sc) == pytest.approx(law, rel=1e-12)
+
+
+def test_optimal_mix_maximises_the_average_throughput():
+    rng = np.random.default_rng(22)
+    for _ in range(5):
+        sc = random_discrete_scenario(rng)
+        speeds = [c.v for c in sc.velocity.classes]
+        best = expected_throughput(with_classes(sc, speeds, optimize_pmf(speeds).p))
+        mixes = rng.dirichlet(np.ones(len(speeds)), size=1_000)
+        rival = max(expected_throughput(with_classes(sc, speeds, q)) for q in mixes)
+        assert best >= rival * (1 - 1e-12)
+
+
+@pytest.mark.parametrize(
+    "classes,seed",
+    [
+        (None, 2101),  # the twoclass fixture
+        (((20.0, 0.3), (-25.0, 0.5), (30.0, 0.2)), 2102),
+    ],
+)
+def test_weighted_class_simulations_match_the_average(twoclass, classes, seed):
+    # an observer of a reverse class meets the mirror image of the traffic
+    # as a forward observer at |v| would
+    sc = twoclass if classes is None else with_classes(twoclass, *zip(*classes))
+    rng = np.random.default_rng(seed)
+    mean, var = 0.0, 0.0
+    for c in sc.velocity.classes:
+        seen = sc if c.v > 0 else with_classes(
+            sc, [-k.v for k in sc.velocity.classes], [k.p for k in sc.velocity.classes]
+        )
+        est = monte_carlo_throughput(seen, abs(c.v), 20_000, rng)
+        mean += c.p * est.mean
+        var += (c.p * est.std_error) ** 2
+    assert abs(mean - expected_throughput(sc)) <= 4 * math.sqrt(var)
 
 
 # --- continuous distribution ----------------------------------------------------------
@@ -243,7 +299,7 @@ def test_discrete_approximation_converges_to_continuous(uniform2040):
     probs[-1] = 1.0 - probs[:-1].sum()
     classes = tuple(VelocityClass(float(v), float(p)) for v, p in zip(mids, probs))
     sc = replace(uniform2040, velocity=DiscreteVelocityDist(classes))
-    gap = abs(expected_throughput_avg(sc) - target) / target
+    gap = abs(expected_throughput(sc) - target) / target
     assert gap < 1e-3
 
 
@@ -327,8 +383,6 @@ def test_analytic_report_continuous(uniform2040):
 
 
 def test_discrete_expectations_reject_continuous(uniform2040):
-    with pytest.raises(InvalidParameterError):
-        expected_throughput_avg(uniform2040)
     with pytest.raises(InvalidParameterError):
         expected_encounters(uniform2040, 0, 1)
 

@@ -1,10 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vanetsim import (
-    alpha_matrix,
     objective,
     optimize_pmf,
     probabilities_decrease_with_speed,
@@ -12,6 +12,8 @@ from vanetsim import (
 )
 from vanetsim import pmf_opt
 from vanetsim.errors import InvalidParameterError, NumericalError
+
+from oracles import alpha_matrix
 
 
 def random_speeds(rng, m):
@@ -66,6 +68,7 @@ def test_objective_matches_quadratic_form():
         p = rng.dirichlet(np.ones(m))
         a = alpha_matrix(speeds)
         assert objective(p, speeds) == pytest.approx(float(p @ a @ p), rel=1e-12)
+        assert np.allclose(pmf_opt.pair_law(p, speeds)[0], a @ p, rtol=1e-12, atol=0)
 
 
 def test_alpha_matrix_shape_and_symmetry():
@@ -249,7 +252,7 @@ def test_optimizer_rejects_bad_inputs():
 def test_certificate_scales_with_the_marginal_value():
     # the marginals reach 1/|v| = 1.7e7, so their rounding error exceeds 1e-9;
     # the reported residual is relative to nu and stays within 1e-9
-    sol = optimize_pmf([1.0, 0.5, 5.960464477539063e-08])
+    sol = optimize_pmf([1.0, 0.5, 0.25, 5.960464477539063e-08])
     assert sol.kkt_nu > 8e6 and 0.0 < sol.kkt_residual <= 1e-9
     assert abs(sum(sol.p) - 1.0) <= 1e-12
 
@@ -263,13 +266,27 @@ def test_marginals_whose_sum_overflows_are_refused():
 
 
 def test_nan_stationarity_residual_fails_the_certificate(monkeypatch):
-    # 1/|v| = 1e308 is finite but the pair sums overflow, so the marginals
-    # are inf and their spread is NaN, which must not pass as <= KKT_TOL;
-    # the input check refuses such speeds, so it is bypassed here
+    # 1/|v| = 1.7e308 is finite but the pair sums overflow, so the marginals
+    # (2/3 of a pair sum each) are inf and their spread is NaN, which must
+    # not pass as <= KKT_TOL; the input check refuses such speeds, so it is
+    # bypassed here
     monkeypatch.setattr(pmf_opt, "_check_speeds", lambda s: np.asarray(s, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="nan"):
-            optimize_pmf([1e-308, 1e-308])
+            optimize_pmf([6e-309, 6e-309, 6e-309])
+
+
+def test_memory_is_linear_in_the_number_of_speeds():
+    # an m x m matrix of 3,000 speeds alone would take 72 MB
+    speeds = np.arange(10.0, 3_010.0)
+    tracemalloc.start()
+    try:
+        sol = optimize_pmf(speeds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.kkt_residual <= 1e-9
+    assert peak < 2_000_000
 
 
 def test_global_optimality_against_random_points():
