@@ -30,6 +30,17 @@ def _discrete(scenario: Scenario) -> DiscreteVelocityDist:
     return scenario.velocity
 
 
+def _total(terms) -> float:
+    """``math.fsum`` of nonnegative terms, or inf where finite terms sum past the largest float.
+
+    ``math.fsum`` raises ``OverflowError`` there instead.
+    """
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def _throughput(scenario: Scenario, met_density: float) -> float:
     """Throughput of an observer meeting traffic of ``met_density`` vehicles per meter."""
     return scenario.packet_rate * scenario.r * (1.0 / scenario.d + 0.5 * met_density)
@@ -41,7 +52,7 @@ def _met_density(scenario: Scenario, i: int) -> float:
     lam multiplies the sum, so a subnormal lam*p does not underflow a class away.
     """
     classes = _discrete(scenario).classes
-    return scenario.lam * math.fsum(c.p / abs(c.v) for m, c in enumerate(classes) if m != i)
+    return scenario.lam * _total(c.p / abs(c.v) for m, c in enumerate(classes) if m != i)
 
 
 def expected_encounters(scenario: Scenario, i: int, m: int) -> float:
@@ -78,12 +89,14 @@ def expected_throughput(scenario: Scenario) -> float:
     objective that ``optimize-pmf`` maximises, from
     :func:`~vanetsim.pmf_opt.pair_law` without the optimizer's refusal of
     overflowing pair sums, which would refuse finite averages. Disagreement
-    indicates an implementation bug.
+    indicates an implementation bug. Classes of probability 0 weigh exactly
+    nothing and are left out, so a met density that overflows there gives no
+    ``0 * inf``.
     """
     if not scenario.is_discrete:
         return _throughput(scenario, scenario.lam * mean_inverse_speed(scenario.velocity))
     classes = scenario.velocity.classes
-    met = math.fsum(c.p * _met_density(scenario, i) for i, c in enumerate(classes))
+    met = _total(c.p * _met_density(scenario, i) for i, c in enumerate(classes) if c.p > 0)
     via_density = _throughput(scenario, met)
     _, j = pair_law([c.p for c in classes], [c.v for c in classes])
     via_law = _throughput(scenario, scenario.lam * (j / 2))
@@ -122,6 +135,11 @@ def expected_download_time(
     event-level download ends at the segment entrance.
     """
     throughput = expected_throughput(scenario)
+    if not math.isfinite(throughput):
+        raise InvalidParameterError(
+            f"scenario out of range: its mean throughput {throughput!r} packets/s "
+            "overflows, so no download time can be projected"
+        )
     if not throughput > 0:
         raise InvalidParameterError(
             f"scenario out of range: its mean throughput {throughput!r} packets/s "
@@ -170,7 +188,7 @@ def analytic_report(scenario: Scenario) -> AnalyticReport:
                 v=cls.v,
                 p=cls.p,
                 density=densities[i],
-                expected_encounters=math.fsum(
+                expected_encounters=_total(
                     expected_encounters(scenario, i, m) for m in range(scenario.velocity.m)
                 ),
                 expected_packets=expected_packets(scenario, i),
@@ -178,7 +196,7 @@ def analytic_report(scenario: Scenario) -> AnalyticReport:
             )
             for i, cls in enumerate(classes)
         )
-        rho = math.fsum(c.p * x for c, x in zip(classes, densities))  # mean class density
+        rho = _total(c.p * x for c, x in zip(classes, densities))  # mean class density
     avg = expected_throughput(scenario)
     cars = mean_cars_in_segment(scenario)
     values = (avg, cars, avg * cars, *(x for row in rows for x in astuple(row)))

@@ -57,7 +57,10 @@ from .fountain import (
     DecoderState,
     FileSpec,
     VectorScheme,
+    _TABLE_BYTES,
     _product,
+    _row_bytes,
+    _word_bytes,
     decode,
     encode,  # noqa: F401  (perfbench/tracing.py wraps encounters.encode by name)
     fold,
@@ -90,17 +93,12 @@ CHUNK_VEHICLES = 2**14
 # KVM guest whose speed drifts by up to 2x, and `--K 4096 --trials 1` 0.9 s.
 MAX_DOWNLOAD_BLOCKS = 8192
 
-# Bytes that one chunk of download trials may hold at once. At its peak, in
-# the first round, whose fold always holds k + BATCH_MARGIN rows, a trial of
-# a chunk holds about 8 KiB + k * (6 * block_bytes + 12 * ceil(k / 8)) +
-# 1024 * ceil(k / 8) bytes: its streams, file and payloads, its basis, a
-# fold's working rows and a block's 256-entry table. Tracemalloc peaks a
-# trial: 6, 18, 36, 98 and 1072 KB at K = 1, 40, 100, 256 and 1000 with
-# 8-byte blocks, in the rule's chunks of 226, 118, 50, 13 and 1 trials (the
-# rule gives 17.6 KB at K=40); 1302 KB in a chunk of 4 at K=1000; 1436 and
-# 5990 KB at K = 256 and 1024 with 1 KiB blocks (the rule: 1712 and 8004).
-# 2 MiB holds 50 trials at K=100, where a chunk runs a trial in about a fifth
-# of the time that trials one at a time take, and one trial from K ~ 800 on.
+# Bytes that one chunk of download trials may hold at once, by the bound of
+# download_chunk_bytes. 2 MiB holds 53 trials at K=100 with 8-byte blocks
+# (they peaked at 1.83 MB), where a chunk runs a trial in about a fifth of
+# the time that trials one at a time take. Chunks hold one trial from K=961
+# on with 8-byte blocks, and from K=164 on with 1 KiB blocks: two trials at
+# K=1000 peaked at 2.00 MB, but the bound gives them 2.25 MB.
 DOWNLOAD_CHUNK_BYTES = 1 << 21
 
 # Segments a download may traverse for packet N before it gives up.
@@ -552,35 +550,65 @@ def _refuse_packetless(scenario: Scenario, vi: float) -> None:
         )
 
 
-def _packet_events(scenario: Scenario, vi: float, rng: np.random.Generator):
+def _packet_events(scenario: Scenario, vi: float, arrivals):
     """Yield (segment, time offset, whole packets) for up to MAX_SEGMENTS segments.
 
-    A segment opens with its station batch; its crossings are drawn from
-    ``rng`` only when the batch is consumed and more packets are wanted.
+    A segment opens with its station batch; its crossings are drawn only
+    when the batch is consumed and more packets are wanted, from the
+    generator that ``arrivals()`` builds at the first such draw.
     """
     batch = math.floor(infostation_download(vi, scenario.packet_rate, scenario.r))
+    rng = None
     for segment in range(MAX_SEGMENTS):
         yield segment, 0.0, batch
+        if rng is None:
+            rng = arrivals()
         for offset, count in _crossing_events(scenario, vi, rng):
             yield segment, offset, count
+
+
+def _spawned(rng: np.random.Generator, seed: np.random.SeedSequence) -> np.random.Generator:
+    """The generator that ``rng.spawn`` builds from the child seed ``seed`` of its seed sequence."""
+    return type(rng)(type(rng.bit_generator)(seed))
 
 
 def _draw_files(file: FileSpec, rngs: list[np.random.Generator]) -> np.ndarray:
     """One file per generator, ``trials x k x block_bytes``.
 
-    Each file is one draw, sliced as ``k`` separate ``rng.bytes(block_bytes)``
-    draws would give it.
+    Each file is one draw of 32-bit words, sliced as ``k`` separate
+    ``rng.bytes(block_bytes)`` draws would give it (see
+    :func:`~vanetsim.fountain.sample_uniform_vectors`).
     """
-    size, stride = file.block_bytes, 4 * ((file.block_bytes + 3) // 4)
-    raw = b"".join(rng.bytes(file.k * stride) for rng in rngs)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(rngs), file.k, stride)[:, :, :size]
+    size, words = file.block_bytes, (file.block_bytes + 3) // 4
+    files = np.empty((len(rngs), 4 * file.k * words), dtype=np.uint8)
+    for row, rng in zip(files, rngs):
+        row[:] = _word_bytes(rng, file.k * words)
+    return files.reshape(len(rngs), file.k, 4 * words)[:, :, :size]
+
+
+def download_chunk_bytes(file: FileSpec, trials: int) -> int:
+    """Bytes that a chunk of ``trials`` downloads of ``file`` holds at most, at its peak.
+
+    A linear bound fitted to the tracemalloc peaks of whole chunks of 1 to
+    64 trials, K from 1 to 4096, 8-byte and 1 KiB blocks, uniform and LT
+    vectors, all of which it covers: 12 KiB and a product's XOR tables
+    (:data:`~vanetsim.fountain._TABLE_BYTES`) a chunk and, a trial, 8 KiB,
+    32 block strides (a block's bytes in whole 32-bit words) and, a block,
+    136 bytes, 5.5 strides and 3.5 packed ``[vector | tag]`` rows. The rows
+    are the decoder state's, a fold's batch, its kernel's lookups of table
+    rows and the vectors; the strides are the file, the stored and the
+    round's payloads and the lookups and copies of the products.
+    """
+    stride = 4 * ((file.block_bytes + 3) // 4)
+    row = _row_bytes((file.k + 7) // 8)
+    per_trial = 8192 + 32 * stride + file.k * (136 + 11 * stride // 2 + 7 * row // 2)
+    return 12288 + _TABLE_BYTES + trials * per_trial
 
 
 def download_chunk_trials(file: FileSpec) -> int:
-    """Trials of :func:`simulate_download_times` that fit :data:`DOWNLOAD_CHUNK_BYTES`, at least one."""
-    nbytes = (file.k + 7) // 8
-    per_trial = 8192 + file.k * (6 * file.block_bytes + 12 * nbytes) + 1024 * nbytes
-    return max(1, DOWNLOAD_CHUNK_BYTES // per_trial)
+    """Trials of :func:`simulate_download_times` whose chunk fits :data:`DOWNLOAD_CHUNK_BYTES`, at least one."""
+    fixed = download_chunk_bytes(file, 0)
+    return max(1, (DOWNLOAD_CHUNK_BYTES - fixed) // (download_chunk_bytes(file, 1) - fixed))
 
 
 def simulate_download_times(
@@ -594,22 +622,28 @@ def simulate_download_times(
 
     Trial ``i`` is the download of observer speed ``observers[i]``, with
     its arrivals, vectors and file drawn from the three streams of the
-    ``i``-th ``rng.spawn(3)``, in that order. Each segment starts with a
-    roadside-station batch of floor(packet_rate*r/v) packets; each
-    encounter delivers its whole-packet count at the crossing time. Every
-    packet carries an independently sampled encoding vector.
+    ``i``-th ``rng.spawn(3)``, in that order. The chunk spawns the seeds
+    of those children as ``rng.spawn`` does and builds the vector and file
+    generators at once, but a trial builds its arrival generator, from the
+    same child, only at its first draw of a segment's crossings; a trial
+    whose station batches cover its packets never builds it. Each segment
+    starts with a roadside-station batch of floor(packet_rate*r/v) packets;
+    each encounter delivers its whole-packet count at the crossing time.
+    Every packet carries an independently sampled encoding vector.
 
     The vector stream alone fixes N, the packet whose vector brings the
     decoder to full rank, and the arrival stream alone fixes when packet N
     arrives, so a download runs in two phases. The decode phase runs the
-    trials in lockstep rounds: as the rank grows by at most one a packet, a
-    round draws ``k - rank + BATCH_MARGIN`` vectors for each unfinished
-    trial with one sampler call, encodes all of them with one product and
-    folds them with one :func:`~vanetsim.fountain.fold`, and the trials that
-    reach full rank are decoded with one :func:`~vanetsim.fountain.decode`
-    and checked against their files. A sampler call of n vectors draws what
-    n calls of one draw, and the innovative flags are those of one packet at
-    a time, so N is that of one draw and one fold per packet. The arrival
+    trials in lockstep rounds on one stacked
+    :class:`~vanetsim.fountain.DecoderState`: as the rank grows by at most
+    one a packet, a round draws ``k - rank + BATCH_MARGIN`` vectors for
+    each unfinished trial with one sampler call, encodes all of them with
+    one product and folds them with one :func:`~vanetsim.fountain.fold`,
+    and the trials that reach full rank are decoded with one
+    :func:`~vanetsim.fountain.decode` and checked against their files. A
+    sampler call of n vectors draws what n calls of one draw, and the
+    innovative flags are those of one packet at a time, so N is that of one
+    draw and one fold per packet. The arrival
     phase then walks each trial's packet events up to the one holding packet
     N, drawing a segment's crossings only once its station batch falls
     short. Returns, per trial, (travel time consumed, packets received,
@@ -632,7 +666,8 @@ def simulate_download_times(
         raise InvalidParameterError(
             f"file of {k} blocks exceeds the download limit of {MAX_DOWNLOAD_BLOCKS} blocks"
         )
-    trips, streams, refused, checked = [], [], None, {}
+    trips, seeds, refused, checked = [], [], None, {}
+    spawn = rng.bit_generator.seed_seq.spawn  # rng.spawn(3) without building generators
     for v in observers:
         if v not in checked:  # each distinct speed is checked once, at its first trial
             try:
@@ -644,37 +679,40 @@ def simulate_download_times(
                 break
             checked[v] = vi, ti
         trips.append(checked[v])
-        streams.append(rng.spawn(3))  # arrivals, vectors, file
+        seeds.append(spawn(3))  # arrivals, vectors, file
     sample = vector_batch_sampler(scheme, k)
-    files = _draw_files(file, [file_rng for _, _, file_rng in streams])
-    decoders = [DecoderState(k) for _ in streams]
-    flags: list[list[np.ndarray]] = [[] for _ in streams]  # each round's innovative flags
-    needed: list = [None] * len(streams)  # N
-    wrong = [False] * len(streams)
-    active = list(range(len(streams)))
-    while active:
-        counts = [k - decoders[i].rank + BATCH_MARGIN for i in active]
-        vectors = np.zeros((len(active), max(counts), (k + 7) // 8), dtype=np.uint8)
-        for row, i, n in zip(vectors, active, counts):
-            row[:n] = sample(streams[i][1], n)
+    vector_rngs = [_spawned(rng, vector_seed) for _, vector_seed, _ in seeds]
+    files = _draw_files(file, [_spawned(rng, file_seed) for _, _, file_seed in seeds])
+    state = DecoderState(k, len(seeds)) if seeds else None
+    flags: list[list[np.ndarray]] = [[] for _ in seeds]  # each round's innovative flags
+    needed = np.zeros(len(seeds), dtype=np.intp)  # the packets drawn so far, N once decoded
+    wrong = np.zeros(len(seeds), dtype=bool)
+    active = np.arange(len(seeds))
+    while active.size:
+        counts = k + BATCH_MARGIN - state.ranks[active]
+        vectors = np.zeros((len(active), counts.max(), (k + 7) // 8), dtype=np.uint8)
+        for row, i, n in zip(vectors, active.tolist(), counts.tolist()):
+            row[:n] = sample(vector_rngs[i], n)
         payloads = np.zeros((*vectors.shape[:2], file.block_bytes), dtype=np.uint8)
-        _product(vectors, files[active], payloads)
-        innovative = fold([decoders[i] for i in active], vectors, payloads)
-        for i, n, row in zip(active, counts, innovative):
-            if decoders[i].rank == k:  # packet N is the round's last innovative one
-                needed[i] = sum(map(len, flags[i])) + int(np.flatnonzero(row)[-1]) + 1
+        _product(vectors, files if active.size == len(seeds) else files[active], payloads)
+        innovative = fold(state, vectors, payloads, active)
+        for i, n, row in zip(active.tolist(), counts.tolist(), innovative):
             flags[i].append(row[:n])
-        done = [i for i in active if needed[i] is not None]
-        if done:  # every decode is checked against its file
-            decoded = decode([decoders[i] for i in done])
+        full = state.ranks[active] == k
+        done = active[full]
+        if done.size:  # packet N is the round's last innovative one; each decode is checked
+            last = innovative.shape[1] - innovative[full, ::-1].argmax(axis=1)
+            needed[done] += last
+            decoded = decode(state, done)
             np.bitwise_xor(decoded, files[done], out=decoded)
-            for i, bad in zip(done, decoded.any(axis=(1, 2))):
-                wrong[i] = bool(bad)
-        active = [i for i in active if needed[i] is None]
+            wrong[done] = decoded.any(axis=(1, 2))
+        needed[active[~full]] += counts[~full]
+        active = active[~full]
     results = []
-    for i, ((vi, ti), (arr_rng, _, _)) in enumerate(zip(trips, streams)):
+    for i, ((vi, ti), (arrival_seed, _, _)) in enumerate(zip(trips, seeds)):
         received = 0
-        for segment, offset, count in _packet_events(scenario, vi, arr_rng):
+        events = _packet_events(scenario, vi, lambda: _spawned(rng, arrival_seed))
+        for segment, offset, count in events:
             received += count
             if received >= needed[i]:
                 break
@@ -683,7 +721,7 @@ def simulate_download_times(
             raise NoProgressError(f"decode rank {rank}/{k} after {MAX_SEGMENTS} segments")
         if wrong[i]:
             raise InternalInconsistencyError("decoded blocks disagree with the encoded file")
-        results.append((segment * ti + offset, needed[i], segment + 1))
+        results.append((segment * ti + offset, int(needed[i]), segment + 1))
     if refused is not None:
         raise refused
     return results

@@ -3,19 +3,22 @@
 Encoding vectors are bit strings of length ``k`` packed into Python ints
 (bit ``i`` is the coefficient of block ``i``). A batch of vectors is a
 ``count x ceil(k / 8)`` ``uint8`` matrix of the same bits, LSB-first.
-Vectors are drawn as such batches (:func:`sample_uniform_vector` is a batch
-of one). Every product of packed vectors with rows, for several independent
-trials at once, is one :func:`_product`: it builds XOR tables of the rows'
-4-row groups (the "method of four Russians") a bounded
+Vectors are drawn as such batches, uniform ones as 32-bit words with the
+bytes of ``rng.bytes`` (:func:`sample_uniform_vector` is a batch of one).
+Every product of packed vectors with rows, for several independent trials
+at once, is one :func:`_product`: it builds XOR tables of the rows' 4-row
+groups (the "method of four Russians") a bounded
 :data:`_TABLE_BYTES` at a time and looks up each 4-bit digit of the
 vectors. :func:`encode_batch` computes a batch's payloads with one product,
 and :func:`encode` is a batch of one.
 
 The decoder folds batches of packets into a reduced echelon basis of packed
-``[vector | tag]`` rows, whose tags name the packets each row combines.
-:func:`fold` folds one batch into each of several independent decoders
-(trials) at once, and :meth:`DecoderState.receive_batch` is a fold of one.
-One product reduces a batch against each decoder's stored pivots. The
+``[vector | tag]`` rows, whose tags name the packets each row combines. A
+:class:`DecoderState` holds the bases of one or several independent
+trials as stacked arrays with a leading trials axis, written in place.
+:func:`fold` folds one batch into each of several of its trials at once,
+and :meth:`DecoderState.receive_batch` is a fold of one. One product
+reduces a batch against each trial's stored pivots. The
 Gauss–Jordan kernel eliminates 8 columns at a time with one XOR table per
 trial and block, after Albrecht and Bard's M4RI, and each of a block's
 NumPy steps serves every trial, so the per-call cost that dominates small
@@ -30,14 +33,13 @@ block column the pivot columns whose rows XOR to its new pivot row and
 that pivot's row, and the kernel alone turns the record into tables, maps
 and XORs. At full rank the tags are the inverse of the innovative packets'
 vectors, and the blocks are one more product, of the tags with the kept
-payloads: :func:`decode` recovers the blocks of several decoders with one
+payloads: :func:`decode` recovers the blocks of several trials with one
 product, and :meth:`DecoderState.try_decode` is a decode of one.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Union
@@ -156,21 +158,26 @@ def robust_soliton_pmf(k: int, params: SolitonParams) -> np.ndarray:
 def sample_uniform_vectors(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` vectors, each coefficient independently with probability 1/2.
 
-    Returns the packed ``count x ceil(k / 8)`` batch. It comes from one
-    ``rng.bytes`` call of ``count * 4 * ceil(ceil(k / 8) / 4)`` bytes:
-    ``rng.bytes(n)`` consumes ``ceil(n / 4)`` 32-bit draws, so row ``p``
-    holds the bytes, and leaves the generator in the state, of the
-    ``p + 1``-th of ``count`` separate ``rng.bytes(ceil(k / 8))`` calls.
-    The all-zero vector is a legal sample.
+    Returns the packed ``count x ceil(k / 8)`` batch, a view of one draw of
+    ``count * ceil(ceil(k / 8) / 4)`` uniform 32-bit words read as
+    little-endian bytes. ``rng.bytes(n)`` draws exactly these words and
+    returns their first ``n`` bytes, so row ``p`` holds the bytes, and the
+    generator is left in the state, of the ``p + 1``-th of ``count``
+    separate ``rng.bytes(ceil(k / 8))`` calls. The all-zero vector is a
+    legal sample.
     """
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
     nbytes = (k + 7) // 8
-    stride = 4 * ((nbytes + 3) // 4)
-    raw = np.frombuffer(rng.bytes(count * stride), dtype=np.uint8)
-    vectors = raw.reshape(count, stride)[:, :nbytes].copy()
+    words = (nbytes + 3) // 4
+    vectors = _word_bytes(rng, count * words).reshape(count, 4 * words)[:, :nbytes]
     vectors[:, -1] &= 0xFF >> (-k % 8)
     return vectors
+
+
+def _word_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``4 n`` random bytes: ``n`` uniform 32-bit words, little-endian, as ``rng.bytes(4 n)`` draws them."""
+    return rng.integers(0, 1 << 32, n, dtype=np.uint32).astype("<u4", copy=False).view(np.uint8)
 
 
 def sample_uniform_vector(k: int, rng: np.random.Generator) -> EncodingVector:
@@ -261,11 +268,16 @@ def _product(packed: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
     """
     trials, count, nbytes = packed.shape
     size = rows.shape[2]
-    digits = np.stack((packed & 0x0F, packed >> 4), axis=-1).reshape(trials * count, 2 * nbytes)
-    if trials > 1:  # digit d of trial t reads table row d * trials + t
-        digits = digits.astype(np.uint16 if 16 * trials <= 1 << 16 else np.uint32)
+    # the 4-bit digits, written straight in the width that indexes the
+    # tables: digit d of trial t reads table row d * trials + t
+    dtype = np.uint8 if trials == 1 else np.uint16 if 16 * trials <= 1 << 16 else np.uint32
+    digits = np.empty((trials, count, nbytes, 2), dtype=dtype)
+    np.bitwise_and(packed, 0x0F, out=digits[..., 0])
+    np.right_shift(packed, 4, out=digits[..., 1])
+    digits = digits.reshape(trials * count, 2 * nbytes)
+    if trials > 1:
         digits *= trials
-        digits += np.repeat(np.arange(trials), count).astype(digits.dtype)[:, None]
+        digits += np.repeat(np.arange(trials, dtype=dtype), count)[:, None]
     out = out.reshape(trials * count, size)  # a view: out is contiguous
     step = 4 * max(1, _TABLE_BYTES // (16 * trials * size))  # the groups whose tables fit
     for lo in range(0, rows.shape[1], step):
@@ -331,6 +343,12 @@ def _row_bytes(nbytes: int) -> int:
     return 8 * ((2 * nbytes + 7) // 8)
 
 
+# Rows (sliced search) or candidates (greedy search) of a trial that a pivot
+# search reads first; a trial left short of its free columns reads twice as
+# many next.
+_WINDOW = 16
+
+
 def _greedy_pivots(masked: np.ndarray, taken: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """A block's new pivots by greedy insertion, one trial at a time in Python.
 
@@ -339,7 +357,9 @@ def _greedy_pivots(masked: np.ndarray, taken: np.ndarray) -> tuple[np.ndarray, n
     of the block. None if no digit is nonzero. Each trial with nonzero
     digits (its candidates) inserts them into a reduced basis in arrival
     order until the basis fills the block's free columns, each chosen row
-    named by its pivot bit. Returns the pivot record of
+    named by its pivot bit. A trial rarely reads more than its first few
+    candidates, so they become Python ints :data:`_WINDOW` at a time, each
+    window twice the last. Returns the pivot record of
     :func:`_gauss_jordan`: ``trials x 8`` combinations and pivot rows.
     """
     trials, count = masked.shape
@@ -347,45 +367,43 @@ def _greedy_pivots(masked: np.ndarray, taken: np.ndarray) -> tuple[np.ndarray, n
     cand = masked.nonzero()[0]
     if not cand.size:
         return None
-    cand_r, cand_d = cand.tolist(), masked[cand].tolist()
+    digits = masked[cand]
+    bounds = np.searchsorted(cand, np.arange(trials + 1) * count).tolist()
     rooms = taken.tolist()
     combos = [0] * (8 * trials)
     pivots = [0] * (8 * trials)
-    i = 0
-    while i < len(cand_r):
-        t = cand_r[i] // count
-        end = bisect_left(cand_r, (t + 1) * count, i)
+    for t in range(trials):
+        lo, end = bounds[t], bounds[t + 1]
         room = 8 - rooms[t].bit_count()
         basis: list[list[int]] = []  # [pivot bit, reduced digit, pivot bits of its rows]
-        for row, d in zip(cand_r[i:end], cand_d[i:end]):
-            mix = 0
-            for bit, reduced, parts in basis:
-                if d & bit:
-                    d ^= reduced
-                    mix ^= parts
-            if d:
-                bit = d & -d
-                mix |= bit
-                for entry in basis:
-                    if entry[1] & bit:
-                        entry[1] ^= d
-                        entry[2] ^= mix
-                basis.append([bit, d, mix])
-                pivots[8 * t + bit.bit_length() - 1] = row
-                if len(basis) == room:
-                    break
+        window = _WINDOW
+        while lo < end and len(basis) < room:
+            hi = min(end, lo + window)
+            for row, d in zip(cand[lo:hi].tolist(), digits[lo:hi].tolist()):
+                mix = 0
+                for bit, reduced, parts in basis:
+                    if d & bit:
+                        d ^= reduced
+                        mix ^= parts
+                if d:
+                    bit = d & -d
+                    mix |= bit
+                    for entry in basis:
+                        if entry[1] & bit:
+                            entry[1] ^= d
+                            entry[2] ^= mix
+                    basis.append([bit, d, mix])
+                    pivots[8 * t + bit.bit_length() - 1] = row
+                    if len(basis) == room:
+                        break
+            lo, window = hi, 2 * window
         for bit, _, mix in basis:
             combos[8 * t + bit.bit_length() - 1] = mix
-        i = end
     return (
         np.array(combos, dtype=np.uint8).reshape(trials, 8),
         np.array(pivots, dtype=np.intp).reshape(trials, 8),
     )
 
-
-# Rows of a trial, from its first candidate on, that the sliced search reads
-# first; a trial left short of its free columns reads twice as many next.
-_WINDOW = 16
 
 _SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
 
@@ -581,24 +599,37 @@ def _gauss_jordan(rows: np.ndarray, first: int, taken: np.ndarray) -> np.ndarray
     return pivot_cols.reshape(trials, count)
 
 
-def fold(decoders: Sequence[DecoderState], vectors: np.ndarray, payloads: np.ndarray) -> np.ndarray:
-    """Fold one batch of packets into each of several decoders, in row order.
+def _selection(state: DecoderState, trials) -> slice | np.ndarray:
+    """Index of ``trials`` into a state's stacked arrays: a slice, reading views, for all trials in order."""
+    if trials is None:
+        return slice(None)
+    index = np.asarray(trials, dtype=np.intp)
+    if len(index) == len(state.ranks) and (index == np.arange(len(index))).all():
+        return slice(None)
+    return index
 
-    ``vectors`` is ``trials x count x ceil(k / 8)``, trial ``t``'s packed
-    vectors (see :func:`sample_uniform_vectors`) for ``decoders[t]``, and
-    ``payloads`` the matching ``trials x count x size`` ``uint8`` payloads,
-    ``size`` fixed for each decoder's lifetime. A trial with fewer packets
-    pads its batch with zero rows, which are never innovative. Returns the
-    ``trials x count`` flags, True where a packet raised its decoder's
-    rank: those of one packet at a time. One product reduces every batch
-    against its decoder's stored pivots, and one :func:`_gauss_jordan` pass
-    finds and stores the new pivots of all trials.
+
+def fold(state: DecoderState, vectors: np.ndarray, payloads: np.ndarray, trials=None) -> np.ndarray:
+    """Fold one batch of packets into each of several trials of a decoder state, in row order.
+
+    ``trials`` names the distinct trials of ``state`` that the batch feeds,
+    in the batch's order (every trial, in order, if None). ``vectors`` is
+    ``len(trials) x count x ceil(k / 8)``, row ``t`` the packed vectors
+    (see :func:`sample_uniform_vectors`) of trial ``trials[t]``, and
+    ``payloads`` the matching ``len(trials) x count x size`` ``uint8``
+    payloads, ``size`` fixed for the state's lifetime. A trial with fewer
+    packets pads its batch with zero rows, which are never innovative.
+    Returns the ``len(trials) x count`` flags, True where a packet raised
+    its trial's rank: those of one packet at a time. One product reduces
+    every batch against its trial's stored pivots, one
+    :func:`_gauss_jordan` pass finds the new pivots of all trials, and one
+    scatter per stacked array stores them, in place.
     """
-    k = decoders[0].k
+    k = state.k
     nbytes = (k + 7) // 8
-    if any(d.k != k for d in decoders):
-        raise InvalidParameterError("decoders of different lengths")
-    if vectors.ndim != 3 or vectors.shape[0] != len(decoders) or vectors.shape[2] != nbytes:
+    index = _selection(state, trials)
+    ranks = state.ranks[index]
+    if vectors.ndim != 3 or vectors.shape[0] != len(ranks) or vectors.shape[2] != nbytes:
         raise InvalidParameterError(
             f"packed vectors of shape {vectors.shape[1:]} do not fit length {k}"
         )
@@ -606,75 +637,86 @@ def fold(decoders: Sequence[DecoderState], vectors: np.ndarray, payloads: np.nda
         raise InvalidParameterError(f"packed vectors have bits beyond length {k}")
     if payloads.ndim != 3 or payloads.shape[:2] != vectors.shape[:2]:
         raise InvalidParameterError("need one payload row per vector")
-    for d in decoders:
-        if d._payloads is None:
-            if payloads.shape[2] < 1:
-                raise InvalidParameterError("payloads must be at least one byte")
-            d._payloads = np.zeros((k, payloads.shape[2]), dtype=np.uint8)
-        if payloads.shape[2] != d._payloads.shape[1]:
-            raise InvalidParameterError("payload size changed mid-stream")
+    if state._payloads is None:
+        if payloads.shape[2] < 1:
+            raise InvalidParameterError("payloads must be at least one byte")
+        state._payloads = np.zeros((len(state.ranks), k, payloads.shape[2]), dtype=np.uint8)
+    if payloads.shape[2] != state._payloads.shape[2]:
+        raise InvalidParameterError("payload size changed mid-stream")
     innovative = np.zeros(vectors.shape[:2], dtype=bool)
-    live = [t for t, d in enumerate(decoders) if d._rank < k]
-    if not live or not innovative.size:
+    live = ranks < k
+    if not live.any() or not innovative.size:
         return innovative
-    if len(live) < len(decoders):
-        vectors, payloads = vectors[live], payloads[live]
-    states = [decoders[t] for t in live]
-    trials, count = vectors.shape[:2]
-    first = k if any(d._rank for d in states) else 0  # rows before first: the stored pivots
+    if not live.all():
+        live = np.flatnonzero(live)
+        index = np.arange(len(state.ranks))[index][live]
+        vectors, payloads, ranks = vectors[live], payloads[live], ranks[live]
+    n, count = vectors.shape[:2]
+    first = k if ranks.any() else 0  # rows before first: the stored pivots
     width = _row_bytes(nbytes)
-    rows = batch = np.zeros((trials, count, width), dtype=np.uint8)
+    rows = batch = np.zeros((n, count, width), dtype=np.uint8)
     batch[:, :, :nbytes] = vectors
     if first:  # reduce the batch against the stored pivots, then append it to them
-        rows = np.empty((trials, first + count, width), dtype=np.uint8)
-        np.stack([d._rows for d in states], out=rows[:, :first])
+        rows = np.empty((n, first + count, width), dtype=np.uint8)
+        if isinstance(index, slice):
+            rows[:, :first] = state._rows
+        else:  # a trial at a time: a gather would copy every trial's pivots once more
+            for t, i in enumerate(index.tolist()):
+                rows[t, :first] = state._rows[i]
         _product(vectors, rows[:, :first], batch)
         rows[:, first:] = batch
-    taken = np.stack([d._taken for d in states])
+    taken = state._taken[index]
     pivot_cols = _gauss_jordan(rows, first, taken)[:, first:]
     innovative[live] = new = pivot_cols >= 0
-    for t, d in enumerate(states):
-        at = np.flatnonzero(new[t])
-        cols = pivot_cols[t, at]
-        if first:
-            d._rows = rows[t, :k]
-        d._rows[cols] = rows[t, first + at]
-        d._payloads[cols] = payloads[t, at]
-        d._taken = taken[t]
-        d._rank += len(at)
+    state._taken[index] = taken
+    if first:  # the stored pivots, with the new pivot columns cleared
+        state._rows[index] = rows[:, :first]
+    t, at = new.nonzero()
+    stacked, cols = np.arange(len(state.ranks))[index][t], pivot_cols[t, at]
+    state._rows[stacked, cols] = rows[t, first + at]
+    state._payloads[stacked, cols] = payloads[t, at]
+    state.ranks[index] += new.sum(axis=1)
     return innovative
 
 
 class DecoderState:
-    """Incremental rank tracker and decoder over packed rows.
+    """Incremental rank trackers and decoders over packed rows, one per trial.
 
-    The basis is kept in reduced echelon form as packed ``[vector | tag]``
-    rows of ``2 * ceil(k / 8)`` bytes (padded to whole 64-bit words), row
-    ``c`` holding the pivot row of
+    Each of ``trials`` independent trials keeps a basis in reduced echelon
+    form as packed ``[vector | tag]`` rows of ``2 * ceil(k / 8)`` bytes
+    (padded to whole 64-bit words), row ``c`` holding the pivot row of
     column ``c`` (zero while column ``c`` has none). The packet that became
     a pivot at column ``c`` has its payload stored in slot ``c``, and bit
-    ``c`` of a row's tag says that slot ``c`` is part of the row. Batches
-    are folded by :func:`fold`, which folds one batch into each of several
-    decoders at once; ``receive_batch`` is a fold of one. At full rank the
-    vectors are the identity, so the tags are the selector (which slots XOR
-    to each block), and ``try_decode`` is one product of the selector with
-    the payloads.
+    ``c`` of a row's tag says that slot ``c`` is part of the row. The rows,
+    taken bytes and payloads of all trials are stacked arrays with a leading
+    trials axis, allocated once and written in place; ``ranks`` holds each
+    trial's rank. :func:`fold` folds one batch into each of several trials
+    at once, and :func:`decode` decodes several full-rank trials at once.
+    At full rank the vectors are the identity, so the tags are the selector
+    (which slots XOR to each block), and a decode is one product of the
+    selector with the payloads. A one-trial state also has ``rank``,
+    ``receive_batch`` (a fold of one), ``receive`` (a batch of one packet)
+    and ``try_decode`` (a decode of one).
     """
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, trials: int = 1):
         if k < 1:
             raise InvalidParameterError("k must be >= 1")
+        if trials < 1:
+            raise InvalidParameterError("trials must be >= 1")
         self.k = k
         nbytes = (k + 7) // 8
-        self._rows = np.zeros((k, _row_bytes(nbytes)), dtype=np.uint8)
-        self._taken = np.zeros(nbytes, dtype=np.uint8)
-        self._taken[-1] = (0xFF << (k - 8 * (nbytes - 1))) & 0xFF
-        self._payloads: np.ndarray | None = None
-        self._rank = 0
+        self._rows = np.zeros((trials, k, _row_bytes(nbytes)), dtype=np.uint8)
+        self._taken = np.zeros((trials, nbytes), dtype=np.uint8)
+        self._taken[:, -1] = (0xFF << (k - 8 * (nbytes - 1))) & 0xFF
+        self._payloads: np.ndarray | None = None  # trials x k x size, from the first fold on
+        self.ranks = np.zeros(trials, dtype=np.intp)
 
     @property
     def rank(self) -> int:
-        return self._rank
+        """The rank of a one-trial state (a state of several trials has ``ranks``)."""
+        (rank,) = self.ranks.tolist()
+        return rank
 
     def receive_batch(self, vectors: np.ndarray, payloads: np.ndarray) -> np.ndarray:
         """Fold a batch of packets, in row order; True where a packet raised the rank.
@@ -685,7 +727,7 @@ class DecoderState:
         """
         if vectors.ndim != 2 or payloads.ndim != 2:
             raise InvalidParameterError("need 2-d batches of vectors and payloads")
-        return fold([self], vectors[None], payloads[None])[0]
+        return fold(self, vectors[None], payloads[None])[0]
 
     def receive(self, packet: Packet) -> bool:
         """Fold one packet: a batch of one. True iff it raised the rank."""
@@ -698,34 +740,25 @@ class DecoderState:
 
     def try_decode(self) -> list[bytes] | NotYetDecodable:
         """Recover the original blocks, or report the current rank: a :func:`decode` of one."""
-        if self._rank < self.k:
-            return NotYetDecodable(self._rank)
-        return [row.tobytes() for row in decode([self])[0]]
+        if self.rank < self.k:
+            return NotYetDecodable(self.rank)
+        return [row.tobytes() for row in decode(self)[0]]
 
 
-def decode(decoders: Sequence[DecoderState]) -> np.ndarray:
-    """The blocks that several full-rank decoders recover, ``trials x k x size``.
+def decode(state: DecoderState, trials=None) -> np.ndarray:
+    """The blocks that full-rank trials of a decoder state recover, ``len(trials) x k x size``.
 
-    Row ``i`` of trial ``t`` is block ``i`` of ``decoders[t]``: the XOR of
-    the stored payloads that its tag names. The decoders share ``k`` and
-    the payload size. One product of the stacked tags with the stacked
-    payloads serves every trial; a single decoder's tags and payloads are
-    read in place, not copied.
+    Row ``i`` of result ``t`` is block ``i`` of trial ``trials[t]`` (of
+    every trial, in order, if None): the XOR of the stored payloads that its
+    tag names. One product of the trials' tags with their payloads serves
+    every trial; the tags and payloads of all trials are read in place, not
+    copied.
     """
-    k = decoders[0].k
-    if any(d.k != k for d in decoders):
-        raise InvalidParameterError("decoders of different lengths")
-    if any(d.rank < k for d in decoders):
+    index = _selection(state, trials)
+    if (state.ranks[index] < state.k).any():
         raise InvalidParameterError("a decoder is short of full rank")
-    nbytes = len(decoders[0]._taken)
-    tags = [d._rows[:, nbytes : 2 * nbytes] for d in decoders]
-    payloads = [d._payloads for d in decoders]
-    if any(p.shape != payloads[0].shape for p in payloads):
-        raise InvalidParameterError("decoders with different payload sizes")
-    if len(decoders) == 1:  # views, not copies
-        tags, payloads = tags[0][None], payloads[0][None]
-    else:
-        tags, payloads = np.stack(tags), np.stack(payloads)
+    nbytes = state._taken.shape[1]
+    tags, payloads = state._rows[index, :, nbytes : 2 * nbytes], state._payloads[index]
     blocks = np.zeros(payloads.shape, dtype=np.uint8)
     _product(tags, payloads, blocks)
     return blocks

@@ -171,17 +171,18 @@ def _combine(tag: int, payloads: list[int]) -> int:
     return out
 
 
-def reduced_rows(state) -> list[tuple[int, int, int]]:
-    """Fully reduced (pivot, vector bits, payload bits) of a ``DecoderState``.
+def reduced_rows(state, trial: int = 0) -> list[tuple[int, int, int]]:
+    """Fully reduced (pivot, vector bits, payload bits) of a ``DecoderState`` trial.
 
-    Row ``c`` of the packed basis is the pivot row of column ``c``, and its
-    tag names the payload slots that XOR to its payload (big-endian bits).
+    Row ``c`` of the trial's packed basis is the pivot row of column ``c``,
+    and its tag names the payload slots that XOR to its payload (big-endian
+    bits).
     """
     nbytes = (state.k + 7) // 8
-    payloads = [] if state._payloads is None else state._payloads
+    payloads = [] if state._payloads is None else state._payloads[trial]
     slots = [int.from_bytes(p.tobytes(), "big") for p in payloads]
     out = []
-    for piv, row in enumerate(state._rows):
+    for piv, row in enumerate(state._rows[trial]):
         vector = int.from_bytes(row[:nbytes].tobytes(), "little")
         if (vector >> piv) & 1:
             tag = int.from_bytes(row[nbytes:].tobytes(), "little")

@@ -335,13 +335,13 @@ def test_c6_codec_correctness():
     rng = np.random.default_rng(607)
     hits = 0
     for lo in range(0, N_TRIALS, 4096):
-        # decoders fold 4,096 at a time: one draw of 5 n vectors is the 5
-        # draws of one vector at a time of each of the n decoders in turn
+        # trials fold 4,096 at a time: one draw of 5 n vectors is the 5
+        # draws of one vector at a time of each of the n trials in turn
         n = min(4096, N_TRIALS - lo)
-        decoders = [DecoderState(3) for _ in range(n)]
+        state = DecoderState(3, n)
         vectors = sample_uniform_vectors(3, 5 * n, rng).reshape(n, 5, 1)
-        fold(decoders, vectors, np.zeros((n, 5, 1), dtype=np.uint8))
-        hits += sum(d.rank == 3 for d in decoders)
+        fold(state, vectors, np.zeros((n, 5, 1), dtype=np.uint8))
+        hits += int((state.ranks == 3).sum())
     p = float(exact)
     se = math.sqrt(p * (1 - p) / N_TRIALS)
     checks.append(abs(hits / N_TRIALS - p) <= 3 * se)

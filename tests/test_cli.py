@@ -547,6 +547,40 @@ def test_results_too_large_for_their_moments_are_input_errors(
         assert out == "" and ("overflows" in err or "too large to square" in err), err
 
 
+def _tiny_classes(*classes):
+    return {"type": "discrete", "classes": [{"v": v, "p": p} for v, p in classes]}
+
+
+@pytest.mark.parametrize(
+    "args, change, reason",
+    [
+        # each class's encounter means are finite, but their math.fsum overflows
+        (
+            ["analyze"],
+            {
+                "lambda": 9.377,
+                "d": 10.97,
+                "r": 0.0282,
+                "velocity": _tiny_classes((1e-307, 0.25), (2e-307, 0.25), (3e-307, 0.25), (4e-307, 0.25)),
+            },
+            "a closed-form value of its report overflows",
+        ),
+        # the class of probability 0 meets an overflowing density: no 0 * inf
+        (
+            ["download-time", "--K", "8", "--trials", "2"],
+            {"lambda": 3.0, "velocity": _tiny_classes((1e-308, 0.5), (2e-308, 0.5), (20.0, 0.0))},
+            "its mean throughput inf packets/s overflows",
+        ),
+    ],
+)
+def test_closed_forms_that_overflow_are_input_errors(twoclass_path, tmp_path, args, change, reason, capsys):
+    doc = dict(json.loads(twoclass_path.read_text()), **change)
+    code, out, err = run([args[0], write_scenario(tmp_path, doc), *args[1:]], capsys)
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: scenario out of range") and reason in err, err
+    assert "nan" not in err
+
+
 @pytest.mark.parametrize(
     "command", ["analyze", "simulate", "compare", "optimize-pmf", "download-time"]
 )

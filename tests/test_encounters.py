@@ -785,9 +785,9 @@ def test_lt_download_with_a_long_tail_matches_per_packet_oracle(monkeypatch):
     folds = []
     fold = encounters.fold
 
-    def counted(decoders, vectors, payloads):
-        folds.append((vectors.shape[1], decoders[0].rank))  # a download is a chunk of one trial
-        return fold(decoders, vectors, payloads)
+    def counted(state, vectors, payloads, trials):
+        folds.append((vectors.shape[1], state.rank))  # a download is a chunk of one trial
+        return fold(state, vectors, payloads, trials)
 
     monkeypatch.setattr(encounters, "fold", counted)
     file = FileSpec(100, 64)
@@ -863,6 +863,41 @@ def test_crossings_are_drawn_only_when_the_station_batch_falls_short(twoclass, m
     assert got[2] == 1 and drawn == [20.0]  # 250 station packets fall short of 300
 
 
+def test_arrival_generators_are_built_only_at_a_first_crossing_draw(twoclass, monkeypatch):
+    # Trial i owns the three children of the i-th rng.spawn(3): arrivals,
+    # vectors, file. At K=100 the station batches of 250 and 200 packets
+    # cover N, so no trial draws crossings or builds its arrival generator,
+    # though each still spawns all three seeds. A trial that does draw
+    # crossings draws what rng.spawn(3)[0] draws: the per-packet oracle
+    # tests pin that (test_download_matches_per_packet_oracle,
+    # test_large_uniform_download_matches_per_packet_oracle and
+    # test_lt_download_with_a_long_tail_matches_per_packet_oracle).
+    drawn, built = [], []
+    draw, spawned = encounters._crossing_events, encounters._spawned
+    monkeypatch.setattr(
+        encounters, "_crossing_events", lambda sc, vi, rng: drawn.append(vi) or draw(sc, vi, rng)
+    )
+    monkeypatch.setattr(
+        encounters, "_spawned", lambda rng, seed: built.append(seed.spawn_key[-1]) or spawned(rng, seed)
+    )
+    rng = np.random.default_rng(0)
+    got = encounters.simulate_download_times(
+        twoclass, [20.0, 25.0] * 3, FileSpec(100, 64), UniformScheme(), rng
+    )
+    assert [segments for _, _, segments in got] == [1] * 6 and drawn == []
+    assert sorted(built) == [3 * i + j for i in range(6) for j in (1, 2)]  # vectors and file
+    assert rng.bit_generator.seed_seq.n_children_spawned == 3 * 6
+    built.clear()
+    got = encounters.simulate_download_times(
+        twoclass, [20.0, 25.0], FileSpec(300, 64), UniformScheme(), rng
+    )
+    # 250 and 200 station packets fall short of 300: each trial draws one
+    # segment's crossings, from its own first child, built at that draw
+    assert drawn == [20.0, 25.0] and [segments for _, _, segments in got] == [1, 1]
+    assert sorted(built) == [18 + j for j in range(6)]
+    assert rng.bit_generator.seed_seq.n_children_spawned == 3 * 8
+
+
 def test_a_chunk_checks_each_distinct_observer_speed_once(twoclass, monkeypatch):
     checked = []
     real = encounters._refuse_packetless
@@ -923,22 +958,39 @@ def test_download_refuses_a_file_above_the_block_limit():
     assert rng.bit_generator.state == state  # refused before any draw
 
 
-@pytest.mark.parametrize("k", [256, 1024])
-def test_a_download_trial_peaks_within_the_bytes_its_chunk_assumes(twoclass, k, monkeypatch):
-    # 1 KiB blocks, chunks of one trial: the trial holds its file, basis and
-    # fold rows, but only the product's bounded XOR tables, not its file's
-    file = FileSpec(k, 8192)
-    warm = FileSpec(8, 64)  # first-call allocations are not the trial's
-    simulate_download_time(twoclass, 20.0, warm, UniformScheme(), np.random.default_rng(0))
+LT = LtScheme(SolitonParams(0.1, 0.5, 0.01))
+
+
+@pytest.mark.parametrize(
+    "k, l, scheme",
+    [
+        (40, 64, UniformScheme()),
+        (100, 64, UniformScheme()),
+        (100, 64, LT),
+        (1000, 64, UniformScheme()),
+        (256, 8192, UniformScheme()),
+        (1024, 8192, UniformScheme()),
+    ],
+)
+def test_a_download_trial_peaks_within_the_bytes_its_chunk_assumes(twoclass, k, l, scheme):
+    # A chunk of the rule's own trial count (115 at K=40, 54 at K=100, one
+    # at K=1000 and with 1 KiB blocks; LT vectors fold in many rounds)
+    # holds its trials' files, bases and fold rows, but only the product's
+    # bounded XOR tables, not its files'
+    file = FileSpec(k, l)
+    trials = encounters.download_chunk_trials(file)
+    warm = FileSpec(8, 64)  # first-call allocations are not the chunk's
+    observers = [(20.0, 25.0)[i % 2] for i in range(trials)]
+    encounters.simulate_download_times(twoclass, [20.0], warm, scheme, np.random.default_rng(0))
     tracemalloc.start()
     try:
-        simulate_download_time(twoclass, 20.0, file, UniformScheme(), np.random.default_rng(1))
+        encounters.simulate_download_times(twoclass, observers, file, scheme, np.random.default_rng(1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # two peaks less a byte hold two trials unless a trial is assumed to take the peak or more
-    monkeypatch.setattr(encounters, "DOWNLOAD_CHUNK_BYTES", 2 * peak - 1)
-    assert encounters.download_chunk_trials(file) == 1
+    assert peak <= encounters.download_chunk_bytes(file, trials)
+    if trials > 1:
+        assert encounters.download_chunk_bytes(file, trials) <= encounters.DOWNLOAD_CHUNK_BYTES
 
 
 def test_download_detects_a_wrong_decode(monkeypatch):
@@ -946,8 +998,8 @@ def test_download_detects_a_wrong_decode(monkeypatch):
     # returns one flipped byte must be caught.
     honest = encounters.decode
 
-    def flip_one_byte(decoders):
-        decoded = honest(decoders)
+    def flip_one_byte(state, trials):
+        decoded = honest(state, trials)
         decoded[:, 0, 0] ^= 0x01
         return decoded
 
@@ -967,23 +1019,18 @@ def test_a_wrong_decode_fails_its_own_trial_only(j, raised, monkeypatch):
     # segment and gives up after MAX_SEGMENTS = 2. Only trial j's decode is
     # corrupted, so the chunk raises its error unless trial 2 fails before
     # it, as trials run one at a time would.
-    made = []
-
-    class Tracked(DecoderState):
-        def __init__(self, k):
-            super().__init__(k)
-            made.append(self)
-
+    decoded_trials = []
     honest = encounters.decode
 
-    def corrupt_trial_j(decoders):
-        decoded = honest(decoders)
-        for blocks, decoder in zip(decoded, decoders):
-            if decoder is made[j]:
+    def corrupt_trial_j(state, trials):
+        decoded = honest(state, trials)
+        named = range(len(state.ranks)) if trials is None else trials.tolist()
+        decoded_trials.extend(named)
+        for blocks, t in zip(decoded, named):
+            if t == j:
                 blocks[0, 0] ^= 0x01
         return decoded
 
-    monkeypatch.setattr(encounters, "DecoderState", Tracked)
     monkeypatch.setattr(encounters, "decode", corrupt_trial_j)
     monkeypatch.setattr(encounters, "MAX_SEGMENTS", 2)
     with pytest.raises(raised):
@@ -994,7 +1041,7 @@ def test_a_wrong_decode_fails_its_own_trial_only(j, raised, monkeypatch):
             UniformScheme(),
             np.random.default_rng(0),
         )
-    assert len(made) == 4
+    assert sorted(decoded_trials) == [0, 1, 2, 3]  # every trial's decode is checked
 
 
 # (t, packets, segments) for twoclass at bit_rate 5000 with FileSpec(256, 8192)

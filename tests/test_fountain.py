@@ -503,6 +503,13 @@ def oracle_stream(kind: str, k: int, count: int, rng: np.random.Generator) -> np
     return pool[rng.integers(0, len(pool), count)]
 
 
+def trial_decode(state: DecoderState, t: int) -> list[bytes] | NotYetDecodable:
+    """Trial ``t``'s blocks from a decode of that trial alone, or its rank: its ``try_decode``."""
+    if state.ranks[t] < state.k:
+        return NotYetDecodable(int(state.ranks[t]))
+    return [row.tobytes() for row in fountain.decode(state, [t])[0]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 @pytest.mark.parametrize("kind", ["uniform", "lt", "repeats"])
@@ -542,8 +549,9 @@ def test_receive_batch_matches_the_int_oracle(kind, k_range, data):
 @pytest.mark.parametrize("kind", ["uniform", "lt", "repeats"])
 def test_fold_of_several_decoders_matches_separate_folds(kind, data):
     # Each trial's batch, padded with zero rows to the longest, folds as if
-    # alone: the flags, rank, basis and decode of a separate DecoderState
-    # fold and of the per-packet int oracle, whatever the stored ranks, with
+    # alone: the flags, rank, basis and decode of a separate one-trial
+    # DecoderState fold and of the per-packet int oracle, whatever the
+    # stored ranks and the order in which the fold names the trials, with
     # the greedy pivot search (few trials) and the sliced one (many).
     k = data.draw(st.integers(1, 72), label="k")
     trials = data.draw(TRIAL_COUNTS, label="trials")
@@ -551,15 +559,16 @@ def test_fold_of_several_decoders_matches_separate_folds(kind, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     stored = data.draw(st.lists(st.integers(0, k + 4), min_size=trials, max_size=trials))
     counts = data.draw(st.lists(st.integers(0, 2 * k + 8), min_size=trials, max_size=trials))
+    order = data.draw(st.permutations(range(trials)), label="order")
     vectors = np.zeros((trials, max(counts), (k + 7) // 8), dtype=np.uint8)
     payloads = np.zeros((trials, max(counts), size), dtype=np.uint8)
-    decoders, expected = [], []
+    stacked, expected = DecoderState(k, trials), []
     for t, (before, count) in enumerate(zip(stored, counts)):
         stream = oracle_stream(kind, k, before + count, rng)
         stream_payloads = rng.integers(0, 256, (before + count, size), dtype=np.uint8)
-        decoder, alone, oracle = DecoderState(k), DecoderState(k), IntDecoder(k)
-        for state in (decoder, alone):
-            state.receive_batch(stream[:before], stream_payloads[:before])
+        alone, oracle = DecoderState(k), IntDecoder(k)
+        fountain.fold(stacked, stream[None, :before], stream_payloads[None, :before], [t])
+        alone.receive_batch(stream[:before], stream_payloads[:before])
         oracle_flags = [
             oracle.receive(Packet(EncodingVector(bits, k), payload.tobytes()))
             for bits, payload in zip(packed_bits(stream), stream_payloads)
@@ -568,28 +577,28 @@ def test_fold_of_several_decoders_matches_separate_folds(kind, data):
         payloads[t, :count] = stream_payloads[before:]
         flags = alone.receive_batch(stream[before:], stream_payloads[before:]).tolist()
         assert flags == oracle_flags[before:]
-        decoders.append(decoder)
         expected.append((flags, alone, oracle))
-    innovative = fountain.fold(decoders, vectors, payloads)
-    for t, (decoder, (flags, alone, oracle)) in enumerate(zip(decoders, expected)):
+    innovative = np.empty((trials, max(counts)), dtype=bool)
+    innovative[order] = fountain.fold(stacked, vectors[order], payloads[order], order)
+    for t, (flags, alone, oracle) in enumerate(expected):
         assert innovative[t].tolist() == flags + [False] * (max(counts) - counts[t])
-        assert decoder.rank == alone.rank == oracle.rank
-        assert reduced_rows(decoder) == reduced_rows(alone) == oracle.rows()
-        assert decoder.try_decode() == alone.try_decode() == oracle.try_decode()
+        assert stacked.ranks[t] == alone.rank == oracle.rank
+        assert reduced_rows(stacked, t) == reduced_rows(alone) == oracle.rows()
+        assert trial_decode(stacked, t) == alone.try_decode() == oracle.try_decode()
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 @pytest.mark.parametrize("kind", ["uniform", "lt", "repeats"])
 def test_decode_of_several_decoders_matches_each_try_decode(kind, data):
-    # The batched decode of several full-rank decoders, folded together in
-    # rounds, gives each trial the blocks of its own try_decode and of the
+    # The batched decode of several full-rank trials, folded together in
+    # rounds, gives each trial the blocks of its own decode and of the
     # per-packet int oracle.
     k = data.draw(st.integers(1, 72), label="k")
     trials = data.draw(TRIAL_COUNTS, label="trials")
     size = data.draw(st.sampled_from([1, 3, 8]), label="size")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    decoders = [DecoderState(k) for _ in range(trials)]
+    state = DecoderState(k, trials)
     oracles = [IntDecoder(k) for _ in range(trials)]
     counts = data.draw(st.lists(st.integers(0, 2 * k), min_size=trials, max_size=trials))
     streams = [oracle_stream(kind, k, count, rng) for count in counts]
@@ -600,16 +609,16 @@ def test_decode_of_several_decoders_matches_each_try_decode(kind, data):
             vectors[t, : len(stream)] = stream
             for bits, payload in zip(packed_bits(stream), payloads[t]):
                 oracle.receive(Packet(EncodingVector(bits, k), payload.tobytes()))
-        fountain.fold(decoders, vectors, payloads)
-        if all(d.rank == k for d in decoders):
+        fountain.fold(state, vectors, payloads)
+        if (state.ranks == k).all():
             break
         # tops up the rank
-        needs = [k - d.rank + 8 if d.rank < k else 0 for d in decoders]
+        needs = [k - rank + 8 if rank < k else 0 for rank in state.ranks.tolist()]
         streams = [sample_uniform_vectors(k, need, rng) for need in needs]
-    blocks = fountain.decode(decoders)
+    blocks = fountain.decode(state)
     assert blocks.shape == (trials, k, size)
-    for got, decoder, oracle in zip(blocks, decoders, oracles):
-        assert [row.tobytes() for row in got] == decoder.try_decode() == oracle.try_decode()
+    for t, (got, oracle) in enumerate(zip(blocks, oracles)):
+        assert [row.tobytes() for row in got] == trial_decode(state, t) == oracle.try_decode()
 
 
 def test_fold_and_decode_more_decoders_than_16_bit_table_rows_index():
@@ -620,13 +629,13 @@ def test_fold_and_decode_more_decoders_than_16_bit_table_rows_index():
     trials, k = 4100, 4
     rng = np.random.default_rng(11)
     files = rng.integers(0, 256, (trials, k, 1), dtype=np.uint8)
-    decoders = [DecoderState(k) for _ in range(trials)]
-    while any(d.rank < k for d in decoders):
+    state = DecoderState(k, trials)
+    while (state.ranks < k).any():
         vectors = sample_uniform_vectors(k, 2 * trials, rng).reshape(trials, 2, 1)
         selected = (vectors >> np.arange(k, dtype=np.uint8)) & 1  # trials x 2 x k bits
         payloads = np.bitwise_xor.reduce(selected[..., None] * files[:, None], axis=2)
-        fountain.fold(decoders, vectors, payloads)
-    assert np.array_equal(fountain.decode(decoders), files)
+        fountain.fold(state, vectors, payloads)
+    assert np.array_equal(fountain.decode(state), files)
 
 
 def block_digits(rng: np.random.Generator, taken: int, count: int, run: int) -> list[int]:
@@ -684,15 +693,15 @@ def test_gauss_jordan_gives_the_same_rows_under_either_pivot_search(kind, stored
     vectors = np.stack([oracle_stream(kind, k, count, rng) for _ in range(trials)])
     rows = np.zeros((trials, count, fountain._row_bytes(nbytes)), dtype=np.uint8)
     rows[:, :, :nbytes] = vectors
-    decoders, first = [DecoderState(k) for _ in range(trials)], 0
+    state, first = DecoderState(k, trials), 0
     if stored:  # reduced against the stored pivots and appended to them, as fold does
-        for d in decoders:
+        for t in range(trials):
             n = data.draw(st.integers(1, k + 4), label="stored")
-            d.receive_batch(oracle_stream(kind, k, n, rng), np.zeros((n, 1), dtype=np.uint8))
-        pivots = np.stack([d._rows for d in decoders])
-        fountain._product(vectors, pivots, rows)
-        rows, first = np.concatenate((pivots, rows), axis=1), k
-    taken = np.stack([d._taken for d in decoders])
+            stream = oracle_stream(kind, k, n, rng)
+            fountain.fold(state, stream[None], np.zeros((1, n, 1), dtype=np.uint8), [t])
+        fountain._product(vectors, state._rows, rows)
+        rows, first = np.concatenate((state._rows, rows), axis=1), k
+    taken = state._taken.copy()
     results = []
     for threshold in (1, trials + 1):  # the sliced search, then the greedy one
         got_rows, got_taken = rows.copy(), taken.copy()
@@ -710,21 +719,17 @@ def test_gauss_jordan_gives_the_same_rows_under_either_pivot_search(kind, stored
     assert np.array_equal(np.packbits(marks, axis=1, bitorder="little"), after)
 
 
-def test_decode_refuses_short_or_mismatched_decoders():
-    full = [DecoderState(2) for _ in range(3)]
-    for d, size in zip(full, (1, 1, 2)):
-        d.receive_batch(np.array([[1], [2]], dtype=np.uint8), np.zeros((2, size), dtype=np.uint8))
-    short = DecoderState(2)
-    short.receive_batch(np.array([[1]], dtype=np.uint8), np.zeros((1, 1), dtype=np.uint8))
-    wider = DecoderState(3)
-    wider.receive_batch(np.array([[1], [2], [4]], dtype=np.uint8), np.zeros((3, 1), dtype=np.uint8))
-    assert fountain.decode(full[:2]).shape == (2, 2, 1)
+def test_decode_refuses_a_trial_short_of_full_rank():
+    # trials 0 and 2 reach rank 2, trial 1 only rank 1
+    state = DecoderState(2, 3)
+    vectors = np.array([[[1], [2]], [[1], [0]], [[2], [1]]], dtype=np.uint8)
+    fountain.fold(state, vectors, np.zeros((3, 2, 1), dtype=np.uint8))
+    assert state.ranks.tolist() == [2, 1, 2]
+    assert fountain.decode(state, [2, 0]).shape == (2, 2, 1)
     with pytest.raises(InvalidParameterError, match="short of full rank"):
-        fountain.decode([full[0], short])
-    with pytest.raises(InvalidParameterError, match="decoders of different lengths"):
-        fountain.decode([full[0], wider])
-    with pytest.raises(InvalidParameterError, match="different payload sizes"):
-        fountain.decode(full)
+        fountain.decode(state, [0, 1])
+    with pytest.raises(InvalidParameterError, match="short of full rank"):
+        fountain.decode(state)
 
 
 def test_receive_batch_rejects_misfit_batches():
@@ -741,10 +746,10 @@ def test_receive_batch_rejects_misfit_batches():
     with pytest.raises(InvalidParameterError, match="2-d batches"):
         state.receive_batch(np.zeros(2, dtype=np.uint8), one)
     two_vectors, two_payloads = np.zeros((2, 1, 2), dtype=np.uint8), np.zeros((2, 1, 1), dtype=np.uint8)
-    with pytest.raises(InvalidParameterError, match="decoders of different lengths"):
-        fountain.fold([state, DecoderState(9)], two_vectors, two_payloads)
     with pytest.raises(InvalidParameterError, match="do not fit length 10"):
-        fountain.fold([state], two_vectors, two_payloads)  # two batches for one decoder
+        fountain.fold(state, two_vectors, two_payloads)  # two batches for one trial
+    with pytest.raises(InvalidParameterError, match="do not fit length 10"):
+        fountain.fold(DecoderState(10, 3), two_vectors, two_payloads)  # all three trials named
     assert state.rank == 0
 
 
