@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanetsim import (
-    DecoderState,
     DiscreteVelocityDist,
     FileSpec,
     LtScheme,
