@@ -28,6 +28,7 @@ from .analysis import (
     expected_throughput_continuous,
 )
 from .encounters import (
+    _standard_error,
     download_chunk_trials,
     merge_moments,
     monte_carlo_throughput,
@@ -338,8 +339,7 @@ def _cmd_download_time(args) -> tuple[str, int, dict, int]:
             merge_moments(m, np.array(x), label)
             for m, x, label in zip(moments, zip(*chunk_results), labels)
         ]
-    (trials, mean_time, m2_time), (_, mean_packets, _), (_, mean_segments, _) = moments
-    std_error = math.sqrt(m2_time / (trials - 1)) / math.sqrt(trials) if trials > 1 else 0.0
+    (_, mean_time, _), (_, mean_packets, _), (_, mean_segments, _) = moments
     results = {
         "k": args.k,
         "epsilon": args.epsilon,
@@ -348,7 +348,7 @@ def _cmd_download_time(args) -> tuple[str, int, dict, int]:
         "packets_needed": packets_needed(args.k, args.epsilon, scheme),
         "projected_time": projection,
         "simulated_mean_time": mean_time,
-        "simulated_std_error": std_error,
+        "simulated_std_error": _standard_error(moments[0]),
         "mean_packets": mean_packets,
         "mean_segments": mean_segments,
     }

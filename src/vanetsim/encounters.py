@@ -7,14 +7,16 @@ paths meet at t = (v e - d [v < 0]) / (v - v_i), and they meet inside the
 segment iff 0 < t < d / v_i. The transmit range enters packet counts and
 connection times only, never the encounter decision itself.
 
-Two samplers draw the crossers of a chunk of trips at once, chosen by the
-kind of traffic; both return a :class:`Crossers` record, trip by trip.
+An observer is set up once, by :func:`_observer`: its speed is checked
+and its crossing sampler built. The sampler draws the crossers of a chunk
+of trips at once and returns a :class:`Crossers` record, trip by trip; it
+is one of two, chosen by the kind of traffic.
 
-- Discrete traffic: :func:`_crossing_arrivals` draws every trip's Poisson
-  arrival count on its lookback window, then all entry times, then all
-  velocities, and keeps the arrivals whose meeting time lies in
-  ``(0, d / v_i)``. In place, the meeting times overwrite the entry times
-  and the gaps v - v_i the velocities.
+- Discrete traffic: the lookback sampler :func:`_crossing_arrivals` draws
+  every trip's Poisson arrival count on its lookback window, then all
+  entry times, then all velocities, and keeps the arrivals whose meeting
+  time lies in ``(0, d / v_i)``. In place, the meeting times overwrite the
+  entry times and the gaps v - v_i the velocities.
 - Continuous traffic: :func:`_tilted_crossings` draws the crossers alone.
   By the marking theorem (Kingman, *Poisson Processes*, 1993) the partners
   an observer crosses are Poisson with intensity
@@ -36,15 +38,15 @@ A trip is a chunk of one, and draws what it always drew.
 :func:`monte_carlo_throughput` runs chunks of at most :data:`CHUNK_VEHICLES`
 expected arrivals (discrete) or crossers (continuous), reduces each by trip
 with ``np.bincount``, and merges the chunks' means and sums of squared
-deviations as it goes, so it keeps no per-trial array.
+deviations as it goes, so it keeps no per-trial array. A download walks
+its segments' packet events with :func:`_packet_arrival`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,7 +68,7 @@ from .fountain import (
     fold,
     vector_batch_sampler,
 )
-from .traffic import Scenario, _log_ratio, sample_velocities
+from .traffic import Scenario, _log_ratio, _tail_integral, sample_velocities
 
 # Lookback margin, in units of r / min|v|, before -d / min|v|, the earliest
 # entry time of an arrival that can cross the observer. Arrivals in the
@@ -137,8 +139,8 @@ class MonteCarloEstimate:
     trials: int
 
 
-def _observer_trip(scenario: Scenario, observer_velocity: float) -> tuple[float, float]:
-    """The checked observer speed and its travel time ``d / v``.
+def _checked_speed(scenario: Scenario, observer_velocity: float) -> tuple[float, float, float]:
+    """The checked observer speed, its travel time ``d / v`` and its station batch.
 
     The speed must be finite and positive, its travel time finite and above
     0, and its station batch ``packet_rate * r / v`` finite; other observers
@@ -160,7 +162,7 @@ def _observer_trip(scenario: Scenario, observer_velocity: float) -> tuple[float,
         raise InvalidParameterError(f"observer too fast: d/v = {scenario.d:g}/{vi!r} rounds to 0")
     if not math.isfinite(batch / ti):
         raise InvalidParameterError("scenario out of range: station rate packet_rate*r/d overflows")
-    return vi, ti
+    return vi, ti, batch
 
 
 def _packets(gap: np.ndarray, packet_rate: float, r: float) -> np.ndarray:
@@ -197,55 +199,24 @@ class Crossers(NamedTuple):
     meet: np.ndarray | None
 
 
-def _too_slow(expected: float, what: str) -> None:
-    if not expected <= MAX_EXPECTED_VEHICLES:
-        raise InvalidParameterError(
-            f"observer too slow: its trip expects {expected:.6g} {what}, "
-            f"more than {MAX_EXPECTED_VEHICLES:.0e}"
-        )
-
-
-def _arrival_window(scenario: Scenario, ti: float) -> tuple[float, float]:
-    """Start of one trip's lookback window, and the arrivals it expects.
-
-    The window runs up to the observer's travel time ``ti``. Raises
-    :class:`InvalidParameterError` when it expects more than
-    :data:`MAX_EXPECTED_VEHICLES` arrivals, or partners whose ``v e - d``
-    overflows.
-    """
-    vmin, vmax = scenario.speed_bounds()
-    w0 = -(scenario.d / vmin + ARRIVAL_MARGIN_FACTOR * scenario.r / vmin)
-    expected = scenario.lam * (ti - w0)
-    _too_slow(expected, "arrivals in its lookback window")
-    if not math.isfinite(vmax * max(-w0, ti) + scenario.d):  # see _crossing_arrivals
-        raise InvalidParameterError(f"scenario out of range: partners at {vmax:g} overflow")
-    return w0, expected
-
-
 def _crossing_arrivals(
-    scenario: Scenario, vi: float, ti: float, rng: np.random.Generator, trips: int = 1
+    scenario: Scenario, vi: float, ti: float, w0: float, rng: np.random.Generator, trips: int = 1
 ) -> Crossers:
-    """Draw the background arrivals of ``trips`` trips; keep the crossers.
+    """Draw the background arrivals of ``trips`` trips of discrete traffic; keep the crossers.
 
-    Each trip's arrivals are Poisson on its lookback window up to the travel
-    time ``ti`` of the observer at speed ``vi``. The draws are every trip's
-    count, then all entry times, then all velocities, so one trip draws
-    count, entry times, velocities. An arrival crosses iff its meeting time
-    with the observer (see the module docstring) lies in ``(0, ti)``; a
-    partner at the observer's speed never meets it. The crossers come in
-    arrival order, so with the trips in order.
+    Each trip's arrivals are Poisson on its lookback window ``(w0, ti)``
+    (see :func:`_observer`), ``ti`` the travel time of the observer at
+    ``vi``. The draws are every trip's count, then all entry times, then
+    all velocities, so one trip draws count, entry times, velocities. An
+    arrival crosses iff its meeting time with the observer (see the module
+    docstring) lies in ``(0, ti)``; a partner at the observer's speed never
+    meets it. The crossers come in arrival order, so with the trips in
+    order.
     """
-    counts = np.zeros(trips, dtype=int)
-    if scenario.lam > 0:
-        w0, expected = _arrival_window(scenario, ti)
-        counts = rng.poisson(expected, trips)
+    counts = rng.poisson(scenario.lam * (ti - w0), trips)  # no draw for a mean of 0
     n = int(counts.sum())
-    if n:
-        meet = rng.uniform(w0, ti, n)
-        gap, cls = sample_velocities(scenario.velocity, n, rng)
-    else:
-        meet, gap = np.empty(0), np.empty(0)
-        cls = np.empty(0, dtype=int) if scenario.is_discrete else None
+    meet = rng.uniform(w0, ti, n)
+    gap, cls = sample_velocities(scenario.velocity, n, rng)
     reverse = gap < 0
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 and x/0 at the observer's speed
         np.multiply(gap, meet, out=meet)
@@ -256,10 +227,9 @@ def _crossing_arrivals(
     crossing &= meet < ti
     at = np.flatnonzero(crossing)
     trip = np.searchsorted(np.cumsum(counts), at, side="right") if trips > 1 else None
-    return Crossers(gap[at], reverse[at], None if cls is None else cls[at], trip, meet[at])
+    return Crossers(gap[at], reverse[at], cls[at], trip, meet[at])
 
 
-@functools.lru_cache(maxsize=256)  # a trip or a segment at a time asks again and again
 def _tilt_parts(scenario: Scenario, vi: float) -> tuple[tuple[float, str, float, float], ...]:
     """The parts of the crossing intensity of an observer at ``vi``.
 
@@ -272,8 +242,10 @@ def _tilt_parts(scenario: Scenario, vi: float) -> tuple[tuple[float, str, float,
     (shape "flat", uniform speeds), plus a tail: ``1/lo - 1/u`` above
     ``vi`` (shape "rising", zero at ``lo``) or ``1/u - 1/hi`` below it and
     on a reverse band (shape "falling", zero at ``hi``), whose integrals are
-    ``(hi - lo)/lo - ln(hi/lo)`` and ``ln(hi/lo) - (hi - lo)/hi``. Parts
-    that no crosser can come from are left out.
+    ``(hi - lo)/lo - ln(hi/lo)`` and ``ln(hi/lo) - (hi - lo)/hi`` (see
+    ``traffic._tail_integral``). Parts that no crosser can come from are
+    left out, among them the tail of a piece with no float strictly inside:
+    :func:`_tail_speeds` returns neither end.
     """
     vel, parts = scenario.velocity, []
     for (a, b), w in zip(vel.bands, vel.weights):
@@ -290,9 +262,9 @@ def _tilt_parts(scenario: Scenario, vi: float) -> tuple[tuple[float, str, float,
             if not pa < pb:
                 continue
             lo, hi = sorted((abs(pa), abs(pb)))
-            log_ratio = _log_ratio(lo, hi)
-            tail = (hi - lo) / lo - log_ratio if shape == "rising" else log_ratio - (hi - lo) / hi
-            parts += [(scale * flat * (hi - lo), "flat", pa, pb), (scale * tail, shape, pa, pb)]
+            parts.append((scale * flat * (hi - lo), "flat", pa, pb))
+            if math.nextafter(lo, hi) < hi:  # else no float inside for a tail speed
+                parts.append((scale * _tail_integral(shape, lo, hi), shape, pa, pb))
     return tuple(part for part in parts if part[0] > 0)
 
 
@@ -306,8 +278,9 @@ def _tail_speeds(rng: np.random.Generator, n: int, shape: str, a: float, b: floa
     that proposal is the higher of the two, and above 1/2. So a round
     proposes twice the speeds still wanting, plus 16, drawing the
     proposals' uniforms, then their acceptance uniforms; the first ``n``
-    accepted speeds are kept. Neither end of the piece is ever returned:
-    each tail is zero at one end, and the other is not proposed.
+    accepted speeds are kept. Neither end of the piece is ever returned: a
+    proposal that rounds to one, as on a piece a few ulps wide, is rejected,
+    so the piece must hold a float strictly inside.
     """
     lo, hi = sorted((abs(a), abs(b)))
     log_ratio = _log_ratio(lo, hi)
@@ -329,6 +302,8 @@ def _tail_speeds(rng: np.random.Generator, n: int, shape: str, a: float, b: floa
             kept = e[test < 1.0]
             kept *= hi
         kept = kept[: n - filled]
+        if kept.size and not (lo < kept.min() and kept.max() < hi):  # rounded to an end
+            kept = kept[(lo < kept) & (kept < hi)]
         out[filled : filled + kept.size] = kept
         filled += kept.size
     return out if a > 0 else np.negative(out, out=out)
@@ -349,7 +324,9 @@ def _tilted_crossings(
     one call; a flat part's speeds are uniform on its piece, one uniform a
     crosser, and a tail's come from :func:`_tail_speeds`. The crossers come
     part by part, each part's trip by trip. Meeting times, uniform on
-    ``(0, ti)``, are drawn last and only if ``times``.
+    ``(0, ti)``, are drawn last and only if ``times``. A gap past the
+    largest float is inf, an encounter of 0 packets; callers silence
+    NumPy's overflow warning.
     """
     counts = np.array([rng.poisson(mean, trips) for mean, *_ in parts], dtype=int)
     sizes = counts.reshape(len(parts), trips).sum(axis=1).tolist()
@@ -374,84 +351,113 @@ def _tilted_crossings(
     return Crossers(gap, reverse, None, trip, meet)
 
 
-def _crossing_sampler(scenario: Scenario, vi: float, ti: float):
-    """The crossing sampler of an observer at ``vi``, and the vehicles a trip expects it to draw.
+class _Observer(NamedTuple):
+    """An observer set up once by :func:`_observer`.
 
-    The sampler is called as ``draw(rng, trips=1, times=False)`` and returns
-    the :class:`Crossers` of ``trips`` trips: :func:`_crossing_arrivals` for
-    discrete traffic, which expects the arrivals of a lookback window, and
-    :func:`_tilted_crossings` for continuous traffic, which expects the
-    crossers themselves and draws meeting times only if ``times``. Raises
-    :class:`InvalidParameterError` when a trip expects more than
-    :data:`MAX_EXPECTED_VEHICLES`.
+    ``v`` is the checked speed, ``ti`` its travel time ``d / v``, ``batch``
+    its station batch ``packet_rate * r / v`` and ``expected`` the vehicles
+    a trip's sampler expects to draw. ``draw(rng, trips=1, times=False)``
+    returns the :class:`Crossers` of ``trips`` trips; continuous traffic
+    draws meeting times only if ``times``.
     """
+
+    v: float
+    ti: float
+    batch: float
+    expected: float
+    draw: Callable[..., Crossers]
+
+
+def _refuse_crowded(expected: float, what: str) -> None:
+    """Refuse a trip that expects more than :data:`MAX_EXPECTED_VEHICLES` ``what``."""
+    if not expected <= MAX_EXPECTED_VEHICLES:
+        raise InvalidParameterError(
+            f"observer too slow: its trip expects {expected:.6g} {what}, "
+            f"more than {MAX_EXPECTED_VEHICLES:.0e}"
+        )
+
+
+def _observer(scenario: Scenario, observer_velocity: float) -> _Observer:
+    """Check an observer speed, then build its crossing sampler.
+
+    After the checks of :func:`_checked_speed`, refuses a trip that expects
+    more than :data:`MAX_EXPECTED_VEHICLES` arrivals (discrete traffic) or
+    crossers (continuous traffic), and lookback-window partners whose
+    ``v e - d`` overflows.
+    """
+    vi, ti, batch = _checked_speed(scenario, observer_velocity)
     if scenario.is_discrete:
-        expected = _arrival_window(scenario, ti)[1] if scenario.lam > 0 else 0.0
+        w0, expected = 0.0, 0.0  # no lookback window without traffic
+        if scenario.lam > 0:
+            vmin, vmax = scenario.speed_bounds()
+            w0 = -(scenario.d / vmin + ARRIVAL_MARGIN_FACTOR * scenario.r / vmin)
+            expected = scenario.lam * (ti - w0)
+            _refuse_crowded(expected, "arrivals in its lookback window")
+            if not math.isfinite(vmax * max(-w0, ti) + scenario.d):  # a meeting time's v e - d
+                raise InvalidParameterError(f"scenario out of range: partners at {vmax:g} overflow")
 
         def draw(rng, trips=1, times=False):
-            return _crossing_arrivals(scenario, vi, ti, rng, trips)
+            return _crossing_arrivals(scenario, vi, ti, w0, rng, trips)
 
-        return draw, expected
-    parts = _tilt_parts(scenario, vi) if scenario.lam > 0 else ()
-    expected = math.fsum(mean for mean, *_ in parts)
-    _too_slow(expected, "crossings")
+    else:
+        parts = _tilt_parts(scenario, vi) if scenario.lam > 0 else ()
+        expected = math.fsum(mean for mean, *_ in parts)
+        _refuse_crowded(expected, "crossings")
 
-    def draw(rng, trips=1, times=False):
-        return _tilted_crossings(parts, vi, ti, rng, trips, times)
+        def draw(rng, trips=1, times=False):
+            return _tilted_crossings(parts, vi, ti, rng, trips, times)
 
-    return draw, expected
+    return _Observer(vi, ti, batch, expected, draw)
 
 
 def simulate_trip(
     scenario: Scenario, observer_velocity: float, rng: np.random.Generator
 ) -> TripResult:
     """Simulate one traversal: draw its crossers (see the module docstring), sum their packets."""
-    vi, ti = _observer_trip(scenario, observer_velocity)
-    r, packet_rate = scenario.r, scenario.packet_rate
-    draw, _ = _crossing_sampler(scenario, vi, ti)
-    crossers = draw(rng)
-    packets = _packets(crossers.gap, packet_rate, r)
-    reverse = crossers.reverse
-    info = infostation_download(vi, packet_rate, r)
-    total = info + float(packets.sum())
+    obs = _observer(scenario, observer_velocity)
+    with np.errstate(over="ignore"):  # an inf gap gives 0 packets; inf packets are refused below
+        crossers = obs.draw(rng)
+        packets = _packets(crossers.gap, scenario.packet_rate, scenario.r)
+        total = obs.batch + float(packets.sum())
+    _refuse_overflow(total / obs.ti, "trip throughputs")
+    per_class = ()
     if scenario.is_discrete:
-        counts = np.bincount(crossers.cls, minlength=scenario.velocity.m)
-        per_class = tuple(int(c) for c in counts)
-    else:
-        per_class = ()
+        per_class = tuple(np.bincount(crossers.cls, minlength=scenario.velocity.m).tolist())
     return TripResult(
-        observer_velocity=vi,
-        travel_time=ti,
+        observer_velocity=obs.v,
+        travel_time=obs.ti,
         encounters_per_class=per_class,
         n_encounters=int(packets.size),
-        infostation_packets=info,
+        infostation_packets=obs.batch,
         total_packets=total,
-        throughput=total / ti,
-        forward_exchange_packets=float(packets[~reverse].sum()),
-        reverse_exchange_packets=float(packets[reverse].sum()),
+        throughput=total / obs.ti,
+        forward_exchange_packets=float(packets[~crossers.reverse].sum()),
+        reverse_exchange_packets=float(packets[crossers.reverse].sum()),
     )
 
 
-def _trip_throughputs(
-    scenario: Scenario, vi: float, ti: float, trials: int, rng: np.random.Generator
-):
-    """Yield the throughputs of ``trials`` trips, one array per chunk, in order.
+def _trip_throughputs(scenario: Scenario, obs: _Observer, trials: int, rng: np.random.Generator):
+    """Yield the throughputs of ``trials`` trips of ``obs``, one array per chunk, in order.
 
     A chunk holds as many trips as fit in :data:`CHUNK_VEHICLES` expected
     vehicles, and at least one.
     """
-    packet_rate, r = scenario.packet_rate, scenario.r
-    info = infostation_download(vi, packet_rate, r)
-    draw, expected = _crossing_sampler(scenario, vi, ti)
-    chunk = max(1, int(CHUNK_VEHICLES // max(expected, 1.0)))
+    packet_rate, r, batch, ti = scenario.packet_rate, scenario.r, obs.batch, obs.ti
+    chunk = max(1, int(CHUNK_VEHICLES // max(obs.expected, 1.0)))
     for done in range(0, trials, chunk):
         trips = min(chunk, trials - done)
-        crossers = draw(rng, trips)
+        crossers = obs.draw(rng, trips)
         packets = _packets(crossers.gap, packet_rate, r)
         if crossers.trip is None:
-            yield np.full(1, (info + packets.sum()) / ti)
+            yield np.full(1, (batch + packets.sum()) / ti)
         else:
-            yield (info + np.bincount(crossers.trip, weights=packets, minlength=trips)) / ti
+            yield (batch + np.bincount(crossers.trip, weights=packets, minlength=trips)) / ti
+
+
+def _refuse_overflow(value: float, label: str) -> None:
+    """Refuse as input a ``value`` of ``label`` that overflowed: inf, or nan from an inf."""
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"scenario out of range: {label} overflow past the largest float")
 
 
 def merge_moments(moments: tuple, values: np.ndarray, label: str) -> tuple:
@@ -461,7 +467,8 @@ def merge_moments(moments: tuple, values: np.ndarray, label: str) -> tuple:
     moments are merged by the pairwise update of Chan, Golub and LeVeque
     (1979), so a stream of chunks needs no per-value array. Start from
     ``(0, 0.0, 0.0)``. Values too large to square are refused as input,
-    named by ``label``, since ``m2`` would be inf or nan.
+    named by ``label``, since ``m2`` would be inf or nan; so is a mean
+    that overflowed (see :func:`_refuse_overflow`).
     """
     n, mean, m2 = moments
     k = values.size
@@ -475,11 +482,18 @@ def merge_moments(moments: tuple, values: np.ndarray, label: str) -> tuple:
     else:
         mean, m2 = chunk_mean, chunk_m2
     n += k
+    _refuse_overflow(mean, label)
     if not math.isfinite(m2):
         raise InvalidParameterError(
             f"{label} of about {mean:.6g} are too large to square for their variance"
         )
     return n, mean, m2
+
+
+def _standard_error(moments: tuple) -> float:
+    """The standard error of the mean of merged ``(count, mean, m2)``; 0.0 for one value."""
+    n, _, m2 = moments
+    return math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
 
 
 def monte_carlo_throughput(
@@ -499,26 +513,13 @@ def monte_carlo_throughput(
     """
     if trials < 2:
         raise InvalidParameterError("need at least 2 trials")
-    vi, ti = _observer_trip(scenario, observer_velocity)
+    obs = _observer(scenario, observer_velocity)
     moments = (0, 0.0, 0.0)
-    for values in _trip_throughputs(scenario, vi, ti, trials, rng):
-        moments = merge_moments(moments, values, "trip throughputs")
-    n, mean, m2 = moments
-    return MonteCarloEstimate(
-        mean=mean,
-        std_error=math.sqrt(m2 / (n - 1)) / math.sqrt(n),
-        trials=n,
-    )
-
-
-def _crossing_events(
-    scenario: Scenario, vi: float, rng: np.random.Generator
-) -> list[tuple[float, int]]:
-    """One segment's encounter batches, in time order: (time offset, whole packets)."""
-    draw, _ = _crossing_sampler(scenario, vi, scenario.d / vi)
-    crossers = draw(rng, times=True)
-    counts = np.floor(_packets(crossers.gap, scenario.packet_rate, scenario.r))
-    return sorted((float(t), int(c)) for t, c in zip(crossers.meet, counts) if c > 0)
+    with np.errstate(over="ignore"):  # an inf gap gives 0 packets; inf packets are refused as input
+        for values in _trip_throughputs(scenario, obs, trials, rng):
+            moments = merge_moments(moments, values, "trip throughputs")
+    n, mean, _ = moments
+    return MonteCarloEstimate(mean=mean, std_error=_standard_error(moments), trials=n)
 
 
 def _refuse_packetless(scenario: Scenario, vi: float) -> None:
@@ -539,7 +540,7 @@ def _refuse_packetless(scenario: Scenario, vi: float) -> None:
         bands = [band for band, w in zip(vel.bands, vel.weights) if w > 0]
         gaps = [max(a - vi, vi - b, 0.0) for a, b in bands]
         upper = [vi > b for _, b in bands]
-    with np.errstate(divide="ignore"):  # a band holding vi
+    with np.errstate(divide="ignore", over="ignore"):  # a band holding vi, or an overflow
         packets = _packets(np.array(gaps), rate, r)
     whole = np.where(upper, packets > 1, packets >= 1)
     encounter = scenario.lam > 0 and whole.any()
@@ -550,21 +551,31 @@ def _refuse_packetless(scenario: Scenario, vi: float) -> None:
         )
 
 
-def _packet_events(scenario: Scenario, vi: float, arrivals):
-    """Yield (segment, time offset, whole packets) for up to MAX_SEGMENTS segments.
+def _packet_arrival(scenario: Scenario, obs: _Observer, needed: int, arrivals):
+    """(segment, time offset, packets received) at packet ``needed``, or (None, 0.0, received).
 
-    A segment opens with its station batch; its crossings are drawn only
-    when the batch is consumed and more packets are wanted, from the
-    generator that ``arrivals()`` builds at the first such draw.
+    Walks up to :data:`MAX_SEGMENTS` segments. A segment opens with its
+    whole station batch; its crossings are drawn only when the batch falls
+    short, from the generator that ``arrivals()`` builds at the first such
+    draw, and give their whole packets at their meeting times, in time
+    order.
     """
-    batch = math.floor(infostation_download(vi, scenario.packet_rate, scenario.r))
-    rng = None
+    received, rng = 0, None
     for segment in range(MAX_SEGMENTS):
-        yield segment, 0.0, batch
+        received += math.floor(obs.batch)
+        if received >= needed:
+            return segment, 0.0, received
         if rng is None:
             rng = arrivals()
-        for offset, count in _crossing_events(scenario, vi, rng):
-            yield segment, offset, count
+        with np.errstate(over="ignore"):  # an inf gap gives 0 packets, an inf count covers any need
+            crossers = obs.draw(rng, times=True)
+            counts = np.floor(_packets(crossers.gap, scenario.packet_rate, scenario.r))
+        whole = counts > 0
+        for offset, count in sorted(zip(crossers.meet[whole].tolist(), counts[whole].tolist())):
+            received += count
+            if received >= needed:
+                return segment, offset, received
+    return None, 0.0, received
 
 
 def _spawned(rng: np.random.Generator, seed: np.random.SeedSequence) -> np.random.Generator:
@@ -626,10 +637,8 @@ def simulate_download_times(
     of those children as ``rng.spawn`` does and builds the vector and file
     generators at once, but a trial builds its arrival generator, from the
     same child, only at its first draw of a segment's crossings; a trial
-    whose station batches cover its packets never builds it. Each segment
-    starts with a roadside-station batch of floor(packet_rate*r/v) packets;
-    each encounter delivers its whole-packet count at the crossing time.
-    Every packet carries an independently sampled encoding vector.
+    whose station batches cover its packets never builds it. Every packet
+    carries an independently sampled encoding vector.
 
     The vector stream alone fixes N, the packet whose vector brings the
     decoder to full rank, and the arrival stream alone fixes when packet N
@@ -643,11 +652,10 @@ def simulate_download_times(
     :func:`~vanetsim.fountain.decode` and checked against their files. A
     sampler call of n vectors draws what n calls of one draw, and the
     innovative flags are those of one packet at a time, so N is that of one
-    draw and one fold per packet. The arrival
-    phase then walks each trial's packet events up to the one holding packet
-    N, drawing a segment's crossings only once its station batch falls
-    short. Returns, per trial, (travel time consumed, packets received,
-    segments fully or partially traversed) at packet N.
+    draw and one fold per packet. The arrival phase then walks each trial's
+    packet events to packet N (see :func:`_packet_arrival`). Returns, per
+    trial, (travel time consumed, packets received, segments fully or
+    partially traversed) at packet N.
 
     Raises the error of the lowest-index failing trial, as running the
     trials one at a time would: :class:`InvalidParameterError` for an
@@ -662,23 +670,22 @@ def simulate_download_times(
     """
     k = file.k
     if len(observers) and k > MAX_DOWNLOAD_BLOCKS:
-        _observer_trip(scenario, observers[0])  # the first trial fails on its speed first
+        _checked_speed(scenario, observers[0])  # the first trial fails on its speed first
         raise InvalidParameterError(
             f"file of {k} blocks exceeds the download limit of {MAX_DOWNLOAD_BLOCKS} blocks"
         )
-    trips, seeds, refused, checked = [], [], None, {}
+    trips, seeds, refused, set_up = [], [], None, {}
     spawn = rng.bit_generator.seed_seq.spawn  # rng.spawn(3) without building generators
     for v in observers:
-        if v not in checked:  # each distinct speed is checked once, at its first trial
+        if v not in set_up:  # each distinct speed is set up once, at its first trial
             try:
-                vi, ti = _observer_trip(scenario, v)
-                _crossing_sampler(scenario, vi, ti)  # refused as its first crossing draw would be
-                _refuse_packetless(scenario, vi)
+                obs = _observer(scenario, v)
+                _refuse_packetless(scenario, obs.v)
             except InvalidParameterError as exc:
                 refused = exc
                 break
-            checked[v] = vi, ti
-        trips.append(checked[v])
+            set_up[v] = obs
+        trips.append(set_up[v])
         seeds.append(spawn(3))  # arrivals, vectors, file
     sample = vector_batch_sampler(scheme, k)
     vector_rngs = [_spawned(rng, vector_seed) for _, vector_seed, _ in seeds]
@@ -709,19 +716,16 @@ def simulate_download_times(
         needed[active[~full]] += counts[~full]
         active = active[~full]
     results = []
-    for i, ((vi, ti), (arrival_seed, _, _)) in enumerate(zip(trips, seeds)):
-        received = 0
-        events = _packet_events(scenario, vi, lambda: _spawned(rng, arrival_seed))
-        for segment, offset, count in events:
-            received += count
-            if received >= needed[i]:
-                break
-        else:
-            rank = int(np.concatenate(flags[i])[:received].sum())
+    for i, (obs, (arrival_seed, _, _)) in enumerate(zip(trips, seeds)):
+        segment, offset, received = _packet_arrival(
+            scenario, obs, int(needed[i]), lambda: _spawned(rng, arrival_seed)
+        )
+        if segment is None:
+            rank = int(np.concatenate(flags[i])[: int(received)].sum())
             raise NoProgressError(f"decode rank {rank}/{k} after {MAX_SEGMENTS} segments")
         if wrong[i]:
             raise InternalInconsistencyError("decoded blocks disagree with the encoded file")
-        results.append((segment * ti + offset, int(needed[i]), segment + 1))
+        results.append((segment * obs.ti + offset, int(needed[i]), segment + 1))
     if refused is not None:
         raise refused
     return results

@@ -87,9 +87,31 @@ class DiscreteVelocityDist:
 
 
 def _log_ratio(lo: float, hi: float) -> float:
-    """``ln(hi / lo)`` for ``0 < lo < hi``, also where ``hi / lo`` overflows."""
+    """``ln(hi / lo)`` for ``0 < lo < hi``, also where ``hi / lo`` overflows or nears 1.
+
+    Near 1 it is ``log1p`` of the exact ``hi - lo`` over ``lo``, not the log of a rounded ratio.
+    """
+    x = (hi - lo) / lo
+    if x < 2**-10:
+        return math.log1p(x)
     ratio = hi / lo
     return math.log(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
+
+
+def _tail_integral(shape: str, lo: float, hi: float) -> float:
+    """The integral over ``(lo, hi)`` of a tail part's tilt (see ``encounters._tilt_parts``).
+
+    Where ``hi / lo`` nears 1 the two terms of the closed form nearly
+    cancel, so there it is the series ``x**2/2 - x**3/3 + ...`` in
+    ``x = (hi - lo)/lo`` (rising) or ``y**2/2 + y**3/3 + ...`` in
+    ``y = (hi - lo)/hi`` (falling), summed smallest term first.
+    """
+    rising = shape == "rising"
+    if (hi - lo) / lo < 2**-10:  # where _log_ratio turns to log1p
+        s = -(hi - lo) / lo if rising else (hi - lo) / hi
+        return sum(s**k / k for k in range(9, 1, -1))
+    log_ratio = _log_ratio(lo, hi)
+    return (hi - lo) / lo - log_ratio if rising else log_ratio - (hi - lo) / hi
 
 
 def _band_inverse_speed(a: float, b: float) -> float:
@@ -131,30 +153,6 @@ class ContinuousVelocityDist:
             raise InvalidParameterError("band weights must be nonnegative")
         if abs(math.fsum(weights) - 1.0) > PROB_TOL:
             raise InvalidParameterError("band weights must sum to 1")
-        object.__setattr__(self, "_cum_w", np.cumsum(weights))
-
-    @classmethod
-    def uniform(cls, a: float, b: float) -> "ContinuousVelocityDist":
-        """The single band (a, b)."""
-        return cls(((a, b),))
-
-    def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, None]:
-        """Draw n speeds; continuous traffic has no class indices.
-
-        A single band is one uniform draw. Several bands take one random
-        draw per speed to pick its band, then one uniform draw per band, in
-        band order.
-        """
-        if len(self.bands) == 1:
-            a, b = self.bands[0]
-            return rng.uniform(a, b, n), None
-        pick = np.searchsorted(self._cum_w, rng.random(n), side="right")
-        pick = np.minimum(pick, len(self.bands) - 1)
-        out = np.empty(n)
-        for i, (a, b) in enumerate(self.bands):
-            mask = pick == i
-            out[mask] = rng.uniform(a, b, int(mask.sum()))
-        return out, None
 
 
 VelocityDist = Union[DiscreteVelocityDist, ContinuousVelocityDist]
@@ -201,19 +199,15 @@ class Scenario:
         return isinstance(self.velocity, DiscreteVelocityDist)
 
     def speed_bounds(self) -> tuple[float, float]:
-        """Smallest and largest possible |v| among reachable velocities."""
-        vel = self.velocity
-        if isinstance(vel, DiscreteVelocityDist):
-            reachable = [abs(c.v) for c in vel.classes if c.p > 0]
-        else:
-            reachable = [abs(v) for band, w in zip(vel.bands, vel.weights) if w > 0 for v in band]
+        """Smallest and largest |v| among the reachable classes of discrete traffic."""
+        reachable = [abs(c.v) for c in self.velocity.classes if c.p > 0]
         return min(reachable), max(reachable)
 
 
 def sample_velocities(
-    dist: VelocityDist, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw n velocities; class indices come back for discrete distributions."""
+    dist: DiscreteVelocityDist, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n velocities and class indices; only discrete traffic's lookback sampler calls it."""
     return dist.sample(rng, n)
 
 

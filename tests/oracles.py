@@ -4,7 +4,9 @@
 ``encounter_of`` decides one arrival's crossing with the observer from its
 entry time and gives the meeting time. The library draws and thins
 arrivals in whole arrays instead; these loops state the same model one
-vehicle at a time. ``IntDecoder`` is the decoder on Python ints, one packet
+vehicle at a time. ``sample_bands`` draws the speeds of continuous traffic,
+whose crossers the library draws directly from the tilted band density
+instead. ``IntDecoder`` is the decoder on Python ints, one packet
 at a time, that the packed ``DecoderState`` is tested against, and
 ``reduced_rows`` reads a ``DecoderState``'s basis in fully reduced form.
 ``alpha_matrix`` is the m x m matrix of the exchange objective, the
@@ -41,6 +43,25 @@ class EncounterEvent:
     packets_received: float
 
 
+def sample_bands(dist, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n speeds of the continuous ``dist``, uniform on weighted bands.
+
+    A single band is one uniform draw. Several bands take one random draw
+    per speed to pick its band, then one uniform draw per band, in band
+    order.
+    """
+    if len(dist.bands) == 1:
+        a, b = dist.bands[0]
+        return rng.uniform(a, b, n)
+    pick = np.searchsorted(np.cumsum(dist.weights), rng.random(n), side="right")
+    pick = np.minimum(pick, len(dist.bands) - 1)
+    out = np.empty(n)
+    for i, (a, b) in enumerate(dist.bands):
+        mask = pick == i
+        out[mask] = rng.uniform(a, b, int(mask.sum()))
+    return out
+
+
 def generate_arrivals(scenario, window, rng: np.random.Generator) -> list[ArrivalRecord]:
     """Homogeneous Poisson arrivals on the window, sorted by entry time."""
     t0, t1 = window
@@ -48,9 +69,10 @@ def generate_arrivals(scenario, window, rng: np.random.Generator) -> list[Arriva
         return []
     n = rng.poisson(scenario.lam * (t1 - t0))
     times = np.sort(rng.uniform(t0, t1, n))
-    speeds, idx = scenario.velocity.sample(rng, n)
-    if idx is None:
+    if not scenario.is_discrete:
+        speeds = sample_bands(scenario.velocity, rng, n)
         return [ArrivalRecord(float(t), float(v)) for t, v in zip(times, speeds)]
+    speeds, idx = scenario.velocity.sample(rng, n)
     return [
         ArrivalRecord(float(t), float(v), int(i))
         for t, v, i in zip(times, speeds, idx)

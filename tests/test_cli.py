@@ -14,8 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vanetsim import cli
+from vanetsim import cli, simulate_trip
 from vanetsim.cli import main
+from vanetsim.errors import InvalidParameterError
+from vanetsim.traffic import scenario_from_dict
 
 
 def run(args, capsys):
@@ -854,6 +856,174 @@ def test_discrete_documents_give_a_report_or_an_input_error(odd_scenarios, data,
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, scenario, *extra])
+        assert code in codes and "Traceback" not in err.getvalue(), (command, err.getvalue())
+        if code == 3:
+            assert "after 1000 segments" in err.getvalue(), err.getvalue()
+        if code >= 2:
+            assert err.getvalue().startswith("error:") and not out.getvalue()
+
+
+# A band 8 ulps wide, the observer at its midpoint: the tilted sampler's
+# tail masses cancel in the closed form, and its tail draws round to the
+# observer's own speed
+_NARROW_BAND = {
+    "lambda": 1e12,
+    "d": 27.33070486143136,
+    "r": 189.4991369010252,
+    "bit_rate": 92.76030652126641,
+    "packet_bits": 142.3091709233421,
+    "seed": 0,
+    "velocity": {
+        "type": "continuous",
+        "family": "uniform",
+        "a": 14363309101.832027,
+        "b": 14363309101.832043,
+        "direction_split": 0.5,
+    },
+}
+
+
+def _overflowing(lam, d, bit_rate, packet_bits, a, b):
+    """A document whose encounter packets rho r / (2 |v - v_i|) pass the largest float."""
+    velocity = {"type": "continuous", "family": "uniform", "a": a, "b": b, "direction_split": 1e-300}
+    return {"lambda": lam, "d": d, "r": 1.7e308, "bit_rate": bit_rate, "packet_bits": packet_bits,
+            "seed": 0, "velocity": velocity}
+
+
+# The uniform2040 scenario on a band 2 ulps wide, the observer at its
+# midpoint: each piece of the band is 1 ulp wide, with no float inside for a
+# tail speed, and a trip expects about 0.55 crossers on each
+_TWO_ULP_BAND = {
+    "lambda": 1e12,
+    "d": 10000.0,
+    "r": 100.0,
+    "bit_rate": 50000.0,
+    "packet_bits": 1000.0,
+    "seed": 7,
+    "velocity": {
+        "type": "continuous",
+        "family": "uniform",
+        "a": 1.0,
+        "b": 1.0000000000000004,
+        "direction_split": 1.0,
+    },
+}
+
+
+# The uniform2040 scenario with d = 1.7e308 on a band up to the largest
+# float: a reverse crosser's gap v - v_i overflows to -inf
+_INF_GAPS = {
+    "lambda": 0.1,
+    "d": 1.7e308,
+    "r": 100.0,
+    "bit_rate": 50000.0,
+    "packet_bits": 1000.0,
+    "seed": 7,
+    "velocity": {
+        "type": "continuous",
+        "family": "uniform",
+        "a": 1.0,
+        "b": 1.7976931348623157e308,
+        "direction_split": 0.5,
+    },
+}
+
+
+_OVERFLOWING = [
+    _overflowing(369216339.35378855, 81.06908230705794, 94.7184310583117, 162.93849920687683,
+                 64.43184515999512, 64431909.59184028),
+    _overflowing(0.1, 60540799.583300166, 160.26335003073464, 173.90615996668237,
+                 55.53077226113236, 146.73503981291154),
+]
+
+
+@pytest.mark.filterwarnings("ignore:transmit range")
+def test_a_band_a_few_ulps_wide_gives_a_finite_throughput(tmp_path, capsys):
+    args = ["simulate", write_scenario(tmp_path, _NARROW_BAND), "--trials", "3"]
+    code, report = run_json(args, capsys)
+    assert code == 0 and math.isfinite(report["results"]["mean_throughput"])
+
+
+@pytest.mark.filterwarnings("ignore:transmit range")
+@pytest.mark.parametrize(
+    "doc, command, reason",
+    [
+        (_OVERFLOWING[0], "simulate", "trip throughputs overflow"),
+        (_OVERFLOWING[1], "simulate", "trip throughputs overflow"),
+        (_OVERFLOWING[1], "compare", "trip throughputs overflow"),
+    ],
+)
+def test_encounter_packets_past_the_largest_float_are_an_input_error(
+    tmp_path, doc, command, reason, capsys
+):
+    path = write_scenario(tmp_path, doc)
+    for action in ("error", "always"):  # RuntimeWarnings raised, then shown
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            code, out, err = run([command, path, "--trials", "3"], capsys)
+        assert (code, out) == (2, "") and not caught, (action, err, caught)
+        assert err.startswith("error: scenario out of range") and reason in err, err
+        assert err.count("\n") == 1, err
+
+
+@pytest.mark.filterwarnings("ignore:transmit range")
+@pytest.mark.parametrize("doc", _OVERFLOWING)
+def test_a_trip_whose_packets_pass_the_largest_float_is_an_input_error(doc):
+    sc = scenario_from_dict(doc)
+    observer = cli._default_observer(sc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidParameterError, match="trip throughputs overflow"):
+            for seed in range(20):
+                simulate_trip(sc, observer, np.random.default_rng(seed))
+
+
+# Band ends a few ulps apart, tiny, huge or in between
+_BAND_ENDS = st.floats(1e-300, 1e300) | st.sampled_from(
+    [5e-324, 1e-310, 1e-300, 20.0, 14363309101.832027, 1e300, 1.7976931348623157e308]
+)
+_SPLITS = st.floats(0, 1) | st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1e-16, 0.5, 1 - 1e-16])
+
+
+@st.composite
+def _continuous_documents(draw):
+    """The uniform2040 scenario with an odd band and split and 0-3 odd top-level fields."""
+    doc = json.loads((Path(__file__).resolve().parents[1] / "fixtures" / "uniform2040.json").read_text())
+    a = draw(_BAND_ENDS)
+    if draw(st.booleans()):
+        b = a
+        for _ in range(draw(st.integers(1, 8))):
+            b = math.nextafter(b, math.inf)
+    else:
+        b = draw(_BAND_ENDS)
+    doc["velocity"].update(a=a, b=b, direction_split=draw(_SPLITS))
+    for field in draw(st.lists(st.sampled_from(_DOC_FIELDS), max_size=3, unique=True)):
+        doc[field] = draw(_ODD_FIELD_VALUES | st.sampled_from([1.7e308, 1e12]))
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore:transmit range")  # odd d or r
+@settings(max_examples=100, deadline=None)
+@given(doc=_continuous_documents(), trials=st.integers(2, 4), k=st.integers(1, 8))
+@example(doc=_NARROW_BAND, trials=3, k=4)
+@example(doc=_TWO_ULP_BAND, trials=3, k=4)
+@example(doc=_INF_GAPS, trials=2, k=1)
+@example(doc=_OVERFLOWING[0], trials=3, k=4)
+@example(doc=_OVERFLOWING[1], trials=3, k=4)
+def test_continuous_documents_give_a_report_or_an_input_error(odd_scenarios, doc, trials, k):
+    # exit 1 only from compare; exit 3 only for a download that starves
+    text = json.dumps(doc)
+    scenario = odd_scenarios / f"continuous-{abs(hash(text))}.json"
+    scenario.write_text(text)
+    for command, extra, codes in [
+        ("analyze", [], (0, 2)),
+        ("simulate", ["--trials", str(trials)], (0, 2)),
+        ("compare", ["--trials", str(trials)], (0, 1, 2)),
+        ("download-time", ["--K", str(k), "--trials", str(trials)], (0, 2, 3)),
+    ]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(scenario), *extra])
         assert code in codes and "Traceback" not in err.getvalue(), (command, err.getvalue())
         if code == 3:
             assert "after 1000 segments" in err.getvalue(), err.getvalue()

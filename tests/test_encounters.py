@@ -27,7 +27,7 @@ from vanetsim import (
     span_probability,
 )
 from vanetsim import encounters
-from vanetsim.encounters import BATCH_MARGIN, MAX_DOWNLOAD_BLOCKS, _crossing_events
+from vanetsim.encounters import BATCH_MARGIN, MAX_DOWNLOAD_BLOCKS
 from vanetsim.errors import (
     InternalInconsistencyError,
     InvalidParameterError,
@@ -36,7 +36,7 @@ from vanetsim.errors import (
 from vanetsim.fountain import EncodingVector, vector_batch_sampler
 from vanetsim.traffic import ContinuousVelocityDist
 
-from oracles import ArrivalRecord, IntDecoder, encounter_of
+from oracles import ArrivalRecord, IntDecoder, encounter_of, sample_bands
 
 
 def make_scenario(lam=0.1, velocity=None, **kw):
@@ -278,6 +278,46 @@ REVERSE_CLASS = DiscreteVelocityDist(
 TWO_BAND_MIX = ContinuousVelocityDist(((20.0, 40.0), (-40.0, -20.0)), (0.7, 0.3))
 
 
+def lookback_window(scenario, ti):
+    """Start of a trip's lookback window, and the arrivals it expects, from any traffic's speeds.
+
+    The window opens 10 ranges r / min|v| before -d / min|v|, the earliest
+    entry time of an arrival that can cross the observer.
+    """
+    vel = scenario.velocity
+    if scenario.is_discrete:
+        vmin = min(abs(c.v) for c in vel.classes if c.p > 0)
+    else:
+        vmin = min(abs(v) for band, w in zip(vel.bands, vel.weights) if w > 0 for v in band)
+    w0 = -(scenario.d / vmin + 10.0 * scenario.r / vmin)
+    return w0, scenario.lam * (ti - w0)
+
+
+def velocities(scenario, rng, n):
+    """What the lookback sampler draws: discrete traffic's classes, or bands by the oracle (no classes)."""
+    if scenario.is_discrete:
+        return scenario.velocity.sample(rng, n)
+    return sample_bands(scenario.velocity, rng, n), None
+
+
+def arrival_kernel(scenario, observer, rng, trips):
+    """The lookback sampler, discrete traffic's, as a reference on any traffic.
+
+    Continuous traffic takes its window from its bands' ends and its
+    speeds from the oracle band sampler; its class indices are all 0.
+    """
+    ti = scenario.d / observer
+    w0, _ = lookback_window(scenario, ti)
+
+    def sample(dist, n, rng):
+        speeds, cls = velocities(scenario, rng, n)
+        return speeds, np.zeros(n, dtype=int) if cls is None else cls
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encounters, "sample_velocities", sample)
+        return encounters._crossing_arrivals(scenario, observer, ti, w0, rng, trips)
+
+
 def oracle_trips(scenario, observer, trips, rng):
     """Replay a chunk's arrival draws and decide every arrival with ``encounter_of``.
 
@@ -285,10 +325,10 @@ def oracle_trips(scenario, observer, trips, rng):
     and the exchanged packets.
     """
     ti = scenario.d / observer
-    w0, expected = encounters._arrival_window(scenario, ti)
+    w0, expected = lookback_window(scenario, ti)
     counts = rng.poisson(expected, trips)
     entry = rng.uniform(w0, ti, int(counts.sum()))
-    vel, cls = scenario.velocity.sample(rng, int(counts.sum()))
+    vel, cls = velocities(scenario, rng, int(counts.sum()))
     out = []
     for lo, hi in zip(np.cumsum(counts) - counts, np.cumsum(counts)):
         crossers, packets = [], []
@@ -311,8 +351,7 @@ def trip_packets(scenario, observer, trips, rng):
     """
     if scenario.is_discrete:
         return [packets for _, packets in oracle_trips(scenario, observer, trips, rng)]
-    draw, _ = encounters._crossing_sampler(scenario, observer, scenario.d / observer)
-    got = draw(rng, trips)
+    got = encounters._observer(scenario, observer).draw(rng, trips)
     trip = [0] * got.gap.size if got.trip is None else got.trip.tolist()
     per_trip = [[] for _ in range(trips)]
     for t, gap in zip(trip, got.gap.tolist()):
@@ -322,7 +361,7 @@ def trip_packets(scenario, observer, trips, rng):
 
 def one_trip_draws(scenario, observer):
     """The vehicles one trip's sampler expects to draw."""
-    return encounters._crossing_sampler(scenario, observer, scenario.d / observer)[1]
+    return encounters._observer(scenario, observer).expected
 
 
 @pytest.mark.parametrize("trips", [1, 2, 7, 655])
@@ -334,21 +373,20 @@ def test_batch_matches_per_arrival_oracle(monkeypatch, velocity, observer, trips
     sc = make_scenario(velocity=velocity)
     ti = sc.d / observer
     expected = oracle_trips(sc, observer, trips, np.random.default_rng(trips))
-    got = encounters._crossing_arrivals(sc, observer, ti, np.random.default_rng(trips), trips)
+    got = arrival_kernel(sc, observer, np.random.default_rng(trips), trips)
     assert (got.trip is None) == (trips == 1)
     trip = np.zeros(got.gap.size, dtype=int) if got.trip is None else got.trip
     for t, (crossers, _) in enumerate(expected):
         mine = trip == t
-        classes = [None] * int(mine.sum()) if got.cls is None else got.cls[mine].tolist()
+        classes = got.cls[mine].tolist() if sc.is_discrete else [None] * int(mine.sum())
         rows = zip(
             got.meet[mine].tolist(), got.gap[mine].tolist(), got.reverse[mine].tolist(), classes
         )
         assert list(rows) == [(m, v - observer, v < 0, c) for m, v, c in crossers]
     # the chunk's per-trip throughputs, reduced by trip
     monkeypatch.setattr(encounters, "CHUNK_VEHICLES", (trips + 0.5) * one_trip_draws(sc, observer))
-    chunks = list(
-        encounters._trip_throughputs(sc, observer, ti, trips, np.random.default_rng(trips))
-    )
+    obs = encounters._observer(sc, observer)
+    chunks = list(encounters._trip_throughputs(sc, obs, trips, np.random.default_rng(trips)))
     assert [c.size for c in chunks] == [trips]
     info = sc.packet_rate * sc.r / observer
     packets = trip_packets(sc, observer, trips, np.random.default_rng(trips))
@@ -424,18 +462,18 @@ def test_tilted_crossings_match_the_arrival_kernel_in_distribution(uniform2040, 
     # At least 10**6 crossers a side: mean crossings and packets per trip,
     # and the deciles of the crossers' gaps v - vi and meeting times
     sc = replace(uniform2040, velocity=velocity or uniform2040.velocity)
-    ti = sc.d / observer
-    draw, crossings = encounters._crossing_sampler(sc, observer, ti)
-    _, arrivals = encounters._arrival_window(sc, ti)
-    trips = math.ceil(1.01e6 / crossings)  # 10 SD above 10**6 crossers
+    obs = encounters._observer(sc, observer)
+    _, arrivals = lookback_window(sc, obs.ti)
+    trips = math.ceil(1.01e6 / obs.expected)  # 10 SD above 10**6 crossers
     rng = np.random.default_rng(0)
     args = sc.packet_rate, sc.r
     ref = _sampler_statistics(
-        lambda rng, n: encounters._crossing_arrivals(sc, observer, ti, rng, n),
+        lambda rng, n: arrival_kernel(sc, observer, rng, n),
         trips, max(1, int(2e5 // arrivals)), rng, *args,
     )
     new = _sampler_statistics(
-        lambda rng, n: draw(rng, n, times=True), trips, max(1, int(2e5 // crossings)), rng, *args
+        lambda rng, n: obs.draw(rng, n, times=True),
+        trips, max(1, int(2e5 // obs.expected)), rng, *args,
     )
     assert new["gap"].size >= 1e6 and ref["gap"].size >= 1e6
     _within_3_se(ref, new)
@@ -461,6 +499,62 @@ def test_tail_speeds_follow_their_density(shape, lo, hi, sign):
     p = np.arange(1, 10) / 10
     got = np.searchsorted(cdf, p, side="right") / n
     assert np.all(np.abs(got - p) <= 3 * np.sqrt(p * (1 - p) / n))
+
+
+@pytest.mark.parametrize("shape", ["rising", "falling"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_tail_speeds_never_return_an_end_of_a_piece_a_few_ulps_wide(shape, sign):
+    # The tail vanishes at one end, which is the observer's own speed on a
+    # piece split at it: a crosser drawn there would meet it at gap 0
+    a, b = sorted((sign * 14363309101.832027, sign * 14363309101.832043))  # 8 ulps apart
+    speeds = encounters._tail_speeds(np.random.default_rng(0), 10**5, shape, a, b)
+    assert speeds.size == 10**5 and np.all((a < speeds) & (speeds < b))
+
+
+@pytest.mark.parametrize("ulps", [1, 2, 3])
+def test_a_tail_part_needs_a_float_inside_its_piece(uniform2040, ulps):
+    # A piece with no float strictly inside has no tail part, since a tail
+    # speed is neither end; with one, the tail draws only floats inside it
+    a = 1.0
+    b = a
+    for _ in range(2 * ulps):
+        b = math.nextafter(b, math.inf)
+    observer = a
+    for _ in range(ulps):
+        observer = math.nextafter(observer, math.inf)
+    velocity = ContinuousVelocityDist(((a, b),), (1.0,))
+    sc = replace(uniform2040, lam=1e12, velocity=velocity)
+    parts = encounters._tilt_parts(sc, observer)
+    tails = [part for part in parts if part[1] != "flat"]
+    assert len(tails) == (0 if ulps == 1 else 2), parts
+    for _, shape, pa, pb in tails:
+        speeds = encounters._tail_speeds(np.random.default_rng(0), 1000, shape, pa, pb)
+        assert np.all((pa < speeds) & (speeds < pb))
+    crossers = encounters._observer(sc, observer).draw(np.random.default_rng(0), trips=3)
+    assert np.all(crossers.gap != 0)
+
+
+@pytest.mark.parametrize("lo", [20.0, 1.4e10])
+@pytest.mark.parametrize("width", [1e-15, 1e-12, 1e-9, 1e-6, 2**-10, 1e-3, 1e-2, 0.1, 1.0])
+def test_tilt_masses_match_mpmath_on_narrow_and_wide_bands(lo, width):
+    # The closed forms (hi - lo)/lo - ln(hi/lo) and ln(hi/lo) - (hi - lo)/hi
+    # of the tail masses cancel as hi/lo nears 1
+    import mpmath as mp
+
+    hi = lo * (1 + width)
+    sc = make_scenario(velocity=ContinuousVelocityDist(((lo, hi), (-hi, -lo)), (0.5, 0.5)))
+    with mp.workdps(60):
+        low, high = mp.mpf(lo), mp.mpf(hi)
+        scale = mp.mpf(sc.lam) * mp.mpf(sc.d) * mp.mpf(0.5) / (high - low)
+        rising = scale * ((high - low) / low - mp.log(high / low))
+        falling = scale * (mp.log(high / low) - (high - low) / high)
+    for observer, tails in [
+        (lo / 2, {("rising", lo): rising, ("falling", -hi): falling}),
+        (hi * 2, {("falling", lo): falling, ("falling", -hi): falling}),
+    ]:
+        parts = {(shape, a): mean for mean, shape, a, _ in encounters._tilt_parts(sc, observer)}
+        for key, exact in tails.items():
+            assert parts[key] == pytest.approx(float(exact), rel=1e-9, abs=0), (observer, key)
 
 
 _SPEEDS = st.integers(5, 40).map(float)
@@ -505,16 +599,16 @@ def _kernel_cases(draw):
 def test_the_crossing_kernel_over_random_mixes(case, trips, seed):
     sc, observer = case
     ti = sc.d / observer
-    one_trip = one_trip_draws(sc, observer)
+    obs = encounters._observer(sc, observer)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(encounters, "CHUNK_VEHICLES", 0)  # chunks of one trip
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        ones = np.concatenate(list(encounters._trip_throughputs(sc, observer, ti, trips, rng)))
+        ones = np.concatenate(list(encounters._trip_throughputs(sc, obs, trips, rng)))
         assert ones.tolist() == [simulate_trip(sc, observer, twin).throughput for _ in range(trips)]
         assert rng.bit_generator.state == twin.bit_generator.state
-        mp.setattr(encounters, "CHUNK_VEHICLES", (trips + 0.5) * max(one_trip, 1.0))
+        mp.setattr(encounters, "CHUNK_VEHICLES", (trips + 0.5) * max(obs.expected, 1.0))
         rng = np.random.default_rng(seed)
-        (chunk,) = encounters._trip_throughputs(sc, observer, ti, trips, rng)
+        (chunk,) = encounters._trip_throughputs(sc, obs, trips, rng)
     info = sc.packet_rate * sc.r / observer
     packets = trip_packets(sc, observer, trips, np.random.default_rng(seed))
     np.testing.assert_allclose(chunk, [(info + p) / ti for p in packets], rtol=1e-12, atol=0)
@@ -528,7 +622,7 @@ def test_the_crossing_kernel_over_random_mixes(case, trips, seed):
 )
 def test_tilted_crossers_lie_in_their_bands(case, trips, seed):
     sc, observer = case
-    draw, _ = encounters._crossing_sampler(sc, observer, sc.d / observer)
+    draw = encounters._observer(sc, observer).draw
     with np.errstate(all="raise"):
         got = draw(np.random.default_rng(seed), trips, times=True)
     bands = [band for band, w in zip(sc.velocity.bands, sc.velocity.weights) if w > 0]
@@ -548,14 +642,15 @@ def test_merge_moments_refuses_values_too_large_to_square():
         encounters.merge_moments(moments, np.array([-1e160]), "speeds")
 
 
-def test_an_overflow_while_drawing_trips_still_warns(monkeypatch):
-    # merge_moments silences NumPy for its own arithmetic only: an overflow
-    # in a trip's packets must still reach the caller as a RuntimeWarning
-    real = encounters._packets
-    monkeypatch.setattr(encounters, "_packets", lambda *a: np.full_like(real(*a), 1e308) * 10.0)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.raises(InvalidParameterError, match="too large to square"):
-            monte_carlo_throughput(make_scenario(), 30.0, 20, np.random.default_rng(0))
+@pytest.mark.parametrize("trials", [2, 20])  # chunks of one trip and of many
+def test_trip_throughputs_that_overflow_are_an_input_error(trials):
+    # packets rho r / (2 |v - v_i|) past the largest float, or a trip's sum
+    # of them: refused by name, with no RuntimeWarning (the suite makes one
+    # an error)
+    with pytest.warns(UserWarning, match="transmit range"):  # r is not small against d
+        sc = make_scenario(velocity=TWO_BAND_MIX, d=6e5, r=1.7e308, bit_rate=1_000.0)
+    with pytest.raises(InvalidParameterError, match="^scenario out of range: trip throughputs overflow"):
+        monte_carlo_throughput(sc, 30.0, trials, np.random.default_rng(0))
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials():
@@ -649,7 +744,7 @@ def test_download_single_block_decodes_at_first_nonzero_packet():
         (0.1, None, 40.0),  # floor(10 / (2 * 15)) = 0 packets from the closest class
         (0.1, TWO_BAND_MIX, 46.0),  # the band's closest speed, 40: floor(10 / 12) = 0
         (0.1, TWO_BAND_MIX, 45.0),  # 10 / (2 * 5) = 1 only at 40, which is never drawn
-        (0.1, ContinuousVelocityDist.uniform(20.0, 30.0), 100.0),
+        (0.1, ContinuousVelocityDist(((20.0, 30.0),)), 100.0),
     ],
 )
 def test_download_that_can_never_receive_a_packet_is_refused(lam, velocity, observer):
@@ -738,10 +833,15 @@ def reference_download(scenario, observer, file, scheme, rng):
     arr_rng, vec_rng, file_rng = rng.spawn(3)
     blocks = [file_rng.bytes(file.block_bytes) for _ in range(file.k)]
     decoder = IntDecoder(file.k)
+    draw = encounters._observer(scenario, observer).draw
     received = 0
     for segment in range(1000):
         station = math.floor(infostation_download(observer, scenario.packet_rate, scenario.r))
-        events = [(0.0, station)] + _crossing_events(scenario, observer, arr_rng)
+        crossers = draw(arr_rng, times=True)
+        counts = np.floor(encounters._packets(crossers.gap, scenario.packet_rate, scenario.r))
+        events = [(0.0, station)] + sorted(
+            (float(t), int(c)) for t, c in zip(crossers.meet, counts) if c > 0
+        )
         for offset, count in events:
             for _ in range(count):
                 received += 1
@@ -847,13 +947,13 @@ def test_download_file_is_one_draw_per_block(monkeypatch):
 
 def test_crossings_are_drawn_only_when_the_station_batch_falls_short(twoclass, monkeypatch):
     drawn = []
-    draw = encounters._crossing_events
+    draw = encounters._crossing_arrivals
 
-    def counted(scenario, vi, rng):
+    def counted(scenario, vi, *args):
         drawn.append(vi)
-        return draw(scenario, vi, rng)
+        return draw(scenario, vi, *args)
 
-    monkeypatch.setattr(encounters, "_crossing_events", counted)
+    monkeypatch.setattr(encounters, "_crossing_arrivals", counted)
     file = FileSpec(100, 64)  # station batches of 250 and 200 packets hold the decode
     rng = np.random.default_rng(0)
     got = encounters.simulate_download_times(twoclass, [20.0, 25.0] * 3, file, UniformScheme(), rng)
@@ -872,9 +972,9 @@ def test_arrival_generators_are_built_only_at_a_first_crossing_draw(twoclass, mo
     # test_large_uniform_download_matches_per_packet_oracle and
     # test_lt_download_with_a_long_tail_matches_per_packet_oracle).
     drawn, built = [], []
-    draw, spawned = encounters._crossing_events, encounters._spawned
+    draw, spawned = encounters._crossing_arrivals, encounters._spawned
     monkeypatch.setattr(
-        encounters, "_crossing_events", lambda sc, vi, rng: drawn.append(vi) or draw(sc, vi, rng)
+        encounters, "_crossing_arrivals", lambda sc, vi, *a: drawn.append(vi) or draw(sc, vi, *a)
     )
     monkeypatch.setattr(
         encounters, "_spawned", lambda rng, seed: built.append(seed.spawn_key[-1]) or spawned(rng, seed)
@@ -895,6 +995,21 @@ def test_arrival_generators_are_built_only_at_a_first_crossing_draw(twoclass, mo
     assert drawn == [20.0, 25.0] and [segments for _, _, segments in got] == [1, 1]
     assert sorted(built) == [18 + j for j in range(6)]
     assert rng.bit_generator.seed_seq.n_children_spawned == 3 * 8
+
+
+def test_a_continuous_observer_computes_its_tilt_parts_once(uniform2040, monkeypatch):
+    # once per distinct speed of a download chunk, however many segments
+    # its trials traverse, and once per trip estimate
+    computed = []
+    real = encounters._tilt_parts
+    monkeypatch.setattr(encounters, "_tilt_parts", lambda sc, vi: computed.append(vi) or real(sc, vi))
+    sc = replace(uniform2040, bit_rate=500.0)  # station batches of 1-2 packets
+    got = encounters.simulate_download_times(
+        sc, [25.0, 35.0, 25.0, 35.0], FileSpec(256, 64), UniformScheme(), np.random.default_rng(0)
+    )
+    assert min(segments for _, _, segments in got) >= 3 and computed == [25.0, 35.0]
+    monte_carlo_throughput(sc, 30.0, 5_000, np.random.default_rng(0))
+    assert computed == [25.0, 35.0, 30.0]
 
 
 def test_a_chunk_checks_each_distinct_observer_speed_once(twoclass, monkeypatch):
