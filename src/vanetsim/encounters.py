@@ -56,13 +56,13 @@ from .errors import (
     NoProgressError,
 )
 from .fountain import (
+    SLICED_TRIALS,
     DecoderState,
     FileSpec,
     VectorScheme,
     _TABLE_BYTES,
     _product,
     _row_bytes,
-    _word_bytes,
     decode,
     encode,  # noqa: F401  (perfbench/tracing.py wraps encounters.encode by name)
     fold,
@@ -96,11 +96,12 @@ CHUNK_VEHICLES = 2**14
 MAX_DOWNLOAD_BLOCKS = 8192
 
 # Bytes that one chunk of download trials may hold at once, by the bound of
-# download_chunk_bytes. 2 MiB holds 53 trials at K=100 with 8-byte blocks
-# (they peaked at 1.83 MB), where a chunk runs a trial in about a fifth of
-# the time that trials one at a time take. Chunks hold one trial from K=961
-# on with 8-byte blocks, and from K=164 on with 1 KiB blocks: two trials at
-# K=1000 peaked at 2.00 MB, but the bound gives them 2.25 MB.
+# download_chunk_bytes. With 8-byte blocks 2 MiB holds 223 trials at K=40
+# and 102 at K=100 (they peaked at 1.80 MB), where a chunk runs a trial in
+# about a fifth of the time that trials one at a time take. Below
+# SLICED_TRIALS a trial's kernel comes back, so chunks hold 6 trials at
+# K=500 and one from K=961 on, as at K=1000; with 1 KiB blocks, one from
+# K=178 on.
 DOWNLOAD_CHUNK_BYTES = 1 << 21
 
 # Segments a download may traverse for packet N before it gives up.
@@ -302,11 +303,24 @@ def _tail_speeds(rng: np.random.Generator, n: int, shape: str, a: float, b: floa
             kept = e[test < 1.0]
             kept *= hi
         kept = kept[: n - filled]
-        if kept.size and not (lo < kept.min() and kept.max() < hi):  # rounded to an end
+        if not _strictly_inside(kept, lo, hi):  # rounded to an end
             kept = kept[(lo < kept) & (kept < hi)]
         out[filled : filled + kept.size] = kept
         filled += kept.size
     return out if a > 0 else np.negative(out, out=out)
+
+
+def _strictly_inside(values: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether every one of ``values`` lies strictly between ``lo`` and ``hi``.
+
+    Up to 32 values, as a tail's round of a trip usually keeps, Python's
+    ``min`` and ``max`` over their list take 0.6-0.9 us against 1.9 us for
+    NumPy's two reductions, which take over beyond.
+    """
+    if values.size <= 32:
+        few = values.tolist()
+        return not few or (lo < min(few) and max(few) < hi)
+    return bool(lo < np.minimum.reduce(values) and np.maximum.reduce(values) < hi)
 
 
 def _tilted_crossings(
@@ -586,38 +600,64 @@ def _spawned(rng: np.random.Generator, seed: np.random.SeedSequence) -> np.rando
 def _draw_files(file: FileSpec, rngs: list[np.random.Generator]) -> np.ndarray:
     """One file per generator, ``trials x k x block_bytes``.
 
-    Each file is one draw of 32-bit words, sliced as ``k`` separate
-    ``rng.bytes(block_bytes)`` draws would give it (see
-    :func:`~vanetsim.fountain.sample_uniform_vectors`).
+    Each file is the ``n = k * ceil(block_bytes / 4)`` uniform 32-bit words
+    of one ``rng.integers(0, 2**32, n, dtype=np.uint32)`` draw, sliced as
+    ``k`` separate ``rng.bytes(block_bytes)`` draws would give it (see
+    :func:`~vanetsim.fountain.sample_uniform_vectors`). Those words are the
+    low and then the high halves of ``ceil(n / 2)`` raw 64-bit outputs, so
+    the file is one ``random_raw`` draw of the bit generator, read as
+    little-endian bytes: the generator makes no other draw, so an odd
+    ``n``'s unused half-word is never read.
     """
     size, words = file.block_bytes, (file.block_bytes + 3) // 4
-    files = np.empty((len(rngs), 4 * file.k * words), dtype=np.uint8)
+    n = file.k * words
+    files = np.empty((len(rngs), (n + 1) // 2), dtype="<u8")
     for row, rng in zip(files, rngs):
-        row[:] = _word_bytes(rng, file.k * words)
-    return files.reshape(len(rngs), file.k, 4 * words)[:, :, :size]
+        row[:] = rng.bit_generator.random_raw(len(row))
+    return files.view(np.uint8)[:, : 4 * n].reshape(len(rngs), file.k, 4 * words)[:, :, :size]
 
 
 def download_chunk_bytes(file: FileSpec, trials: int) -> int:
     """Bytes that a chunk of ``trials`` downloads of ``file`` holds at most, at its peak.
 
-    A linear bound fitted to the tracemalloc peaks of whole chunks of 1 to
-    64 trials, K from 1 to 4096, 8-byte and 1 KiB blocks, uniform and LT
-    vectors, all of which it covers: 12 KiB and a product's XOR tables
-    (:data:`~vanetsim.fountain._TABLE_BYTES`) a chunk and, a trial, 8 KiB,
-    32 block strides (a block's bytes in whole 32-bit words) and, a block,
-    136 bytes, 5.5 strides and 3.5 packed ``[vector | tag]`` rows. The rows
-    are the decoder state's, a fold's batch, its kernel's lookups of table
-    rows and the vectors; the strides are the file, the stored and the
-    round's payloads and the lookups and copies of the products.
+    A chunk's own arrays a trial, plus its kernel's scratch, in bytes, a
+    block's stride (its bytes in whole 32-bit words) and packed ``[vector |
+    tag]`` rows. A trial holds 4416 bytes (generators, seeds, small arrays)
+    and 16 strides and, a block, 24 bytes of flags and indices, 4 strides
+    (the file and the stored, round's and decoded payloads) and 2.56 rows
+    (the stored row, the fold's batch row and a packed vector). From
+    :data:`~vanetsim.fountain.SLICED_TRIALS` trials on, the scratch is
+    fixed (see :func:`~vanetsim.fountain._clear_block` and
+    :func:`~vanetsim.fountain._product`): 12 KiB, three
+    :data:`~vanetsim.fountain._TABLE_BYTES` and a product part's lookup of
+    one trial's rows, a stride and 64 bytes a block. Below, 12 KiB and two
+    :data:`~vanetsim.fountain._TABLE_BYTES`, and each trial's table and
+    lookup: 192 rows and, a block, a row, a stride and 16 bytes. Fitted to
+    the tracemalloc peaks of whole chunks of 1 to 200 trials, K from 1 to
+    4096, 8-byte and 1 KiB blocks, uniform and LT vectors, all of which it
+    covers by 1 % or more.
     """
     stride = 4 * ((file.block_bytes + 3) // 4)
     row = _row_bytes((file.k + 7) // 8)
-    per_trial = 8192 + 32 * stride + file.k * (136 + 11 * stride // 2 + 7 * row // 2)
-    return 12288 + _TABLE_BYTES + trials * per_trial
+    per_trial = 4416 + 16 * stride + file.k * (24 + 4 * stride + 41 * row // 16)
+    if trials < SLICED_TRIALS:
+        kernel = 192 * row + file.k * (row + stride + 16)
+        return 12288 + 2 * _TABLE_BYTES + trials * (per_trial + kernel)
+    return 12288 + 3 * _TABLE_BYTES + file.k * (stride + 64) + trials * per_trial
 
 
 def download_chunk_trials(file: FileSpec) -> int:
-    """Trials of :func:`simulate_download_times` whose chunk fits :data:`DOWNLOAD_CHUNK_BYTES`, at least one."""
+    """Trials of :func:`simulate_download_times` whose chunk fits :data:`DOWNLOAD_CHUNK_BYTES`, at least one.
+
+    As many as fit with the bounded kernel if they reach
+    :data:`~vanetsim.fountain.SLICED_TRIALS`, else as many as fit with a
+    kernel a trial.
+    """
+    many = download_chunk_bytes(file, SLICED_TRIALS)
+    per_trial = (download_chunk_bytes(file, 2 * SLICED_TRIALS) - many) // SLICED_TRIALS
+    fits = SLICED_TRIALS + (DOWNLOAD_CHUNK_BYTES - many) // per_trial
+    if fits >= SLICED_TRIALS:
+        return fits
     fixed = download_chunk_bytes(file, 0)
     return max(1, (DOWNLOAD_CHUNK_BYTES - fixed) // (download_chunk_bytes(file, 1) - fixed))
 
@@ -648,8 +688,10 @@ def simulate_download_times(
     one a packet, a round draws ``k - rank + BATCH_MARGIN`` vectors for
     each unfinished trial with one sampler call, encodes all of them with
     one product and folds them with one :func:`~vanetsim.fountain.fold`,
-    and the trials that reach full rank are decoded with one
-    :func:`~vanetsim.fountain.decode` and checked against their files. A
+    and the trials that reach full rank are decoded with
+    :func:`~vanetsim.fountain.decode` and checked against their files, as
+    many at a time as :data:`~vanetsim.fountain._TABLE_BYTES` of blocks
+    hold (one at least). A
     sampler call of n vectors draws what n calls of one draw, and the
     innovative flags are those of one packet at a time, so N is that of one
     draw and one fold per packet. The arrival phase then walks each trial's
@@ -703,6 +745,7 @@ def simulate_download_times(
         payloads = np.zeros((*vectors.shape[:2], file.block_bytes), dtype=np.uint8)
         _product(vectors, files if active.size == len(seeds) else files[active], payloads)
         innovative = fold(state, vectors, payloads, active)
+        del vectors, payloads  # not held through the decode below
         for i, n, row in zip(active.tolist(), counts.tolist(), innovative):
             flags[i].append(row[:n])
         full = state.ranks[active] == k
@@ -710,9 +753,12 @@ def simulate_download_times(
         if done.size:  # packet N is the round's last innovative one; each decode is checked
             last = innovative.shape[1] - innovative[full, ::-1].argmax(axis=1)
             needed[done] += last
-            decoded = decode(state, done)
-            np.bitwise_xor(decoded, files[done], out=decoded)
-            wrong[done] = decoded.any(axis=(1, 2))
+            per = max(1, _TABLE_BYTES // files[0].nbytes)  # trials whose blocks one check holds
+            for lo in range(0, done.size, per):
+                part = done[lo : lo + per]
+                decoded = decode(state, part)
+                np.bitwise_xor(decoded, files[part], out=decoded)
+                wrong[part] = decoded.any(axis=(1, 2))
         needed[active[~full]] += counts[~full]
         active = active[~full]
     results = []

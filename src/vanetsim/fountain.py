@@ -9,7 +9,8 @@ Every product of packed vectors with rows, for several independent trials
 at once, is one :func:`_product`: it builds XOR tables of the rows' 4-row
 groups (the "method of four Russians") a bounded
 :data:`_TABLE_BYTES` at a time and looks up each 4-bit digit of the
-vectors. :func:`encode_batch` computes a batch's payloads with one product,
+vectors, from :data:`SLICED_TRIALS` trials on a part of the trials at a
+time. :func:`encode_batch` computes a batch's payloads with one product,
 and :func:`encode` is a batch of one.
 
 The decoder folds batches of packets into a reduced echelon basis of packed
@@ -18,11 +19,16 @@ The decoder folds batches of packets into a reduced echelon basis of packed
 trials as stacked arrays with a leading trials axis, written in place.
 :func:`fold` folds one batch into each of several of its trials at once,
 and :meth:`DecoderState.receive_batch` is a fold of one. One product
-reduces a batch against each trial's stored pivots. The
-Gauss–Jordan kernel eliminates 8 columns at a time with one XOR table per
-trial and block, after Albrecht and Bard's M4RI, and each of a block's
-NumPy steps serves every trial, so the per-call cost that dominates small
-decodes is paid once per chunk of trials. The kernel's pivots are the
+reduces a batch against each trial's stored pivots. The Gauss–Jordan
+kernel eliminates 8 columns at a time after Albrecht and Bard's M4RI.
+Below :data:`SLICED_TRIALS` stacked trials it builds one table a trial of
+the block's pivot rows; from it on, two 16-entry tables a trial, of its
+pivot rows 0-3 and 4-7, built and looked up a slab of trials at a time,
+so that no temporary of a many-trial fold, or of a many-trial product,
+outgrows :data:`_TABLE_BYTES` and a chunk's scratch does not grow with
+its trials. Each of a block's NumPy steps serves every trial (of a slab),
+so the per-call cost that dominates small decodes is paid about once per
+chunk of trials. The kernel's pivots are the
 earliest rows that raise the rank, so a batch's innovative packets are
 those of one packet at a time. Two searches find a block's pivots, and the
 fold's trial count alone chooses: below :data:`SLICED_TRIALS` a greedy
@@ -261,28 +267,67 @@ def _product(packed: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
     ``packed`` is ``trials x count x nbytes``, ``rows`` ``trials x n x
     size`` and ``out`` a contiguous ``trials x count x size`` array: bit
     ``j`` (LSB-first) of row ``p`` of trial ``t`` selects ``rows[t, j]``
-    into ``out[t, p]``. The rows' 4-row XOR tables (see :func:`_xor_tables`)
-    are built :data:`_TABLE_BYTES` at a time (one group at least), and each
-    group takes one NumPy gather, a table lookup per 4-bit digit, for every
-    trial at once.
+    into ``out[t, p]``. Trials go in parts (see :func:`_product_part`): all
+    at once below :data:`SLICED_TRIALS`, else as many as one gather of all
+    their rows, and its index, fit :data:`_TABLE_BYTES` (one at least), so
+    that no temporary of a many-trial product grows with its trials.
+    """
+    trials, count, _ = packed.shape
+    per = trials
+    if trials >= SLICED_TRIALS:
+        per = _even(trials, max(1, _TABLE_BYTES // (count * max(rows.shape[2], 8))))
+    for t0 in range(0, trials, per):
+        _product_part(packed[t0 : t0 + per], rows[t0 : t0 + per], out[t0 : t0 + per])
+
+
+def _product_part(packed: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """:func:`_product` of one part of the trials.
+
+    The rows' 4-row XOR tables (see :func:`_xor_tables`) are built
+    :data:`_TABLE_BYTES` at a time (one group at least), the digits of one
+    trial at once and of several a step at a time, as many as also fit the
+    budget, and each group takes one NumPy gather, a table lookup per 4-bit
+    digit, for every trial of the part at once.
     """
     trials, count, nbytes = packed.shape
     size = rows.shape[2]
-    # the 4-bit digits, written straight in the width that indexes the
-    # tables: digit d of trial t reads table row d * trials + t
+    out = out.reshape(trials * count, size)  # a view: out is contiguous
+    groups = _TABLE_BYTES // (16 * trials * size)  # the groups whose tables fit
+    digits = None
+    if trials == 1:
+        digits = _digits(packed)
+    else:  # and whose digits, two bytes each a row, fit
+        groups = min(groups, _TABLE_BYTES // (2 * trials * count))
+    step = 4 * max(1, groups)
+    for lo in range(0, rows.shape[1], step):
+        first = lo // 4  # the step's first group, and its column of digits
+        if trials > 1:
+            digits = _digits(packed[:, :, lo // 8 : -(-(lo + step) // 8)])
+            first %= 2
+        for g, table in enumerate(_xor_tables(rows[:, lo : lo + step], 4), first):
+            out ^= table.take(digits[g].astype(np.intp), axis=0)
+
+
+def _digits(packed: np.ndarray) -> np.ndarray:
+    """The 4-bit digits of ``trials x count x nbytes`` packed rows as rows of :func:`_xor_tables`.
+
+    Row ``g`` of the ``2 nbytes x trials * count`` result holds digit ``g``
+    (the low nibble of byte ``g // 2`` if ``g`` is even, else its high one)
+    of each packed row, trial by trial, written straight in the width that
+    indexes the tables: digit ``d`` of trial ``t`` reads table row ``d *
+    trials + t``.
+    """
+    trials, count, nbytes = packed.shape
     dtype = np.uint8 if trials == 1 else np.uint16 if 16 * trials <= 1 << 16 else np.uint32
-    digits = np.empty((trials, count, nbytes, 2), dtype=dtype)
-    np.bitwise_and(packed, 0x0F, out=digits[..., 0])
-    np.right_shift(packed, 4, out=digits[..., 1])
-    digits = digits.reshape(trials * count, 2 * nbytes)
+    digits = np.empty((nbytes, 2, trials, count), dtype=dtype)
+    packed = packed.transpose(2, 0, 1)
+    np.bitwise_and(packed, 0x0F, out=digits[:, 0])
+    np.right_shift(packed, 4, out=digits[:, 1])
+    digits = digits.reshape(2 * nbytes, trials * count)
     if trials > 1:
         digits *= trials
-        digits += np.repeat(np.arange(trials, dtype=dtype), count)[:, None]
-    out = out.reshape(trials * count, size)  # a view: out is contiguous
-    step = 4 * max(1, _TABLE_BYTES // (16 * trials * size))  # the groups whose tables fit
-    for lo in range(0, rows.shape[1], step):
-        for g, table in enumerate(_xor_tables(rows[:, lo : lo + step], 4), lo // 4):
-            out ^= table.take(digits[:, g].astype(np.intp), axis=0)
+        digits += np.repeat(np.arange(trials, dtype=dtype), count)
+    return digits
 
 
 def encode_batch(blocks: Sequence[bytes], vectors: np.ndarray) -> np.ndarray:
@@ -345,8 +390,11 @@ def _row_bytes(nbytes: int) -> int:
 
 # Rows (sliced search) or candidates (greedy search) of a trial that a pivot
 # search reads first; a trial left short of its free columns reads twice as
-# many next.
-_WINDOW = 16
+# many next. With 16, about 3 % of the trials of a uniform 100-trial K=100
+# fold fell short of 8 pivots in a block's first window, so nearly every
+# block ran the sliced search twice; 20 made re-runs rare and the fold's
+# searches 0.7x as long (24: 0.75x, 32: 0.85x).
+_WINDOW = 20
 
 
 def _greedy_pivots(masked: np.ndarray, taken: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -489,9 +537,11 @@ def _sliced_pivots(masked: np.ndarray, taken: np.ndarray) -> tuple[np.ndarray, n
     return combos, pivots
 
 
-# Trials from which _gauss_jordan searches pivots with _sliced_pivots. Two
-# searches stay because neither is fastest on both sides of this count, and
-# the trial count alone selects one (2-core x86-64 guest, interleaved runs).
+# Trials from which _gauss_jordan searches pivots with _sliced_pivots (and,
+# counted in the decoder state, clears blocks with _clear_block) and _product
+# goes in parts. Two searches stay because neither is fastest on both sides
+# of this count, and the trial count alone selects one (2-core x86-64 guest,
+# interleaved runs).
 # Timed alone, a block costs the greedy search 15-20 us a trial and the
 # sliced one about 60 us plus 1 us a trial, 21 us of it in its Python-int
 # elimination at one trial; forced on every fold, the sliced search took a
@@ -507,7 +557,9 @@ def _sliced_pivots(masked: np.ndarray, taken: np.ndarray) -> tuple[np.ndarray, n
 SLICED_TRIALS = 10
 
 
-def _gauss_jordan(rows: np.ndarray, first: int, taken: np.ndarray) -> np.ndarray:
+def _gauss_jordan(
+    rows: np.ndarray, first: int, taken: np.ndarray, stacked: int | None = None
+) -> np.ndarray:
     """Gauss–Jordan elimination of packed ``[vector | tag]`` rows, in place.
 
     ``rows`` is a contiguous ``trials x count x width`` array: for each of
@@ -530,16 +582,23 @@ def _gauss_jordan(rows: np.ndarray, first: int, taken: np.ndarray) -> np.ndarray
       columns whose rows XOR to its new pivot row, 0 where the column gained
       no pivot) and its pivot's flat row (0 where none).
     - From the record alone come the new pivot columns (the OR of a trial's
-      combinations), a table per trial of the XORs of its pivot rows, each
-      tagged by its column (row 0, which no map reads, stands in for the
-      columns without one), and a 256-entry map per trial from a digit to
-      the table row that clears the block's new pivot columns from every
-      other row, ``mix * trials + t`` for the XOR ``mix`` of the digit's
-      combinations: the "method of four Russians" of Albrecht and Bard's
-      M4RI. A new pivot row becomes the table row of its own column's bit,
-      so it names the rows it combines in its tag by their pivot columns.
-      The tables, the maps and the clearing are each one NumPy step for all
-      trials together, so a block's NumPy calls serve every trial.
+      combinations), XOR tables of each trial's pivot rows, each tagged by
+      its column (row 0, which no digit selects, stands in for the columns
+      without one), and a 256-entry map per trial from a digit to the
+      table rows that clear the block's new pivot columns from every other
+      row, those of the XOR ``mix`` of the digit's combinations: the
+      "method of four Russians" of Albrecht and Bard's M4RI. A new pivot
+      row becomes the table rows of its own column's bit, so it names the
+      rows it combines in its tag by their pivot columns. ``stacked`` is
+      the trial count of the decoder state that the rows fold into (the
+      rows' own if None). Below :data:`SLICED_TRIALS` each trial gets one
+      table of its ``2**m`` XORs, ``m`` the block's highest new pivot
+      column plus one, and each row one lookup, every step one NumPy call
+      for all trials. From it on each trial gets two 16-entry tables, of
+      pivot rows 0-3 and 4-7, and each row a lookup in both, a slab of
+      trials at a time (:func:`_clear_block`), so that no temporary
+      outgrows :data:`_TABLE_BYTES`, also when only a chunk's last
+      unfinished trials fold.
 
     A free row is only ever XORed with pivot rows that arrived before it, so
     it ends at zero exactly when it lies in the span of the rows before it:
@@ -559,11 +618,13 @@ def _gauss_jordan(rows: np.ndarray, first: int, taken: np.ndarray) -> np.ndarray
     free = np.zeros((trials, count), dtype=np.uint8)
     free[:, first:] = 0xFF
     free = free.ravel()
-    trial_index = np.arange(trials)[:, None]
-    map_base = np.repeat(256 * trial_index, count)  # a row's trial in the digit maps
+    bounded = (trials if stacked is None else stacked) >= SLICED_TRIALS
     search = _sliced_pivots if trials >= SLICED_TRIALS else _greedy_pivots
+    trial_index = np.arange(trials)[:, None]
+    if trials > 1 and not bounded:
+        map_base = np.repeat(256 * trial_index, count)  # a row's trial in the digit maps
     pivot_maps = (256 * trial_index + _PIVOT_BITS).ravel()
-    pivot_cols = np.full(trials * count, -1, dtype=np.intp)
+    pivot_cols = np.full(trials * count, -1, dtype=np.int16)
     for b in np.flatnonzero((taken != 0xFF).any(axis=0)).tolist():
         digits = flat[:, b]
         found = search((digits & free).reshape(trials, count), taken[:, b])
@@ -572,7 +633,7 @@ def _gauss_jordan(rows: np.ndarray, first: int, taken: np.ndarray) -> np.ndarray
         combos, pivots = found
         new = np.packbits(combos, axis=1, bitorder="little").ravel()  # the OR of the combinations
         np.bitwise_or(taken[:, b], new, out=taken[:, b])
-        m = max(new.tolist()).bit_length()
+        m = 8 if bounded else max(new.tolist()).bit_length()
         # Table rows are zero left of block b and, with no stored pivots, in
         # tag bytes right of it: the XORs below skip such 64-byte spans.
         lo = b // 64 * 8
@@ -583,29 +644,96 @@ def _gauss_jordan(rows: np.ndarray, first: int, taken: np.ndarray) -> np.ndarray
         tags = source[:, :, nbytes + b]
         tags |= _PIVOT_BITS[:m]
         source = source.view(np.uint64)[:, :, lo:hi]
-        table = _xor_tables(source, m)[0]
-        # digit d of trial t clears its new pivot columns with table row
-        # maps[t, d] = mix * trials + t, mix the XOR of its bits' combinations
-        maps = np.bitwise_xor.reduce(_BYTE_BITS * combos[:, :, None], axis=1).astype(np.intp)
-        maps *= trials
-        maps += trial_index
-        words[:, lo:hi] ^= table.take(maps.ravel().take(digits + map_base), axis=0)
-        # a new pivot row, record index 8 t + c, becomes table row maps[t, 1 << c]
+        # a new pivot row, record index 8 t + c, becomes the XOR its combination names
         new_at = combos.ravel().nonzero()[0]
         at = pivots.ravel().take(new_at)
-        words[at, lo:hi] = table.take(maps.ravel().take(pivot_maps.take(new_at)), axis=0)
+        if bounded:
+            spans = words.reshape(trials, count, -1)[:, :, lo:hi]
+            _clear_block(spans, digits.reshape(trials, count), source, combos, new_at, at)
+        else:
+            table = _xor_tables(source, m)[0]
+            # digit d of trial t clears its new pivot columns with table row
+            # maps[t, d] = mix * trials + t, mix the XOR of its bits' combinations
+            maps = np.bitwise_xor.reduce(_BYTE_BITS * combos[:, :, None], axis=1).astype(np.intp)
+            keys = digits
+            if trials > 1:
+                maps *= trials
+                maps += trial_index
+                keys = digits + map_base
+            words[:, lo:hi] ^= table.take(maps.ravel().take(keys), axis=0)
+            # pivot c of trial t becomes table row maps[t, 1 << c]
+            words[at, lo:hi] = table.take(maps.ravel().take(pivot_maps.take(new_at)), axis=0)
         free[at] = 0
         pivot_cols[at] = (new_at & 7) + 8 * b
     return pivot_cols.reshape(trials, count)
 
 
-def _selection(state: DecoderState, trials) -> slice | np.ndarray:
-    """Index of ``trials`` into a state's stacked arrays: a slice, reading views, for all trials in order."""
+def _even(n: int, most: int) -> int:
+    """The size of the fewest even parts of ``n`` items of at most ``most`` each."""
+    return -(-n // -(-n // most))
+
+
+def _clear_block(
+    words: np.ndarray, digits: np.ndarray, source: np.ndarray, combos: np.ndarray, new_at, at
+) -> None:
+    """The many-trial clearing of one block of :func:`_gauss_jordan`, in place.
+
+    ``words`` is the ``trials x count x span`` view of the words that the
+    block's tables cover, ``digits`` the rows' block bytes, ``source`` the
+    ``trials x 8 x span`` tagged pivot rows, ``combos`` the pivot record's
+    combinations, and ``at`` and ``new_at`` the new pivot rows' flat rows
+    and record indices. A 256-entry map a trial, built by doubling, takes a
+    digit to its mix and the mix to a row of each of two 16-entry tables of
+    sources 0-3 and 4-7. Tables are built for as many trials as fit
+    :data:`_TABLE_BYTES` (the last range padded with zero sources, so all
+    ranges share a layout) and looked up a slab of rows at a time, each
+    gather within :data:`_TABLE_BYTES`. A new pivot row, zeroed and given
+    its own column's bit as digit, becomes the XOR its combination names.
+    """
+    trials, count, span = words.shape
+    maps = np.empty((256, trials), dtype=np.uint8)  # maps[d, t]: trial t's mix of digit d
+    maps[0] = 0
+    for c, combo in enumerate(combos.T):
+        np.bitwise_xor(maps[: 1 << c], combo, out=maps[1 << c : 2 << c])
+    digits = digits.copy()
+    digits.reshape(-1)[at] = _PIVOT_BITS[new_at & 7]
+    words.reshape(-1, span)[at] = 0
+    line = 8 * span
+    size = _even(trials, max(1, _TABLE_BYTES // (32 * line)))  # trials a range of tables holds
+    trial = np.arange(trials, dtype=np.uint16) % size
+    low = (maps & 0x0F).astype(np.uint16)
+    low *= size
+    low += trial
+    high = (maps >> 4).astype(np.uint16)
+    high *= size
+    high += trial + 16 * size
+    low, high = low.T.copy(), high.T.copy()  # trial t's row for digit d at 256 t + d
+    base = 256 * np.arange(trials)[:, None]
+    fit = max(1, _TABLE_BYTES // line)  # rows whose lookups fit
+    per, sub = _even(size, max(1, fit // count)), min(count, fit)
+    for t0 in range(0, trials, size):
+        t1 = min(trials, t0 + size)
+        pivots = source[t0:t1]
+        if t1 - t0 < size:
+            pad = np.zeros((size - (t1 - t0), 8, span), dtype=pivots.dtype)
+            pivots = np.concatenate((pivots, pad))
+        tables = _xor_tables(pivots, 4).reshape(32 * size, span)
+        for s0 in range(t0, t1, per):
+            s1 = min(t1, s0 + per)
+            for r0 in range(0, count, sub):
+                key = digits[s0:s1, r0 : r0 + sub] + base[s0:s1]
+                rows = words[s0:s1, r0 : r0 + sub]
+                rows ^= tables.take(low.take(key), axis=0).reshape(rows.shape)
+                rows ^= tables.take(high.take(key), axis=0).reshape(rows.shape)
+
+
+def _selection(trials) -> slice | np.ndarray:
+    """Index of ``trials`` into a state's stacked arrays: a slice, reading views, for consecutive trials."""
     if trials is None:
         return slice(None)
     index = np.asarray(trials, dtype=np.intp)
-    if len(index) == len(state.ranks) and (index == np.arange(len(index))).all():
-        return slice(None)
+    if len(index) and (np.diff(index) == 1).all():
+        return slice(int(index[0]), int(index[-1]) + 1)
     return index
 
 
@@ -622,12 +750,14 @@ def fold(state: DecoderState, vectors: np.ndarray, payloads: np.ndarray, trials=
     Returns the ``len(trials) x count`` flags, True where a packet raised
     its trial's rank: those of one packet at a time. One product reduces
     every batch against its trial's stored pivots, one
-    :func:`_gauss_jordan` pass finds the new pivots of all trials, and one
-    scatter per stacked array stores them, in place.
+    :func:`_gauss_jordan` pass finds the new pivots of all trials, and
+    scatters into the stacked arrays store them in place, for as many
+    trials at a time as one gather of their rows and payloads within
+    :data:`_TABLE_BYTES` holds (one at least).
     """
     k = state.k
     nbytes = (k + 7) // 8
-    index = _selection(state, trials)
+    index = _selection(trials)
     ranks = state.ranks[index]
     if vectors.ndim != 3 or vectors.shape[0] != len(ranks) or vectors.shape[2] != nbytes:
         raise InvalidParameterError(
@@ -659,22 +789,26 @@ def fold(state: DecoderState, vectors: np.ndarray, payloads: np.ndarray, trials=
     if first:  # reduce the batch against the stored pivots, then append it to them
         rows = np.empty((n, first + count, width), dtype=np.uint8)
         if isinstance(index, slice):
-            rows[:, :first] = state._rows
+            rows[:, :first] = state._rows[index]
         else:  # a trial at a time: a gather would copy every trial's pivots once more
             for t, i in enumerate(index.tolist()):
                 rows[t, :first] = state._rows[i]
         _product(vectors, rows[:, :first], batch)
         rows[:, first:] = batch
     taken = state._taken[index]
-    pivot_cols = _gauss_jordan(rows, first, taken)[:, first:]
+    pivot_cols = _gauss_jordan(rows, first, taken, len(state.ranks))[:, first:]
     innovative[live] = new = pivot_cols >= 0
     state._taken[index] = taken
     if first:  # the stored pivots, with the new pivot columns cleared
         state._rows[index] = rows[:, :first]
-    t, at = new.nonzero()
-    stacked, cols = np.arange(len(state.ranks))[index][t], pivot_cols[t, at]
-    state._rows[stacked, cols] = rows[t, first + at]
-    state._payloads[stacked, cols] = payloads[t, at]
+    stacked = np.arange(len(state.ranks))[index]
+    per = max(1, _TABLE_BYTES // (count * (width + payloads.shape[2])))  # trials one gather holds
+    for t0 in range(0, n, per):
+        t, at = new[t0 : t0 + per].nonzero()
+        t += t0
+        cols = pivot_cols[t, at]
+        state._rows[stacked[t], cols] = rows[t, first + at]
+        state._payloads[stacked[t], cols] = payloads[t, at]
     state.ranks[index] += new.sum(axis=1)
     return innovative
 
@@ -751,10 +885,10 @@ def decode(state: DecoderState, trials=None) -> np.ndarray:
     Row ``i`` of result ``t`` is block ``i`` of trial ``trials[t]`` (of
     every trial, in order, if None): the XOR of the stored payloads that its
     tag names. One product of the trials' tags with their payloads serves
-    every trial; the tags and payloads of all trials are read in place, not
-    copied.
+    every trial; the tags and payloads of a run of consecutive trials are
+    read in place, not copied.
     """
-    index = _selection(state, trials)
+    index = _selection(trials)
     if (state.ranks[index] < state.k).any():
         raise InvalidParameterError("a decoder is short of full rank")
     nbytes = state._taken.shape[1]

@@ -26,7 +26,7 @@ from vanetsim import (
     simulate_trip,
     span_probability,
 )
-from vanetsim import encounters
+from vanetsim import encounters, fountain
 from vanetsim.encounters import BATCH_MARGIN, MAX_DOWNLOAD_BLOCKS
 from vanetsim.errors import (
     InternalInconsistencyError,
@@ -1075,24 +1075,8 @@ def test_download_refuses_a_file_above_the_block_limit():
 LT = LtScheme(SolitonParams(0.1, 0.5, 0.01))
 
 
-@pytest.mark.parametrize(
-    "k, l, scheme",
-    [
-        (40, 64, UniformScheme()),
-        (100, 64, UniformScheme()),
-        (100, 64, LT),
-        (1000, 64, UniformScheme()),
-        (256, 8192, UniformScheme()),
-        (1024, 8192, UniformScheme()),
-    ],
-)
-def test_a_download_trial_peaks_within_the_bytes_its_chunk_assumes(twoclass, k, l, scheme):
-    # A chunk of the rule's own trial count (115 at K=40, 54 at K=100, one
-    # at K=1000 and with 1 KiB blocks; LT vectors fold in many rounds)
-    # holds its trials' files, bases and fold rows, but only the product's
-    # bounded XOR tables, not its files'
-    file = FileSpec(k, l)
-    trials = encounters.download_chunk_trials(file)
+def chunk_peak(twoclass, file: FileSpec, scheme, trials: int) -> int:
+    """The tracemalloc peak of one chunk of ``trials`` downloads, observers alternating 20 and 25."""
     warm = FileSpec(8, 64)  # first-call allocations are not the chunk's
     observers = [(20.0, 25.0)[i % 2] for i in range(trials)]
     encounters.simulate_download_times(twoclass, [20.0], warm, scheme, np.random.default_rng(0))
@@ -1102,9 +1086,62 @@ def test_a_download_trial_peaks_within_the_bytes_its_chunk_assumes(twoclass, k, 
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= encounters.download_chunk_bytes(file, trials)
+    return peak
+
+
+@pytest.mark.parametrize(
+    "k, l, scheme",
+    [
+        (40, 64, UniformScheme()),
+        (100, 64, UniformScheme()),
+        (100, 64, LT),
+        (500, 64, UniformScheme()),
+        (1000, 64, UniformScheme()),
+        (1000, 64, LT),
+        (256, 8192, UniformScheme()),
+        (1024, 8192, UniformScheme()),
+    ],
+)
+def test_a_download_trial_peaks_within_the_bytes_its_chunk_assumes(twoclass, k, l, scheme):
+    # A chunk of the rule's own trial count (223 at K=40, 102 at K=100, 6 at
+    # K=500, one at K=1000 and with 1 KiB blocks from K=178; LT vectors fold
+    # in many rounds) holds its trials' files, bases and fold rows, and its
+    # kernel's scratch, fixed from SLICED_TRIALS trials on
+    file = FileSpec(k, l)
+    trials = encounters.download_chunk_trials(file)
+    assert chunk_peak(twoclass, file, scheme, trials) <= encounters.download_chunk_bytes(file, trials)
     if trials > 1:
         assert encounters.download_chunk_bytes(file, trials) <= encounters.DOWNLOAD_CHUNK_BYTES
+
+
+def test_a_100_trial_download_time_run_is_one_chunk():
+    # the cli benchmark's download-time --K 100 --trials 100, with 8-byte blocks
+    assert encounters.download_chunk_trials(FileSpec(100, 64)) >= 100
+    assert encounters.DOWNLOAD_CHUNK_BYTES == 1 << 21
+
+
+@pytest.mark.parametrize("scheme", [UniformScheme(), LT])
+def test_a_chunk_of_twice_the_rule_s_trials_peaks_within_its_bytes(twoclass, scheme):
+    # The kernel's scratch does not grow with a chunk's trials, so the
+    # bound's fixed part still covers it at twice the trials (204 at K=100)
+    file = FileSpec(100, 64)
+    trials = 2 * encounters.download_chunk_trials(file)
+    assert chunk_peak(twoclass, file, scheme, trials) <= encounters.download_chunk_bytes(file, trials)
+
+
+@pytest.mark.parametrize("budget", [64, 3000])
+@pytest.mark.parametrize("scheme", [UniformScheme(), LT])
+def test_a_small_table_budget_gives_the_same_downloads(twoclass, monkeypatch, budget, scheme):
+    # At 64 bytes every bounded loop runs many times: product parts, tables,
+    # scatters and decode checks of one trial, lookups of 2 rows within a
+    # trial's rows; at 3000 each range of tables holds 2 of the 11 trials,
+    # the last padded to 2
+    file, observers = FileSpec(40, 64), [(20.0, 25.0)[i % 2] for i in range(11)]
+    want = encounters.simulate_download_times(twoclass, observers, file, scheme, np.random.default_rng(3))
+    monkeypatch.setattr(fountain, "_TABLE_BYTES", budget)
+    monkeypatch.setattr(encounters, "_TABLE_BYTES", budget)
+    got = encounters.simulate_download_times(twoclass, observers, file, scheme, np.random.default_rng(3))
+    assert got == want
 
 
 def test_download_detects_a_wrong_decode(monkeypatch):
