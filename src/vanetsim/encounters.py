@@ -303,24 +303,11 @@ def _tail_speeds(rng: np.random.Generator, n: int, shape: str, a: float, b: floa
             kept = e[test < 1.0]
             kept *= hi
         kept = kept[: n - filled]
-        if not _strictly_inside(kept, lo, hi):  # rounded to an end
-            kept = kept[(lo < kept) & (kept < hi)]
+        if kept.size and not (lo < np.minimum.reduce(kept) and np.maximum.reduce(kept) < hi):
+            kept = kept[(lo < kept) & (kept < hi)]  # drop the proposals that rounded to an end
         out[filled : filled + kept.size] = kept
         filled += kept.size
     return out if a > 0 else np.negative(out, out=out)
-
-
-def _strictly_inside(values: np.ndarray, lo: float, hi: float) -> bool:
-    """Whether every one of ``values`` lies strictly between ``lo`` and ``hi``.
-
-    Up to 32 values, as a tail's round of a trip usually keeps, Python's
-    ``min`` and ``max`` over their list take 0.6-0.9 us against 1.9 us for
-    NumPy's two reductions, which take over beyond.
-    """
-    if values.size <= 32:
-        few = values.tolist()
-        return not few or (lo < min(few) and max(few) < hi)
-    return bool(lo < np.minimum.reduce(values) and np.maximum.reduce(values) < hi)
 
 
 def _tilted_crossings(

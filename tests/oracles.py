@@ -10,7 +10,10 @@ instead. ``IntDecoder`` is the decoder on Python ints, one packet
 at a time, that the packed ``DecoderState`` is tested against, and
 ``reduced_rows`` reads a ``DecoderState``'s basis in fully reduced form.
 ``alpha_matrix`` is the m x m matrix of the exchange objective, the
-quadratic form that ``pmf_opt.pair_law`` evaluates in O(m).
+quadratic form that ``pmf_opt.pair_law`` evaluates in O(m). Not an
+oracle, ``trip_tallies`` reduces per trip the crossers that the library's
+own sampler draws in the estimator's chunks, for the per-trip tallies
+other than the throughput that tests check.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vanetsim import NotYetDecodable, Packet
+from vanetsim import NotYetDecodable, Packet, encounters
 
 
 @dataclass(frozen=True)
@@ -219,3 +222,27 @@ def alpha_matrix(speeds) -> np.ndarray:
         a = inv[:, None] + inv[None, :]
     np.fill_diagonal(a, 0.0)
     return a
+
+
+def trip_tallies(scenario, observer, trials, rng, key, width, weighted=False) -> np.ndarray:
+    """Per-trip tallies of crossers by ``key(crossers)``, in ``0..width-1``: ``trials x width``.
+
+    Trips are drawn as ``monte_carlo_throughput`` draws them, through the
+    observer's sampler in chunks of as many trips as
+    ``encounters.CHUNK_VEHICLES`` expected vehicles hold (one at least).
+    A crosser counts 1, or its packets if ``weighted``; each chunk is
+    reduced with one ``np.bincount(trip * width + key)``.
+    """
+    obs = encounters._observer(scenario, observer)
+    chunk = max(1, int(encounters.CHUNK_VEHICLES // max(obs.expected, 1.0)))
+    tallies = []
+    for done in range(0, trials, chunk):
+        trips = min(chunk, trials - done)
+        crossers = obs.draw(rng, trips)
+        trip = 0 if crossers.trip is None else crossers.trip
+        weights = None
+        if weighted:
+            weights = encounters._packets(crossers.gap, scenario.packet_rate, scenario.r)
+        keys = trip * width + key(crossers)
+        tallies.append(np.bincount(keys, weights, trips * width).reshape(trips, width))
+    return np.concatenate(tallies)

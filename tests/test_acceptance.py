@@ -3,6 +3,13 @@
 Each test prints a single PASS/FAIL line (visible with ``pytest -s``) and
 asserts the stated tolerance. Statistical checks are pinned to fixed seeds
 so the whole suite is reproducible.
+
+c2-c5 validate the trip code that the CLI runs: c3-c5 take their means
+and standard errors from ``monte_carlo_throughput``, the estimator of
+``simulate`` and ``compare``, and c2 tallies the class counts of the same
+chunked crossers by trip. ``simulate_trip`` is a chunk of one, checked
+draw for draw against the estimator in ``test_encounters.py``. c6 folds
+stacked decoder states, as ``download-time`` does.
 """
 
 import json
@@ -27,19 +34,19 @@ from vanetsim import (
     expected_throughput_class,
     expected_throughput_continuous,
     infostation_download,
+    monte_carlo_throughput,
     optimize_pmf,
     packets_needed,
     probabilities_decrease_with_speed,
     reduced_hessian,
     sample_uniform_vectors,
     simulate_download_time,
-    simulate_trip,
     span_probability,
 )
 from vanetsim.cli import main as cli_main
 from vanetsim.fountain import fold
 
-from oracles import alpha_matrix
+from oracles import alpha_matrix, trip_tallies
 
 N_TRIALS = 100_000
 
@@ -49,29 +56,19 @@ def announce(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def trip_sweep(scenario, observer, trials, seed):
-    """Per-trial class encounter counts (discrete only) and throughput."""
+def class_counts(scenario, observer, trials, seed):
+    """Per-trip class encounter counts of discrete traffic, ``trials x m``."""
     rng = np.random.default_rng(seed)
-    m = scenario.velocity.m if scenario.is_discrete else 0
-    counts = np.empty((trials, m))
-    thr = np.empty(trials)
-    for i in range(trials):
-        trip = simulate_trip(scenario, observer, rng)
-        if m:
-            counts[i] = trip.encounters_per_class
-        thr[i] = trip.throughput
-    return counts, thr
+    return trip_tallies(scenario, observer, trials, rng, lambda c: c.cls, scenario.velocity.m)
 
 
-@pytest.fixture(scope="session")
-def fixture_trip_stats(twoclass):
-    """1e5 traversals per observer class of the reference scenario."""
-    start = time.perf_counter()
-    stats = {}
-    for offset, observer in enumerate((20.0, 25.0)):
-        stats[observer] = trip_sweep(twoclass, observer, N_TRIALS, 1000 + offset)
-    stats["elapsed"] = time.perf_counter() - start
-    return stats
+def estimate(scenario, observer, trials, seed):
+    """The trip-throughput estimate that ``simulate`` and ``compare`` report."""
+    return monte_carlo_throughput(scenario, observer, trials, np.random.default_rng(seed))
+
+
+# the reference scenario's observer classes, each with its trip seed
+TWOCLASS_SEEDS = {20.0: 1000, 25.0: 1001}
 
 
 # --- 1: optimal PMF reference values ------------------------------------------
@@ -105,7 +102,7 @@ def test_c1_optimal_pmf_reference_values(tmp_path):
 # --- 2: encounter rates are Poisson with the predicted means ---------------------
 
 
-def test_c2_encounter_rate_validation(twoclass, fixture_trip_stats):
+def test_c2_encounter_rate_validation(twoclass):
     start = time.perf_counter()
     checks = []
 
@@ -115,14 +112,16 @@ def test_c2_encounter_rate_validation(twoclass, fixture_trip_stats):
         dispersion = samples.var(ddof=1) / mean
         checks.append(abs(mean - target) <= 3 * se)
         checks.append(0.95 <= dispersion <= 1.05)
-        return mean, dispersion
+        return mean, (mean - target) / se, dispersion
 
     # forward pairs: both cross-class rates equal 5.0
-    counts25 = fixture_trip_stats[25.0][0]
-    counts20 = fixture_trip_stats[20.0][0]
+    counts20, counts25 = (
+        class_counts(twoclass, observer, N_TRIALS, seed)
+        for observer, seed in TWOCLASS_SEEDS.items()
+    )
     assert expected_encounters(twoclass, 1, 0) == 5.0
-    m1, d1 = poisson_check(counts25[:, 0], 5.0)
-    m2, d2 = poisson_check(counts20[:, 1], 5.0)
+    m1, z1, d1 = poisson_check(counts25[:, 0], 5.0)
+    m2, z2, d2 = poisson_check(counts20[:, 1], 5.0)
     checks.append(counts25[:, 1].max() == 0)  # no intra-class crossings
     checks.append(counts20[:, 0].max() == 0)
 
@@ -138,17 +137,18 @@ def test_c2_encounter_rate_validation(twoclass, fixture_trip_stats):
         ),
     )
     assert expected_encounters(reverse, 1, 2) == pytest.approx(45.0, abs=1e-12)
-    rcounts, _ = trip_sweep(reverse, 25.0, N_TRIALS, 2024)
-    m3, d3 = poisson_check(rcounts[:, 0], 2.5)
-    m4, d4 = poisson_check(rcounts[:, 2], 45.0)
+    rcounts = class_counts(reverse, 25.0, N_TRIALS, 2024)
+    m3, z3, d3 = poisson_check(rcounts[:, 0], 2.5)
+    m4, z4, d4 = poisson_check(rcounts[:, 2], 45.0)
 
-    elapsed = fixture_trip_stats["elapsed"] + (time.perf_counter() - start)
+    elapsed = time.perf_counter() - start
     checks.append(elapsed < 60.0)
     ok = all(checks)
     assert announce(
         "encounter-rate-validation",
         ok,
         f"means {m1:.3f}/{m2:.3f}/{m3:.3f}/{m4:.2f}, "
+        f"z {z1:+.2f}/{z2:+.2f}/{z3:+.2f}/{z4:+.2f}, "
         f"dispersion {d1:.3f}/{d2:.3f}/{d3:.3f}/{d4:.3f}, {elapsed:.1f}s",
     )
 
@@ -156,12 +156,11 @@ def test_c2_encounter_rate_validation(twoclass, fixture_trip_stats):
 # --- 3: per-class and average throughput ------------------------------------------
 
 
-def test_c3_discrete_throughput_validation(twoclass, twoclass_path, fixture_trip_stats):
+def test_c3_discrete_throughput_validation(twoclass, twoclass_path):
     checks = []
     details = []
     for observer, target in ((20.0, 5.5), (25.0, 6.75)):
-        thr = fixture_trip_stats[observer][1]
-        mean = thr.mean()
+        mean = estimate(twoclass, observer, N_TRIALS, TWOCLASS_SEEDS[observer]).mean
         checks.append(abs(mean - target) <= 0.01 * target)
         details.append(f"C({observer:g})={mean:.4f} vs {target}")
 
@@ -207,8 +206,8 @@ def test_c4_continuous_throughput_fairness(uniform2040):
 
     estimates = {}
     for offset, observer in enumerate((22.0, 30.0, 38.0)):
-        _, thr = trip_sweep(uniform2040, observer, N_TRIALS, 3000 + offset)
-        estimates[observer] = (thr.mean(), thr.std(ddof=1) / math.sqrt(N_TRIALS))
+        est = estimate(uniform2040, observer, N_TRIALS, 3000 + offset)
+        estimates[observer] = (est.mean, est.std_error)
         checks.append(abs(estimates[observer][0] - analytic) <= 0.01 * analytic)
 
     speeds = sorted(estimates)
@@ -229,7 +228,7 @@ def test_c4_continuous_throughput_fairness(uniform2040):
 # --- 5: doubling speeds halves the exchange part of the throughput --------------------
 
 
-def test_c5_mobility_scaling(twoclass, fixture_trip_stats):
+def test_c5_mobility_scaling(twoclass):
     doubled = replace(
         twoclass,
         velocity=DiscreteVelocityDist(
@@ -241,13 +240,13 @@ def test_c5_mobility_scaling(twoclass, fixture_trip_stats):
         expected_throughput(doubled) - base
     ) == 0.5 * (expected_throughput(twoclass) - base)
 
-    sim1 = 0.5 * (
-        fixture_trip_stats[20.0][1].mean() + fixture_trip_stats[25.0][1].mean()
+    sim1 = 0.5 * sum(
+        estimate(twoclass, observer, N_TRIALS, seed).mean
+        for observer, seed in TWOCLASS_SEEDS.items()
     )
     halves = []
     for offset, observer in enumerate((40.0, 50.0)):
-        _, thr = trip_sweep(doubled, observer, N_TRIALS // 2, 4000 + offset)
-        halves.append(thr.mean())
+        halves.append(estimate(doubled, observer, N_TRIALS // 2, 4000 + offset).mean)
     sim2 = 0.5 * (halves[0] + halves[1])
     ratio = (sim2 - base) / (sim1 - base)
     sim_ok = abs(ratio / 0.5 - 1.0) <= 0.02
@@ -362,20 +361,18 @@ def test_c6_codec_correctness():
         else:
             checks.append(True)
 
-    # decode-failure rate after the uniform packet-count threshold
+    # decode-failure rate after the uniform packet-count threshold: trials
+    # fold 2,000 at a time, each its threshold's packets in one batch
     threshold = packets_needed(64, 0.01, UniformScheme())
     checks.append(threshold == 71)
     rng = np.random.default_rng(609)
     failures = 0
-    trials = 10_000
-    for _ in range(trials):
-        state, drawn = DecoderState(64), 0
-        while state.rank < 64 and drawn < threshold:
-            n = min(64 - state.rank, threshold - drawn)
-            vectors = sample_uniform_vectors(64, n, rng)
-            state.receive_batch(vectors, np.zeros((n, 1), dtype=np.uint8))
-            drawn += n
-        failures += state.rank < 64
+    trials, chunk = 10_000, 2000
+    for _ in range(0, trials, chunk):
+        state = DecoderState(64, chunk)
+        vectors = sample_uniform_vectors(64, threshold * chunk, rng).reshape(chunk, threshold, 8)
+        fold(state, vectors, np.zeros((chunk, threshold, 1), dtype=np.uint8))
+        failures += int((state.ranks < 64).sum())
     failure_rate = failures / trials
     checks.append(failure_rate <= 0.015)
 

@@ -36,7 +36,7 @@ from vanetsim.errors import (
 from vanetsim.fountain import EncodingVector, vector_batch_sampler
 from vanetsim.traffic import ContinuousVelocityDist
 
-from oracles import ArrivalRecord, IntDecoder, encounter_of, sample_bands
+from oracles import ArrivalRecord, IntDecoder, encounter_of, sample_bands, trip_tallies
 
 
 def make_scenario(lam=0.1, velocity=None, **kw):
@@ -258,12 +258,8 @@ def test_forward_and_reverse_traffic_contribute_equally():
     sc = make_scenario(velocity=mix)
     rng = np.random.default_rng(23)
     trials = 30_000
-    fwd = np.empty(trials)
-    rev = np.empty(trials)
-    for i in range(trials):
-        trip = simulate_trip(sc, 30.0, rng)
-        fwd[i] = trip.forward_exchange_packets
-        rev[i] = trip.reverse_exchange_packets
+    # each trip's exchange packets, forward in column 0 and reverse in column 1
+    fwd, rev = trip_tallies(sc, 30.0, trials, rng, lambda c: c.reverse, 2, weighted=True).T
     pooled_se = math.sqrt(
         fwd.var(ddof=1) / trials + rev.var(ddof=1) / trials
     )
@@ -503,12 +499,31 @@ def test_tail_speeds_follow_their_density(shape, lo, hi, sign):
 
 @pytest.mark.parametrize("shape", ["rising", "falling"])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_tail_speeds_never_return_an_end_of_a_piece_a_few_ulps_wide(shape, sign):
+@pytest.mark.parametrize("n", [1, 5, 32, 10**5])
+def test_tail_speeds_never_return_an_end_of_a_piece_a_few_ulps_wide(shape, sign, n):
     # The tail vanishes at one end, which is the observer's own speed on a
-    # piece split at it: a crosser drawn there would meet it at gap 0
+    # piece split at it: a crosser drawn there would meet it at gap 0. Short
+    # rounds are the draws of one trip's few crossers
     a, b = sorted((sign * 14363309101.832027, sign * 14363309101.832043))  # 8 ulps apart
-    speeds = encounters._tail_speeds(np.random.default_rng(0), 10**5, shape, a, b)
-    assert speeds.size == 10**5 and np.all((a < speeds) & (speeds < b))
+    speeds = encounters._tail_speeds(np.random.default_rng(0), n, shape, a, b)
+    assert speeds.size == n and np.all((a < speeds) & (speeds < b))
+
+
+@pytest.mark.parametrize("shape", ["rising", "falling"])
+def test_tail_speeds_draw_again_after_a_round_that_keeps_nothing(shape):
+    # acceptance uniforms of 1 reject every proposal of the first round
+    rng, rounds = np.random.default_rng(0), []
+
+    class FirstRoundRejects:
+        def random(self, size):
+            draws = rng.random(size)
+            if not rounds:
+                draws[1] = 1.0
+            rounds.append(size)
+            return draws
+
+    speeds = encounters._tail_speeds(FirstRoundRejects(), 3, shape, 20.0, 40.0)
+    assert len(rounds) > 1 and speeds.size == 3 and np.all((20.0 < speeds) & (speeds < 40.0))
 
 
 @pytest.mark.parametrize("ulps", [1, 2, 3])
