@@ -201,13 +201,7 @@ class Crossers(NamedTuple):
 
 
 def _crossing_arrivals(
-    scenario: Scenario,
-    vi: float,
-    ti: float,
-    w0: float,
-    rng: np.random.Generator,
-    trips: int = 1,
-    two_way: bool = True,
+    scenario: Scenario, vi: float, ti: float, w0: float, rng: np.random.Generator, trips: int = 1
 ) -> Crossers:
     """Draw the background arrivals of ``trips`` trips of discrete traffic; keep the crossers.
 
@@ -219,13 +213,6 @@ def _crossing_arrivals(
     docstring) lies in ``(0, ti)``; a partner at the observer's speed never
     meets it. The crossers come in arrival order, so with the trips in
     order.
-
-    A reverse partner's ``v e`` is shifted by ``-d`` through the indices of
-    the reverse arrivals, a gather and a scatter at about 1.7 ns an arrival
-    on NumPy 2.4, where ``np.subtract(..., where=reverse)`` branches on
-    every element at about 5.6 ns (30 against 101 us for 16,000 arrivals,
-    30 % reverse). Without ``two_way``, which :func:`_observer` clears when
-    no class is reverse, the shift is skipped.
     """
     counts = rng.poisson(scenario.lam * (ti - w0), trips)  # no draw for a mean of 0
     n = int(counts.sum())
@@ -234,9 +221,7 @@ def _crossing_arrivals(
     reverse = gap < 0
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 and x/0 at the observer's speed
         np.multiply(gap, meet, out=meet)
-        if two_way:
-            back = np.flatnonzero(reverse)
-            meet[back] -= scenario.d
+        np.subtract(meet, scenario.d, out=meet, where=reverse)
         np.subtract(gap, vi, out=gap)
         np.divide(meet, gap, out=meet)
     crossing = meet > 0
@@ -297,12 +282,6 @@ def _tail_speeds(rng: np.random.Generator, n: int, shape: str, a: float, b: floa
     accepted speeds are kept. Neither end of the piece is ever returned: a
     proposal that rounds to one, as on a piece a few ulps wide, is rejected,
     so the piece must hold a float strictly inside.
-
-    The accepted proposals are selected with ``np.compress``, which keeps
-    the same elements in the same order as a boolean-mask index but, on
-    NumPy 2.4, at about 1.2 ns a proposal against 5.4 ns (26 against
-    119 us for a round of 22,016): the mask index branches on every
-    element, and it was a third of the sampler's time.
     """
     lo, hi = sorted((abs(a), abs(b)))
     log_ratio = _log_ratio(lo, hi)
@@ -411,7 +390,6 @@ def _observer(scenario: Scenario, observer_velocity: float) -> _Observer:
     vi, ti, batch = _checked_speed(scenario, observer_velocity)
     if scenario.is_discrete:
         w0, expected = 0.0, 0.0  # no lookback window without traffic
-        two_way = bool((scenario.velocity.speeds < 0).any())
         if scenario.lam > 0:
             vmin, vmax = scenario.speed_bounds()
             w0 = -(scenario.d / vmin + ARRIVAL_MARGIN_FACTOR * scenario.r / vmin)
@@ -421,7 +399,7 @@ def _observer(scenario: Scenario, observer_velocity: float) -> _Observer:
                 raise InvalidParameterError(f"scenario out of range: partners at {vmax:g} overflow")
 
         def draw(rng, trips=1, times=False):
-            return _crossing_arrivals(scenario, vi, ti, w0, rng, trips, two_way)
+            return _crossing_arrivals(scenario, vi, ti, w0, rng, trips)
 
     else:
         parts = _tilt_parts(scenario, vi) if scenario.lam > 0 else ()
@@ -583,13 +561,6 @@ def _packet_arrival(scenario: Scenario, obs: _Observer, needed: int, arrivals):
     short, from the generator that ``arrivals()`` builds at the first such
     draw, and give their whole packets at their meeting times, in time
     order.
-
-    Crossings of no whole packet are dropped by index, and only if there
-    are any: on NumPy 2.4, for 16,000 crossings of which half bring a
-    packet, ``np.flatnonzero`` and two ``take``s take 30 us against 184 us
-    for two boolean-mask indexes, which branch on every element. On both
-    fixtures every crossing brings a packet; a mask index would then copy
-    in 26 us, and the ``take``s in 43 us.
     """
     received, rng = 0, None
     for segment in range(MAX_SEGMENTS):
@@ -603,8 +574,7 @@ def _packet_arrival(scenario: Scenario, obs: _Observer, needed: int, arrivals):
             counts = np.floor(_packets(crossers.gap, scenario.packet_rate, scenario.r))
         meet, whole = crossers.meet, counts > 0
         if not whole.all():
-            at = np.flatnonzero(whole)
-            meet, counts = meet.take(at), counts.take(at)
+            meet, counts = meet[whole], counts[whole]
         for offset, count in sorted(zip(meet.tolist(), counts.tolist())):
             received += count
             if received >= needed:

@@ -9,28 +9,24 @@ records them again from the ``vanetsim`` on the import path.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 from vanetsim import encounters
-from vanetsim.cli import main
 from vanetsim.fountain import FileSpec
 
-HERE = Path(__file__).resolve().parent
-FIXTURE_DIR = HERE.parent / "fixtures"
-DATA = HERE / "data" / "download_time_reports.json"
+from pinned_reports import fixture_docs, record, run_case, write_scenarios
+
+DATA = Path(__file__).resolve().parent / "data" / "download_time_reports.json"
 
 # fixed --observer-v per fixture
 FIXED_OBSERVER = {"twoclass": "20", "uniform2040": "30"}
 
 
 def _scenario_docs() -> dict[str, dict]:
-    docs = {name: json.loads((FIXTURE_DIR / f"{name}.json").read_text()) for name in FIXED_OBSERVER}
+    docs = fixture_docs(*FIXED_OBSERVER)
     # slower packet rates: decodes that span segments and need crossings
     docs["twoclass-500"] = dict(docs["twoclass"], bit_rate=500.0)
     docs["uniform2040-5000"] = dict(docs["uniform2040"], bit_rate=5000.0)
@@ -40,12 +36,12 @@ def _scenario_docs() -> dict[str, dict]:
 
 
 def _case(scenario: str, k: int, seed: int, trials: int, observer=None, scheme="uniform"):
-    argv = [scenario, "--K", str(k), "--seed", str(seed), "--trials", str(trials)]
+    argv = ["download-time", scenario, "--K", str(k), "--seed", str(seed), "--trials", str(trials)]
     if scheme != "uniform":
         argv += ["--scheme", scheme]
     if observer is not None:
         argv += ["--observer-v", observer]
-    return " ".join(argv), argv
+    return " ".join(argv[1:]), argv
 
 
 def _cases() -> dict[str, list[str]]:
@@ -72,25 +68,9 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
-def run_case(argv: list[str], scenario_dir: Path) -> dict:
-    path = scenario_dir / f"{argv[0]}.json"
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["download-time", str(path), *argv[1:]])
-    text = "".join(line for line in out.getvalue().splitlines(True) if '"wall_time"' not in line)
-    return {"code": code, "stdout": text, "stderr": err.getvalue()}
-
-
-def write_scenarios(scenario_dir: Path) -> None:
-    for name, doc in _scenario_docs().items():
-        (scenario_dir / f"{name}.json").write_text(json.dumps(doc))
-
-
 @pytest.fixture(scope="module")
 def scenario_dir(tmp_path_factory):
-    path = tmp_path_factory.mktemp("scenarios")
-    write_scenarios(path)
-    return path
+    return write_scenarios(_scenario_docs(), tmp_path_factory.mktemp("scenarios"))
 
 
 @pytest.fixture(scope="module")
@@ -132,11 +112,4 @@ def test_small_chunks_give_the_pinned_report(case, scenario_dir, pinned, monkeyp
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        write_scenarios(Path(tmp))
-        reports = {case: run_case(argv, Path(tmp)) for case, argv in CASES.items()}
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
-    sys.exit(0)
+    record(DATA, _scenario_docs(), CASES)

@@ -10,23 +10,18 @@ implementation that selected crossers through boolean masks. Running
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
-from vanetsim.cli import main
+from pinned_reports import fixture_docs, record, run_case, write_scenarios
 
-HERE = Path(__file__).resolve().parent
-FIXTURE_DIR = HERE.parent / "fixtures"
-DATA = HERE / "data" / "trip_reports.json"
+DATA = Path(__file__).resolve().parent / "data" / "trip_reports.json"
 
 
 def _scenario_docs() -> dict[str, dict]:
-    docs = {name: json.loads((FIXTURE_DIR / f"{name}.json").read_text()) for name in ("twoclass", "uniform2040")}
+    docs = fixture_docs("twoclass", "uniform2040")
     # discrete traffic in both directions: the lookback sampler's v e - d shift
     classes = [{"v": 20.0, "p": 0.4}, {"v": 25.0, "p": 0.4}, {"v": -30.0, "p": 0.2}]
     docs["twoclass-reverse"] = dict(docs["twoclass"], velocity={"type": "discrete", "classes": classes})
@@ -54,25 +49,9 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
-def run_case(argv: list[str], scenario_dir: Path) -> dict:
-    command, scenario, *rest = argv
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, str(scenario_dir / f"{scenario}.json"), *rest])
-    text = "".join(line for line in out.getvalue().splitlines(True) if '"wall_time"' not in line)
-    return {"code": code, "stdout": text, "stderr": err.getvalue()}
-
-
-def write_scenarios(scenario_dir: Path) -> None:
-    for name, doc in _scenario_docs().items():
-        (scenario_dir / f"{name}.json").write_text(json.dumps(doc))
-
-
 @pytest.fixture(scope="module")
 def scenario_dir(tmp_path_factory):
-    path = tmp_path_factory.mktemp("scenarios")
-    write_scenarios(path)
-    return path
+    return write_scenarios(_scenario_docs(), tmp_path_factory.mktemp("scenarios"))
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +70,4 @@ def test_trip_report_is_pinned(case, scenario_dir, pinned):
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        write_scenarios(Path(tmp))
-        reports = {case: run_case(argv, Path(tmp)) for case, argv in CASES.items()}
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
-    sys.exit(0)
+    record(DATA, _scenario_docs(), CASES)
