@@ -53,13 +53,7 @@ from .fountain import (
     span_probability,
     vector_batch_sampler,
 )
-from .pmf_opt import (
-    PmfSolution,
-    objective,
-    optimize_pmf,
-    probabilities_decrease_with_speed,
-    reduced_hessian,
-)
+from .pmf_opt import PmfSolution, optimize_pmf, probabilities_decrease_with_speed
 from .traffic import (
     ContinuousVelocityDist,
     DiscreteVelocityDist,

@@ -29,7 +29,6 @@ from .analysis import (
 )
 from .encounters import (
     _standard_error,
-    download_chunk_trials,
     merge_moments,
     monte_carlo_throughput,
     simulate_download_time,  # noqa: F401  (perfbench/tracing.py wraps cli.simulate_download_time by name)
@@ -41,9 +40,16 @@ from .errors import (
     NumericalError,
     SchemaError,
 )
-from .fountain import FileSpec, LtScheme, SolitonParams, UniformScheme, packets_needed
+from .fountain import FileSpec, LtScheme, SolitonParams, UniformScheme, download_chunk_trials, packets_needed
 from .pmf_opt import optimize_pmf, probabilities_decrease_with_speed
-from .traffic import Scenario, mean_inverse_speed, scenario_from_dict
+from .traffic import (
+    DiscreteVelocityDist,
+    Scenario,
+    VelocityClass,
+    mean_inverse_speed,
+    sample_velocities,
+    scenario_from_dict,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -157,25 +163,23 @@ def _default_observer(scenario: Scenario) -> float:
 
 
 def _observer_sampler(scenario: Scenario, fixed: float | None):
-    """Per-trial observer speed: fixed, or drawn from the forward traffic."""
+    """``draw(rng, n)``: a chunk's ``n`` observer speeds, fixed or drawn from the forward traffic.
+
+    Forward classes are drawn as traffic is, after renormalising their
+    probabilities; a forward band takes one uniform a speed.
+    """
     if fixed is not None:
         value = float(fixed)
-        return lambda rng: value
+        return lambda rng, n: [value] * n
     if scenario.is_discrete:
         forward = [c for c in scenario.velocity.classes if c.v > 0 and c.p > 0]
         if not forward:
             raise InvalidParameterError("no forward class to observe")
         total = sum(c.p for c in forward)
-        cum = np.cumsum([c.p / total for c in forward])
-        speeds = [c.v for c in forward]
-
-        def draw(rng: np.random.Generator) -> float:
-            i = int(np.searchsorted(cum, rng.random(), side="right"))
-            return speeds[min(i, len(speeds) - 1)]
-
-        return draw
+        dist = DiscreteVelocityDist(tuple(VelocityClass(c.v, c.p / total) for c in forward))
+        return lambda rng, n: sample_velocities(dist, n, rng)[0].tolist()
     a, b = _forward_support(scenario)
-    return lambda rng: float(rng.uniform(a, b))
+    return lambda rng, n: rng.uniform(a, b, n).tolist()
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -333,7 +337,7 @@ def _cmd_download_time(args) -> tuple[str, int, dict, int]:
         n = min(chunk, args.trials - lo)
         # spawning never moves rng, so drawing a chunk's observers first
         # leaves every trial the streams it had when trials ran one by one
-        observers = [draw_observer(rng) for _ in range(n)]
+        observers = draw_observer(rng, n)
         chunk_results = simulate_download_times(scenario, observers, file, scheme, rng)
         moments = [
             merge_moments(m, np.array(x), label)

@@ -38,8 +38,9 @@ A trip is a chunk of one, and draws what it always drew.
 :func:`monte_carlo_throughput` runs chunks of at most :data:`CHUNK_VEHICLES`
 expected arrivals (discrete) or crossers (continuous), reduces each by trip
 with ``np.bincount``, and merges the chunks' means and sums of squared
-deviations as it goes, so it keeps no per-trial array. A download walks
-its segments' packet events with :func:`_packet_arrival`.
+deviations as it goes, so it keeps no per-trial array. A download takes
+its packet N from the codec (:func:`~vanetsim.fountain.decode_trials`)
+and walks its segments' packet events to it with :func:`_packet_arrival`.
 """
 
 from __future__ import annotations
@@ -56,17 +57,10 @@ from .errors import (
     NoProgressError,
 )
 from .fountain import (
-    SLICED_TRIALS,
-    DecoderState,
     FileSpec,
     VectorScheme,
-    _TABLE_BYTES,
-    _product,
-    _row_bytes,
-    decode,
+    decode_trials,
     encode,  # noqa: F401  (perfbench/tracing.py wraps encounters.encode by name)
-    fold,
-    vector_batch_sampler,
 )
 from .traffic import Scenario, _log_ratio, _tail_integral, sample_velocities
 
@@ -95,22 +89,8 @@ CHUNK_VEHICLES = 2**14
 # KVM guest whose speed drifts by up to 2x, and `--K 4096 --trials 1` 0.9 s.
 MAX_DOWNLOAD_BLOCKS = 8192
 
-# Bytes that one chunk of download trials may hold at once, by the bound of
-# download_chunk_bytes. With 8-byte blocks 2 MiB holds 223 trials at K=40
-# and 102 at K=100 (they peaked at 1.80 MB), where a chunk runs a trial in
-# about a fifth of the time that trials one at a time take. Below
-# SLICED_TRIALS a trial's kernel comes back, so chunks hold 6 trials at
-# K=500 and one from K=961 on, as at K=1000; with 1 KiB blocks, one from
-# K=178 on.
-DOWNLOAD_CHUNK_BYTES = 1 << 21
-
 # Segments a download may traverse for packet N before it gives up.
 MAX_SEGMENTS = 1000
-
-# A download folds BATCH_MARGIN packets more in a round than the k - rank
-# it still needs (uniform vectors need more than 8 extra with
-# probability below 2**-8).
-BATCH_MARGIN = 8
 
 
 @dataclass(frozen=True)
@@ -391,7 +371,8 @@ def _observer(scenario: Scenario, observer_velocity: float) -> _Observer:
     if scenario.is_discrete:
         w0, expected = 0.0, 0.0  # no lookback window without traffic
         if scenario.lam > 0:
-            vmin, vmax = scenario.speed_bounds()
+            reachable = [abs(c.v) for c in scenario.velocity.classes if c.p > 0]
+            vmin, vmax = min(reachable), max(reachable)
             w0 = -(scenario.d / vmin + ARRIVAL_MARGIN_FACTOR * scenario.r / vmin)
             expected = scenario.lam * (ti - w0)
             _refuse_crowded(expected, "arrivals in its lookback window")
@@ -587,71 +568,6 @@ def _spawned(rng: np.random.Generator, seed: np.random.SeedSequence) -> np.rando
     return type(rng)(type(rng.bit_generator)(seed))
 
 
-def _draw_files(file: FileSpec, rngs: list[np.random.Generator]) -> np.ndarray:
-    """One file per generator, ``trials x k x block_bytes``.
-
-    Each file is the ``n = k * ceil(block_bytes / 4)`` uniform 32-bit words
-    of one ``rng.integers(0, 2**32, n, dtype=np.uint32)`` draw, sliced as
-    ``k`` separate ``rng.bytes(block_bytes)`` draws would give it (see
-    :func:`~vanetsim.fountain.sample_uniform_vectors`). Those words are the
-    low and then the high halves of ``ceil(n / 2)`` raw 64-bit outputs, so
-    the file is one ``random_raw`` draw of the bit generator, read as
-    little-endian bytes: the generator makes no other draw, so an odd
-    ``n``'s unused half-word is never read.
-    """
-    size, words = file.block_bytes, (file.block_bytes + 3) // 4
-    n = file.k * words
-    files = np.empty((len(rngs), (n + 1) // 2), dtype="<u8")
-    for row, rng in zip(files, rngs):
-        row[:] = rng.bit_generator.random_raw(len(row))
-    return files.view(np.uint8)[:, : 4 * n].reshape(len(rngs), file.k, 4 * words)[:, :, :size]
-
-
-def download_chunk_bytes(file: FileSpec, trials: int) -> int:
-    """Bytes that a chunk of ``trials`` downloads of ``file`` holds at most, at its peak.
-
-    A chunk's own arrays a trial, plus its kernel's scratch, in bytes, a
-    block's stride (its bytes in whole 32-bit words) and packed ``[vector |
-    tag]`` rows. A trial holds 4416 bytes (generators, seeds, small arrays)
-    and 16 strides and, a block, 24 bytes of flags and indices, 4 strides
-    (the file and the stored, round's and decoded payloads) and 2.56 rows
-    (the stored row, the fold's batch row and a packed vector). From
-    :data:`~vanetsim.fountain.SLICED_TRIALS` trials on, the scratch is
-    fixed (see :func:`~vanetsim.fountain._clear_block` and
-    :func:`~vanetsim.fountain._product`): 12 KiB, three
-    :data:`~vanetsim.fountain._TABLE_BYTES` and a product part's lookup of
-    one trial's rows, a stride and 64 bytes a block. Below, 12 KiB and two
-    :data:`~vanetsim.fountain._TABLE_BYTES`, and each trial's table and
-    lookup: 192 rows and, a block, a row, a stride and 16 bytes. Fitted to
-    the tracemalloc peaks of whole chunks of 1 to 200 trials, K from 1 to
-    4096, 8-byte and 1 KiB blocks, uniform and LT vectors, all of which it
-    covers by 1 % or more.
-    """
-    stride = 4 * ((file.block_bytes + 3) // 4)
-    row = _row_bytes((file.k + 7) // 8)
-    per_trial = 4416 + 16 * stride + file.k * (24 + 4 * stride + 41 * row // 16)
-    if trials < SLICED_TRIALS:
-        kernel = 192 * row + file.k * (row + stride + 16)
-        return 12288 + 2 * _TABLE_BYTES + trials * (per_trial + kernel)
-    return 12288 + 3 * _TABLE_BYTES + file.k * (stride + 64) + trials * per_trial
-
-
-def download_chunk_trials(file: FileSpec) -> int:
-    """Trials of :func:`simulate_download_times` whose chunk fits :data:`DOWNLOAD_CHUNK_BYTES`, at least one.
-
-    As many as fit with the bounded kernel if they reach
-    :data:`~vanetsim.fountain.SLICED_TRIALS`, else as many as fit with a
-    kernel a trial.
-    """
-    many = download_chunk_bytes(file, SLICED_TRIALS)
-    per_trial = (download_chunk_bytes(file, 2 * SLICED_TRIALS) - many) // SLICED_TRIALS
-    fits = SLICED_TRIALS + (DOWNLOAD_CHUNK_BYTES - many) // per_trial
-    if fits >= SLICED_TRIALS:
-        return fits
-    fixed = download_chunk_bytes(file, 0)
-    return max(1, (DOWNLOAD_CHUNK_BYTES - fixed) // (download_chunk_bytes(file, 1) - fixed))
-
-
 def simulate_download_times(
     scenario: Scenario,
     observers,
@@ -667,27 +583,16 @@ def simulate_download_times(
     of those children as ``rng.spawn`` does and builds the vector and file
     generators at once, but a trial builds its arrival generator, from the
     same child, only at its first draw of a segment's crossings; a trial
-    whose station batches cover its packets never builds it. Every packet
-    carries an independently sampled encoding vector.
+    whose station batches cover its packets never builds it.
 
     The vector stream alone fixes N, the packet whose vector brings the
     decoder to full rank, and the arrival stream alone fixes when packet N
-    arrives, so a download runs in two phases. The decode phase runs the
-    trials in lockstep rounds on one stacked
-    :class:`~vanetsim.fountain.DecoderState`: as the rank grows by at most
-    one a packet, a round draws ``k - rank + BATCH_MARGIN`` vectors for
-    each unfinished trial with one sampler call, encodes all of them with
-    one product and folds them with one :func:`~vanetsim.fountain.fold`,
-    and the trials that reach full rank are decoded with
-    :func:`~vanetsim.fountain.decode` and checked against their files, as
-    many at a time as :data:`~vanetsim.fountain._TABLE_BYTES` of blocks
-    hold (one at least). A
-    sampler call of n vectors draws what n calls of one draw, and the
-    innovative flags are those of one packet at a time, so N is that of one
-    draw and one fold per packet. The arrival phase then walks each trial's
-    packet events to packet N (see :func:`_packet_arrival`). Returns, per
-    trial, (travel time consumed, packets received, segments fully or
-    partially traversed) at packet N.
+    arrives, so a download runs in two phases: one
+    :func:`~vanetsim.fountain.decode_trials` of the chunk finds each
+    trial's N and checks its decode, then each trial walks its packet
+    events to packet N (see :func:`_packet_arrival`). Returns, per trial,
+    (travel time consumed, packets received, segments fully or partially
+    traversed) at packet N.
 
     Raises the error of the lowest-index failing trial, as running the
     trials one at a time would: :class:`InvalidParameterError` for an
@@ -697,8 +602,8 @@ def simulate_download_times(
     blocks; :class:`NoProgressError`, with the rank of the packets that did
     arrive, if packet N has not arrived after :data:`MAX_SEGMENTS` segments
     (for example with no traffic, one station packet a segment and a file of
-    more than 1000 blocks);
-    :class:`InternalInconsistencyError` if a decode disagrees with its file.
+    more than 1000 blocks); :class:`InternalInconsistencyError` if a decode
+    disagrees with its file.
     """
     k = file.k
     if len(observers) and k > MAX_DOWNLOAD_BLOCKS:
@@ -719,46 +624,17 @@ def simulate_download_times(
             set_up[v] = obs
         trips.append(set_up[v])
         seeds.append(spawn(3))  # arrivals, vectors, file
-    sample = vector_batch_sampler(scheme, k)
     vector_rngs = [_spawned(rng, vector_seed) for _, vector_seed, _ in seeds]
-    files = _draw_files(file, [_spawned(rng, file_seed) for _, _, file_seed in seeds])
-    state = DecoderState(k, len(seeds)) if seeds else None
-    flags: list[list[np.ndarray]] = [[] for _ in seeds]  # each round's innovative flags
-    needed = np.zeros(len(seeds), dtype=np.intp)  # the packets drawn so far, N once decoded
-    wrong = np.zeros(len(seeds), dtype=bool)
-    active = np.arange(len(seeds))
-    while active.size:
-        counts = k + BATCH_MARGIN - state.ranks[active]
-        vectors = np.zeros((len(active), counts.max(), (k + 7) // 8), dtype=np.uint8)
-        for row, i, n in zip(vectors, active.tolist(), counts.tolist()):
-            row[:n] = sample(vector_rngs[i], n)
-        payloads = np.zeros((*vectors.shape[:2], file.block_bytes), dtype=np.uint8)
-        _product(vectors, files if active.size == len(seeds) else files[active], payloads)
-        innovative = fold(state, vectors, payloads, active)
-        del vectors, payloads  # not held through the decode below
-        for i, n, row in zip(active.tolist(), counts.tolist(), innovative):
-            flags[i].append(row[:n])
-        full = state.ranks[active] == k
-        done = active[full]
-        if done.size:  # packet N is the round's last innovative one; each decode is checked
-            last = innovative.shape[1] - innovative[full, ::-1].argmax(axis=1)
-            needed[done] += last
-            per = max(1, _TABLE_BYTES // files[0].nbytes)  # trials whose blocks one check holds
-            for lo in range(0, done.size, per):
-                part = done[lo : lo + per]
-                decoded = decode(state, part)
-                np.bitwise_xor(decoded, files[part], out=decoded)
-                wrong[part] = decoded.any(axis=(1, 2))
-        needed[active[~full]] += counts[~full]
-        active = active[~full]
+    file_rngs = (_spawned(rng, file_seed) for _, _, file_seed in seeds)  # none outlives the file draw
+    needed, rank, wrong = decode_trials(file, scheme, vector_rngs, file_rngs)
     results = []
     for i, (obs, (arrival_seed, _, _)) in enumerate(zip(trips, seeds)):
         segment, offset, received = _packet_arrival(
             scenario, obs, int(needed[i]), lambda: _spawned(rng, arrival_seed)
         )
         if segment is None:
-            rank = int(np.concatenate(flags[i])[: int(received)].sum())
-            raise NoProgressError(f"decode rank {rank}/{k} after {MAX_SEGMENTS} segments")
+            reached = rank(i, int(received))
+            raise NoProgressError(f"decode rank {reached}/{k} after {MAX_SEGMENTS} segments")
         if wrong[i]:
             raise InternalInconsistencyError("decoded blocks disagree with the encoded file")
         results.append((segment * obs.ti + offset, int(needed[i]), segment + 1))

@@ -18,7 +18,7 @@ The decoder folds batches of packets into a reduced echelon basis of packed
 :class:`DecoderState` holds the bases of one or several independent
 trials as stacked arrays with a leading trials axis, written in place.
 :func:`fold` folds one batch into each of several of its trials at once,
-and :meth:`DecoderState.receive_batch` is a fold of one. One product
+and :meth:`DecoderState.receive` folds one packet. One product
 reduces a batch against each trial's stored pivots. The Gauss–Jordan
 kernel eliminates 8 columns at a time after Albrecht and Bard's M4RI.
 Below :data:`SLICED_TRIALS` stacked trials it builds one table a trial of
@@ -40,13 +40,15 @@ that pivot's row, and the kernel alone turns the record into tables, maps
 and XORs. At full rank the tags are the inverse of the innovative packets'
 vectors, and the blocks are one more product, of the tags with the kept
 payloads: :func:`decode` recovers the blocks of several trials with one
-product, and :meth:`DecoderState.try_decode` is a decode of one.
+product, and :meth:`DecoderState.try_decode` is a decode of one. A download
+needs N, the packet that brings its decoder to full rank, and a checked
+decode: :func:`decode_trials` finds both for a chunk of downloads at once.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -829,8 +831,7 @@ class DecoderState:
     At full rank the vectors are the identity, so the tags are the selector
     (which slots XOR to each block), and a decode is one product of the
     selector with the payloads. A one-trial state also has ``rank``,
-    ``receive_batch`` (a fold of one), ``receive`` (a batch of one packet)
-    and ``try_decode`` (a decode of one).
+    ``receive`` (a fold of one packet) and ``try_decode`` (a decode of one).
     """
 
     def __init__(self, k: int, trials: int = 1):
@@ -852,25 +853,14 @@ class DecoderState:
         (rank,) = self.ranks.tolist()
         return rank
 
-    def receive_batch(self, vectors: np.ndarray, payloads: np.ndarray) -> np.ndarray:
-        """Fold a batch of packets, in row order; True where a packet raised the rank.
-
-        ``vectors`` is a packed ``count x ceil(k / 8)`` batch (see
-        :func:`sample_uniform_vectors`) and ``payloads`` a ``count x size``
-        ``uint8`` matrix, ``size`` fixed for the decoder's lifetime.
-        """
-        if vectors.ndim != 2 or payloads.ndim != 2:
-            raise InvalidParameterError("need 2-d batches of vectors and payloads")
-        return fold(self, vectors[None], payloads[None])[0]
-
     def receive(self, packet: Packet) -> bool:
-        """Fold one packet: a batch of one. True iff it raised the rank."""
+        """Fold one packet: a :func:`fold` of one. True iff it raised the rank."""
         k = packet.vector.k
         if k != self.k:
             raise InvalidParameterError(f"vector length {k} != decoder length {self.k}")
         vector = np.frombuffer(packet.vector.bits.to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
         payload = np.frombuffer(packet.payload, dtype=np.uint8)
-        return bool(self.receive_batch(vector[None], payload[None])[0])
+        return bool(fold(self, vector[None, None], payload[None, None])[0, 0])
 
     def try_decode(self) -> list[bytes] | NotYetDecodable:
         """Recover the original blocks, or report the current rank: a :func:`decode` of one."""
@@ -896,6 +886,130 @@ def decode(state: DecoderState, trials=None) -> np.ndarray:
     blocks = np.zeros(payloads.shape, dtype=np.uint8)
     _product(tags, payloads, blocks)
     return blocks
+
+
+# Bytes that one chunk of download trials may hold at once, by the bound of
+# download_chunk_bytes. With 8-byte blocks 2 MiB holds 223 trials at K=40 and
+# 102 at K=100 (they peaked at 1.80 MB), where a chunk runs a trial in about a
+# fifth of the time that trials one at a time take. Below SLICED_TRIALS a
+# trial's kernel comes back, so chunks hold 6 trials at K=500 and one from
+# K=961 on, as at K=1000; with 1 KiB blocks, one from K=178 on.
+DOWNLOAD_CHUNK_BYTES = 1 << 21
+
+# A download folds BATCH_MARGIN packets more in a round than the k - rank
+# it still needs (uniform vectors need more than 8 extra with
+# probability below 2**-8).
+BATCH_MARGIN = 8
+
+
+def _draw_files(file: FileSpec, rngs: list[np.random.Generator]) -> np.ndarray:
+    """One file per generator, ``trials x k x block_bytes``.
+
+    Each file is the ``n = k * ceil(block_bytes / 4)`` uniform 32-bit words
+    that ``k`` separate ``rng.bytes(block_bytes)`` draws would give (see
+    :func:`sample_uniform_vectors`): the low and then the high halves of
+    ``ceil(n / 2)`` raw 64-bit outputs, so one ``random_raw`` draw of the
+    bit generator, read as little-endian bytes. The generator makes no
+    other draw, so an odd ``n``'s unused half-word is never read.
+    """
+    size, words = file.block_bytes, (file.block_bytes + 3) // 4
+    n = file.k * words
+    files = np.empty((len(rngs), (n + 1) // 2), dtype="<u8")
+    for row, rng in zip(files, rngs):
+        row[:] = rng.bit_generator.random_raw(len(row))
+    return files.view(np.uint8)[:, : 4 * n].reshape(len(rngs), file.k, 4 * words)[:, :, :size]
+
+
+def decode_trials(
+    file: FileSpec, scheme: VectorScheme, vector_rngs: Sequence, file_rngs: Iterable
+) -> tuple[np.ndarray, Callable[[int, int], int], np.ndarray]:
+    """Each trial's N, its rank at any packet count, and True where its decode disagrees with its file.
+
+    Trial ``t`` of a chunk of downloads of ``file`` draws its vectors from
+    ``vector_rngs[t]`` and its file from the ``t``-th of ``file_rngs``,
+    which one :func:`_draw_files` consumes; ``rank(t, n)`` is the rank of
+    its first ``n`` packets. Each lockstep round on one stacked
+    :class:`DecoderState` draws ``k - rank + BATCH_MARGIN`` vectors an
+    unfinished trial with one sampler call, encodes them with one
+    :func:`_product`, folds them with one :func:`fold` and drops them, then
+    checks the full-rank trials, :data:`_TABLE_BYTES` of blocks at a time.
+    """
+    k = file.k
+    sample = vector_batch_sampler(scheme, k)
+    files = _draw_files(file, list(file_rngs))
+    trials = len(vector_rngs)
+    state = DecoderState(k, trials) if trials else None
+    flags: list[list[np.ndarray]] = [[] for _ in range(trials)]  # each round's innovative flags
+    needed = np.zeros(trials, dtype=np.intp)  # the packets drawn so far, N once decoded
+    wrong = np.zeros(trials, dtype=bool)
+    active = np.arange(trials)
+    while active.size:
+        counts = k + BATCH_MARGIN - state.ranks[active]
+        vectors = np.zeros((len(active), counts.max(), (k + 7) // 8), dtype=np.uint8)
+        for row, i, n in zip(vectors, active.tolist(), counts.tolist()):
+            row[:n] = sample(vector_rngs[i], n)
+        payloads = np.zeros((*vectors.shape[:2], file.block_bytes), dtype=np.uint8)
+        _product(vectors, files if active.size == trials else files[active], payloads)
+        innovative = fold(state, vectors, payloads, active)
+        del vectors, payloads  # not held through the decode below
+        for i, n, row in zip(active.tolist(), counts.tolist(), innovative):
+            flags[i].append(row[:n])
+        full = state.ranks[active] == k
+        done = active[full]
+        if done.size:  # N is the round's last innovative packet; each decode is checked
+            last = innovative.shape[1] - innovative[full, ::-1].argmax(axis=1)
+            needed[done] += last
+            per = max(1, _TABLE_BYTES // files[0].nbytes)  # trials whose blocks one check holds
+            for lo in range(0, done.size, per):
+                part = done[lo : lo + per]
+                decoded = decode(state, part)
+                np.bitwise_xor(decoded, files[part], out=decoded)
+                wrong[part] = decoded.any(axis=(1, 2))
+        needed[active[~full]] += counts[~full]
+        active = active[~full]
+    return needed, lambda t, n: int(np.concatenate(flags[t])[:n].sum()), wrong
+
+
+def download_chunk_bytes(file: FileSpec, trials: int) -> int:
+    """Bytes that a chunk of ``trials`` downloads of ``file`` holds at most, at its peak.
+
+    A chunk's own arrays a trial, plus its kernel's scratch, in bytes, a
+    block's stride (its bytes in whole 32-bit words) and packed ``[vector |
+    tag]`` rows. A trial holds 4416 bytes (generators, seeds, small arrays)
+    and 16 strides and, a block, 24 bytes of flags and indices, 4 strides
+    (the file and the stored, round's and decoded payloads) and 2.56 rows
+    (the stored row, the fold's batch row and a packed vector). From
+    :data:`SLICED_TRIALS` trials on, the scratch is fixed (see
+    :func:`_clear_block` and :func:`_product`): 12 KiB, three
+    :data:`_TABLE_BYTES` and a product part's lookup of one trial's rows, a
+    stride and 64 bytes a block. Below, 12 KiB and two :data:`_TABLE_BYTES`,
+    and each trial's table and lookup: 192 rows and, a block, a row, a
+    stride and 16 bytes. Fitted to the tracemalloc peaks of whole chunks of
+    1 to 200 trials, K from 1 to 4096, 8-byte and 1 KiB blocks, uniform and
+    LT vectors, all of which it covers by 1 % or more.
+    """
+    stride = 4 * ((file.block_bytes + 3) // 4)
+    row = _row_bytes((file.k + 7) // 8)
+    per_trial = 4416 + 16 * stride + file.k * (24 + 4 * stride + 41 * row // 16)
+    if trials < SLICED_TRIALS:
+        kernel = 192 * row + file.k * (row + stride + 16)
+        return 12288 + 2 * _TABLE_BYTES + trials * (per_trial + kernel)
+    return 12288 + 3 * _TABLE_BYTES + file.k * (stride + 64) + trials * per_trial
+
+
+def download_chunk_trials(file: FileSpec) -> int:
+    """Download trials of ``file`` whose chunk fits :data:`DOWNLOAD_CHUNK_BYTES`, at least one.
+
+    As many as fit with the bounded kernel if they reach
+    :data:`SLICED_TRIALS`, else as many as fit with a kernel a trial.
+    """
+    many = download_chunk_bytes(file, SLICED_TRIALS)
+    per_trial = (download_chunk_bytes(file, 2 * SLICED_TRIALS) - many) // SLICED_TRIALS
+    fits = SLICED_TRIALS + (DOWNLOAD_CHUNK_BYTES - many) // per_trial
+    if fits >= SLICED_TRIALS:
+        return fits
+    fixed = download_chunk_bytes(file, 0)
+    return max(1, (DOWNLOAD_CHUNK_BYTES - fixed) // (download_chunk_bytes(file, 1) - fixed))
 
 
 def packets_needed(k: int, epsilon: float, scheme: VectorScheme) -> int:

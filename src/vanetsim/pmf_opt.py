@@ -66,35 +66,6 @@ def pair_law(p, speeds) -> tuple[np.ndarray, float]:
         return marginals, float(pvec @ marginals)
 
 
-def objective(p, speeds) -> float:
-    """Exchange objective over ordered pairs, p @ A @ p, by :func:`pair_law`."""
-    arr = _check_speeds(speeds)
-    if np.shape(p) != arr.shape:
-        raise InvalidParameterError("probability/speed length mismatch")
-    return pair_law(p, arr)[1]
-
-
-def reduced_hessian(speeds) -> np.ndarray:
-    """Hessian of the reduced pair objective, eliminating the last probability.
-
-    Uses the convention that counts each unordered pair once (half the
-    quadratic form p @ A @ p; the scale does not move the maximizer).
-    Closed form: -2*diag(1/|v_1|..1/|v_{M-1}|) - (2/|v_M|) * ones. Negative
-    definite for any nonzero speeds, which is the concavity certificate.
-    Refused when an entry overflows, as 2/|v| can for a finite 1/|v|.
-    """
-    arr = _check_speeds(speeds)
-    m = arr.size
-    if m < 2:
-        raise InvalidParameterError("need at least two classes")
-    inv = 1.0 / np.abs(arr)
-    with np.errstate(over="ignore"):
-        hessian = -2.0 * np.diag(inv[:-1]) - 2.0 * inv[-1] * np.ones((m - 1, m - 1))
-    if not np.all(np.isfinite(hessian)):
-        raise InvalidParameterError("speeds too small: the reduced Hessian is not finite")
-    return hessian
-
-
 @dataclass(frozen=True)
 class PmfSolution:
     """Optimal probabilities with their stationarity certificate.

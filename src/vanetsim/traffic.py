@@ -72,19 +72,6 @@ class DiscreteVelocityDist:
     def speeds(self) -> np.ndarray:
         return self._speeds
 
-    def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw n (velocity, class index) pairs.
-
-        A draw ``u`` falls in the class of index ``#{j < m - 1: cum_p[j] <= u}``,
-        counted in place one class boundary at a time: the last cumulative
-        probability, which may round below 1, is never a boundary.
-        """
-        u = rng.random(n)
-        idx = np.zeros(n, dtype=np.intp)
-        for c in self._cum_p[:-1]:
-            idx += u >= c
-        return self._speeds[idx], idx
-
 
 def _log_ratio(lo: float, hi: float) -> float:
     """``ln(hi / lo)`` for ``0 < lo < hi``, also where ``hi / lo`` overflows or nears 1.
@@ -198,17 +185,21 @@ class Scenario:
     def is_discrete(self) -> bool:
         return isinstance(self.velocity, DiscreteVelocityDist)
 
-    def speed_bounds(self) -> tuple[float, float]:
-        """Smallest and largest |v| among the reachable classes of discrete traffic."""
-        reachable = [abs(c.v) for c in self.velocity.classes if c.p > 0]
-        return min(reachable), max(reachable)
-
 
 def sample_velocities(
     dist: DiscreteVelocityDist, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n velocities and class indices; only discrete traffic's lookback sampler calls it."""
-    return dist.sample(rng, n)
+    """Draw n (velocity, class index) pairs of discrete traffic.
+
+    A draw ``u`` falls in the class of index ``#{j < m - 1: cum_p[j] <= u}``,
+    counted in place one class boundary at a time: the last cumulative
+    probability, which may round below 1, is never a boundary.
+    """
+    u = rng.random(n)
+    idx = np.zeros(n, dtype=np.intp)
+    for c in dist._cum_p[:-1]:
+        idx += u >= c
+    return dist.speeds[idx], idx
 
 
 def mean_inverse_speed(dist: VelocityDist) -> float:

@@ -10,7 +10,9 @@ instead. ``IntDecoder`` is the decoder on Python ints, one packet
 at a time, that the packed ``DecoderState`` is tested against, and
 ``reduced_rows`` reads a ``DecoderState``'s basis in fully reduced form.
 ``alpha_matrix`` is the m x m matrix of the exchange objective, the
-quadratic form that ``pmf_opt.pair_law`` evaluates in O(m). Not an
+quadratic form that ``pmf_opt.pair_law`` evaluates in O(m); ``objective``
+evaluates it by the pair law on checked speeds, and ``reduced_hessian``
+is its closed-form concavity certificate. Not an
 oracle, ``trip_tallies`` reduces per trip the crossers that the library's
 own sampler draws in the estimator's chunks, for the per-trip tallies
 other than the throughput that tests check.
@@ -22,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vanetsim import NotYetDecodable, Packet, encounters
+from vanetsim import NotYetDecodable, Packet, encounters, pmf_opt
+from vanetsim.errors import InvalidParameterError
+from vanetsim.traffic import sample_velocities
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ def generate_arrivals(scenario, window, rng: np.random.Generator) -> list[Arriva
     if not scenario.is_discrete:
         speeds = sample_bands(scenario.velocity, rng, n)
         return [ArrivalRecord(float(t), float(v)) for t, v in zip(times, speeds)]
-    speeds, idx = scenario.velocity.sample(rng, n)
+    speeds, idx = sample_velocities(scenario.velocity, n, rng)
     return [
         ArrivalRecord(float(t), float(v), int(i))
         for t, v, i in zip(times, speeds, idx)
@@ -222,6 +226,35 @@ def alpha_matrix(speeds) -> np.ndarray:
         a = inv[:, None] + inv[None, :]
     np.fill_diagonal(a, 0.0)
     return a
+
+
+def objective(p, speeds) -> float:
+    """Exchange objective over ordered pairs, p @ A @ p, by ``pmf_opt.pair_law`` on checked speeds."""
+    arr = pmf_opt._check_speeds(speeds)
+    if np.shape(p) != arr.shape:
+        raise InvalidParameterError("probability/speed length mismatch")
+    return pmf_opt.pair_law(p, arr)[1]
+
+
+def reduced_hessian(speeds) -> np.ndarray:
+    """Hessian of the reduced pair objective, eliminating the last probability.
+
+    Uses the convention that counts each unordered pair once (half the
+    quadratic form p @ A @ p; the scale does not move the maximizer).
+    Closed form: -2*diag(1/|v_1|..1/|v_{M-1}|) - (2/|v_M|) * ones. Negative
+    definite for any nonzero speeds, which is the concavity certificate.
+    Refused when an entry overflows, as 2/|v| can for a finite 1/|v|.
+    """
+    arr = pmf_opt._check_speeds(speeds)
+    m = arr.size
+    if m < 2:
+        raise InvalidParameterError("need at least two classes")
+    inv = 1.0 / np.abs(arr)
+    with np.errstate(over="ignore"):
+        hessian = -2.0 * np.diag(inv[:-1]) - 2.0 * inv[-1] * np.ones((m - 1, m - 1))
+    if not np.all(np.isfinite(hessian)):
+        raise InvalidParameterError("speeds too small: the reduced Hessian is not finite")
+    return hessian
 
 
 def trip_tallies(scenario, observer, trials, rng, key, width, weighted=False) -> np.ndarray:

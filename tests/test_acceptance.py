@@ -27,7 +27,6 @@ from vanetsim import (
     FileSpec,
     UniformScheme,
     VelocityClass,
-    encode_batch,
     expected_download_time,
     expected_encounters,
     expected_throughput,
@@ -38,15 +37,14 @@ from vanetsim import (
     optimize_pmf,
     packets_needed,
     probabilities_decrease_with_speed,
-    reduced_hessian,
     sample_uniform_vectors,
     simulate_download_time,
     span_probability,
 )
 from vanetsim.cli import main as cli_main
-from vanetsim.fountain import fold
+from vanetsim.fountain import decode, fold
 
-from oracles import alpha_matrix, trip_tallies
+from oracles import alpha_matrix, reduced_hessian, trip_tallies
 
 N_TRIALS = 100_000
 
@@ -345,21 +343,25 @@ def test_c6_codec_correctness():
     se = math.sqrt(p * (1 - p) / N_TRIALS)
     checks.append(abs(hits / N_TRIALS - p) <= 3 * se)
 
-    # exact round trip across block counts
+    # exact round trip across block counts: 1,000 trials of 4-byte blocks
+    # fold as one stacked state, and each decode gives back its own file
     rng = np.random.default_rng(608)
     for k in (1, 4, 64):
-        for _ in range(1000):
-            blocks = [rng.bytes(4) for _ in range(k)]
-            state = DecoderState(k)
-            while state.rank < k:
-                # the rank grows by at most one a packet: no draw past the decode
-                vectors = sample_uniform_vectors(k, k - state.rank, rng)
-                state.receive_batch(vectors, encode_batch(blocks, vectors))
-            if state.try_decode() != blocks:
-                checks.append(False)
-                break
-        else:
-            checks.append(True)
+        files = np.frombuffer(rng.bytes(1000 * k * 4), dtype=np.uint8).reshape(1000, k, 4)
+        state, active, exact = DecoderState(k, 1000), np.arange(1000), True
+        while active.size:
+            # the rank grows by at most one a packet: no trial draws past its decode
+            count = k - int(state.ranks[active].max())
+            vectors = sample_uniform_vectors(k, active.size * count, rng).reshape(active.size, count, -1)
+            # each payload is the GF(2) product of its vector's bits with the file's bits
+            bits = np.unpackbits(vectors, axis=2, count=k, bitorder="little").astype(np.intp)
+            payloads = np.packbits((bits @ np.unpackbits(files[active], axis=2)) & 1, axis=2)
+            fold(state, vectors, payloads, active)
+            full = state.ranks[active] == k
+            if full.any():
+                exact &= np.array_equal(decode(state, active[full]), files[active[full]])
+            active = active[~full]
+        checks.append(exact)
 
     # decode-failure rate after the uniform packet-count threshold: trials
     # fold 2,000 at a time, each its threshold's packets in one batch

@@ -20,11 +20,12 @@ from vanetsim import (
     expected_throughput_continuous,
     mean_cars_in_segment,
     monte_carlo_throughput,
-    objective,
     optimize_pmf,
     packets_needed,
 )
 from vanetsim.errors import InvalidParameterError
+
+from oracles import objective
 
 
 def make_scenario(lam=0.1, velocity=None, **kw):

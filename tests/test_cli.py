@@ -461,6 +461,41 @@ def test_download_time_lt_scheme_runs(twoclass_path, capsys):
     assert report["results"]["packets_needed"] > 400
 
 
+def _observers_one_at_a_time(scenario, rng, n):
+    """The observer speeds that download-time drew one trial at a time."""
+    vel = scenario.velocity
+    if scenario.is_discrete:
+        forward = [c for c in vel.classes if c.v > 0 and c.p > 0]
+        cum = np.cumsum([c.p / sum(c.p for c in forward) for c in forward])
+        picks = [int(np.searchsorted(cum, rng.random(), side="right")) for _ in range(n)]
+        return [forward[min(i, len(forward) - 1)].v for i in picks]
+    a, b = next(band for band, w in zip(vel.bands, vel.weights) if w > 0 and band[0] > 0)
+    return [float(rng.uniform(a, b)) for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "velocity",
+    [
+        {"type": "discrete", "classes": [
+            {"v": 20.0, "p": 0.3}, {"v": -30.0, "p": 0.2}, {"v": 40.0, "p": 0.0},
+            {"v": 25.0, "p": 0.3}, {"v": 35.0, "p": 0.2},
+        ]},
+        {"type": "continuous", "family": "uniform", "a": 20.0, "b": 40.0, "direction_split": 0.7},
+    ],
+)
+def test_a_chunk_of_observers_is_drawn_in_one_call_as_one_at_a_time(twoclass_path, velocity):
+    # forward classes renormalised (a reverse class and a zero-probability
+    # class never observe), or one uniform a speed: the same doubles in the
+    # same order, and the generator left where the per-trial draws leave it
+    doc = dict(json.loads(Path(twoclass_path).read_text()), velocity=velocity)
+    scenario = scenario_from_dict(doc)
+    chunk, alone = np.random.default_rng(5), np.random.default_rng(5)
+    got = cli._observer_sampler(scenario, None)(chunk, 1000)
+    assert got == _observers_one_at_a_time(scenario, alone, 1000)
+    assert chunk.bit_generator.state == alone.bit_generator.state
+    assert cli._observer_sampler(scenario, 22.5)(chunk, 3) == [22.5] * 3
+
+
 def test_download_time_rejects_bad_k(twoclass_path, capsys):
     code, out, err = run(
         ["download-time", str(twoclass_path), "--K", "0"], capsys

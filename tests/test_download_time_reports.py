@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from vanetsim import encounters
+from vanetsim import fountain
 from vanetsim.fountain import FileSpec
 
 from pinned_reports import fixture_docs, record, run_case, write_scenarios
@@ -93,7 +93,7 @@ def test_download_time_report_is_pinned(case, scenario_dir, pinned):
 
 def test_a_pinned_run_spans_several_chunks():
     assert "twoclass --K 100 --seed 5 --trials 1000" in CASES
-    assert 1000 >= 4 * encounters.download_chunk_trials(FileSpec(100, 64))
+    assert 1000 >= 4 * fountain.download_chunk_trials(FileSpec(100, 64))
 
 
 @pytest.mark.parametrize(
@@ -107,7 +107,7 @@ def test_a_pinned_run_spans_several_chunks():
 )
 def test_small_chunks_give_the_pinned_report(case, scenario_dir, pinned, monkeypatch):
     # chunks of one trial run the same trials as the default chunks
-    monkeypatch.setattr(encounters, "DOWNLOAD_CHUNK_BYTES", 1)
+    monkeypatch.setattr(fountain, "DOWNLOAD_CHUNK_BYTES", 1)
     assert run_case(CASES[case], scenario_dir) == pinned[case]
 
 

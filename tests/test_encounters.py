@@ -1,6 +1,8 @@
+import ast
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,14 +29,14 @@ from vanetsim import (
     span_probability,
 )
 from vanetsim import encounters, fountain
-from vanetsim.encounters import BATCH_MARGIN, MAX_DOWNLOAD_BLOCKS
+from vanetsim.encounters import MAX_DOWNLOAD_BLOCKS
 from vanetsim.errors import (
     InternalInconsistencyError,
     InvalidParameterError,
     NoProgressError,
 )
-from vanetsim.fountain import EncodingVector, vector_batch_sampler
-from vanetsim.traffic import ContinuousVelocityDist
+from vanetsim.fountain import BATCH_MARGIN, EncodingVector, vector_batch_sampler
+from vanetsim.traffic import ContinuousVelocityDist, sample_velocities
 
 from oracles import ArrivalRecord, IntDecoder, encounter_of, sample_bands, trip_tallies
 
@@ -292,7 +294,7 @@ def lookback_window(scenario, ti):
 def velocities(scenario, rng, n):
     """What the lookback sampler draws: discrete traffic's classes, or bands by the oracle (no classes)."""
     if scenario.is_discrete:
-        return scenario.velocity.sample(rng, n)
+        return sample_velocities(scenario.velocity, n, rng)
     return sample_bands(scenario.velocity, rng, n), None
 
 
@@ -897,13 +899,13 @@ def test_lt_download_with_a_long_tail_matches_per_packet_oracle(monkeypatch):
     # LT vectors leave the first k packets well short of full rank, so the
     # decode takes several rounds of k - rank + BATCH_MARGIN packets each
     folds = []
-    fold = encounters.fold
+    fold = fountain.fold
 
     def counted(state, vectors, payloads, trials):
         folds.append((vectors.shape[1], state.rank))  # a download is a chunk of one trial
         return fold(state, vectors, payloads, trials)
 
-    monkeypatch.setattr(encounters, "fold", counted)
+    monkeypatch.setattr(fountain, "fold", counted)
     file = FileSpec(100, 64)
     scheme = LtScheme(SolitonParams(0.02, 0.9, 0.01))  # no spike: half the degrees are 2
     rounds = {}
@@ -944,14 +946,14 @@ def test_packets_of_a_download_do_not_depend_on_traffic_or_observer(k, scheme):
 
 def test_download_file_is_one_draw_per_block(monkeypatch):
     seen = []
-    real = encounters._draw_files
+    real = fountain._draw_files
 
     def drawn(file, rngs):
         files = real(file, rngs)
         seen.append([row.tobytes() for row in files[0]])  # a download is a chunk of one trial
         return files
 
-    monkeypatch.setattr(encounters, "_draw_files", drawn)
+    monkeypatch.setattr(fountain, "_draw_files", drawn)
     for k, l in ((3, 8), (5, 24), (4, 40), (2, 64)):  # 1, 3, 5 and 8-byte blocks
         simulate_download_time(
             make_scenario(lam=0.0), 20.0, FileSpec(k, l), UniformScheme(), np.random.default_rng(k)
@@ -1076,6 +1078,26 @@ def test_a_chunk_gives_what_its_trials_give_one_at_a_time(observers, k):
     assert chunk == one_at_a_time
 
 
+def test_encounters_leaves_the_codec_s_internals_to_it():
+    # encounters takes each download's packet N from fountain.decode_trials:
+    # it imports none of fountain's private names nor the kernel's
+    # SLICED_TRIALS, and reaches none through the module
+    tree = ast.parse(Path(encounters.__file__).read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "fountain"
+        for alias in node.names
+    ]
+    reached = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "fountain"
+    ]
+    assert "decode_trials" in imported
+    assert [name for name in imported + reached if name.startswith("_") or name == "SLICED_TRIALS"] == []
+
+
 def test_download_refuses_a_file_above_the_block_limit():
     sc = make_scenario()
     rng = np.random.default_rng(0)
@@ -1123,16 +1145,16 @@ def test_a_download_trial_peaks_within_the_bytes_its_chunk_assumes(twoclass, k, 
     # in many rounds) holds its trials' files, bases and fold rows, and its
     # kernel's scratch, fixed from SLICED_TRIALS trials on
     file = FileSpec(k, l)
-    trials = encounters.download_chunk_trials(file)
-    assert chunk_peak(twoclass, file, scheme, trials) <= encounters.download_chunk_bytes(file, trials)
+    trials = fountain.download_chunk_trials(file)
+    assert chunk_peak(twoclass, file, scheme, trials) <= fountain.download_chunk_bytes(file, trials)
     if trials > 1:
-        assert encounters.download_chunk_bytes(file, trials) <= encounters.DOWNLOAD_CHUNK_BYTES
+        assert fountain.download_chunk_bytes(file, trials) <= fountain.DOWNLOAD_CHUNK_BYTES
 
 
 def test_a_100_trial_download_time_run_is_one_chunk():
     # the cli benchmark's download-time --K 100 --trials 100, with 8-byte blocks
-    assert encounters.download_chunk_trials(FileSpec(100, 64)) >= 100
-    assert encounters.DOWNLOAD_CHUNK_BYTES == 1 << 21
+    assert fountain.download_chunk_trials(FileSpec(100, 64)) >= 100
+    assert fountain.DOWNLOAD_CHUNK_BYTES == 1 << 21
 
 
 @pytest.mark.parametrize("scheme", [UniformScheme(), LT])
@@ -1140,8 +1162,8 @@ def test_a_chunk_of_twice_the_rule_s_trials_peaks_within_its_bytes(twoclass, sch
     # The kernel's scratch does not grow with a chunk's trials, so the
     # bound's fixed part still covers it at twice the trials (204 at K=100)
     file = FileSpec(100, 64)
-    trials = 2 * encounters.download_chunk_trials(file)
-    assert chunk_peak(twoclass, file, scheme, trials) <= encounters.download_chunk_bytes(file, trials)
+    trials = 2 * fountain.download_chunk_trials(file)
+    assert chunk_peak(twoclass, file, scheme, trials) <= fountain.download_chunk_bytes(file, trials)
 
 
 @pytest.mark.parametrize("budget", [64, 3000])
@@ -1154,7 +1176,6 @@ def test_a_small_table_budget_gives_the_same_downloads(twoclass, monkeypatch, bu
     file, observers = FileSpec(40, 64), [(20.0, 25.0)[i % 2] for i in range(11)]
     want = encounters.simulate_download_times(twoclass, observers, file, scheme, np.random.default_rng(3))
     monkeypatch.setattr(fountain, "_TABLE_BYTES", budget)
-    monkeypatch.setattr(encounters, "_TABLE_BYTES", budget)
     got = encounters.simulate_download_times(twoclass, observers, file, scheme, np.random.default_rng(3))
     assert got == want
 
@@ -1162,14 +1183,14 @@ def test_a_small_table_budget_gives_the_same_downloads(twoclass, monkeypatch, bu
 def test_download_detects_a_wrong_decode(monkeypatch):
     # The decode is checked against the file on every trial: a decode that
     # returns one flipped byte must be caught.
-    honest = encounters.decode
+    honest = fountain.decode
 
     def flip_one_byte(state, trials):
         decoded = honest(state, trials)
         decoded[:, 0, 0] ^= 0x01
         return decoded
 
-    monkeypatch.setattr(encounters, "decode", flip_one_byte)
+    monkeypatch.setattr(fountain, "decode", flip_one_byte)
     sc = make_scenario(lam=0.0)
     with pytest.raises(InternalInconsistencyError):
         simulate_download_time(sc, 20.0, FileSpec(8, 64), UniformScheme(), np.random.default_rng(0))
@@ -1186,7 +1207,7 @@ def test_a_wrong_decode_fails_its_own_trial_only(j, raised, monkeypatch):
     # corrupted, so the chunk raises its error unless trial 2 fails before
     # it, as trials run one at a time would.
     decoded_trials = []
-    honest = encounters.decode
+    honest = fountain.decode
 
     def corrupt_trial_j(state, trials):
         decoded = honest(state, trials)
@@ -1197,7 +1218,7 @@ def test_a_wrong_decode_fails_its_own_trial_only(j, raised, monkeypatch):
                 blocks[0, 0] ^= 0x01
         return decoded
 
-    monkeypatch.setattr(encounters, "decode", corrupt_trial_j)
+    monkeypatch.setattr(fountain, "decode", corrupt_trial_j)
     monkeypatch.setattr(encounters, "MAX_SEGMENTS", 2)
     with pytest.raises(raised):
         encounters.simulate_download_times(

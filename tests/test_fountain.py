@@ -514,7 +514,7 @@ def trial_decode(state: DecoderState, t: int) -> list[bytes] | NotYetDecodable:
 @given(data=st.data())
 @pytest.mark.parametrize("kind", ["uniform", "lt", "repeats"])
 @pytest.mark.parametrize("k_range", [(1, 1), (2, 72)])
-def test_receive_batch_matches_the_int_oracle(kind, k_range, data):
+def test_fold_of_one_trial_matches_the_int_oracle(kind, k_range, data):
     # one fold, a fold per packet, and random splits all give the oracle's
     # innovative flags, rank, reduced basis and decode
     k = data.draw(st.integers(*k_range), label="k")
@@ -534,7 +534,7 @@ def test_receive_batch_matches_the_int_oracle(kind, k_range, data):
         state = DecoderState(k)
         flags: list[bool] = []
         for lo, hi in zip(ends, ends[1:]):
-            flags += state.receive_batch(vectors[lo:hi], payloads[lo:hi]).tolist()
+            flags += fountain.fold(state, vectors[None, lo:hi], payloads[None, lo:hi])[0].tolist()
             assert state.rank == sum(expected[:hi])
             if state.rank < k:
                 assert state.try_decode() == NotYetDecodable(state.rank)
@@ -568,14 +568,14 @@ def test_fold_of_several_decoders_matches_separate_folds(kind, data):
         stream_payloads = rng.integers(0, 256, (before + count, size), dtype=np.uint8)
         alone, oracle = DecoderState(k), IntDecoder(k)
         fountain.fold(stacked, stream[None, :before], stream_payloads[None, :before], [t])
-        alone.receive_batch(stream[:before], stream_payloads[:before])
+        fountain.fold(alone, stream[None, :before], stream_payloads[None, :before])
         oracle_flags = [
             oracle.receive(Packet(EncodingVector(bits, k), payload.tobytes()))
             for bits, payload in zip(packed_bits(stream), stream_payloads)
         ]
         vectors[t, :count] = stream[before:]
         payloads[t, :count] = stream_payloads[before:]
-        flags = alone.receive_batch(stream[before:], stream_payloads[before:]).tolist()
+        flags = fountain.fold(alone, stream[None, before:], stream_payloads[None, before:])[0].tolist()
         assert flags == oracle_flags[before:]
         expected.append((flags, alone, oracle))
     innovative = np.empty((trials, max(counts)), dtype=bool)
@@ -732,19 +732,17 @@ def test_decode_refuses_a_trial_short_of_full_rank():
         fountain.decode(state)
 
 
-def test_receive_batch_rejects_misfit_batches():
-    state = DecoderState(10)
-    one = np.zeros((1, 1), dtype=np.uint8)
+def test_fold_rejects_misfit_batches():
+    state, fold = DecoderState(10), fountain.fold
+    one = np.zeros((1, 1, 1), dtype=np.uint8)
     with pytest.raises(InvalidParameterError, match="do not fit length 10"):
-        state.receive_batch(np.zeros((1, 1), dtype=np.uint8), one)
+        fold(state, np.zeros((1, 1, 1), dtype=np.uint8), one)
     with pytest.raises(InvalidParameterError, match="bits beyond length 10"):
-        state.receive_batch(np.array([[0, 0b100]], dtype=np.uint8), one)
+        fold(state, np.array([[[0, 0b100]]], dtype=np.uint8), one)
     with pytest.raises(InvalidParameterError, match="one payload row per vector"):
-        state.receive_batch(np.zeros((2, 2), dtype=np.uint8), one)
+        fold(state, np.zeros((1, 2, 2), dtype=np.uint8), one)
     with pytest.raises(InvalidParameterError, match="at least one byte"):
-        state.receive_batch(np.zeros((1, 2), dtype=np.uint8), np.zeros((1, 0), dtype=np.uint8))
-    with pytest.raises(InvalidParameterError, match="2-d batches"):
-        state.receive_batch(np.zeros(2, dtype=np.uint8), one)
+        fold(state, np.zeros((1, 1, 2), dtype=np.uint8), np.zeros((1, 1, 0), dtype=np.uint8))
     two_vectors, two_payloads = np.zeros((2, 1, 2), dtype=np.uint8), np.zeros((2, 1, 1), dtype=np.uint8)
     with pytest.raises(InvalidParameterError, match="do not fit length 10"):
         fountain.fold(state, two_vectors, two_payloads)  # two batches for one trial
@@ -828,7 +826,7 @@ def test_span_probability_empirical_smoke():
     for _ in range(trials):
         # n vectors in one draw are the n draws of one vector at a time
         state = DecoderState(k)
-        state.receive_batch(sample_uniform_vectors(k, n, rng), np.zeros((n, 1), dtype=np.uint8))
+        fountain.fold(state, sample_uniform_vectors(k, n, rng)[None], np.zeros((1, n, 1), dtype=np.uint8))
         hits += state.rank == k
     p = span_probability(k, n)
     se = math.sqrt(p * (1 - p) / trials)

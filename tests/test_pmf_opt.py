@@ -4,16 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vanetsim import (
-    objective,
-    optimize_pmf,
-    probabilities_decrease_with_speed,
-    reduced_hessian,
-)
+from vanetsim import optimize_pmf, probabilities_decrease_with_speed
 from vanetsim import pmf_opt
 from vanetsim.errors import InvalidParameterError, NumericalError
 
-from oracles import alpha_matrix
+from oracles import alpha_matrix, objective, reduced_hessian
 
 
 def random_speeds(rng, m):

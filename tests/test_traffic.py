@@ -16,6 +16,7 @@ from vanetsim import (
     scenario_from_dict,
 )
 from vanetsim.errors import InvalidParameterError, SchemaError
+from vanetsim.traffic import sample_velocities
 
 from oracles import generate_arrivals, sample_bands
 
@@ -308,7 +309,7 @@ def test_class_sample_matches_searchsorted(m):
     ends = [0.0, np.nextafter(1.0, 0.0)]
     u = np.concatenate((rng.random(10_000), cum, np.nextafter(cum, 0.0), ends))
     u = u[u < 1.0]  # the range of Generator.random
-    speeds, idx = dist.sample(_FixedDraws(u), len(u))
+    speeds, idx = sample_velocities(dist, len(u), _FixedDraws(u))
     expected = np.minimum(np.searchsorted(cum, u, side="right"), m - 1)
     assert np.array_equal(idx, expected)
     assert np.array_equal(speeds, dist.speeds[expected])
